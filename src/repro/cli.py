@@ -172,10 +172,8 @@ def _cmd_restart(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .rt.eventloop import install_loop_backend
     from .rt.server import run_server
 
-    install_loop_backend(args.loop)
     try:
         asyncio.run(run_server(
             args.data_dir, args.server_id, args.host, args.port,
@@ -206,11 +204,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
     from .core.config import ReplicationConfig
-    from .rt.eventloop import install_loop_backend
     from .rt.loadgen import run_loadgen_sync, run_multi_loadgen_sync
     from .rt.placement import PlacementDirectory, load_cluster_spec
 
-    install_loop_backend(args.loop)
     if args.cluster_spec:
         directory = PlacementDirectory(load_cluster_spec(args.cluster_spec))
         servers, config = directory, None
@@ -574,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="placements.json with per-tenant quotas to "
                         "enforce (the roster section is for clients; "
                         "this daemon still binds from its own args)")
-    p.add_argument("--loop", default="asyncio",
-                   choices=["asyncio", "uvloop"],
-                   help="event-loop backend (uvloop is optional and "
-                        "must be installed; default asyncio)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -615,10 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "this many transactions (default off)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of a table")
-    p.add_argument("--loop", default="asyncio",
-                   choices=["asyncio", "uvloop"],
-                   help="event-loop backend (uvloop is optional and "
-                        "must be installed; default asyncio)")
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser(

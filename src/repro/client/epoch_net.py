@@ -14,14 +14,8 @@ network.
 
 from __future__ import annotations
 
-from ..core.epoch import read_quorum_size, write_quorum_size
-from ..core.errors import NotEnoughServers, ServerUnavailable
-from ..net.messages import (
-    AckReply,
-    GeneratorReadCall,
-    GeneratorReadReply,
-    GeneratorWriteCall,
-)
+from ..core.epoch import new_id
+from ..core.errors import NotEnoughServers
 
 
 class NetworkEpochSource:
@@ -33,56 +27,18 @@ class NetworkEpochSource:
         self.rep_ids = list(representative_server_ids)
         self.new_ids_issued = 0
 
-    @property
-    def n_reps(self) -> int:
-        return len(self.rep_ids)
-
     def new_id(self) -> int:
         raise NotImplementedError(
             "NetworkEpochSource issues ids over the network; the client "
-            "drives it via new_id_net()"
+            "drives procedure()"
         )
 
-    def new_id_net(self, client):
-        """Perform one NewID through ``client``'s connections.
+    def procedure(self):
+        """One NewID as a procedure over the representative servers.
 
-        ``yield from`` me inside a simulation process.  Raises
+        The client drives it as the epoch step of its restart.  Raises
         :class:`NotEnoughServers` when either quorum cannot be reached.
         """
-        values: list[int] = []
-        reachable: list[str] = []
-        for server_id in self.rep_ids:
-            try:
-                yield from client._connect(server_id)
-                reply = yield from client._rpcs[server_id].call(
-                    GeneratorReadCall(client_id=client.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, GeneratorReadReply):
-                values.append(reply.value)
-                reachable.append(server_id)
-        need_read = read_quorum_size(self.n_reps)
-        if len(values) < need_read:
-            raise NotEnoughServers(
-                f"generator read quorum needs {need_read}, "
-                f"got {len(values)}")
-        new_value = max(values) + 1
-        written = 0
-        need_write = write_quorum_size(self.n_reps)
-        for server_id in reachable:
-            if written >= need_write:
-                break
-            try:
-                reply = yield from client._rpcs[server_id].call(
-                    GeneratorWriteCall(client_id=client.client_id,
-                                       value=new_value))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, AckReply):
-                written += 1
-        if written < need_write:
-            raise NotEnoughServers(
-                f"generator write quorum needs {need_write}, "
-                f"wrote {written}")
+        value = yield from new_id(self.rep_ids)
         self.new_ids_issued += 1
-        return new_value
+        return value

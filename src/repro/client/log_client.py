@@ -32,30 +32,28 @@ import random
 
 from ..analysis.constants import DEFAULT_MIPS, CpuModel
 from ..core.config import ReplicationConfig
+from ..core.epoch import issued_by
 from ..core.errors import (
     LSNNotWritten,
     NotEnoughServers,
     NotInitialized,
     RecordNotPresent,
     ServerUnavailable,
-    StaleEpoch,
 )
-from ..core.intervals import MergedIntervalMap, ServerIntervals
+from ..core.intervals import MergedIntervalMap
+from ..core.procedure import ACK, COPY, Call, Procedure, Step
 from ..core.records import Epoch, LogRecord, LSN, StoredRecord
+from ..core.recovery import fetch_record, restart
 from ..core.retry import RetryPolicy
 from ..net.messages import (
-    AckReply,
     CopyLogCall,
     ForceLogMsg,
-    InstallCopiesCall,
-    IntervalListCall,
-    IntervalListReply,
     MissingIntervalMsg,
     NewHighLSNMsg,
     NewIntervalMsg,
-    ReadLogForwardCall,
-    ReadLogReply,
     WriteLogMsg,
+    call_message,
+    reply_value,
 )
 from ..net.packet import PACKET_PAYLOAD_BYTES
 from ..net.rpc import RpcClient, RpcReply
@@ -240,113 +238,76 @@ class SimLogClient:
 
     # -- client initialization (restart procedure) ------------------------------
 
+    def _drive(self, procedure: Procedure):
+        """Run a core procedure over this node's RPCs; ``yield from`` me."""
+        value = failure = None
+        while True:
+            try:
+                request = (procedure.send(value) if failure is None
+                           else procedure.throw(failure))
+            except StopIteration as stop:
+                return stop.value
+            value = failure = None
+            if type(request) is Step:
+                continue
+            try:
+                value = yield from self._perform(request)
+            except ServerUnavailable as exc:
+                failure = exc
+
+    def _perform(self, call: Call):
+        """One procedure call as RPCs to ``call.server_id``.
+
+        CopyLog is split into packet-sized calls here ("as many log
+        records as will fit in a network packet in each call"); the
+        procedure sees one answer, the first that is not an ack.
+        """
+        yield from self._connect(call.server_id)
+        rpc = self._rpcs[call.server_id]
+        if call.op == COPY:
+            epoch, records = call.args
+            messages = [CopyLogCall(self.client_id, epoch, chunk)
+                        for chunk in _pack_records(records)]
+        else:
+            messages = [call_message(self.client_id, call)]
+        for message in messages:
+            value = reply_value((yield from rpc.call(message)))
+            if value is not ACK:
+                break
+        return value
+
     def initialize(self):
         """Run the restart procedure over the network; ``yield from`` me."""
-        # 1. interval lists from every reachable server
-        reports: list[ServerIntervals] = []
-        for server_id in self.server_ids:
-            try:
-                yield from self._connect(server_id)
-                reply = yield from self._rpcs[server_id].call(
-                    IntervalListCall(client_id=self.client_id)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, IntervalListReply):
-                reports.append(ServerIntervals(server_id, reply.intervals))
-        if len(reports) < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"client init needs {self.config.init_quorum} interval "
-                f"lists, got {len(reports)}"
-            )
-        merged = MergedIntervalMap.merge(reports)
-        # 2. a fresh epoch — over the network when the generator's
-        # representatives live on log-server nodes (Appendix I)
-        if hasattr(self.epoch_source, "new_id_net"):
-            new_epoch = yield from self.epoch_source.new_id_net(self)
-        else:
-            new_epoch = self.epoch_source.new_id()
-        if new_epoch <= merged.highest_epoch():
-            raise StaleEpoch("generator", new_epoch, merged.highest_epoch())
-        # 3. read the last δ records
-        high = merged.high_lsn() or 0
-        copy_lsns = [
-            lsn for lsn in range(max(1, high - self.config.delta + 1), high + 1)
-            if lsn in merged
-        ]
-        staged: list[StoredRecord] = []
-        for lsn in copy_lsns:
-            record = yield from self._read_stored(merged, lsn)
-            staged.append(StoredRecord(
-                lsn=record.lsn, epoch=new_epoch, present=record.present,
-                data=record.data, kind=record.kind,
-            ))
-        staged += [
-            StoredRecord(lsn=high + i, epoch=new_epoch, present=False, kind="guard")
-            for i in range(1, self.config.delta + 1)
-        ]
-        # 4. CopyLog + InstallCopies on N servers
-        candidates = self.assignment.choose(
-            self.server_ids, len(self.server_ids), self._server_loads
-        )
-        installed: list[str] = []
-        for server_id in candidates:
-            if len(installed) >= self.config.copies:
-                break
-            try:
-                yield from self._connect(server_id)
-                rpc = self._rpcs[server_id]
-                for chunk in _pack_records(staged):
-                    reply = yield from rpc.call(CopyLogCall(
-                        client_id=self.client_id, epoch=new_epoch, records=chunk,
-                    ))
-                    if not isinstance(reply, AckReply):
-                        raise ServerUnavailable(server_id, "copy rejected")
-                reply = yield from rpc.call(InstallCopiesCall(
-                    client_id=self.client_id, epoch=new_epoch,
-                ))
-                if not isinstance(reply, AckReply):
-                    raise ServerUnavailable(server_id, "install rejected")
-            except ServerUnavailable:
-                continue
-            installed.append(server_id)
-        if len(installed) < self.config.copies:
-            raise NotEnoughServers(
-                f"recovery installed copies on {len(installed)} servers; "
-                f"{self.config.copies} required"
-            )
-        for record in staged:
-            for server_id in installed:
-                merged.note(record.lsn, new_epoch, server_id)
-        # 5. adopt the new state
-        self._merged = merged
-        self._epoch = new_epoch
-        self._next_lsn = (merged.high_lsn() or 0) + 1
-        self._write_set = installed
-        guard_high = merged.high_lsn() or 0
-        for server_id in installed:
+        source = self.epoch_source
+
+        def install_order():
+            # Asked of the assignment strategy only when recovery
+            # reaches the install step: a random strategy draws from
+            # its rng, and a restart that fails earlier must not.
+            yield from self.assignment.choose(
+                self.server_ids, len(self.server_ids), self._server_loads)
+
+        result = yield from self._drive(restart(
+            self.config,
+            # over the network when the generator's representatives
+            # live on log-server nodes (Appendix I)
+            source.procedure() if hasattr(source, "procedure")
+            else issued_by(source),
+            gather_order=self.server_ids,
+            install_order=install_order(),
+        ))
+        self._merged = result.merged
+        self._epoch = result.epoch
+        self._next_lsn = result.next_lsn
+        self._write_set = list(result.write_set)
+        guard_high = result.next_lsn - 1
+        for server_id in result.write_set:
             self._acked[server_id] = guard_high
             self._sent_high[server_id] = guard_high
         self._buffer.clear()
         self._buffer_bytes = 0
         self._unacked.clear()
         self.recoveries += 1
-
-    def _read_stored(self, merged: MergedIntervalMap, lsn: LSN) -> StoredRecord:
-        """Fetch one stored record (present flag intact) for recovery."""
-        for server_id in merged.servers_for(lsn):
-            try:
-                yield from self._connect(server_id)
-                reply = yield from self._rpcs[server_id].call(
-                    ReadLogForwardCall(client_id=self.client_id, lsn=lsn)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, ReadLogReply) and reply.records:
-                first = reply.records[0]
-                if first.lsn == lsn:
-                    return first
-        raise NotEnoughServers(f"no reachable server stores LSN {lsn}")
 
     # -- logging -------------------------------------------------------------------
 
@@ -705,22 +666,10 @@ class SimLogClient:
         entry = self._merged.entry(lsn)
         if entry is None:
             raise LSNNotWritten(lsn)
-        for server_id in entry.servers:
-            try:
-                yield from self._connect(server_id)
-                reply = yield from self._rpcs[server_id].call(
-                    ReadLogForwardCall(client_id=self.client_id, lsn=lsn)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, ReadLogReply) and reply.records:
-                first = reply.records[0]
-                if first.lsn != lsn:
-                    continue
-                if not first.present:
-                    raise RecordNotPresent(lsn)
-                return LogRecord(lsn=first.lsn, data=first.data, kind=first.kind)
-        raise NotEnoughServers(f"no server holding LSN {lsn} responded")
+        stored = yield from self._drive(fetch_record(entry))
+        if not stored.present:
+            raise RecordNotPresent(lsn)
+        return stored.to_log_record()
 
     def end_of_log(self) -> LSN:
         if self._merged is None:

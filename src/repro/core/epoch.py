@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import NotEnoughServers, ServerUnavailable
+from .procedure import ACK, GEN_READ, GEN_WRITE, Call, Procedure, Step, run
 from .retry import RetryPolicy, retry_call
 
 
@@ -71,6 +73,65 @@ def write_quorum_size(n_reps: int) -> int:
     return math.ceil(n_reps / 2)
 
 
+def new_id(rep_ids: Sequence[str]) -> Procedure:
+    """NewID (Appendix I) as a procedure over the named representatives.
+
+    Reads every representative in ``rep_ids`` order, needs
+    ``⌈(N+1)/2⌉`` integers back, then writes ``max + 1`` to the ones
+    that answered until ``⌈N/2⌉`` acknowledged.  An answer of the wrong
+    type counts toward neither quorum.  Raises
+    :class:`NotEnoughServers` when either quorum falls short.
+    """
+    values: list[int] = []
+    readable: list[str] = []
+    for rep_id in rep_ids:
+        try:
+            value = yield Call(rep_id, GEN_READ)
+        except ServerUnavailable:
+            continue
+        if isinstance(value, int):
+            values.append(value)
+            readable.append(rep_id)
+    need = read_quorum_size(len(rep_ids))
+    if len(values) < need:
+        raise NotEnoughServers(
+            f"generator read quorum needs {need} representatives, "
+            f"only {len(values)} answered"
+        )
+    yield Step("epoch.read")
+    new_value = max(values) + 1
+    need = write_quorum_size(len(rep_ids))
+    written = 0
+    for rep_id in readable:
+        if written >= need:
+            break
+        try:
+            reply = yield Call(rep_id, GEN_WRITE, (new_value,))
+        except ServerUnavailable:
+            continue
+        if reply is ACK:
+            written += 1
+    if written < need:
+        raise NotEnoughServers(
+            f"generator write quorum needs {need} representatives, "
+            f"wrote {written}"
+        )
+    yield Step("epoch.written")
+    return new_value
+
+
+def issued_by(source) -> Procedure:
+    """An in-process epoch source as a procedure that makes no calls.
+
+    Lets :func:`repro.core.recovery.restart` take its NewID step as a
+    sub-procedure whether the generator is replicated over the servers
+    being driven (:func:`new_id`) or is a local object with a plain
+    ``new_id()`` method.
+    """
+    return source.new_id()
+    yield  # unreachable: makes this function a generator
+
+
 class ReplicatedIdGenerator:
     """The ``NewID`` abstraction of Appendix I.
 
@@ -98,35 +159,16 @@ class ReplicatedIdGenerator:
         Raises :class:`NotEnoughServers` if a read or write quorum of
         representatives cannot be assembled.
         """
-        values = []
-        writable: list[GeneratorStateRepresentative] = []
-        for rep in self._reps:
-            try:
-                values.append(rep.read())
-            except ServerUnavailable:
-                continue
-            writable.append(rep)
-        if len(values) < read_quorum_size(self.n_reps):
-            raise NotEnoughServers(
-                f"read quorum needs {read_quorum_size(self.n_reps)} "
-                f"representatives, only {len(values)} available"
-            )
-        new_value = max(values) + 1
-        written = 0
-        need = write_quorum_size(self.n_reps)
-        for rep in writable:
-            try:
-                rep.write(new_value)
-            except ServerUnavailable:
-                continue
-            written += 1
-            if written >= need:
-                break
-        if written < need:
-            raise NotEnoughServers(
-                f"write quorum needs {need} representatives, wrote {written}"
-            )
-        return new_value
+        reps = {rep.rep_id: rep for rep in self._reps}
+
+        def perform(call: Call):
+            rep = reps[call.server_id]
+            if call.op == GEN_READ:
+                return rep.read()
+            rep.write(*call.args)
+            return ACK
+
+        return run(new_id(list(reps)), perform)
 
     def new_id_with_retry(
         self,

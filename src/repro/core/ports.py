@@ -10,9 +10,11 @@ in-process :class:`~repro.core.store.LogServerStore`.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
+from .errors import ServerUnavailable
 from .intervals import ServerIntervals
+from .procedure import ACK, COPY, INSTALL, INTERVAL_LIST, READ, Call
 from .records import Epoch, LSN, StoredRecord
 from .store import LogServerStore
 
@@ -86,3 +88,36 @@ class DirectServerPort:
 
     def install_copies(self, client_id: str, epoch: Epoch) -> int:
         return self._store.install_copies(client_id, epoch)
+
+
+def port_performer(
+    ports: Mapping[str, ServerPort], client_id: str,
+) -> Callable[[Call], object]:
+    """The direct driver's half of :func:`repro.core.procedure.run`.
+
+    Answers a procedure's log-server calls with plain method calls on
+    ``ports``; a server id with no port is an unavailable server.  A
+    port has no generator representative and no fence, so a procedure
+    that asks for one was handed the wrong driver.
+    """
+
+    def perform(call: Call):
+        port = ports.get(call.server_id)
+        if port is None:
+            raise ServerUnavailable(call.server_id, "no port for this server")
+        op, args = call.op, call.args
+        if op == INTERVAL_LIST:
+            return port.interval_list(client_id).intervals
+        if op == READ:
+            return (port.server_read_log(client_id, *args),)
+        if op == COPY:
+            for r in args[1]:
+                port.copy_log(client_id, r.lsn, r.epoch, r.present,
+                              r.data, r.kind)
+            return ACK
+        if op == INSTALL:
+            port.install_copies(client_id, *args)
+            return ACK
+        raise NotImplementedError(f"a ServerPort cannot serve {op!r}")
+
+    return perform

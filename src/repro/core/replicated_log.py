@@ -24,18 +24,19 @@ from __future__ import annotations
 from typing import Iterator, Protocol
 
 from .config import ReplicationConfig
+from .epoch import issued_by
 from .errors import (
     LSNNotWritten,
     NotEnoughServers,
     NotInitialized,
     RecordNotPresent,
     ServerUnavailable,
-    StaleEpoch,
 )
 from .intervals import MergedIntervalMap
-from .ports import ServerPort
+from .ports import ServerPort, port_performer
+from .procedure import Procedure, run
 from .records import Epoch, LogRecord, LSN
-from .recovery import gather_interval_lists, perform_recovery
+from .recovery import fetch_record, install_preference, restart
 
 
 class EpochSource(Protocol):
@@ -94,22 +95,12 @@ class ReplicatedLog:
         reached the merged list (and is now on ``N`` servers) or is
         permanently masked by a higher-epoch guard.
         """
-        lists = gather_interval_lists(
-            self._ports, self.client_id, self.config.init_quorum
-        )
-        pre_merge = MergedIntervalMap.merge(lists)
-        new_epoch = self._epoch_source.new_id()
-        if new_epoch <= pre_merge.highest_epoch():
-            raise StaleEpoch("generator", new_epoch, pre_merge.highest_epoch())
-        result = perform_recovery(
-            self.client_id,
-            self._ports,
-            lists,
-            new_epoch,
-            copies=self.config.copies,
-            delta=self.config.delta,
-            preferred_servers=tuple(self._write_set),
-        )
+        result = self._run(restart(
+            self.config,
+            issued_by(self._epoch_source),
+            gather_order=tuple(self._ports),
+            install_order=install_preference(sorted(self._ports), self._write_set),
+        ))
         self._merged = result.merged
         self._epoch = result.epoch
         self._next_lsn = result.next_lsn
@@ -128,6 +119,10 @@ class ReplicatedLog:
         # the next initialize(); a real client would rediscover servers,
         # and keeping the hint models "clients should attempt to perform
         # consecutive writes to the same servers".
+
+    def _run(self, procedure: Procedure):
+        """Drive a core procedure with direct calls on the ports."""
+        return run(procedure, port_performer(self._ports, self.client_id))
 
     def _require_init(self) -> MergedIntervalMap:
         if self._merged is None:
@@ -152,9 +147,7 @@ class ReplicatedLog:
         merged = self._require_init()
         lsn = self._next_lsn
         succeeded: list[str] = []
-        candidates = list(self._write_set) + [
-            s for s in sorted(self._ports) if s not in self._write_set
-        ]
+        candidates = install_preference(sorted(self._ports), self._write_set)
         for server_id in candidates:
             if len(succeeded) >= self.config.copies:
                 break
@@ -191,22 +184,11 @@ class ReplicatedLog:
         entry = merged.entry(lsn)
         if entry is None:
             raise LSNNotWritten(lsn)
-        last_error: ServerUnavailable | None = None
-        for server_id in entry.servers:
-            try:
-                stored = self._ports[server_id].server_read_log(
-                    self.client_id, lsn
-                )
-            except ServerUnavailable as exc:
-                last_error = exc
-                continue
-            self.reads_performed += 1
-            if not stored.present:
-                raise RecordNotPresent(lsn)
-            return stored.to_log_record()
-        raise NotEnoughServers(
-            f"no server holding LSN {lsn} is reachable"
-        ) from last_error
+        stored = self._run(fetch_record(entry))
+        self.reads_performed += 1
+        if not stored.present:
+            raise RecordNotPresent(lsn)
+        return stored.to_log_record()
 
     def end_of_log(self) -> LSN:
         """EndOfLog: "the high value in the merged interval list".

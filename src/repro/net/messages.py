@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core import procedure
 from ..core.intervals import Interval
 from ..core.records import Epoch, LSN, StoredRecord
 
@@ -435,3 +436,42 @@ class GeneratorWriteCall(Message):
     """Write a (higher) integer to the representative."""
 
     value: int = 0
+
+
+# -- core procedures on the wire ----------------------------------------------
+#
+# The sans-IO procedures of :mod:`repro.core.procedure` name operations
+# and exchange plain values; both network drivers (simulated RPC and
+# TCP) translate through these two functions.
+
+_PROCEDURE_CALLS: dict[str, type[Message]] = {
+    procedure.INTERVAL_LIST: IntervalListCall,
+    procedure.READ: ReadLogForwardCall,
+    procedure.COPY: CopyLogCall,
+    procedure.INSTALL: InstallCopiesCall,
+    procedure.GEN_READ: GeneratorReadCall,
+    procedure.GEN_WRITE: GeneratorWriteCall,
+    procedure.FENCE: FenceLogCall,
+}
+
+
+def call_message(client_id: str, call: procedure.Call) -> Message:
+    """The synchronous call that carries a procedure's request."""
+    return _PROCEDURE_CALLS[call.op](client_id, *call.args)
+
+
+def reply_value(reply: Message) -> object:
+    """What a procedure is sent back for a synchronous call's reply.
+
+    A reply of an unexpected type is handed over unchanged; it fails
+    the procedure's own test for the value it needs and is not counted.
+    """
+    if isinstance(reply, ReadLogReply):
+        return reply.records
+    if isinstance(reply, IntervalListReply):
+        return reply.intervals
+    if isinstance(reply, GeneratorReadReply):
+        return reply.value
+    if isinstance(reply, (AckReply, FenceReply)):
+        return procedure.ACK
+    return reply

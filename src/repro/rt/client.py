@@ -51,17 +51,18 @@ from typing import Awaitable, Callable, Mapping
 
 from ..core.config import ReplicationConfig
 from ..core.errors import (
+    LogError,
     LogFenced,
     LSNNotWritten,
     NotEnoughServers,
     NotInitialized,
     RecordNotPresent,
     ServerUnavailable,
-    StaleEpoch,
     TenantQuotaExceeded,
 )
-from ..core.epoch import read_quorum_size, write_quorum_size
-from ..core.intervals import MergedIntervalMap, ServerIntervals
+from ..core.epoch import new_id
+from ..core.intervals import MergedIntervalMap
+from ..core.procedure import Procedure, Step
 from ..core.records import (
     Epoch,
     LogRecord,
@@ -69,22 +70,20 @@ from ..core.records import (
     StoredRecord,
     trusted_stored_record,
 )
+from ..core.recovery import (
+    RecoveryResult,
+    fetch_record,
+    install_preference,
+    restart,
+    takeover,
+)
 from ..core.retry import RetryPolicy
 from ..net.codec import FrameReader, encode_stored_record, frame, frame_iov
 from ..net.messages import (
     ERR_FENCED,
     ERR_QUOTA,
-    CopyLogCall,
     ErrorReply,
-    FenceLogCall,
-    FenceReply,
     ForceLogMsg,
-    GeneratorReadCall,
-    GeneratorReadReply,
-    GeneratorWriteCall,
-    InstallCopiesCall,
-    IntervalListCall,
-    IntervalListReply,
     Message,
     MissingIntervalMsg,
     NewHighLSNMsg,
@@ -96,6 +95,8 @@ from ..net.messages import (
     TruncateLogCall,
     TruncateReply,
     WriteLogMsg,
+    call_message,
+    reply_value,
 )
 from ..net.packet import PACKET_PAYLOAD_BYTES
 from . import clientfault
@@ -746,267 +747,103 @@ class AsyncReplicatedLog:
     def initialized(self) -> bool:
         return self._merged is not None
 
-    async def initialize(self) -> None:
-        """The client restart procedure of Section 3.1.2, over TCP."""
+    async def _drive(self, procedure: Procedure):
+        """Run a core procedure over the server connections.
 
-        async def attempt() -> None:
+        Each call goes to the named server's connection and its reply
+        (or the error it maps to) goes back into the procedure; a
+        server without a live connection is unavailable.  Each step
+        ``x`` is the client crash point ``client.x``.
+        """
+        value = failure = None
+        while True:
+            try:
+                request = (procedure.send(value) if failure is None
+                           else procedure.throw(failure))
+            except StopIteration as stop:
+                return stop.value
+            value = failure = None
+            if type(request) is Step:
+                clientfault.hit("client." + request.name)
+                continue
+            conn = self._conns.get(request.server_id)
+            try:
+                if conn is None or not conn.alive:
+                    raise ServerUnavailable(request.server_id,
+                                            "not connected")
+                value = reply_value(await conn.call(
+                    call_message(self.client_id, request)))
+            except LogError as exc:
+                failure = exc
+
+    def _install_order(self) -> list[str]:
+        """Recovery's copy targets: the old write set, then the rest."""
+        return install_preference(self._candidate_order(), self._write_set)
+
+    async def _recover_with(self, connected: str, procedure_for) -> None:
+        """Run ``procedure_for()`` to completion through quorum shortfalls.
+
+        Every attempt reconnects dead servers first, passes the crash
+        point ``connected``, drives a fresh procedure and adopts the
+        :class:`RecoveryResult` it returns.
+        """
+
+        async def attempt() -> RecoveryResult:
             await self._ensure_connections()
-            clientfault.hit("client.init.connect")
-            lists = await self._gather_interval_lists()
-            clientfault.hit("client.init.lists")
-            merged = MergedIntervalMap.merge(lists)
-            clientfault.hit("client.init.merge")
-            epoch = await self._new_epoch(merged.highest_epoch())
-            await self._perform_recovery(merged, epoch)
+            clientfault.hit(connected)
+            return await self._drive(procedure_for())
 
         async def on_retry(_attempt: int) -> None:
             await self._ensure_connections()
 
-        await async_retry(attempt, self.retry_policy, self.rng,
-                          on_retry=on_retry)
-        self.recoveries_performed += 1
-
-    async def takeover(self) -> None:
-        """Seize ownership of the stream from a possibly-live writer.
-
-        :meth:`initialize` assumes the previous owner is *gone* — its
-        unacknowledged window may be discarded, but nothing stops the
-        old process from writing again if it was merely partitioned.
-        This is the linearizable handoff: after gathering interval
-        lists and drawing a fresh epoch exactly as a restart would, a
-        **fence** at the new epoch is installed durably on at least
-        ``M − N + 1`` servers *before* recovery runs.  Every N-server
-        write set intersects that fence set, so any ForceLog the old
-        owner issues after this point is refused with ``ERR_FENCED``
-        on at least one required server and can never be acknowledged
-        — the old writer observes a terminal :class:`LogFenced`
-        instead of silently diverging the log.
-
-        The handoff point is the fence install: records the old owner
-        forced *before* it may commit, records after it cannot.  The
-        interval lists recovery runs against are therefore gathered
-        (again) **after** the fence is in place — a first gather only
-        seeds the epoch floor.  Lists read before the fence could miss
-        a force the old owner got acknowledged in the gap, and
-        recovery would silently drop an acknowledged record; once the
-        fence holds, no new ack can form, and every already-acked
-        record sits on N servers, at least one of which is in any
-        ``M − N + 1`` gather quorum.  Like :meth:`initialize` this
-        retries on quorum shortfalls; it raises :class:`LogFenced` if
-        a yet-newer owner fenced past us mid-takeover (takeovers
-        themselves linearize through the monotone fence epoch).
-        """
-
-        async def attempt() -> None:
-            await self._ensure_connections()
-            clientfault.hit("client.handoff.connect")
-            lists = await self._gather_interval_lists()
-            clientfault.hit("client.handoff.lists")
-            floor = MergedIntervalMap.merge(lists).highest_epoch()
-            epoch = await self._new_epoch(floor)
-            clientfault.hit("client.handoff.epoch")
-            await self._install_fence(epoch)
-            clientfault.hit("client.handoff.fenced")
-            # Post-fence gather: the state as of the handoff point.
-            merged = MergedIntervalMap.merge(
-                await self._gather_interval_lists())
-            await self._perform_recovery(merged, epoch)
-
-        async def on_retry(_attempt: int) -> None:
-            await self._ensure_connections()
-
-        await async_retry(attempt, self.retry_policy, self.rng,
-                          on_retry=on_retry)
-        self.recoveries_performed += 1
-        self.takeovers_performed += 1
-
-    async def _install_fence(self, epoch: Epoch) -> int:
-        """Durably fence the stream at ``epoch`` on enough servers.
-
-        Tries *every* reachable server (the wider the fence, the
-        sooner the old owner hits it) but requires acknowledgment from
-        at least ``config.init_quorum`` — the ``M − N + 1`` floor that
-        guarantees intersection with every possible write set.  A
-        server answering ``ERR_FENCED`` means a higher epoch already
-        owns the stream: that :class:`LogFenced` is terminal for this
-        takeover and propagates.
-        """
-        fenced = 0
-        for sid in self._candidate_order():
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                reply = await conn.call(
-                    FenceLogCall(self.client_id, epoch=epoch))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, FenceReply):
-                fenced += 1
-                self.fences_installed += 1
-                # Index 0 = the fence holds on one server only; the
-                # old owner is already locked out of write sets that
-                # include it, but not yet out of all of them.
-                clientfault.hit("client.handoff.fence.ack")
-        if fenced < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"fence install needs {self.config.init_quorum} servers "
-                f"to guarantee write-set intersection; only {fenced} "
-                f"acknowledged"
-            )
-        return fenced
-
-    async def _gather_interval_lists(self) -> list[ServerIntervals]:
-        results: list[ServerIntervals] = []
-        for sid in sorted(self._conns):
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                reply = await conn.call(IntervalListCall(self.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, IntervalListReply):
-                results.append(ServerIntervals(sid, reply.intervals))
-        if len(results) < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"client initialization needs interval lists from "
-                f"{self.config.init_quorum} servers; only {len(results)} "
-                f"responded"
-            )
-        return results
-
-    async def _new_epoch(self, floor: Epoch) -> Epoch:
-        """Appendix I NewID over the log-server connections.
-
-        Reads ``⌈(M+1)/2⌉`` generator representatives, writes
-        ``max + 1`` to ``⌈M/2⌉`` — the read set of any invocation
-        intersects the write set of every earlier one.
-        """
-        m = self.config.total_servers
-        values: list[int] = []
-        writable: list[ServerConnection] = []
-        for sid in sorted(self._conns):
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                reply = await conn.call(GeneratorReadCall(self.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, GeneratorReadReply):
-                values.append(reply.value)
-                writable.append(conn)
-        if len(values) < read_quorum_size(m):
-            raise NotEnoughServers(
-                f"generator read quorum needs {read_quorum_size(m)} "
-                f"representatives, only {len(values)} available"
-            )
-        clientfault.hit("client.epoch.read")
-        new_value = max(values) + 1
-        if new_value <= floor:
-            raise StaleEpoch("generator", new_value, floor)
-        written = 0
-        for conn in writable:
-            try:
-                await conn.call(GeneratorWriteCall(self.client_id,
-                                                   value=new_value))
-            except ServerUnavailable:
-                continue
-            written += 1
-            if written >= write_quorum_size(m):
-                break
-        if written < write_quorum_size(m):
-            raise NotEnoughServers(
-                f"generator write quorum needs {write_quorum_size(m)} "
-                f"representatives, wrote {written}"
-            )
-        clientfault.hit("client.epoch.written")
-        return new_value
-
-    async def _fetch_record(
-        self, merged: MergedIntervalMap, lsn: LSN
-    ) -> StoredRecord:
-        """The winning copy of ``lsn`` from some server storing it."""
-        for sid in merged.servers_for(lsn):
-            conn = self._conns.get(sid)
-            if conn is None or not conn.alive:
-                continue
-            try:
-                reply = await conn.call(
-                    ReadLogForwardCall(self.client_id, lsn)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, ReadLogReply):
-                for record in reply.records:
-                    if record.lsn == lsn:
-                        return record
-        raise NotEnoughServers(
-            f"no reachable server stores LSN {lsn} needed for recovery"
-        )
-
-    async def _perform_recovery(
-        self, merged: MergedIntervalMap, new_epoch: Epoch
-    ) -> None:
-        """Steps 3–5 of the restart procedure: copy, guard, install."""
-        config = self.config
-        high = merged.high_lsn() or 0
-        copy_lsns = [lsn
-                     for lsn in range(max(1, high - config.delta + 1), high + 1)
-                     if lsn in merged]
-        staged = [
-            StoredRecord(lsn=r.lsn, epoch=new_epoch, present=r.present,
-                         data=r.data, kind=r.kind)
-            for r in [await self._fetch_record(merged, lsn)
-                      for lsn in copy_lsns]
-        ] + [
-            StoredRecord(lsn=high + i, epoch=new_epoch, present=False,
-                         kind="guard")
-            for i in range(1, config.delta + 1)
-        ]
-        clientfault.hit("client.recovery.staged")
-        ordered = list(self._write_set) + [
-            sid for sid in self._candidate_order()
-            if sid not in self._write_set
-        ]
-        installed: list[str] = []
-        for sid in ordered:
-            if len(installed) >= config.copies:
-                break
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                await conn.call(CopyLogCall(self.client_id, new_epoch,
-                                            tuple(staged)))
-                clientfault.hit("client.recovery.copylog")
-                await conn.call(InstallCopiesCall(self.client_id, new_epoch))
-            except ServerUnavailable:
-                continue
-            clientfault.hit("client.recovery.install")
-            installed.append(sid)
-        if len(installed) < config.copies:
-            raise NotEnoughServers(
-                f"recovery could install copies on only {len(installed)} "
-                f"servers; {config.copies} required"
-            )
-        clientfault.hit("client.recovery.commit")
-        for record in staged:
-            for sid in installed:
-                merged.note(record.lsn, new_epoch, sid)
-        self._merged = merged
-        self._epoch = new_epoch
-        self._next_lsn = (merged.high_lsn() or 0) + 1
-        self._write_set = installed
+        result = await async_retry(attempt, self.retry_policy, self.rng,
+                                   on_retry=on_retry)
+        self._merged = result.merged
+        self._epoch = result.epoch
+        self._next_lsn = result.next_lsn
+        self._write_set = list(result.write_set)
         self._buffer = []
         self._window = []
         self._buffer_enc = []
         self._window_enc = []
         self._buffer_bytes = 0
-        self._last_record = staged[-1] if staged else None
-        self._last_record_enc = (
-            encode_stored_record(staged[-1]) if staged else None)
+        self._last_record = result.staged[-1]
+        self._last_record_enc = encode_stored_record(result.staged[-1])
+        self.fences_installed += len(result.fenced_on)
+        self.recoveries_performed += 1
+
+    async def initialize(self) -> None:
+        """The client restart procedure of Section 3.1.2, over TCP.
+
+        Appendix I's generator representatives are the log servers
+        themselves, so NewID travels over the same connections.
+        """
+        servers = sorted(self._conns)
+        await self._recover_with("client.init.connect", lambda: restart(
+            self.config, new_id(servers),
+            gather_order=servers, install_order=self._install_order(),
+        ))
+
+    async def takeover(self) -> None:
+        """Seize ownership of the stream from a possibly-live writer.
+
+        The linearizable handoff of
+        :func:`repro.core.recovery.takeover`, over TCP: a fence at the
+        new epoch is durable on at least ``M − N + 1`` servers before
+        recovery runs, so a merely partitioned old owner gets a
+        terminal :class:`LogFenced` on its next force instead of
+        silently diverging the log.  Like :meth:`initialize` this
+        retries on quorum shortfalls; it raises :class:`LogFenced` if a
+        yet-newer owner fenced past us mid-takeover (takeovers
+        linearize through the monotone fence epoch).
+        """
+        servers = sorted(self._conns)
+        await self._recover_with("client.handoff.connect", lambda: takeover(
+            self.config, new_id(servers),
+            gather_order=servers, fence_order=self._candidate_order(),
+            install_order=self._install_order(),
+        ))
+        self.takeovers_performed += 1
 
     def _require_init(self) -> MergedIntervalMap:
         if self._merged is None:
@@ -1345,23 +1182,11 @@ class AsyncReplicatedLog:
         entry = merged.entry(lsn)
         if entry is None:
             raise LSNNotWritten(lsn)
-        for sid in entry.servers:
-            conn = self._conns.get(sid)
-            if conn is None or not conn.alive:
-                continue
-            try:
-                reply = await conn.call(ReadLogForwardCall(self.client_id, lsn))
-            except ServerUnavailable:
-                continue
-            if not isinstance(reply, ReadLogReply):
-                continue
-            for record in reply.records:
-                if record.lsn == lsn and record.epoch >= entry.epoch:
-                    self.reads_performed += 1
-                    if not record.present:
-                        raise RecordNotPresent(lsn)
-                    return record.to_log_record()
-        raise NotEnoughServers(f"no server holding LSN {lsn} is reachable")
+        record = await self._drive(fetch_record(entry))
+        self.reads_performed += 1
+        if not record.present:
+            raise RecordNotPresent(lsn)
+        return record.to_log_record()
 
     async def read_forward(self, lsn: LSN) -> tuple[StoredRecord, ...]:
         """ReadLogForward from any server known to store ``lsn``."""
