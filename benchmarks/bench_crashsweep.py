@@ -13,62 +13,90 @@ up as a durability bug.
 site, three daemon points) for CI; the full sweep runs every
 enumerated point.  Zero failures is an assertion, not a metric — a
 failing case is a durability bug and must fail the build.
+
+The counts are a **gate**, not only a trajectory: when the committed
+``BENCH_<name>.json`` was recorded with the same ``params`` as this
+run, every count must equal it, and a mismatch fails *before* the file
+is rewritten — so a refactor that shifts a point cannot silently
+re-baseline.  To re-baseline on purpose, delete the JSON first.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
 
-from ._emit import emit, emit_json, emit_table
+from ._emit import REPO_ROOT, emit, emit_json, emit_table
 
 SMOKE = bool(os.environ.get("REPRO_RT_SMOKE"))
+
+#: metrics that are timings, not counts.
+_TIMINGS = ("sweep_seconds",)
+
+
+def _gate(bench: str, params: dict, metrics: dict) -> None:
+    """Fail if ``metrics`` moved from the committed run of ``params``."""
+    path = REPO_ROOT / f"BENCH_{bench}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["params"] != params:
+        return
+    moved = {name: (committed["metrics"].get(name), value)
+             for name, value in metrics.items()
+             if name not in _TIMINGS
+             and committed["metrics"].get(name) != value}
+    assert not moved, (
+        f"BENCH_{bench}.json (params {params}) no longer matches, as "
+        f"metric: (committed, measured): {moved}")
 
 
 def test_bench_crashsweep(tmp_path):
     start = time.perf_counter()
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), quick=SMOKE, daemon=True, client=True,
+        root_dir=str(tmp_path), quick=SMOKE,
+        phases=("storage", "daemon", "client"),
     ))
     wall = time.perf_counter() - start
+    storage, daemon, client = (report.phase(name) for name in
+                               ("storage", "daemon", "client"))
 
-    assert report.points_enumerated >= 30
-    assert report.client_points_enumerated >= 15
     assert report.failures == [], [c.as_dict() for c in report.failures]
+    params = {"quick": SMOKE, "seed": report.seed}
+    metrics = {
+        "points_enumerated": storage.points,
+        "daemon_points_enumerated": daemon.points,
+        "client_points_enumerated": client.points,
+        "client_sites": len(client.sites),
+        "sites": len(storage.sites),
+        "cases_run": report.cases_run,
+        "daemon_cases_run": len(daemon.cases),
+        "client_cases_run": len(client.cases),
+        "combined_cases_run": daemon.combined + client.combined,
+        "failures": len(report.failures),
+        "sweep_seconds": round(report.duration_s, 3),
+    }
+    _gate("crashsweep", params, metrics)
 
     emit_table(
         ["site", "points"],
-        sorted(report.sites.items()),
+        sorted(storage.sites.items()),
         title=f"crash sweep coverage ({'quick' if SMOKE else 'full'})",
     )
     emit_table(
         ["client site", "points"],
-        sorted(report.client_sites.items()),
+        sorted(client.sites.items()),
         title="client protocol crash-point coverage",
     )
-    emit(f"[bench] {len(report.cases)} in-process cases, "
-         f"{len(report.daemon_cases)} daemon cases, "
-         f"{len(report.client_cases)} client cases "
-         f"({report.combined_cases_run} combined), {wall:.1f}s")
-    emit_json("crashsweep", {
-        "params": {"quick": SMOKE, "seed": report.seed},
-        "metrics": {
-            "points_enumerated": report.points_enumerated,
-            "daemon_points_enumerated": report.daemon_points_enumerated,
-            "client_points_enumerated": report.client_points_enumerated,
-            "client_sites": len(report.client_sites),
-            "sites": len(report.sites),
-            "cases_run": report.cases_run,
-            "daemon_cases_run": len(report.daemon_cases),
-            "client_cases_run": len(report.client_cases),
-            "combined_cases_run": report.combined_cases_run,
-            "failures": len(report.failures),
-            "sweep_seconds": round(report.duration_s, 3),
-        },
-        "wall_seconds": wall,
-    })
+    emit(f"[bench] {len(storage.cases)} in-process cases, "
+         f"{len(daemon.cases)} daemon cases, "
+         f"{len(client.cases)} client cases "
+         f"({metrics['combined_cases_run']} combined), {wall:.1f}s")
+    emit_json("crashsweep", {"params": params, "metrics": metrics,
+                             "wall_seconds": wall})
 
 
 def test_bench_netsweep(tmp_path):
@@ -83,36 +111,34 @@ def test_bench_netsweep(tmp_path):
     """
     start = time.perf_counter()
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), quick=SMOKE, net=True, net_only=True,
+        root_dir=str(tmp_path), quick=SMOKE, phases=("net",),
         fuzz=20, seed=0,
     ))
     wall = time.perf_counter() - start
+    net = report.phase("net")
+    net_cases = report.cases("net", "partition", "handoff")
 
-    assert report.net_points_enumerated >= 15
-    assert len(report.net_cases) >= (10 if SMOKE else 40)
-    assert report.net_partition_cases >= (1 if SMOKE else 3)
-    assert len(report.fuzz_cases) == 20
+    assert len(report.cases("fuzz")) == 20
     assert report.failures == [], [c.as_dict() for c in report.failures]
+    params = {"quick": SMOKE, "seed": report.seed, "fuzz": 20}
+    metrics = {
+        "net_points_enumerated": net.points,
+        "net_sites": len(net.sites),
+        "net_cases_run": len(net_cases),
+        "partition_cases_run": len(report.cases("partition")),
+        "fuzz_cases_run": len(report.cases("fuzz")),
+        "failures": len(report.failures),
+        "sweep_seconds": round(report.duration_s, 3),
+    }
+    _gate("netsweep", params, metrics)
 
     emit_table(
         ["network site", "frames"],
-        sorted(report.net_sites.items()),
+        sorted(net.sites.items()),
         title=f"frame-point coverage ({'quick' if SMOKE else 'full'})",
     )
-    emit(f"[bench] {report.net_points_enumerated} frame points, "
-         f"{len(report.net_cases)} net cases "
-         f"({report.net_partition_cases} partition-switch), "
-         f"{len(report.fuzz_cases)} fuzz cases, {wall:.1f}s")
-    emit_json("netsweep", {
-        "params": {"quick": SMOKE, "seed": report.seed, "fuzz": 20},
-        "metrics": {
-            "net_points_enumerated": report.net_points_enumerated,
-            "net_sites": len(report.net_sites),
-            "net_cases_run": len(report.net_cases),
-            "partition_cases_run": report.net_partition_cases,
-            "fuzz_cases_run": len(report.fuzz_cases),
-            "failures": len(report.failures),
-            "sweep_seconds": round(report.duration_s, 3),
-        },
-        "wall_seconds": wall,
-    })
+    emit(f"[bench] {net.points} frame points, {len(net_cases)} net cases "
+         f"({metrics['partition_cases_run']} partition-switch), "
+         f"{metrics['fuzz_cases_run']} fuzz cases, {wall:.1f}s")
+    emit_json("netsweep", {"params": params, "metrics": metrics,
+                           "wall_seconds": wall})

@@ -310,18 +310,29 @@ def _cmd_ring(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_phases(args: argparse.Namespace) -> tuple[str, ...]:
+    """The phase set the ``repro crashsweep`` flags ask for.
+
+    ``--net`` / ``--fuzz`` / ``--plan`` narrow the run to the network
+    side and ``--client`` to the client phase; a default run is every
+    phase not switched off by a ``--no-*`` flag.
+    """
+    if args.net or args.fuzz or args.plan:
+        return ("net",) if args.net else ()
+    if args.client:
+        return ("client",)
+    skipped = {"daemon": args.no_daemon, "client": args.no_client,
+               "net": args.no_net}
+    return tuple(name for name in ("storage", "daemon", "client", "net")
+                 if not skipped.get(name))
+
+
 def _cmd_crashsweep(args: argparse.Namespace) -> int:
     import json
     import tempfile
 
     from .harness.crashsweep import SweepConfig, run_crashsweep
 
-    # --net / --fuzz / --plan narrow the run to the network phases,
-    # mirroring how --client narrows it to the client phase; a default
-    # full run includes the network sweep unless --no-net is passed.
-    net_only = bool(args.net or args.fuzz or args.plan)
-    run_net = args.net or (not net_only and not args.no_net
-                           and not args.client)
     with tempfile.TemporaryDirectory(prefix="crashsweep-") as tmp:
         report = run_crashsweep(
             SweepConfig(
@@ -329,59 +340,47 @@ def _cmd_crashsweep(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 quick=args.quick,
                 point=args.point,
-                daemon=not args.no_daemon,
-                client=not args.no_client,
-                client_only=args.client,
-                net=run_net,
+                phases=_sweep_phases(args),
                 fuzz=args.fuzz,
-                net_only=net_only,
                 plan=args.plan,
             ),
             progress=None if args.json else print,
         )
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        return 1 if report.failures else 0
+    summary = report.as_dict()
+    tables = (
+        ("site", summary["sites"],
+         f"crash-point sweep — seed {report.seed}, "
+         f"{summary['points_enumerated']} points enumerated, "
+         f"{report.cases_run} cases run"),
+        ("client site", summary["client_sites"],
+         f"client phase — {summary['client_points_enumerated']} protocol "
+         f"points, {len(summary['client_cases'])} kill cases, "
+         f"{summary['combined_cases_run']} combined"),
+        ("network site", summary["net_sites"],
+         f"network phase — {summary['net_points_enumerated']} frame "
+         f"points, {len(summary['net_cases'])} fault cases "
+         f"({summary['net_partition_cases']} partition-switch, "
+         f"{summary['net_handoff_cases']} handoff), "
+         f"{len(summary['fuzz_cases'])} fuzz"),
+    )
+    print()
+    for heading, sites, title in tables:
+        if sites:
+            print(format_table(
+                [heading, "points"],
+                [(site, str(n)) for site, n in sites.items()],
+                title=title))
+    if report.failures:
+        print("\nFAILURES:")
+        for case in report.failures:
+            for error in case.errors:
+                print(f"  {case.spec}: {error}")
     else:
-        print()
-        if report.sites:
-            print(format_table(
-                ["site", "points"],
-                [(site, str(n))
-                 for site, n in sorted(report.sites.items())],
-                title=(f"crash-point sweep — seed {report.seed}, "
-                       f"{report.points_enumerated} points enumerated, "
-                       f"{report.cases_run} cases run"),
-            ))
-        if report.client_sites:
-            print(format_table(
-                ["client site", "points"],
-                [(site, str(n))
-                 for site, n in sorted(report.client_sites.items())],
-                title=(f"client phase — "
-                       f"{report.client_points_enumerated} protocol "
-                       f"points, {len(report.client_cases)} kill cases, "
-                       f"{report.combined_cases_run} combined"),
-            ))
-        if report.net_sites:
-            print(format_table(
-                ["network site", "frames"],
-                [(site, str(n))
-                 for site, n in sorted(report.net_sites.items())],
-                title=(f"network phase — "
-                       f"{report.net_points_enumerated} frame points, "
-                       f"{len(report.net_cases)} fault cases "
-                       f"({report.net_partition_cases} partition-"
-                       f"switch, {report.net_handoff_cases} handoff), "
-                       f"{len(report.fuzz_cases)} fuzz"),
-            ))
-        if report.failures:
-            print("\nFAILURES:")
-            for case in report.failures:
-                for error in case.errors:
-                    print(f"  {case.spec}: {error}")
-        else:
-            print(f"\nall {report.cases_run} crash cases passed "
-                  f"({report.duration_s:.1f}s)")
+        print(f"\nall {report.cases_run} crash cases passed "
+              f"({report.duration_s:.1f}s)")
     return 1 if report.failures else 0
 
 

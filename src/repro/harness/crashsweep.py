@@ -54,6 +54,12 @@ final state (window-replay idempotence).  Combined client cases arm a
 server storage fault and a client kill in the same run, so recovery
 itself executes against a crashing cluster.
 
+The network, partition-switch, handoff and fuzz phases live in
+:mod:`repro.harness.netsweep`.  Every phase is a
+:class:`~repro.harness.sweep.Phase` run by the one loop in
+:mod:`repro.harness.sweep`; every armed fault is a
+:class:`~repro.rt.faultspec.FaultSpec` of the one grammar.
+
 Everything is deterministic given ``seed`` (which varies the record
 payloads); ``repro crashsweep --seed S --point SITE:IDX[:ACTION]``
 replays one failing case.
@@ -77,41 +83,36 @@ from ..core.records import StoredRecord
 from ..storage.append_forest import AppendForestError
 from ..rt import clientfault
 from ..rt.cluster import LoopbackCluster
-from ..rt.faultfs import (
-    CLIENT_ACTIONS,
-    FAULT_EXIT_CODE,
-    FaultInjector,
-    FaultPlan,
-    PowerLoss,
+from ..rt.faultfs import FAULT_EXIT_CODE, FaultInjector, PowerLoss
+from ..rt.faultspec import (
+    FaultSpecError,
+    by_target,
+    parse_plan,
+    plan_text,
+    read_trace,
+    trace_points,
 )
 from ..rt.filestore import FileLogStore
+from .sweep import (
+    ClientJournal,
+    CrashCase,
+    Phase,
+    PhaseResult,
+    Plan,
+    by_site,
+    first_and_last,
+    run_phase,
+    verify_restart,
+)
 
 #: sites whose payload can be torn or bit-flipped (the others degrade
 #: crash-shaped actions to a plain power loss).
 _WRITE_SITES = ("log.write.", "compact.write", "forest.write")
 
-
-def _is_write_site(site: str) -> bool:
-    return site.startswith(_WRITE_SITES)
-
-
-@dataclass
-class CrashCase:
-    """One (crash point, action) run and its verdict."""
-
-    point: str           # "site:index"
-    action: str
-    ok: bool = True
-    hit: bool = True     # daemon cases: did the armed point fire?
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def spec(self) -> str:
-        return f"{self.point}:{self.action}"
-
-    def as_dict(self) -> dict:
-        return {"point": self.point, "action": self.action, "ok": self.ok,
-                "hit": self.hit, "errors": list(self.errors)}
+#: the phases ``SweepConfig.phases`` can name, in running order.
+#: ``net`` brings the curated partition-switch and handoff phases with
+#: it; the fuzz phase is requested by ``SweepConfig.fuzz``.
+PHASES = ("storage", "daemon", "client", "net")
 
 
 @dataclass
@@ -120,55 +121,56 @@ class SweepReport:
 
     seed: int = 0
     quick: bool = False
-    points_enumerated: int = 0
-    sites: dict[str, int] = field(default_factory=dict)
-    cases: list[CrashCase] = field(default_factory=list)
-    daemon_points_enumerated: int = 0
-    daemon_cases: list[CrashCase] = field(default_factory=list)
-    client_points_enumerated: int = 0
-    client_sites: dict[str, int] = field(default_factory=dict)
-    client_cases: list[CrashCase] = field(default_factory=list)
-    combined_cases_run: int = 0
-    net_points_enumerated: int = 0
-    net_sites: dict[str, int] = field(default_factory=dict)
-    net_cases: list[CrashCase] = field(default_factory=list)
-    net_partition_cases: int = 0
-    net_handoff_cases: int = 0
-    fuzz_cases: list[CrashCase] = field(default_factory=list)
+    #: phase name → its result, in running order.
+    phases: dict[str, PhaseResult] = field(default_factory=dict)
     duration_s: float = 0.0
+
+    def phase(self, name: str) -> PhaseResult:
+        """The named phase's result (empty if it did not run)."""
+        return self.phases.get(name, PhaseResult())
+
+    def cases(self, *names: str) -> list[CrashCase]:
+        """The cases of the named phases (all phases if none named)."""
+        return [case for name, result in self.phases.items()
+                if not names or name in names for case in result.cases]
 
     @property
     def failures(self) -> list[CrashCase]:
-        return [c for c in self.cases + self.daemon_cases
-                + self.client_cases + self.net_cases + self.fuzz_cases
-                if not c.ok]
+        return [case for case in self.cases() if not case.ok]
 
     @property
     def cases_run(self) -> int:
-        return (len(self.cases) + len(self.daemon_cases)
-                + len(self.client_cases) + len(self.net_cases)
-                + len(self.fuzz_cases))
+        return len(self.cases())
 
     def as_dict(self) -> dict:
+        storage, daemon, client = (self.phase(name) for name in
+                                   ("storage", "daemon", "client"))
+        # The fuzzer draws from the frame enumeration too; report it
+        # even when the net sweep itself was not requested.
+        net = self.phase("net" if "net" in self.phases else "fuzz")
+
+        def dicts(*names: str) -> list[dict]:
+            return [case.as_dict() for case in self.cases(*names)]
+
         return {
             "seed": self.seed,
             "quick": self.quick,
-            "points_enumerated": self.points_enumerated,
-            "sites": dict(sorted(self.sites.items())),
+            "points_enumerated": storage.points,
+            "sites": dict(sorted(storage.sites.items())),
             "cases_run": self.cases_run,
-            "daemon_points_enumerated": self.daemon_points_enumerated,
-            "daemon_cases": [c.as_dict() for c in self.daemon_cases],
-            "client_points_enumerated": self.client_points_enumerated,
-            "client_sites": dict(sorted(self.client_sites.items())),
-            "client_cases": [c.as_dict() for c in self.client_cases],
-            "combined_cases_run": self.combined_cases_run,
-            "net_points_enumerated": self.net_points_enumerated,
-            "net_sites": dict(sorted(self.net_sites.items())),
-            "net_cases": [c.as_dict() for c in self.net_cases],
-            "net_partition_cases": self.net_partition_cases,
-            "net_handoff_cases": self.net_handoff_cases,
-            "fuzz_cases": [c.as_dict() for c in self.fuzz_cases],
-            "failures": [c.as_dict() for c in self.failures],
+            "daemon_points_enumerated": daemon.points,
+            "daemon_cases": dicts("daemon"),
+            "client_points_enumerated": client.points,
+            "client_sites": dict(sorted(client.sites.items())),
+            "client_cases": dicts("client"),
+            "combined_cases_run": daemon.combined + client.combined,
+            "net_points_enumerated": net.points,
+            "net_sites": dict(sorted(net.sites.items())),
+            "net_cases": dicts("net", "partition", "handoff"),
+            "net_partition_cases": len(self.cases("partition")),
+            "net_handoff_cases": len(self.cases("handoff")),
+            "fuzz_cases": dicts("fuzz"),
+            "failures": [case.as_dict() for case in self.failures],
             "duration_s": round(self.duration_s, 3),
         }
 
@@ -184,27 +186,13 @@ class SweepConfig:
     #: write site — the CI smoke shape.
     quick: bool = False
     #: replay exactly one case: ``site:index`` or ``site:index:action``
-    #: (action defaults to power-loss).
+    #: (the action defaults per family: power-loss, exit, drop).
     point: str | None = None
-    #: also run the subprocess daemon phase.
-    daemon: bool = True
-    #: also run the client phase (kill a real client worker process at
-    #: each protocol crash point; §5.4 restart from a second process).
-    #: Off by default for library callers — the CLI turns it on unless
-    #: ``--no-client`` is passed, since it spawns real subprocesses.
-    client: bool = False
-    #: run *only* the client phase (``repro crashsweep --client``).
-    client_only: bool = False
-    #: also run the network phase: frame-level faults injected by a
-    #: protocol-aware chaos proxy fleet fronting real daemons
-    #: (``repro crashsweep --net``).
-    net: bool = False
-    #: run N seeded multi-fault fuzz cases composing network, storage,
-    #: and client faults (``repro crashsweep --fuzz N``).
+    #: which of :data:`PHASES` to run.
+    phases: tuple[str, ...] = PHASES
+    #: also run N seeded multi-fault fuzz cases composing network,
+    #: storage, and client faults (``repro crashsweep --fuzz N``).
     fuzz: int = 0
-    #: run *only* the network/fuzz phases, skipping storage + daemon
-    #: + client.
-    net_only: bool = False
     #: replay one composite fuzz plan verbatim
     #: (``repro crashsweep --plan SPEC``).
     plan: str | None = None
@@ -455,22 +443,21 @@ def _verify(data_dir, journal: _Journal, payloads: dict, *,
     return errors
 
 
-# -- the in-process sweep ----------------------------------------------------
+# -- the storage phase (in-process) ------------------------------------------
 
 
-def _enumerate_points(base_dir: Path, payloads: dict) -> list[str]:
+def _enumerate_points(base_dir: Path, payloads: dict):
     """Run the workload once under a recording injector."""
     injector = FaultInjector()
     store = FileLogStore(base_dir / "enumerate", "s1", io=injector)
-    journal = _Journal()
-    _store_workload(store, journal, payloads)
+    _store_workload(store, _Journal(), payloads)
     store.close()
     injector.close_all()
-    return list(injector.trace)
+    return trace_points(injector.trace)
 
 
-def _run_case(data_dir: Path, plan: FaultPlan, payloads: dict) -> CrashCase:
-    case = CrashCase(point=plan.point, action=plan.action)
+def _run_case(data_dir: Path, plan: Plan, payloads: dict) -> CrashCase:
+    case = CrashCase.of(plan)
     injector = FaultInjector(plan, mode="raise")
     journal = _Journal()
     store = None
@@ -490,31 +477,17 @@ def _run_case(data_dir: Path, plan: FaultPlan, payloads: dict) -> CrashCase:
         injector.close_all()
     # Silent log corruption voids later acks by design; corruption of
     # the advisory forest index must not (the log is authoritative).
-    strict = plan.action != "bit-flip" or plan.site.startswith("forest.")
+    strict = not any(spec.action == "bit-flip"
+                     and not spec.site.startswith("forest.")
+                     for spec in plan)
     case.errors = _verify(data_dir, journal, payloads, strict=strict)
     case.ok = not case.errors
     return case
 
 
-def _select_points(trace: list[str], *, quick: bool) -> list[str]:
-    if not quick:
-        return list(trace)
-    by_site: dict[str, list[str]] = {}
-    for point in trace:
-        site = point.rsplit(":", 1)[0]
-        by_site.setdefault(site, []).append(point)
-    picked = []
-    for site in sorted(by_site):
-        points = by_site[site]
-        picked.append(points[0])
-        if len(points) > 1:
-            picked.append(points[-1])
-    return picked
-
-
 def _actions_for(site: str, *, quick: bool, first: bool) -> list[str]:
     actions = ["power-loss"]
-    if _is_write_site(site):
+    if site.startswith(_WRITE_SITES):
         if not quick or first:
             actions += ["short-write", "bit-flip"]
     if not quick or first:
@@ -524,47 +497,58 @@ def _actions_for(site: str, *, quick: bool, first: bool) -> list[str]:
     return actions
 
 
+def _select_storage(trace, quick: bool) -> list[Plan]:
+    plans: list[Plan] = []
+    seen: set[str] = set()
+    for point in first_and_last(trace) if quick else trace:
+        first = point.site not in seen
+        seen.add(point.site)
+        plans += [(point.arm(action),) for action in
+                  _actions_for(point.site, quick=quick, first=first)]
+    return plans
+
+
+def storage_phase(root: Path, payloads: dict) -> Phase:
+    return Phase(
+        "storage",
+        enumerate=lambda: _enumerate_points(root, payloads),
+        select=_select_storage,
+        run_case=lambda n, plan: _run_case(root / f"case-{n}", plan,
+                                           payloads),
+        replay="repro crashsweep --point",
+    )
+
+
 # -- the daemon phase --------------------------------------------------------
 
 _DAEMON_CONFIG = ReplicationConfig(total_servers=1, copies=1, delta=4)
 
 
-async def _daemon_workload(addresses: dict) -> dict:
-    """Two client generations against one daemon; returns wire acks.
+async def _daemon_workload(addresses: dict, journal: ClientJournal) -> None:
+    """Two client generations against one daemon, journaling wire acks.
 
     Generation one appends with periodic forces; generation two
     re-initializes the same client id (epoch bump → CopyLog/Install
-    over the wire), appends more, and truncates.  Every step journals
-    only after its awaited call returns.
+    over the wire), appends more, and truncates.
     """
     from ..rt.client import AsyncReplicatedLog
 
     # The daemon dies mid-call by design; in-flight futures that never
     # get retrieved are expected noise, not a harness bug.
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-    acked: dict[int, bytes] = {}
-    state = {"acked": acked, "mark": 0, "epoch": 0}
 
     async def generation(n_writes: int, start_index: int) -> None:
         log = AsyncReplicatedLog("cd", addresses, _DAEMON_CONFIG,
                                  timeout=3.0)
         await log.initialize()
-        state["epoch"] = log.current_epoch
-        pending: dict[int, bytes] = {}
+        journal.epoch = log.current_epoch
         try:
             for i in range(start_index, start_index + n_writes):
-                data = f"d{i}".encode()
-                lsn = await log.write(data)
-                pending[lsn] = data
+                await journal.write(log, f"d{i}".encode())
                 if (i + 1) % 3 == 0:
-                    high = await log.force()
-                    for ack_lsn in [p for p in pending if p <= high]:
-                        acked[ack_lsn] = pending.pop(ack_lsn)
+                    await journal.force(log)
             if start_index:
-                await log.truncate(6)
-                state["mark"] = max(state["mark"], 6)
-                for lsn in [p for p in acked if p < 6]:
-                    del acked[lsn]
+                await journal.truncate(log, 6)
         finally:
             await log.close()
 
@@ -573,76 +557,44 @@ async def _daemon_workload(addresses: dict) -> dict:
         await generation(9, 9)
     except (LogError, OSError, asyncio.TimeoutError):
         pass  # the daemon died at the armed point; acks stop here
-    return state
 
 
-async def _daemon_verify(addresses: dict, state: dict) -> list[str]:
-    from ..rt.client import AsyncReplicatedLog
-
-    errors: list[str] = []
-    log = AsyncReplicatedLog("cd", addresses, _DAEMON_CONFIG, timeout=5.0)
-    try:
-        await log.initialize()
-        mark = state["mark"]
-        for lsn, data in sorted(state["acked"].items()):
-            if lsn < mark:
-                continue
-            try:
-                record = await log.read(lsn)
-            except LogError as exc:
-                errors.append(f"acked lsn {lsn} lost after restart: {exc}")
-                continue
-            # read() raises RecordNotPresent (a LogError, caught above)
-            # for masked records; a returned LogRecord is always present.
-            if record.data != data:
-                errors.append(f"acked lsn {lsn} wrong after restart: "
-                              f"{record.data!r} != {data!r}")
-        if state["acked"] and log.end_of_log() < max(state["acked"]):
-            errors.append(f"end_of_log {log.end_of_log()} below acked "
-                          f"high {max(state['acked'])}")
-    except LogError as exc:
-        errors.append(f"client restart failed: {exc}")
-    finally:
-        await log.close()
-    return errors
-
-
-def _daemon_enumerate(root: Path) -> list[str]:
+def _daemon_enumerate(root: Path):
     trace_path = root / "daemon-trace.txt"
     cluster = LoopbackCluster(
         str(root / "enum"), num_servers=1,
         server_args=["--fault-trace", str(trace_path)],
     )
     with cluster:
-        asyncio.run(_daemon_workload(cluster.addresses()))
-    if not trace_path.exists():
-        return []
-    return [ln.strip() for ln in trace_path.read_text().splitlines()
-            if ln.strip()]
+        asyncio.run(_daemon_workload(cluster.addresses(), ClientJournal()))
+    return read_trace(trace_path)
 
+
+#: the sites whose first hit the daemon phase crashes at.
+_DAEMON_SITES = ("dir.create-sync", "log.write.record", "log.fsync",
+                 "log.group-fsync", "log.write.generator",
+                 "log.write.staged", "log.write.install",
+                 "log.write.truncate")
 
 #: Multi-fault daemon plans: a torn ``compact.write`` (the lying disk
 #: keeps running) combined with power loss at a later point *before*
 #: the rename barrier commits the torn stream — the old log must stay
 #: authoritative and every wire-acked record must survive the restart.
-_DAEMON_COMBINED_PLANS = (
-    "compact.write:2:torn,compact.rename:0:power-loss",
-    "compact.write:2:torn,compact.fsync:0:power-loss",
+_DAEMON_COMBINED = (
+    parse_plan("compact.write:2:torn,compact.rename:0:power-loss"),
+    parse_plan("compact.write:2:torn,compact.fsync:0:power-loss"),
 )
 
 
-def _daemon_case(root: Path, index, point: str,
-                 action: str = "power-loss",
-                 plan: str | None = None) -> CrashCase:
-    case = CrashCase(point=point, action=action)
+def _daemon_case(root: Path, index, plan: Plan) -> CrashCase:
+    case = CrashCase.of(plan)
     cluster = LoopbackCluster(str(root / f"case-{index}"), num_servers=1)
     try:
-        state = {"acked": {}, "mark": 0, "epoch": 0}
+        journal = ClientJournal()
         started = True
         try:
             cluster.start_server(
-                "s1", extra_args=["--fault-plan",
-                                  plan or f"{point}:{action}"])
+                "s1", extra_args=["--fault-plan", plan_text(plan)])
         except RuntimeError:
             entry = cluster.servers["s1"]
             if entry.process is None \
@@ -653,7 +605,7 @@ def _daemon_case(root: Path, index, point: str,
             # acked; the plain restart below must still come up clean.
             started = False
         if started:
-            state = asyncio.run(_daemon_workload(cluster.addresses()))
+            asyncio.run(_daemon_workload(cluster.addresses(), journal))
             if cluster.servers["s1"].alive:
                 # The workload finished without reaching the armed
                 # point (can happen for late indices): nothing to
@@ -665,27 +617,32 @@ def _daemon_case(root: Path, index, point: str,
                 case.errors.append(f"daemon exited {code}, expected "
                                    f"{FAULT_EXIT_CODE} (injected crash)")
         cluster.restart("s1")  # no plan: clean recovery
-        errors = asyncio.run(_daemon_verify(cluster.addresses(), state))
-        case.errors.extend(errors)
+        case.errors.extend(asyncio.run(verify_restart(
+            cluster.addresses(), "cd", _DAEMON_CONFIG, journal)))
     finally:
         cluster.stop()
         case.ok = not case.errors
     return case
 
 
-def _select_daemon_points(trace: list[str], *, quick: bool) -> list[str]:
-    """First hit of each interesting site, bounded for the CI smoke."""
-    wanted = ("dir.create-sync", "log.write.record", "log.fsync",
-              "log.group-fsync", "log.write.generator",
-              "log.write.staged", "log.write.install",
-              "log.write.truncate")
-    first: dict[str, str] = {}
-    for point in trace:
-        site = point.rsplit(":", 1)[0]
-        if site in wanted and site not in first:
-            first[site] = point
-    points = [first[site] for site in wanted if site in first]
-    return points[:3] if quick else points
+def _select_daemon(trace, quick: bool) -> list[Plan]:
+    """First hit of each interesting site, then the combined plans —
+    both bounded for the CI smoke."""
+    reached = by_site(trace)
+    points = [(reached[site][0].arm(),)
+              for site in _DAEMON_SITES if site in reached]
+    if quick:
+        return points[:3] + list(_DAEMON_COMBINED[:1])
+    return points + list(_DAEMON_COMBINED)
+
+
+def daemon_phase(root: Path) -> Phase:
+    return Phase(
+        "daemon",
+        enumerate=lambda: _daemon_enumerate(root),
+        select=_select_daemon,
+        run_case=lambda n, plan: _daemon_case(root, n, plan),
+    )
 
 
 # -- the client phase --------------------------------------------------------
@@ -696,30 +653,26 @@ _CLIENT_WORKER_ARGS = ("--m", "3", "--n", "2", "--delta", "4",
                        "--txns", "4", "--records-per-txn", "5",
                        "--truncate-every", "2")
 
-#: combined client+server fault cases: (client point, client action,
-#: armed server, server fault plan).  The storage fault kills a
-#: write-set daemon mid-workload, which routes the client through its
-#: §5.4 write-set switch — and the client is then killed inside it.
-_CLIENT_COMBINED = (
-    ("client.switch.begin:0", "exit", "s1",
-     "log.group-fsync:2:power-loss"),
-    ("client.switch.feed:0", "exit", "s1",
-     "log.group-fsync:2:power-loss"),
-    ("client.switch.done:0", "sigkill", "s1",
-     "log.group-fsync:2:power-loss"),
-    ("client.force.ack:0", "exit", "s1",
-     "log.group-fsync:1:power-loss"),
-    ("client.flush.sent:2", "sigkill", "s1",
-     "log.write.record:10:power-loss"),
-)
+
+#: combined client+server fault cases: a client kill plus a storage
+#: fault armed on one write-set daemon.  The storage fault kills the
+#: daemon mid-workload, which routes the client through its §5.4
+#: write-set switch — and the client is then killed inside it.
+_CLIENT_COMBINED = tuple(parse_plan(text) for text in (
+    "client.switch.begin:0:exit,s1@log.group-fsync:2:power-loss",
+    "client.switch.feed:0:exit,s1@log.group-fsync:2:power-loss",
+    "client.switch.done:0:sigkill,s1@log.group-fsync:2:power-loss",
+    "client.force.ack:0:exit,s1@log.group-fsync:1:power-loss",
+    "client.flush.sent:2:sigkill,s1@log.write.record:10:power-loss",
+))
 
 #: the bounded CI smoke subset: one early restart-step point, one
 #: streamed-batch point, one partial-ack point, one mid-recovery
 #: point, and one partial-fence-install point (killed between the
 #: first fence landing and the handoff's recovery).
-_CLIENT_QUICK_POINTS = ("client.epoch.written:0", "client.flush.sent:0",
-                        "client.force.ack:0", "client.recovery.copylog:0",
-                        "client.handoff.fence.ack:0")
+_CLIENT_QUICK_POINTS = parse_plan(
+    "client.epoch.written:0,client.flush.sent:0,client.force.ack:0,"
+    "client.recovery.copylog:0,client.handoff.fence.ack:0")
 
 
 def _worker_env(plan: str | None = None,
@@ -889,7 +842,8 @@ def _client_verify(run: _WorkerJournal, rec1: _WorkerJournal,
     return errors
 
 
-def _client_enumerate(root: Path) -> list[str]:
+
+def _client_enumerate(root: Path):
     """One fault-free worker run under a recording injector."""
     trace_path = root / "client-trace.txt"
     cluster = LoopbackCluster(str(root / "enum"), num_servers=3)
@@ -898,49 +852,56 @@ def _client_enumerate(root: Path) -> list[str]:
                          trace=str(trace_path))
     if rc != 0:
         raise RuntimeError(f"client enumeration worker exited {rc}")
-    if not trace_path.exists():
-        return []
-    return [ln.strip() for ln in trace_path.read_text().splitlines()
-            if ln.strip()]
+    return read_trace(trace_path)
 
 
-def _select_client_points(trace: list[str], *, quick: bool) -> list[str]:
+def _select_client(trace, quick: bool) -> list[Plan]:
     if quick:
-        return [p for p in _CLIENT_QUICK_POINTS if p in trace]
+        return [(point.arm(),) for point in _CLIENT_QUICK_POINTS
+                if point in trace] + list(_CLIENT_COMBINED[:1])
     # Full mode: first and last index of every site — the window-open
     # and window-deep shape of each protocol seam.
-    return _select_points(trace, quick=True)
+    plans: list[Plan] = []
+    seen: set[str] = set()
+    for point in first_and_last(trace):
+        plans.append((point.arm(),))
+        # The hardest kill on the seams that route replies: a SIGKILL
+        # mid-stream / mid-partial-ack, at each such site's first point.
+        if point.site not in seen and point.site in (
+                "client.flush.sent", "client.force.ack"):
+            plans.append((point.arm("sigkill"),))
+        seen.add(point.site)
+    return plans + list(_CLIENT_COMBINED)
 
 
-def _client_case(root: Path, index: int, point: str, action: str,
-                 server_fault: tuple[str, str] | None = None) -> CrashCase:
-    """Kill a real client worker at ``point``; restart and verify.
+def _client_case(root: Path, index, plan: Plan) -> CrashCase:
+    """Kill a real client worker at the plan's first spec; restart
+    and verify.
 
-    ``server_fault`` additionally arms ``(server_id, fault_plan)`` on
-    one daemon — the combined-fault shape where the cluster is crashing
+    Any further specs are storage faults armed on their target
+    daemons — the combined-fault shape where the cluster is crashing
     while the client is being killed and recovered.
     """
-    label = point if server_fault is None \
-        else f"{point}+{server_fault[0]}:{server_fault[1]}"
-    case = CrashCase(point=label, action=action)
+    kill, *server_faults = plan
+    case = CrashCase(kill.point + "".join(
+        f"+{fault.target}:{fault.point}:{fault.action}"
+        for fault in server_faults), kill.action)
     case_root = root / f"case-{index}"
     case_root.mkdir(parents=True, exist_ok=True)
     cluster = LoopbackCluster(str(case_root / "cluster"), num_servers=3)
     try:
-        if server_fault is not None:
+        for sid, faults in by_target(server_faults, "s1").items():
             cluster.start_server(
-                server_fault[0],
-                extra_args=["--fault-plan", server_fault[1]])
+                sid, extra_args=["--fault-plan", plan_text(faults)])
         cluster.start()
         run_journal = case_root / "run.journal"
-        rc = _run_worker(cluster.addresses(), run_journal,
-                         plan=f"{point}:{action}")
+        rc = _run_worker(cluster.addresses(), run_journal, plan=kill.spec)
         run = _parse_worker_journal(run_journal)
         if rc == 0 and run.done:
             # The workload finished without reaching the armed point.
             case.hit = False
             return case
-        expected = -signal.SIGKILL if action == "sigkill" \
+        expected = -signal.SIGKILL if kill.action == "sigkill" \
             else FAULT_EXIT_CODE
         if rc != expected:
             case.errors.append(f"run worker exited {rc}, expected "
@@ -960,6 +921,16 @@ def _client_case(root: Path, index: int, point: str, action: str,
     return case
 
 
+def client_phase(root: Path) -> Phase:
+    return Phase(
+        "client",
+        enumerate=lambda: _client_enumerate(root),
+        select=_select_client,
+        run_case=lambda n, plan: _client_case(root, n, plan),
+        replay="repro crashsweep --point",
+    )
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -968,161 +939,42 @@ def run_crashsweep(config: SweepConfig, progress=None) -> SweepReport:
     say = progress if progress is not None else (lambda line: None)
     root = Path(config.root_dir)
     root.mkdir(parents=True, exist_ok=True)
-    payloads = _payloads(config.seed)
     report = SweepReport(seed=config.seed, quick=config.quick)
     say(f"crashsweep seed={config.seed} quick={config.quick}")
     start = time.monotonic()
 
-    if config.plan is not None or (
-            config.point is not None
-            and config.point.startswith("net.")):
-        # Replay one network or composite case against real daemons.
-        from .netsweep import run_net_phase
-        net = run_net_phase(root / "net", quick=config.quick,
-                            sweep=False, seed=config.seed, say=say,
-                            point=config.point, plan=config.plan)
-        report.net_cases.extend(net.cases)
-        report.fuzz_cases.extend(net.fuzz_cases)
-        report.duration_s = time.monotonic() - start
-        return report
+    # A replay runs one plan through the one phase that owns it.
+    replay: Plan | None = None
+    if config.plan is not None:
+        replay, wanted = parse_plan(config.plan), {"fuzz"}
+    elif config.point is not None:
+        replay = tuple(spec.arm() for spec in parse_plan(config.point))
+        if len(replay) != 1:
+            raise FaultSpecError(config.point, config.point,
+                                 "is not one point (use --plan)")
+        wanted = {replay[0].family}
+    else:
+        wanted = set(config.phases) | ({"fuzz"} if config.fuzz else set())
+    if "net" in wanted and replay is None:
+        wanted |= {"partition", "handoff"}
 
-    if config.point is not None and config.point.startswith("client."):
-        # Replay one client-phase case: SITE:IDX[:ACTION], exit default.
-        plan = FaultPlan.parse(config.point, actions=CLIENT_ACTIONS,
-                               default_action="exit")
-        point = f"{plan.site}:{plan.index}"
-        action = plan.action
-        say(f"replaying single client case {point}:{action}")
-        case = _client_case(root / "client-replay", 0, point, action)
-        report.client_cases.append(case)
-        report.duration_s = time.monotonic() - start
-        return report
+    def run(phase: Phase) -> None:
+        if phase.name in wanted:
+            report.phases[phase.name] = run_phase(
+                phase, quick=config.quick, say=say, replay=replay)
 
-    if not config.client_only and not config.net_only:
-        trace = _enumerate_points(root, payloads)
-        report.points_enumerated = len(trace)
-        for point in trace:
-            site = point.rsplit(":", 1)[0]
-            report.sites[site] = report.sites.get(site, 0) + 1
-        say(f"enumerated {len(trace)} crash points across "
-            f"{len(report.sites)} sites")
-
-        if config.point is not None:
-            parts = config.point.split(":")
-            plan = FaultPlan.parse(config.point) if len(parts) >= 3 \
-                else FaultPlan.parse(config.point + ":power-loss")
-            say(f"replaying single case {plan.spec}")
-            case = _run_case(root / "replay", plan, payloads)
-            report.cases.append(case)
-            report.duration_s = time.monotonic() - start
-            return report
-
-        seen_first: set[str] = set()
-        for n, point in enumerate(
-                _select_points(trace, quick=config.quick)):
-            site = point.rsplit(":", 1)[0]
-            first = site not in seen_first
-            seen_first.add(site)
-            if first:
-                say(f"sweeping site {site} "
-                    f"({report.sites[site]} points enumerated)")
-            for action in _actions_for(site, quick=config.quick,
-                                       first=first):
-                index = int(point.rsplit(":", 1)[1])
-                plan = FaultPlan(site=site, index=index, action=action)
-                case = _run_case(root / f"case-{n}-{action}", plan,
-                                 payloads)
-                report.cases.append(case)
-                if not case.ok:
-                    say(f"FAIL {case.spec}: {'; '.join(case.errors)}")
-
-        if config.daemon:
-            daemon_root = root / "daemon"
-            daemon_trace = _daemon_enumerate(daemon_root)
-            report.daemon_points_enumerated = len(daemon_trace)
-            points = _select_daemon_points(daemon_trace,
-                                           quick=config.quick)
-            say(f"daemon phase: {len(daemon_trace)} points enumerated, "
-                f"crashing a real daemon at {len(points)} of them")
-            for i, point in enumerate(points):
-                case = _daemon_case(daemon_root, i, point)
-                report.daemon_cases.append(case)
-                if not case.ok:
-                    say(f"FAIL daemon {case.spec}: "
-                        f"{'; '.join(case.errors)}")
-            combined = _DAEMON_COMBINED_PLANS[:1] if config.quick \
-                else _DAEMON_COMBINED_PLANS
-            for i, plan_spec in enumerate(combined):
-                case = _daemon_case(daemon_root, f"combined-{i}",
-                                    plan_spec, action="combined",
-                                    plan=plan_spec)
-                report.daemon_cases.append(case)
-                report.combined_cases_run += 1
-                if not case.ok:
-                    say(f"FAIL daemon combined {case.point}: "
-                        f"{'; '.join(case.errors)}")
-
-    if (config.client or config.client_only) and not config.net_only:
-        client_root = root / "client"
-        client_trace = _client_enumerate(client_root)
-        report.client_points_enumerated = len(client_trace)
-        for point in client_trace:
-            site = point.rsplit(":", 1)[0]
-            report.client_sites[site] = \
-                report.client_sites.get(site, 0) + 1
-        points = _select_client_points(client_trace, quick=config.quick)
-        say(f"client phase: {len(client_trace)} protocol points across "
-            f"{len(report.client_sites)} sites, killing a real client "
-            f"worker at {len(points)} of them")
-        case_n = 0
-        seen_sites: set[str] = set()
-        for point in points:
-            site = point.rsplit(":", 1)[0]
-            first = site not in seen_sites
-            seen_sites.add(site)
-            actions = ["exit"]
-            # The hardest kill on the seams that route replies: a
-            # SIGKILL mid-stream / mid-partial-ack, full mode only.
-            if not config.quick and first and site in (
-                    "client.flush.sent", "client.force.ack"):
-                actions.append("sigkill")
-            for action in actions:
-                case = _client_case(client_root, case_n, point, action)
-                case_n += 1
-                report.client_cases.append(case)
-                if not case.hit:
-                    say(f"client {point}:{action}: point not reached "
-                        f"(workload completed)")
-                elif not case.ok:
-                    say(f"FAIL client {case.spec}: "
-                        f"{'; '.join(case.errors)}")
-        combined = _CLIENT_COMBINED[:1] if config.quick \
-            else _CLIENT_COMBINED
-        say(f"client combined phase: {len(combined)} client-kill + "
-            f"server-fault cases")
-        for point, action, sid, splan in combined:
-            case = _client_case(client_root, case_n, point, action,
-                                server_fault=(sid, splan))
-            case_n += 1
-            report.client_cases.append(case)
-            report.combined_cases_run += 1
-            if not case.hit:
-                say(f"client combined {case.point}: point not reached")
-            elif not case.ok:
-                say(f"FAIL client combined {case.point}: "
-                    f"{'; '.join(case.errors)}")
-
-    if config.net or config.fuzz:
-        from .netsweep import run_net_phase
-        net = run_net_phase(root / "net", quick=config.quick,
-                            sweep=config.net, fuzz=config.fuzz,
-                            seed=config.seed, say=say)
-        report.net_points_enumerated = net.points_enumerated
-        report.net_sites = dict(net.sites)
-        report.net_cases.extend(net.cases)
-        report.net_partition_cases = net.partition_cases_run
-        report.net_handoff_cases = net.handoff_cases_run
-        report.fuzz_cases.extend(net.fuzz_cases)
+    run(storage_phase(root / "storage", _payloads(config.seed)))
+    run(daemon_phase(root / "daemon"))
+    run(client_phase(root / "client"))
+    if wanted & {"net", "fuzz"}:
+        # Network faults never corrupt durable state, so one 3-daemon
+        # cluster serves every case of the four network-side phases.
+        from .netsweep import net_phases
+        with LoopbackCluster(str(root / "net" / "cluster"),
+                             num_servers=3) as cluster:
+            for phase in net_phases(cluster, seed=config.seed,
+                                    fuzz=config.fuzz):
+                run(phase)
 
     report.duration_s = time.monotonic() - start
     say(f"{report.cases_run} cases, {len(report.failures)} failures, "

@@ -12,7 +12,7 @@ client workload runs through them:
    target server's proxy is a point ``net.<kind>.<dir>:<index>``
    (keep-alive ping/pong excluded: their timing is not deterministic).
 2. **Sweep** — re-run the workload once per (point, action) with that
-   single :class:`~repro.rt.chaosproxy.NetFaultPlan` armed, including
+   single network :class:`~repro.rt.faultspec.FaultSpec` armed, plus
    curated ``partition-after`` cases where the §5.4 switch must
    complete off a server that is *alive and reachable in one
    direction* within :data:`SWITCH_BUDGET_S`.
@@ -29,31 +29,50 @@ frame plans, storage fault plans armed on a daemon via ``--fault-plan``
 (power-loss/EIO only: silent storage corruption voids acked-durability
 by design and belongs to the storage phase), and in-process client
 protocol crashes (:mod:`repro.rt.clientfault`, action ``raise``).  A
-case's composite plan string round-trips through
-:func:`parse_composite_plan`, so any failure is replayable with
-``repro crashsweep --plan SPEC``.  The workload may legally abort
+case's plan text round-trips through
+:func:`~repro.rt.faultspec.parse_plan`, so any failure is replayable
+with ``repro crashsweep --plan SPEC``.  The workload may legally abort
 mid-case (e.g. two faulted servers leave no write quorum); the
 invariants are checked regardless, after the fleet is revived.
+
+Each of the four is a :class:`~repro.harness.sweep.Phase`
+(:func:`net_phases`) run by the one loop in :mod:`repro.harness.sweep`,
+and all of them verify with its
+:func:`~repro.harness.sweep.verify_restart`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError, LogFenced
 from ..core.retry import RetryPolicy
 from ..net.codec import RECORD_BEARING_KINDS
 from ..rt import clientfault
-from ..rt.chaosproxy import NetFaultPlan, ProxyFleet
+from ..rt.chaosproxy import ProxyFleet
 from ..rt.client import AsyncReplicatedLog
 from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster
-from ..rt.faultfs import CLIENT_ACTIONS, FaultPlan, FaultSpecError
-from .crashsweep import CrashCase
+from ..rt.faultspec import (
+    FaultSpec,
+    by_target,
+    parse_plan,
+    plan_text,
+    trace_points,
+)
+from ..rt.filestore import FileLogStore
+from .sweep import (
+    ClientJournal,
+    CrashCase,
+    Phase,
+    Plan,
+    by_site,
+    site_counts,
+    verify_restart,
+)
 
 #: the case workload's replication shape (M=3, N=2, δ=8 — δ larger
 #: than a transaction so only explicit forces hit the wire, keeping
@@ -74,12 +93,9 @@ SWITCH_BUDGET_S = max(_TIMEOUT, _KA_INTERVAL * (_KA_MISSES + 1)) + 4.0
 #: reachable in one direction; the switch must complete within budget
 #: with zero acked-record loss.  ``c2s`` partitions surface as force
 #: timeouts, ``s2c`` partitions as keep-alive quarantines.
-PARTITION_CASES = (
-    "net.writelog.c2s:1:partition-after",
-    "net.forcelog.c2s:1:partition-after",
-    "net.newhighlsn.s2c:0:partition-after",
-    "net.ack.s2c:2:partition-after",
-)
+PARTITION_CASES = [(spec,) for spec in parse_plan(
+    "net.writelog.c2s:1:partition-after,net.forcelog.c2s:1:partition-after,"
+    "net.newhighlsn.s2c:0:partition-after,net.ack.s2c:2:partition-after")]
 
 #: storage faults the fuzzer draws (crash/wedge only — no silent
 #: corruption, which voids acked-durability and is the storage
@@ -107,26 +123,6 @@ _STALE_PREFIX = b"stale."
 # -- the scripted workload ---------------------------------------------------
 
 
-@dataclass
-class NetJournal:
-    """What the case workload promised (acks) and attempted."""
-
-    epoch: int = 0
-    #: every payload handed to ``write()``, recorded *before* the call
-    #: (a record can reach a server even if the call never returns).
-    intents: list[bytes] = field(default_factory=list)
-    #: lsn → payload, recorded after ``write()`` returned.
-    attempts: dict[int, bytes] = field(default_factory=dict)
-    acked_high: int = 0
-    trunc_req: int = 0
-    trunc_ack: int = 0
-    max_force_s: float = 0.0
-    switches: int = 0
-    completed: bool = False
-    aborted: str = ""
-    crashed_at: str = ""
-
-
 def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
     log = AsyncReplicatedLog(
         client_id, addresses, _NET_CONFIG,
@@ -141,18 +137,15 @@ def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
 
 
 async def _run_workload(addresses: dict, client_id: str,
-                        journal: NetJournal, *, seed: int = 0) -> None:
+                        journal: ClientJournal, *, seed: int = 0) -> None:
     """Three 4-record transactions with explicit forces and one §5.3
     truncation, then a fenced ownership handoff (a second instance
     seizes the stream and commits one more transaction — putting the
     fencelog frames and the ``client.handoff.*`` sites on the traced
-    protocol surface the sweep and fuzzer enumerate).  The journal is
-    updated only after each awaited call returns (an interrupted call
-    carries no durability promise)."""
-    loop = asyncio.get_running_loop()
+    protocol surface the sweep and fuzzer enumerate)."""
     # Injected faults abort in-flight futures by design; unretrieved
     # exceptions are expected noise, not harness bugs.
-    loop.set_exception_handler(lambda lp, ctx: None)
+    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
     log = _make_client(addresses, client_id)
     taker: AsyncReplicatedLog | None = None
     try:
@@ -160,37 +153,23 @@ async def _run_workload(addresses: dict, client_id: str,
         journal.epoch = log.current_epoch
         for txn in range(3):
             for i in range(4):
-                payload = (f"{client_id}.{txn}.{i}.".encode()
-                           + bytes((seed + 16 * txn + 4 * i + j) % 256
-                                   for j in range(64)))
-                journal.intents.append(payload)
-                lsn = await log.write(payload)
-                journal.attempts[lsn] = payload
-            t0 = loop.time()
-            high = await log.force()
-            journal.max_force_s = max(journal.max_force_s,
-                                      loop.time() - t0)
-            journal.acked_high = max(journal.acked_high, high)
+                await journal.write(log, (
+                    f"{client_id}.{txn}.{i}.".encode()
+                    + bytes((seed + 16 * txn + 4 * i + j) % 256
+                            for j in range(64))))
+            await journal.force(log)
             if txn == 1:
                 low = log.end_of_log() - _NET_CONFIG.delta
                 if low > 1:
-                    journal.trunc_req = max(journal.trunc_req, low)
-                    await log.truncate(low)
-                    journal.trunc_ack = max(journal.trunc_ack, low)
+                    await journal.truncate(log, low)
         taker = _make_client(addresses, client_id)
         await taker.takeover()
         journal.epoch = taker.current_epoch
         for i in range(4):
-            payload = (f"{client_id}.t.{i}.".encode()
-                       + bytes((seed + 128 + 4 * i + j) % 256
-                               for j in range(64)))
-            journal.intents.append(payload)
-            lsn = await taker.write(payload)
-            journal.attempts[lsn] = payload
-        t0 = loop.time()
-        high = await taker.force()
-        journal.max_force_s = max(journal.max_force_s, loop.time() - t0)
-        journal.acked_high = max(journal.acked_high, high)
+            await journal.write(taker, (
+                f"{client_id}.t.{i}.".encode()
+                + bytes((seed + 128 + 4 * i + j) % 256 for j in range(64))))
+        await journal.force(taker)
         journal.completed = True
     finally:
         journal.switches = max(journal.switches, log.server_switches)
@@ -201,161 +180,102 @@ async def _run_workload(addresses: dict, client_id: str,
         await log.close()
 
 
-# -- verification ------------------------------------------------------------
-
-
-async def _verify_case(addresses: dict, client_id: str,
-                       journal: NetJournal) -> list[str]:
-    """§5.4 restart directly against the daemons; check the invariants."""
-    errors: list[str] = []
-    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
-    log = AsyncReplicatedLog(client_id, addresses, _NET_CONFIG,
-                             timeout=5.0)
+async def _run_armed(fleet: ProxyFleet, client_id: str,
+                     journal: ClientJournal) -> None:
+    """The workload through an armed fleet; a legal abort is journaled."""
     try:
-        await log.initialize()
-        if journal.epoch and log.current_epoch <= journal.epoch:
-            errors.append(
-                f"epoch not monotone: recovery drew {log.current_epoch} "
-                f"after the workload ran at {journal.epoch}")
-        floor = max(journal.trunc_ack, journal.trunc_req)
-        end = log.end_of_log()
-        if journal.acked_high and end < journal.acked_high:
-            errors.append(f"end_of_log {end} below acked high "
-                          f"{journal.acked_high}")
-        allowed = set(journal.intents)
-        for lsn in range(1, end + 1):
-            acked = (lsn in journal.attempts
-                     and lsn <= journal.acked_high and lsn >= floor)
-            try:
-                record = await log.read(lsn)
-            except LogError as exc:
-                # Guard, truncated, or never-landed unacked write: all
-                # legal — unless the record was acked.
-                if acked:
-                    errors.append(f"acked lsn {lsn} lost after heal: "
-                                  f"{exc}")
-                continue
-            want = journal.attempts.get(lsn)
-            if want is not None:
-                if record.data != want:
-                    errors.append(f"lsn {lsn} does not match the write "
-                                  f"assigned to it")
-            elif record.data not in allowed:
-                errors.append(f"fabricated record at lsn {lsn}")
-        # Post-heal liveness: a fresh transaction acks and reads back.
-        post: list[tuple[int, bytes]] = []
-        for i in range(2):
-            data = f"post.{client_id}.{i}".encode()
-            post.append((await log.write(data), data))
-        await log.force()
-        for lsn, data in post:
-            record = await log.read(lsn)
-            if record.data != data:
-                errors.append(f"post-heal write at lsn {lsn} not "
-                              f"readable")
-    except LogError as exc:
-        errors.append(f"post-heal recovery failed: {exc!r}")
-    finally:
-        await log.close()
-    return errors
+        await asyncio.wait_for(
+            _run_workload(fleet.addresses(), client_id, journal),
+            timeout=60.0)
+    except (LogError, OSError, asyncio.TimeoutError) as exc:
+        journal.aborted = repr(exc)
 
 
 # -- enumeration and case selection ------------------------------------------
 
 
 def enumerate_net_points(cluster: LoopbackCluster, *,
-                         target: str = "s1") -> list[str]:
+                         target: str = "s1") -> tuple[FaultSpec, ...]:
     """Frame points seen by ``target``'s proxy during one clean run."""
 
     async def run() -> list[str]:
         fleet = ProxyFleet(cluster.addresses(), record_server=target)
         await fleet.start()
         try:
-            journal = NetJournal()
+            journal = ClientJournal()
             await _run_workload(fleet.addresses(), "net-e", journal)
             if not journal.completed:
                 raise RuntimeError(
                     "net enumeration workload did not complete")
-            return list(fleet.proxies[target].trace)
+            return fleet.proxies[target].trace
         finally:
             await fleet.close()
 
-    trace = asyncio.run(run())
-    return [p for p in trace
-            if ".ping." not in p and ".pong." not in p]
+    # Keep-alive traffic is timing-dependent: not a replayable point.
+    return tuple(point for point in trace_points(asyncio.run(run()))
+                 if point.kind not in ("ping", "pong"))
 
 
-def select_net_cases(trace: list[str], *,
-                     quick: bool) -> list[tuple[str, str]]:
-    """(point, action) pairs to sweep, from an enumerated trace."""
-    by_site: dict[str, list[str]] = {}
-    for point in trace:
-        by_site.setdefault(point.rsplit(":", 1)[0], []).append(point)
-    cases: list[tuple[str, str]] = []
+def select_net_cases(trace, quick: bool) -> list[Plan]:
+    """The single-fault plans to sweep, from an enumerated trace."""
+    sites = by_site(trace)
+    cases: list[Plan] = []
+
+    def add(point: FaultSpec, *actions: str) -> None:
+        cases.extend((point.arm(action),) for action in actions)
+
     if quick:
         wanted = ("net.intervallistcall.c2s", "net.writelog.c2s",
                   "net.forcelog.c2s", "net.newhighlsn.s2c")
         for site in wanted:
-            if site not in by_site:
-                continue
-            first = by_site[site][0]
-            cases.append((first, "drop"))
-            cases.append((first, "kill-connection-after"))
-        if "net.forcelog.c2s" in by_site:
-            cases.append((by_site["net.forcelog.c2s"][0],
-                          "corrupt-payload"))
-        if "net.newhighlsn.s2c" in by_site:
-            cases.append((by_site["net.newhighlsn.s2c"][0],
-                          "corrupt-header"))
+            if site in sites:
+                add(sites[site][0], "drop", "kill-connection-after")
+        if "net.forcelog.c2s" in sites:
+            add(sites["net.forcelog.c2s"][0], "corrupt-payload")
+        if "net.newhighlsn.s2c" in sites:
+            add(sites["net.newhighlsn.s2c"][0], "corrupt-header")
         return cases
-    for site in sorted(by_site):
-        points = by_site[site]
-        kind = site.split(".")[1]
+    for _, points in sorted(sites.items()):
         first, last = points[0], points[-1]
-        cases.append((first, "drop"))
-        cases.append((first, "kill-connection-after"))
-        cases.append((first, "duplicate"))
-        cases.append((first, "corrupt-header"))
+        add(first, "drop", "kill-connection-after", "duplicate",
+            "corrupt-header")
         if last != first:
-            cases.append((last, "drop"))
-        if kind in RECORD_BEARING_KINDS:
-            cases.append((first, "corrupt-payload"))
-            cases.append((first, "truncate-mid-frame"))
+            add(last, "drop")
+        if first.kind in RECORD_BEARING_KINDS:
+            add(first, "corrupt-payload", "truncate-mid-frame")
     for site in ("net.forcelog.c2s", "net.newhighlsn.s2c"):
-        if site in by_site:
-            cases.append((by_site[site][0], "delay"))
+        if site in sites:
+            add(sites[site][0], "delay")
     return cases
 
 
 # -- single-fault net cases --------------------------------------------------
 
 
-def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
-                 partition_expected: bool = False) -> CrashCase:
-    """One armed frame fault against the shared daemon cluster."""
-    plan = NetFaultPlan.parse(spec)
-    case = CrashCase(point=plan.point, action=plan.action)
-    target = plan.server or "s1"
+def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
+    """One armed frame fault against the shared daemon cluster.
+
+    A ``partition-after`` fault additionally must drive a §5.4 switch
+    that completes, within budget, off a server that stays alive.
+    """
+    (spec,) = plan
+    case = CrashCase.of(plan)
+    target = spec.target or "s1"
     client_id = f"n{index}"
-    journal = NetJournal()
+    journal = ClientJournal()
 
     async def run() -> int:
-        fleet = ProxyFleet(cluster.addresses(), plans=(plan,),
+        fleet = ProxyFleet(cluster.addresses(), plans=plan,
                            default_target=target)
         await fleet.start()
         try:
-            try:
-                await asyncio.wait_for(
-                    _run_workload(fleet.addresses(), client_id, journal),
-                    timeout=60.0)
-            except (LogError, OSError, asyncio.TimeoutError) as exc:
-                journal.aborted = repr(exc)
+            await _run_armed(fleet, client_id, journal)
             return fleet.faults_injected
         finally:
             await fleet.close()
 
     case.hit = asyncio.run(run()) > 0
-    if partition_expected:
+    if spec.action == "partition-after":
         if not cluster.servers[target].alive:
             case.errors.append(
                 f"partitioned daemon {target} died during the case")
@@ -378,9 +298,8 @@ def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
             case.errors.append(
                 f"daemon {sid} died during a network-only case")
             cluster.restart(sid)
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+    case.errors.extend(asyncio.run(verify_restart(
+        cluster.addresses(), client_id, _NET_CONFIG, journal)))
     case.ok = not case.errors
     return case
 
@@ -412,9 +331,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     case = CrashCase(point="handoff.partition", action="takeover")
     client_id = f"h{index}"
     config = _NET_CONFIG
-    old_acked: dict[int, bytes] = {}
-    new_acked: dict[int, bytes] = {}
-    outcome: dict[str, object] = {"takeover_epoch": 0, "fenced": ""}
+    journal = ClientJournal()
+    outcome = {"fenced": ""}
 
     async def run() -> None:
         loop = asyncio.get_running_loop()
@@ -428,10 +346,9 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
             await old.initialize()
             for txn in range(2):
                 for i in range(4):
-                    payload = f"{client_id}.pre.{txn}.{i}".encode()
-                    lsn = await old.write(payload)
-                    old_acked[lsn] = payload
-                await old.force()
+                    await journal.write(
+                        old, f"{client_id}.pre.{txn}.{i}".encode())
+                await journal.force(old)
             # Half-partition the old writer: every proxy drops
             # server→client, so it hears nothing — but its own frames
             # still land on every daemon.
@@ -439,7 +356,7 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                 proxy.partition("s2c")
             # The second process seizes the stream over its own links.
             await new.takeover()
-            outcome["takeover_epoch"] = new.current_epoch
+            journal.epoch = new.current_epoch
             # The deaf old writer keeps forcing.  These frames reach
             # the daemons; the fence must refuse them *before* any
             # append, even though the refusals cannot be delivered.
@@ -475,10 +392,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                         await asyncio.sleep(0.25)
             # The new owner's log was live through all of it.
             for i in range(4):
-                payload = f"{client_id}.post.{i}".encode()
-                lsn = await new.write(payload)
-                new_acked[lsn] = payload
-            await new.force()
+                await journal.write(new, f"{client_id}.post.{i}".encode())
+            await journal.force(new)
         finally:
             await old.close()
             await new.close()
@@ -488,7 +403,6 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
         asyncio.run(run())
     except (LogError, OSError, asyncio.TimeoutError) as exc:
         case.errors.append(f"handoff case aborted: {exc!r}")
-    case.hit = True
     if outcome["fenced"] != "fenced":
         case.errors.append(
             f"old writer was not terminally fenced: "
@@ -496,7 +410,6 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     # Durable-file check, per daemon: kill it, reopen its store the
     # way a restart would, and look for leaked stale records and the
     # standing fence.  The daemons come back healed afterwards.
-    from ..rt.filestore import FileLogStore
     fence_holders = 0
     for sid, entry in sorted(cluster.servers.items()):
         if not entry.alive:
@@ -506,8 +419,7 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
         cluster.kill(sid)
         store = FileLogStore(entry.data_dir, sid)
         try:
-            if store.fence_epoch(client_id) >= int(
-                    outcome["takeover_epoch"] or 1):
+            if store.fence_epoch(client_id) >= (journal.epoch or 1):
                 fence_holders += 1
             for lsn in store.stored_lsns(client_id):
                 if store.read_record(client_id, lsn).data.startswith(
@@ -525,14 +437,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     # Final §5.4 restart over the healed daemons: epoch monotone, all
     # acked records (old pre-handoff + new post-handoff) durable, and
     # nothing stale readable anywhere.
-    journal = NetJournal(epoch=int(outcome["takeover_epoch"] or 0),
-                         acked_high=max([*old_acked, *new_acked],
-                                        default=0))
-    journal.attempts = {**old_acked, **new_acked}
-    journal.intents = list(journal.attempts.values())
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+    case.errors.extend(asyncio.run(verify_restart(
+        cluster.addresses(), client_id, config, journal)))
     case.ok = not case.errors
     return case
 
@@ -540,127 +446,54 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
 # -- composite (fuzz) plans --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositePlan:
-    """2–4 faults across the three injector families, one case."""
-
-    net: tuple[NetFaultPlan, ...] = ()
-    storage: tuple[tuple[str, FaultPlan], ...] = ()  # (server id, plan)
-    client: tuple[FaultPlan, ...] = ()
-
-    @property
-    def spec(self) -> str:
-        tokens = [p.spec for p in self.net]
-        tokens += [f"{sid}@{p.spec}" for sid, p in self.storage]
-        tokens += [p.spec for p in self.client]
-        return ",".join(tokens)
-
-
-def parse_composite_plan(spec: str) -> CompositePlan:
-    """Parse a comma-separated plan mixing all three fault families.
-
-    Family is recognized per token: ``[sid@]net.<kind>.<dir>:…`` is a
-    network frame fault, ``client.<site>:…`` a client protocol crash,
-    anything else ``[sid@]<storage-site>:…`` (server default ``s1``).
-    Malformed or duplicate-point input raises :class:`FaultSpecError`.
-    """
-    tokens = [token.strip() for token in spec.split(",")]
-    if tokens == [""]:
-        raise FaultSpecError(spec, spec, "is an empty fault plan")
-    net: list[NetFaultPlan] = []
-    storage: list[tuple[str, FaultPlan]] = []
-    client: list[FaultPlan] = []
-    for token in tokens:
-        if not token:
-            raise FaultSpecError(spec, token,
-                                 "is an empty token between commas")
-        body = token.split("@", 1)[-1]
-        if body.startswith("net."):
-            net.append(NetFaultPlan.parse(token))
-        elif body.startswith("client."):
-            if "@" in token:
-                raise FaultSpecError(
-                    spec, token,
-                    "routes a client fault to a server (client faults "
-                    "run in the client process)")
-            client.append(FaultPlan.parse(body, actions=CLIENT_ACTIONS))
-        else:
-            sid, sep, rest = token.partition("@")
-            if not sep:
-                sid, rest = "s1", token
-            elif not sid:
-                raise FaultSpecError(spec, token,
-                                     "has an empty server id before '@'")
-            storage.append((sid, FaultPlan.parse(rest)))
-    keys = ([("net", p.server or "s1", p.point) for p in net]
-            + [("storage", sid, p.point) for sid, p in storage]
-            + [("client", "", p.point) for p in client])
-    for key in keys:
-        if keys.count(key) > 1:
-            raise FaultSpecError(spec, key[2],
-                                 "is armed twice in one plan")
-    return CompositePlan(tuple(net), tuple(storage), tuple(client))
-
-
-def draw_fuzz_plan(rng: random.Random,
-                   sites: dict[str, int]) -> CompositePlan:
-    """One seeded composite plan over the enumerated net site menu."""
+def draw_fuzz_plan(rng: random.Random, sites: dict[str, int]) -> Plan:
+    """One seeded plan of 2–4 faults across the three families, drawn
+    over the enumerated net site menu (site → points reached)."""
     n_faults = rng.randint(2, 4)
-    net: list[NetFaultPlan] = []
-    storage: list[tuple[str, FaultPlan]] = []
-    client: list[FaultPlan] = []
-    seen: set[tuple] = set()
+    plan: list[FaultSpec] = []
+    seen: set[tuple[str, str]] = set()
     tries = 0
-    while len(net) + len(storage) + len(client) < n_faults and tries < 64:
+    while len(plan) < n_faults and tries < 64:
         tries += 1
         family = rng.choices(("net", "storage", "client"),
                              weights=(3, 1, 1))[0]
         if family == "net":
             site = rng.choice(sorted(sites))
             index = rng.randrange(min(sites[site], 3))
-            _, kind, direction = site.split(".")
+            point = FaultSpec(site, index,
+                              target=rng.choice(("s1", "s1", "s2", "s3")))
             actions = ["drop", "delay", "duplicate", "corrupt-header",
                        "truncate-mid-frame", "partition-after",
                        "kill-connection-after"]
-            if kind in RECORD_BEARING_KINDS:
+            if point.kind in RECORD_BEARING_KINDS:
                 actions.append("corrupt-payload")
-            sid = rng.choice(("s1", "s1", "s2", "s3"))
-            key = ("net", sid, site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            net.append(NetFaultPlan(kind=kind, direction=direction,
-                                    index=index,
-                                    action=rng.choice(actions),
-                                    server=sid))
         elif family == "storage":
             sid = rng.choice(("s1", "s2"))
-            site = rng.choice(_FUZZ_STORAGE_SITES)
-            index = rng.randrange(6)
-            key = ("storage", sid, site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            storage.append((sid, FaultPlan(
-                site=site, index=index,
-                action=rng.choice(_FUZZ_STORAGE_ACTIONS))))
+            point = FaultSpec(rng.choice(_FUZZ_STORAGE_SITES),
+                              rng.randrange(6), target=sid)
+            actions = _FUZZ_STORAGE_ACTIONS
         else:
-            site = rng.choice(_FUZZ_CLIENT_SITES)
-            index = rng.randrange(2)
-            key = ("client", "", site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            client.append(FaultPlan(site=site, index=index,
-                                    action="raise"))
-    return CompositePlan(tuple(net), tuple(storage), tuple(client))
+            point = FaultSpec(rng.choice(_FUZZ_CLIENT_SITES),
+                              rng.randrange(2))
+            actions = ("raise",)
+        if (point.target, point.point) in seen:
+            continue
+        seen.add((point.target, point.point))
+        # A lone action draws nothing: the seed fixes the RNG sequence,
+        # and with it every plan the committed baselines name.
+        plan.append(point.arm(rng.choice(actions) if len(actions) > 1
+                              else actions[0]))
+    # Net, storage, client: the order the plan text has always had (it
+    # is a case's replay key) and the order the case arms them in.
+    return tuple(sorted(plan, key=lambda spec: (
+        "net", "storage", "client").index(spec.family)))
 
 
-def run_fuzz_case(cluster: LoopbackCluster, index,
-                  plan: CompositePlan) -> CrashCase:
+def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     """One composed multi-fault case; revive the fleet, then verify."""
-    case = CrashCase(point=plan.spec, action="fuzz")
-    bad = [p.spec for p in plan.client if p.action != "raise"]
+    case = CrashCase(plan_text(plan), "fuzz")
+    kills = tuple(spec for spec in plan if spec.family == "client")
+    bad = [spec.spec for spec in kills if spec.action != "raise"]
     if bad:
         case.errors.append(
             f"fuzz cases only support in-process client faults "
@@ -668,30 +501,25 @@ def run_fuzz_case(cluster: LoopbackCluster, index,
         case.ok = False
         return case
     client_id = f"f{index}"
-    journal = NetJournal()
-    by_server: dict[str, list[FaultPlan]] = {}
-    for sid, fplan in plan.storage:
-        by_server.setdefault(sid, []).append(fplan)
-    for sid in sorted(by_server):
-        cluster.restart(sid, extra_args=[
-            "--fault-plan",
-            ",".join(p.spec for p in by_server[sid])])
+    journal = ClientJournal()
+    armed = by_target(
+        (spec for spec in plan if spec.family == "storage"), "s1")
+    for sid, faults in armed.items():
+        cluster.restart(sid, extra_args=["--fault-plan", plan_text(faults)])
 
     async def run() -> int:
-        fleet = ProxyFleet(cluster.addresses(), plans=plan.net,
-                           seed=index if isinstance(index, int) else 0)
+        fleet = ProxyFleet(
+            cluster.addresses(),
+            plans=tuple(spec for spec in plan if spec.family == "net"),
+            seed=index if isinstance(index, int) else 0)
         await fleet.start()
-        injector = ClientFaultInjector(plan.client)
+        injector = ClientFaultInjector(kills)
         clientfault.install(injector)
         try:
             try:
-                await asyncio.wait_for(
-                    _run_workload(fleet.addresses(), client_id, journal),
-                    timeout=60.0)
+                await _run_armed(fleet, client_id, journal)
             except ClientCrash as crash:
-                journal.crashed_at = crash.point
-            except (LogError, OSError, asyncio.TimeoutError) as exc:
-                journal.aborted = repr(exc)
+                journal.aborted = f"client crashed at {crash.point}"
             return fleet.faults_injected + injector.crashes
         finally:
             clientfault.install(None)
@@ -700,109 +528,48 @@ def run_fuzz_case(cluster: LoopbackCluster, index,
     try:
         fired = asyncio.run(run())
     finally:
-        cluster.revive(sorted(by_server))
+        cluster.revive(list(armed))
     case.hit = fired > 0 or any(not cluster.servers[sid].alive
-                                for sid in by_server)
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+                                for sid in armed)
+    case.errors.extend(asyncio.run(verify_restart(
+        cluster.addresses(), client_id, _NET_CONFIG, journal)))
     case.ok = not case.errors
     return case
 
 
-# -- phase entry point -------------------------------------------------------
+# -- the phases --------------------------------------------------------------
 
 
-@dataclass
-class NetPhaseResult:
-    """What the network phases did, for the sweep report."""
+def net_phases(cluster: LoopbackCluster, *, seed: int,
+               fuzz: int) -> list[Phase]:
+    """The four network-side phases over one shared 3-daemon cluster.
 
-    points_enumerated: int = 0
-    sites: dict[str, int] = field(default_factory=dict)
-    cases: list[CrashCase] = field(default_factory=list)
-    partition_cases_run: int = 0
-    handoff_cases_run: int = 0
-    fuzz_cases: list[CrashCase] = field(default_factory=list)
-
-
-def run_net_phase(root: Path, *, quick: bool = False, sweep: bool = True,
-                  fuzz: int = 0, seed: int = 0, say=lambda line: None,
-                  point: str | None = None,
-                  plan: str | None = None) -> NetPhaseResult:
-    """Run the network sweep and/or fuzz phases on one shared cluster.
-
-    Network faults never corrupt durable state, so one 3-daemon
-    cluster serves every case; each case gets a fresh client id and a
-    fresh proxy fleet (fuzz cases additionally restart the daemons
-    they arm storage faults on).
+    Each case gets a fresh client id and a fresh proxy fleet (fuzz
+    cases additionally restart the daemons they arm storage faults
+    on).  The net sweep and the fuzzer share one frame enumeration.
     """
-    result = NetPhaseResult()
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    with LoopbackCluster(str(root / "cluster"), num_servers=3) as cluster:
-        if plan is not None:
-            composite = parse_composite_plan(plan)
-            say(f"replaying composite fuzz case {composite.spec}")
-            case = run_fuzz_case(cluster, "replay", composite)
-            result.fuzz_cases.append(case)
-            if not case.ok:
-                say(f"FAIL fuzz replay [{case.point}]: "
-                    f"{'; '.join(case.errors)}")
-            return result
-        if point is not None:
-            spec = point if point.count(":") >= 2 else f"{point}:drop"
-            netplan = NetFaultPlan.parse(spec)
-            say(f"replaying single network case {netplan.spec}")
-            case = run_net_case(
-                cluster, "replay", spec,
-                partition_expected=netplan.action == "partition-after")
-            result.cases.append(case)
-            if not case.ok:
-                say(f"FAIL net {case.spec}: {'; '.join(case.errors)}")
-            return result
-        trace = enumerate_net_points(cluster)
-        result.points_enumerated = len(trace)
-        for p in trace:
-            site = p.rsplit(":", 1)[0]
-            result.sites[site] = result.sites.get(site, 0) + 1
-        if sweep:
-            selected = select_net_cases(trace, quick=quick)
-            partitions = PARTITION_CASES[:1] if quick else PARTITION_CASES
-            say(f"network phase: {len(trace)} frame points across "
-                f"{len(result.sites)} sites, {len(selected)} fault "
-                f"cases + {len(partitions)} partition-switch cases")
-            for n, (p, action) in enumerate(selected):
-                case = run_net_case(cluster, n, f"{p}:{action}")
-                result.cases.append(case)
-                if not case.ok:
-                    say(f"FAIL net {case.spec}: "
-                        f"{'; '.join(case.errors)}")
-            for n, spec in enumerate(partitions):
-                case = run_net_case(cluster, f"p{n}", spec,
-                                    partition_expected=True)
-                result.cases.append(case)
-                result.partition_cases_run += 1
-                if not case.ok:
-                    say(f"FAIL net partition {case.spec}: "
-                        f"{'; '.join(case.errors)}")
-            say("handoff phase: fenced takeover with the old writer "
-                "alive and half-partitioned")
-            case = run_handoff_case(cluster, "x0")
-            result.cases.append(case)
-            result.handoff_cases_run += 1
-            if not case.ok:
-                say(f"FAIL handoff {case.point}: "
-                    f"{'; '.join(case.errors)}")
-        if fuzz:
-            say(f"fuzz phase: {fuzz} composed multi-fault cases, "
-                f"seed {seed}")
-            for i in range(fuzz):
-                rng = random.Random(seed * 1_000_003 + i)
-                composite = draw_fuzz_plan(rng, result.sites)
-                case = run_fuzz_case(cluster, i, composite)
-                result.fuzz_cases.append(case)
-                if not case.ok:
-                    say(f"FAIL fuzz case {i} [{composite.spec}]: "
-                        f"{'; '.join(case.errors)} — replay with: "
-                        f"repro crashsweep --plan '{composite.spec}'")
-    return result
+    enumerate_once = functools.cache(lambda: enumerate_net_points(cluster))
+
+    def draw(trace, quick: bool) -> list[Plan]:
+        menu = site_counts(trace)
+        return [draw_fuzz_plan(random.Random(seed * 1_000_003 + i), menu)
+                for i in range(fuzz)]
+
+    return [
+        Phase("net", enumerate=enumerate_once, select=select_net_cases,
+              run_case=functools.partial(run_net_case, cluster),
+              replay="repro crashsweep --point"),
+        # §5.4 under partition: the old server stays alive.
+        Phase("partition",
+              select=lambda trace, quick: (PARTITION_CASES[:1] if quick
+                                           else PARTITION_CASES),
+              run_case=lambda n, plan: run_net_case(cluster, f"p{n}", plan),
+              replay="repro crashsweep --point"),
+        # Fenced takeover with the old writer alive and half-partitioned:
+        # one scripted scenario, nothing armed.
+        Phase("handoff", select=lambda trace, quick: [()],
+              run_case=lambda n, plan: run_handoff_case(cluster, f"x{n}")),
+        Phase("fuzz", enumerate=enumerate_once, select=draw,
+              run_case=functools.partial(run_fuzz_case, cluster),
+              replay="repro crashsweep --plan"),
+    ]

@@ -393,27 +393,6 @@ def encode(msg: Message) -> bytes:
     return b"".join(parts)
 
 
-def encode_iov(msg: Message,
-               record_bufs: list[bytes] | None = None) -> list[bytes]:
-    """Encode ``msg`` as an iovec — buffers that concatenate to
-    ``encode(msg)`` without an intermediate join.
-
-    ``record_bufs`` optionally supplies pre-encoded record images
-    (``encode_stored_record`` output, one per ``msg.records`` entry, in
-    order) so a hot sender never encodes a record twice; the total
-    length is still validated against ``msg.wire_size``.
-    """
-    return _message_parts(msg, record_bufs)
-
-
-def encode_into(msg: Message, buf: bytearray) -> int:
-    """Append ``encode(msg)`` to ``buf``; return the bytes appended."""
-    before = len(buf)
-    for part in _message_parts(msg):
-        buf += part
-    return len(buf) - before
-
-
 def decode(buf, record_images: list[bytes] | None = None) -> Message:
     """Decode one encoded message (the payload of one frame).
 
@@ -539,21 +518,13 @@ def frame_iov(msg: Message,
     message header (they are always sent together); the rest are the
     body parts — per-record images for record-bearing messages, shared
     unchanged across every connection that sends the same frame.
+    ``record_bufs`` optionally supplies pre-encoded record images
+    (``encode_stored_record`` output, one per ``msg.records`` entry, in
+    order) so a hot sender never encodes a record twice.
     """
-    parts = encode_iov(msg, record_bufs)
+    parts = _message_parts(msg, record_bufs)
     payload_len = sum(len(part) for part in parts)
     return [_FRAME_PREFIX.pack(payload_len) + parts[0], *parts[1:]]
-
-
-def frame_into(msg: Message, buf: bytearray) -> int:
-    """Append ``frame(msg)`` to ``buf``; return the bytes appended."""
-    parts = _message_parts(msg)
-    payload_len = sum(len(part) for part in parts)
-    before = len(buf)
-    buf += _FRAME_PREFIX.pack(payload_len)
-    for part in parts:
-        buf += part
-    return len(buf) - before
 
 
 async def read_message(reader: asyncio.StreamReader) -> Message | None:

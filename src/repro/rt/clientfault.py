@@ -17,9 +17,8 @@ With no injector installed (the default), :func:`hit` is a dictionary
 miss and a ``None`` check — the production write path stays clean.
 A worker process installs one from the environment
 (:func:`install_from_env`, variables ``REPRO_CLIENT_FAULT_PLAN`` and
-``REPRO_CLIENT_FAULT_TRACE``); plans reuse the
-``SITE:IDX:ACTION`` grammar of :func:`repro.rt.faultfs.parse_fault_plans`
-with the client action vocabulary:
+``REPRO_CLIENT_FAULT_TRACE``); plans are client-family specs of the
+one grammar in :mod:`repro.rt.faultspec` (``client.<step>:IDX:ACTION``):
 
 ``exit``
     print ``REPRO-FAULT-CRASH <site>:<index>`` to stderr and
@@ -42,13 +41,8 @@ import signal
 import sys
 from pathlib import Path
 
-from .faultfs import (
-    CLIENT_ACTIONS,
-    CRASH_BANNER,
-    FAULT_EXIT_CODE,
-    FaultPlan,
-    parse_fault_plans,
-)
+from .faultfs import CRASH_BANNER, FAULT_EXIT_CODE
+from .faultspec import FaultSpec, PointCounter, parse_plan
 
 #: Environment variables the worker-process entry points read.
 PLAN_ENV = "REPRO_CLIENT_FAULT_PLAN"
@@ -72,27 +66,18 @@ class ClientFaultInjector:
     workload's client crash points.
     """
 
-    def __init__(self, plans: tuple[FaultPlan, ...] = (), *,
+    def __init__(self, specs: tuple[FaultSpec, ...] = (), *,
                  trace_path: str | Path | None = None):
-        self.plans = tuple(plans)
-        self.counts: dict[str, int] = {}
-        self.trace: list[str] = []
+        self._points = PointCounter("client", specs, trace_path=trace_path)
+        #: every ``site:index`` reached, in order.
+        self.trace = self._points.trace
         self.crashes = 0
-        self._trace_file = None
-        if trace_path is not None:
-            self._trace_file = open(trace_path, "a", buffering=1)
 
     def hit(self, site: str) -> None:
         """Record one invocation of ``site``; crash if it is armed."""
-        index = self.counts.get(site, 0)
-        self.counts[site] = index + 1
-        point = f"{site}:{index}"
-        self.trace.append(point)
-        if self._trace_file is not None:
-            self._trace_file.write(point + "\n")
-        for plan in self.plans:
-            if plan.site == site and plan.index == index:
-                self._crash(point, plan.action)
+        spec = self._points.hit(site)
+        if spec is not None:
+            self._crash(spec.point, spec.action)
 
     def _crash(self, point: str, action: str) -> None:
         self.crashes += 1
@@ -105,8 +90,7 @@ class ClientFaultInjector:
         raise ClientCrash(point)
 
     def close(self) -> None:
-        if self._trace_file is not None and not self._trace_file.closed:
-            self._trace_file.close()
+        self._points.close()
 
 
 #: The process-wide injector ``hit`` consults; ``None`` = production.
@@ -127,17 +111,16 @@ def install_from_env() -> ClientFaultInjector | None:
     """Install an injector if the fault environment variables are set.
 
     Returns the injector (so a worker can close its trace file), or
-    ``None`` when neither variable is present.  The plan string uses
-    the client action vocabulary; malformed plans raise
-    :class:`~repro.rt.faultfs.FaultSpecError` before any workload runs.
+    ``None`` when neither variable is present.  A malformed plan, or
+    one naming a storage or network site, raises
+    :class:`~repro.rt.faultspec.FaultSpecError` before any workload runs.
     """
     plan_s = os.environ.get(PLAN_ENV)
     trace = os.environ.get(TRACE_ENV)
     if not plan_s and not trace:
         return None
-    plans = parse_fault_plans(plan_s, actions=CLIENT_ACTIONS) \
-        if plan_s else ()
-    injector = ClientFaultInjector(plans, trace_path=trace)
+    injector = ClientFaultInjector(parse_plan(plan_s) if plan_s else (),
+                                   trace_path=trace)
     install(injector)
     return injector
 

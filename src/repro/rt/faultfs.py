@@ -11,8 +11,9 @@ Every call names its **site** (``log.write.record``, ``log.fsync``,
 parked ForceLogs — ``compact.rename``, ...).  The injector counts
 invocations per site, so
 ``(site, index)`` identifies one exact I/O operation of a deterministic
-workload — a *crash point*.  A :class:`FaultPlan` arms one point with
-one action:
+workload — a *crash point*.  A storage-family
+:class:`~repro.rt.faultspec.FaultSpec` (grammar and parser in
+:mod:`repro.rt.faultspec`) arms one point with one action:
 
 ``enospc`` / ``eio``
     raise :class:`OSError` with that errno (the store's wedge path);
@@ -29,11 +30,9 @@ one action:
 ``power-loss``
     crash *before* the operation takes effect.
 
-A plan string may arm *several* points at once — comma-separated
-``SITE:IDX:ACTION`` specs, parsed by :func:`parse_fault_plans` — so a
-sweep case can model compound failures such as a torn ``compact.write``
-followed by power loss at the next ``compact.rename``.  Malformed
-specs raise :class:`FaultSpecError` naming the offending token.
+A plan may arm *several* points at once, so a sweep case can model
+compound failures such as a torn ``compact.write`` followed by power
+loss at the next ``compact.rename``.
 
 A crash freezes the disk in the state an ALICE-style crash-consistency
 model allows:
@@ -61,8 +60,9 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+from .faultspec import PointCounter
 
 #: Exit status of a daemon killed by an injected power loss.
 FAULT_EXIT_CODE = 86
@@ -70,36 +70,8 @@ FAULT_EXIT_CODE = 86
 #: The banner a daemon prints to stderr before an injected exit.
 CRASH_BANNER = "REPRO-FAULT-CRASH"
 
-ACTIONS = ("enospc", "eio", "short-write", "torn", "bit-flip",
-           "power-loss")
-
-#: Actions of the *client-side* protocol injector
-#: (:mod:`repro.rt.clientfault`): kill the client process with
-#: :data:`FAULT_EXIT_CODE`, kill it with SIGKILL, or raise
-#: :class:`ClientCrash` in-process (unit tests).
-CLIENT_ACTIONS = ("exit", "sigkill", "raise")
-
-#: Actions that end the run (vs. returning an error to the caller).
-_CRASH_ACTIONS = ("short-write", "power-loss")
-
+#: Actions that return an error to the caller instead of ending the run.
 _ERRNO_ACTIONS = {"enospc": errno.ENOSPC, "eio": errno.EIO}
-
-
-class FaultSpecError(ValueError):
-    """A malformed fault-plan spec, naming the token that is wrong.
-
-    ``token`` is the exact substring that failed to parse (the whole
-    spec when its shape is wrong), so a CLI error or a harness log
-    pinpoints the mistake in a long multi-fault plan string.
-    """
-
-    def __init__(self, spec: str, token: str, reason: str):
-        super().__init__(
-            f"bad fault spec {spec!r}: token {token!r} {reason}"
-        )
-        self.spec = spec
-        self.token = token
-        self.reason = reason
 
 
 class PowerLoss(BaseException):
@@ -113,108 +85,6 @@ class PowerLoss(BaseException):
     def __init__(self, point: str):
         super().__init__(point)
         self.point = point
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Arm ``action`` at the ``index``-th invocation of ``site``."""
-
-    site: str
-    index: int
-    action: str
-
-    def __post_init__(self) -> None:
-        if self.action not in ACTIONS + CLIENT_ACTIONS:
-            raise FaultSpecError(
-                f"{self.site}:{self.index}:{self.action}", self.action,
-                f"is not a fault action (one of {', '.join(ACTIONS)})",
-            )
-        if self.index < 0:
-            raise FaultSpecError(
-                f"{self.site}:{self.index}:{self.action}", str(self.index),
-                "is a negative invocation index",
-            )
-
-    @property
-    def point(self) -> str:
-        return f"{self.site}:{self.index}"
-
-    @property
-    def spec(self) -> str:
-        return f"{self.site}:{self.index}:{self.action}"
-
-    @classmethod
-    def parse(cls, spec: str, *, actions: tuple[str, ...] = ACTIONS,
-              default_action: str | None = None) -> "FaultPlan":
-        """Parse ``site:index:action`` (e.g. ``log.fsync:2:power-loss``).
-
-        Every malformed input raises :class:`FaultSpecError` naming the
-        bad token: a spec with the wrong shape, an empty site, a
-        non-integer or negative index, or an action outside ``actions``
-        (callers with their own action vocabulary — the client-side
-        injector — pass theirs).  ``default_action`` fills in a
-        two-token ``site:index`` spec when given.
-        """
-        site, index_s, action = _split_spec(spec, default_action)
-        if not site:
-            raise FaultSpecError(spec, site, "is an empty site name")
-        try:
-            index = int(index_s)
-        except ValueError:
-            raise FaultSpecError(
-                spec, index_s, "is not an integer invocation index"
-            ) from None
-        if index < 0:
-            raise FaultSpecError(spec, index_s,
-                                 "is a negative invocation index")
-        if action not in actions:
-            raise FaultSpecError(
-                spec, action,
-                f"is not a fault action (one of {', '.join(actions)})",
-            )
-        return cls(site=site, index=index, action=action)
-
-
-def _split_spec(spec: str, default_action: str | None
-                ) -> tuple[str, str, str]:
-    """Split one ``site:index[:action]`` token, shape-checked."""
-    parts = spec.rsplit(":", 2)
-    if len(parts) == 2 and default_action is not None:
-        return parts[0], parts[1], default_action
-    if len(parts) != 3:
-        raise FaultSpecError(
-            spec, spec,
-            "does not have the shape SITE:IDX:ACTION",
-        )
-    return parts[0], parts[1], parts[2]
-
-
-def parse_fault_plans(spec: str, *, actions: tuple[str, ...] = ACTIONS
-                      ) -> tuple[FaultPlan, ...]:
-    """Parse a comma-separated multi-fault plan string.
-
-    ``"compact.write:1:torn,compact.rename:0:power-loss"`` arms two
-    points in one run.  Whitespace around tokens is tolerated; an empty
-    string, an empty token between commas, a duplicate crash point, or
-    any malformed ``SITE:IDX:ACTION`` raises :class:`FaultSpecError`
-    naming the bad token.
-    """
-    tokens = [token.strip() for token in spec.split(",")]
-    if tokens == [""]:
-        raise FaultSpecError(spec, spec, "is an empty fault plan")
-    plans: list[FaultPlan] = []
-    for token in tokens:
-        if not token:
-            raise FaultSpecError(spec, token,
-                                 "is an empty token between commas")
-        plans.append(FaultPlan.parse(token, actions=actions))
-    points = [plan.point for plan in plans]
-    for point in points:
-        if points.count(point) > 1:
-            raise FaultSpecError(
-                spec, point, "is armed twice in one plan"
-            )
-    return tuple(plans)
 
 
 class PassthroughIO:
@@ -286,31 +156,22 @@ class TrackedFile:
 class FaultInjector(PassthroughIO):
     """Deterministic fault-injecting backend.
 
-    With ``plan=None`` it is a *recording* passthrough: every site
+    With no ``specs`` it is a *recording* passthrough: every site
     invocation is appended to :attr:`trace` (and ``trace_path`` if
-    given), which is how the sweep enumerates crash points.  With a
-    plan, the armed point misbehaves as described in the module
-    docstring.
+    given), which is how the sweep enumerates crash points.  Each
+    armed storage-family spec makes its point misbehave as described
+    in the module docstring.
     """
 
-    def __init__(self, plan=None, *,
+    def __init__(self, specs=(), *,
                  mode: str = "raise",
                  trace_path: str | Path | None = None):
         if mode not in ("raise", "exit"):
             raise ValueError(f"mode must be 'raise' or 'exit', not {mode!r}")
-        if plan is None:
-            plans: tuple[FaultPlan, ...] = ()
-        elif isinstance(plan, FaultPlan):
-            plans = (plan,)
-        else:
-            plans = tuple(plan)
-        #: every armed point (combined-fault plans arm several).
-        self.plans = plans
-        #: the single armed plan, for the common one-fault case.
-        self.plan = plans[0] if len(plans) == 1 else None
+        self._points = PointCounter("storage", specs, trace_path=trace_path)
+        #: every ``site:index`` reached, in order.
+        self.trace = self._points.trace
         self.mode = mode
-        self.counts: dict[str, int] = {}
-        self.trace: list[str] = []
         self.faults_injected = 0
         #: set to the crash point once a simulated power loss happened;
         #: any further I/O raises :class:`PowerLoss` again so stray
@@ -323,9 +184,6 @@ class FaultInjector(PassthroughIO):
         #: directory operations not yet covered by a directory fsync,
         #: in execution order, as (dirpath, op-tuple).
         self._pending_ops: list[tuple[str, tuple]] = []
-        self._trace_file = None
-        if trace_path is not None:
-            self._trace_file = open(trace_path, "a", buffering=1)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -333,16 +191,8 @@ class FaultInjector(PassthroughIO):
         """Count one invocation; return the armed action, if any."""
         if self.tripped is not None:
             raise PowerLoss(self.tripped)
-        index = self.counts.get(site, 0)
-        self.counts[site] = index + 1
-        point = f"{site}:{index}"
-        self.trace.append(point)
-        if self._trace_file is not None:
-            self._trace_file.write(point + "\n")
-        for plan in self.plans:
-            if plan.site == site and plan.index == index:
-                return plan.action
-        return None
+        spec = self._points.hit(site)
+        return spec.action if spec is not None else None
 
     def _point(self) -> str:
         return self.trace[-1]
@@ -517,5 +367,4 @@ class FaultInjector(PassthroughIO):
                 tracked.close()
             except OSError:
                 pass
-        if self._trace_file is not None and not self._trace_file.closed:
-            self._trace_file.close()
+        self._points.close()

@@ -86,7 +86,8 @@ from ..net.messages import (
     WriteLogMsg,
 )
 from ..net.packet import PACKET_PAYLOAD_BYTES
-from .faultfs import FaultInjector, parse_fault_plans
+from .faultfs import FaultInjector
+from .faultspec import parse_plan
 from .filestore import FileLogStore
 from .placement import TenantQuota, load_cluster_spec, tenant_of
 
@@ -619,8 +620,8 @@ async def run_server(
     """
     io = None
     if fault_plan is not None or fault_trace is not None:
-        plans = parse_fault_plans(fault_plan) if fault_plan else ()
-        io = FaultInjector(plans, mode="exit", trace_path=fault_trace)
+        io = FaultInjector(parse_plan(fault_plan) if fault_plan else (),
+                           mode="exit", trace_path=fault_trace)
     quotas = (load_cluster_spec(cluster_spec).quotas
               if cluster_spec is not None else None)
     store = FileLogStore(data_dir, server_id,

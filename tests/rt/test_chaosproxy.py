@@ -1,8 +1,10 @@
 """The reusable network chaos layer (:mod:`repro.rt.chaosproxy`).
 
 The stall knob is exercised at length by ``test_backpressure.py``;
-these tests cover the knobs that were added when the proxy was promoted
-out of that file: latency, loss, one-way partitions, and corruption.
+these tests cover what was added when the proxy was promoted out of
+that file: one-way partitions, and — through the deterministic frame
+plans that replaced the per-chunk latency / loss / corruption knobs —
+delay, total loss and corruption as a client sees them.
 """
 
 from __future__ import annotations
@@ -17,21 +19,26 @@ from repro.core.errors import LogError, ServerUnavailable
 from repro.net.messages import IntervalListCall
 from repro.rt.chaosproxy import ChaosProxy, ProxiedCluster
 from repro.rt.client import AsyncReplicatedLog, ServerConnection
+from repro.rt.faultspec import parse_plan
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 
 
-def test_latency_delays_every_round_trip(tmp_path):
+def test_delay_holds_both_legs_of_the_round_trip(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, latency_s=0.05) as cluster:
+        plans = parse_plan("net.intervallistcall.c2s:0:delay,"
+                           "net.intervallistreply.s2c:0:delay")
+        async with ProxiedCluster(tmp_path, plans=plans,
+                                  net_delay_s=0.05) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=5.0, client_id="c1")
             await conn.connect()
             t0 = time.monotonic()
             await conn.call(IntervalListCall("c1"))
             elapsed = time.monotonic() - t0
-            # one chunk each way through the proxy: >= 2 * latency
+            # one delayed frame each way through the proxy: >= 2 * delay
             assert elapsed >= 0.09
+            assert cluster.proxy.frames_delayed == 2
             assert cluster.proxy.bytes_forwarded > 0
             await conn.close()
 
@@ -63,7 +70,8 @@ def test_one_way_partition_starves_replies(tmp_path):
 
 def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, loss_rate=1.0) as cluster:
+        async with ProxiedCluster(tmp_path) as cluster:
+            cluster.proxy.partition("both")  # every chunk, both ways
             log = AsyncReplicatedLog("c1", cluster.addresses(), CONFIG,
                                      timeout=1.0)
             await log.initialize()  # s1 unusable; spares answer
@@ -80,17 +88,18 @@ def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
 
 def test_corruption_is_detected_not_accepted(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, corrupt_rate=1.0,
+        plans = parse_plan("net.intervallistreply.s2c:0:corrupt-header")
+        async with ProxiedCluster(tmp_path, plans=plans,
                                   seed=7) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=1.0, client_id="c1")
             await conn.connect()
-            # A corrupted frame desynchronizes the stream: the call
+            # A corrupted reply breaks the client's decoder: the call
             # must fail (decode error / teardown / timeout) — never
             # return corrupt data as success.
             with pytest.raises((ServerUnavailable, LogError)):
                 await conn.call(IntervalListCall("c1"))
-            assert cluster.proxy.chunks_corrupted >= 1
+            assert cluster.proxy.frames_corrupted == 1
             await conn.close()
 
     asyncio.run(main())

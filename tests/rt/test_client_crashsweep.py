@@ -220,8 +220,7 @@ def test_client_case_partial_ack_kill_and_recovery(tmp_path):
     report = run_crashsweep(SweepConfig(
         root_dir=str(tmp_path), point="client.force.ack:0:exit",
     ))
-    assert len(report.client_cases) == 1
-    case = report.client_cases[0]
+    (case,) = report.cases("client")
     assert case.spec == "client.force.ack:0:exit"
     assert case.hit, "the workload never reached the armed point"
     assert case.ok, case.errors

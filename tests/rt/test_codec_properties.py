@@ -30,11 +30,8 @@ from repro.net.codec import (
     decode,
     decode_stored_record,
     encode,
-    encode_into,
-    encode_iov,
     encode_stored_record,
     frame,
-    frame_into,
     frame_iov,
     frame_new_high_lsn,
 )
@@ -302,26 +299,10 @@ def test_stats_reply_names_match_wire_order():
 
 # -- zero-copy encode/frame variants --------------------------------------
 #
-# The scatter-gather senders (``encode_iov``/``frame_iov``), the
-# append-into-scratch senders (``encode_into``/``frame_into``), and the
-# fused group-commit ack (``frame_new_high_lsn``) must be *byte
-# identical* to the reference ``encode``/``frame`` for every message
-# kind — they are transport optimizations, never wire-format changes.
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(messages(), generator_messages()))
-def test_encode_iov_matches_encode(msg):
-    assert b"".join(encode_iov(msg)) == encode(msg)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(messages(), generator_messages()))
-def test_encode_into_appends_encode(msg):
-    buf = bytearray(b"prefix")
-    n = encode_into(msg, buf)
-    assert bytes(buf) == b"prefix" + encode(msg)
-    assert n == msg.wire_size
+# The scatter-gather sender (``frame_iov``) and the fused group-commit
+# ack (``frame_new_high_lsn``) must be *byte identical* to the
+# reference ``encode``/``frame`` for every message kind — they are
+# transport optimizations, never wire-format changes.
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,23 +311,13 @@ def test_frame_iov_matches_frame(msg):
     assert b"".join(frame_iov(msg)) == frame(msg)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(messages(), generator_messages()))
-def test_frame_into_appends_frame(msg):
-    buf = bytearray(b"xy")
-    n = frame_into(msg, buf)
-    assert bytes(buf) == b"xy" + frame(msg)
-    assert n == len(frame(msg))
-
-
 @settings(max_examples=200, deadline=None)
 @given(record_batches(), st.booleans())
-def test_encode_iov_accepts_preencoded_record_images(batch, force):
+def test_frame_iov_accepts_preencoded_record_images(batch, force):
     ep, records = batch
     cls = ForceLogMsg if force else WriteLogMsg
     msg = cls("c", ep, records)
     images = [encode_stored_record(r) for r in records]
-    assert b"".join(encode_iov(msg, images)) == encode(msg)
     assert b"".join(frame_iov(msg, images)) == frame(msg)
 
 

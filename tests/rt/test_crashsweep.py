@@ -1,57 +1,81 @@
-"""The crash-point sweep harness (in-process phases only — the daemon
+"""The crash-point sweep harness (in-process phase only — the daemon
 phase spawns real subprocesses and runs in CI as ``repro crashsweep
 --quick``)."""
 
 from __future__ import annotations
 
-from repro.harness.crashsweep import SweepConfig, run_crashsweep
+import json
+from pathlib import Path
+
+from repro.harness.crashsweep import (
+    SweepConfig,
+    _payloads,
+    run_crashsweep,
+    storage_phase,
+)
+
+#: the committed seed-0 enumeration: the gate a refactor must hold.
+_BASELINE = json.loads(
+    (Path(__file__).parents[2] / "BENCH_crashsweep.json").read_text())
 
 
 def test_quick_sweep_passes_all_invariants(tmp_path):
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), quick=True, daemon=False,
+        root_dir=str(tmp_path), quick=True, phases=("storage",),
     ))
-    # The acceptance floor: the workload must expose a rich crash
-    # surface, not a token handful of points.
-    assert report.points_enumerated >= 30
+    # The enumeration is a gate, not a floor: a change that adds,
+    # drops or fuses an I/O point must re-baseline deliberately.
+    assert _BASELINE["params"]["seed"] == report.seed == 0
+    storage = report.phase("storage")
+    assert storage.points == _BASELINE["metrics"]["points_enumerated"]
+    assert len(storage.sites) == _BASELINE["metrics"]["sites"]
     assert {"log.write.record", "log.fsync", "compact.rename",
             "compact.dirsync", "forest.write", "log.write.install",
-            "log.write.truncate", "dir.create-sync"} <= set(report.sites)
+            "log.write.truncate", "dir.create-sync"} <= set(storage.sites)
     assert report.cases_run > 0
     assert report.failures == [], [c.as_dict() for c in report.failures]
 
 
 def test_single_point_replay(tmp_path):
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), daemon=False,
-        point="log.fsync:1:short-write",
+        root_dir=str(tmp_path), point="log.fsync:1:short-write",
     ))
-    assert len(report.cases) == 1
-    case = report.cases[0]
+    (case,) = report.cases()
+    assert list(report.phases) == ["storage"]
     assert case.spec == "log.fsync:1:short-write"
     assert case.ok, case.errors
 
 
+def test_point_replay_defaults_to_power_loss(tmp_path):
+    report = run_crashsweep(SweepConfig(
+        root_dir=str(tmp_path), point="log.write.record:0",
+    ))
+    (case,) = report.cases("storage")
+    assert case.spec == "log.write.record:0:power-loss"
+    assert case.ok, case.errors
+
+
 def test_seed_changes_payloads_not_points(tmp_path):
-    reports = [
-        run_crashsweep(SweepConfig(
-            root_dir=str(tmp_path / str(seed)), seed=seed,
-            point="log.write.record:0",  # enumerate + one case, cheap
-            daemon=False,
-        ))
+    traces = [
+        storage_phase(tmp_path / str(seed), _payloads(seed)).enumerate()
         for seed in (0, 1)
     ]
-    assert reports[0].points_enumerated == reports[1].points_enumerated
-    assert reports[0].sites == reports[1].sites
-    assert all(c.ok for r in reports for c in r.cases)
+    assert _payloads(0) != _payloads(1)
+    assert traces[0] == traces[1]
+    assert len(traces[0]) == _BASELINE["metrics"]["points_enumerated"]
 
 
 def test_report_as_dict_is_json_shaped(tmp_path):
-    import json
-
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), daemon=False, point="log.open:0",
+        root_dir=str(tmp_path), point="log.open:0",
     ))
     payload = json.loads(json.dumps(report.as_dict()))
-    assert payload["points_enumerated"] == report.points_enumerated
+    assert sorted(payload) == sorted((
+        "seed", "quick", "points_enumerated", "sites", "cases_run",
+        "daemon_points_enumerated", "daemon_cases",
+        "client_points_enumerated", "client_sites", "client_cases",
+        "combined_cases_run", "net_points_enumerated", "net_sites",
+        "net_cases", "net_partition_cases", "net_handoff_cases",
+        "fuzz_cases", "failures", "duration_s"))
+    assert payload["cases_run"] == 1
     assert payload["failures"] == []

@@ -13,8 +13,8 @@ from repro.core.errors import StorageError
 from repro.core.records import StoredRecord
 from repro.net.codec import WireCodecError, decode_stored_record, \
     encode_stored_record
-from repro.rt.faultfs import FaultInjector, FaultPlan, FaultSpecError, \
-    PassthroughIO, PowerLoss, parse_fault_plans
+from repro.rt.faultfs import FaultInjector, PassthroughIO, PowerLoss
+from repro.rt.faultspec import FaultSpec, FaultSpecError, parse_plan
 from repro.rt.filestore import FileLogStore
 
 
@@ -24,15 +24,16 @@ def rec(lsn, epoch=1, data=None):
                         kind="data")
 
 
-# -- FaultPlan ------------------------------------------------------------
+# -- storage specs of the one grammar (tests/rt/test_faultspec.py has
+# the cross-family rules) ------------------------------------------------
 
 
-def test_fault_plan_parse_roundtrip():
-    plan = FaultPlan.parse("log.write.record:7:power-loss")
-    assert (plan.site, plan.index, plan.action) \
-        == ("log.write.record", 7, "power-loss")
-    assert plan.point == "log.write.record:7"
-    assert FaultPlan.parse(plan.spec) == plan
+def test_storage_spec_parse_roundtrip():
+    (spec,) = parse_plan("log.write.record:7:power-loss")
+    assert (spec.site, spec.index, spec.action, spec.family) \
+        == ("log.write.record", 7, "power-loss", "storage")
+    assert spec.point == "log.write.record:7"
+    assert parse_plan(spec.spec) == (spec,)
 
 
 @pytest.mark.parametrize("spec,bad_token", [
@@ -42,23 +43,23 @@ def test_fault_plan_parse_roundtrip():
     ("log.fsync:1:meteor-strike", "meteor-strike"),  # unknown action
     (":1:power-loss", ""),                  # empty site
 ])
-def test_fault_plan_rejects_bad_specs(spec, bad_token):
+def test_storage_spec_rejects_bad_specs(spec, bad_token):
     with pytest.raises(FaultSpecError) as excinfo:
-        FaultPlan.parse(spec)
+        parse_plan(spec)
     assert excinfo.value.token == bad_token
     assert excinfo.value.spec == spec
     assert isinstance(excinfo.value, ValueError)  # old except clauses hold
 
 
-def test_parse_fault_plans_multi():
-    plans = parse_fault_plans(
+def test_parse_plan_multi():
+    plans = parse_plan(
         "compact.write:1:torn, compact.rename:0:power-loss"
     )
     assert [p.spec for p in plans] \
         == ["compact.write:1:torn", "compact.rename:0:power-loss"]
-    # Single-spec strings parse to a one-plan tuple.
-    assert parse_fault_plans("log.fsync:2:eio") \
-        == (FaultPlan.parse("log.fsync:2:eio"),)
+    # Single-spec strings parse to a one-spec tuple.
+    assert parse_plan("log.fsync:2:eio") \
+        == (FaultSpec("log.fsync", 2, "eio"),)
 
 
 @pytest.mark.parametrize("spec,bad_token", [
@@ -67,10 +68,21 @@ def test_parse_fault_plans_multi():
     ("log.fsync:1:eio,log.fsync:1:enospc", "log.fsync:1"),  # dup point
     ("log.fsync:1:eio,log.open:zz:eio", "zz"),       # bad token named
 ])
-def test_parse_fault_plans_rejects_bad_strings(spec, bad_token):
+def test_parse_plan_rejects_bad_strings(spec, bad_token):
     with pytest.raises(FaultSpecError) as excinfo:
-        parse_fault_plans(spec)
+        parse_plan(spec)
     assert excinfo.value.token == bad_token
+
+
+def test_injector_arms_only_storage_specs():
+    """A client or network spec handed to the storage injector is a
+    routing mistake, not a fault that silently never fires."""
+    for foreign in ("client.force.ack:0:exit", "net.writelog.c2s:0:drop"):
+        with pytest.raises(FaultSpecError) as excinfo:
+            FaultInjector(parse_plan(foreign))
+        assert excinfo.value.token == foreign.split(":")[0]
+    with pytest.raises(FaultSpecError):   # a bare point arms nothing
+        FaultInjector(parse_plan("log.fsync:0"))
 
 
 # -- deterministic enumeration --------------------------------------------
@@ -99,7 +111,7 @@ def test_trace_is_deterministic(tmp_path):
 
 
 def test_power_loss_reverts_to_fsync_barrier(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.fsync:2:power-loss"))
+    inj = FaultInjector(parse_plan("log.fsync:2:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)   # log.fsync:0
     store.append_record("c", rec(2), fsync=True)   # log.fsync:1
@@ -112,7 +124,7 @@ def test_power_loss_reverts_to_fsync_barrier(tmp_path):
 
 
 def test_short_write_keeps_torn_prefix(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:short-write"))
+    inj = FaultInjector(parse_plan("log.write.record:1:short-write"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     with pytest.raises(PowerLoss):
@@ -128,7 +140,7 @@ def test_short_write_keeps_torn_prefix(tmp_path):
 
 def test_torn_write_keeps_running(tmp_path):
     """``torn`` is the lying disk: a half write with no crash."""
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:torn"))
+    inj = FaultInjector(parse_plan("log.write.record:1:torn"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     store.append_record("c", rec(2), fsync=True)   # torn, but "succeeds"
@@ -152,7 +164,7 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
     and a daemon restart replays the retained suffix and can finish
     the truncation cleanly.
     """
-    plans = parse_fault_plans(
+    plans = parse_plan(
         "compact.write:2:torn,compact.rename:0:power-loss"
     )
     inj = FaultInjector(plans)
@@ -176,7 +188,7 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
 
 
 def test_errno_action_is_transient_and_wedges_the_store(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:enospc"))
+    inj = FaultInjector(parse_plan("log.write.record:1:enospc"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     with pytest.raises(StorageError):
@@ -192,7 +204,7 @@ def test_errno_action_is_transient_and_wedges_the_store(tmp_path):
 
 
 def test_post_crash_io_raises_power_loss(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.fsync:0:power-loss"))
+    inj = FaultInjector(parse_plan("log.fsync:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     with pytest.raises(PowerLoss):
         store.append_record("c", rec(1), fsync=True)
@@ -211,7 +223,7 @@ def test_created_log_survives_power_loss_after_ack(tmp_path):
     rolled back pending directory ops — the whole log vanished, taking
     the already-*acknowledged* record 1 with it.
     """
-    inj = FaultInjector(FaultPlan.parse("log.fsync:1:power-loss"))
+    inj = FaultInjector(parse_plan("log.fsync:1:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)   # acked
     with pytest.raises(PowerLoss):
@@ -234,7 +246,7 @@ def test_stale_forest_detected_after_compaction_crash(tmp_path):
     stream it was built against, so the reopen discards and rebuilds
     instead of silently reading garbage offsets.
     """
-    inj = FaultInjector(FaultPlan.parse("forest.unlink:0:power-loss"))
+    inj = FaultInjector(parse_plan("forest.unlink:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)
@@ -261,7 +273,7 @@ def test_failed_compaction_reopen_keeps_store_usable(tmp_path):
     instead of the storage error.  The rescue path re-opens the
     installed stream so the daemon can keep serving reads.
     """
-    inj = FaultInjector(FaultPlan.parse("compact.reopen:0:eio"))
+    inj = FaultInjector(parse_plan("compact.reopen:0:eio"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)

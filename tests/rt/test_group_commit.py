@@ -29,7 +29,8 @@ from repro.core.store import LogServerStore
 from repro.net.codec import decode
 from repro.net.messages import ERR_STORAGE, ErrorReply, ForceLogMsg, NewHighLSNMsg
 from repro.rt.client import AdaptiveDelta, AsyncReplicatedLog
-from repro.rt.faultfs import FaultInjector, FaultPlan
+from repro.rt.faultfs import FaultInjector
+from repro.rt.faultspec import FaultSpec
 from repro.rt.filestore import FileLogStore
 from repro.rt.server import LogServerDaemon
 
@@ -159,9 +160,9 @@ def test_parked_forces_share_one_fsync_and_ack_after(tmp_path):
 
 def test_failed_group_fsync_errors_every_parked_force(tmp_path):
     async def main():
-        plan = FaultPlan(site="log.group-fsync", index=0, action="eio")
+        plan = FaultSpec(site="log.group-fsync", index=0, action="eio")
         store = FileLogStore(os.path.join(tmp_path, "s1"), "s1",
-                             io=FaultInjector(plan, mode="raise"))
+                             io=FaultInjector((plan,), mode="raise"))
         daemon = LogServerDaemon(store)
         writers = [FakeWriter() for _ in range(2)]
         for i, writer in enumerate(writers):

@@ -30,13 +30,8 @@ from repro.net.messages import (
     NewHighLSNMsg,
     WriteLogMsg,
 )
-from repro.rt.chaosproxy import (
-    NET_ACTIONS,
-    ChaosProxy,
-    NetFaultPlan,
-    parse_net_plans,
-)
-from repro.rt.faultfs import FaultSpecError
+from repro.rt.chaosproxy import ChaosProxy
+from repro.rt.faultspec import NET_ACTIONS, FaultSpecError, parse_plan
 
 
 def _record(lsn: int, data: bytes = b"payload") -> StoredRecord:
@@ -102,35 +97,50 @@ def test_type_name_tables_are_a_bijection():
 
 
 def test_net_plan_parse_round_trips():
-    for spec in ("net.writelog.c2s:0:drop",
+    for text in ("net.writelog.c2s:0:drop",
                  "net.newhighlsn.s2c:3:partition-after",
                  "s2@net.forcelog.c2s:1:corrupt-payload"):
-        plan = NetFaultPlan.parse(spec)
-        assert plan.spec == spec
-        assert plan.action in NET_ACTIONS
+        (spec,) = parse_plan(text)
+        assert spec.spec == text
+        assert spec.family == "net" and spec.action in NET_ACTIONS
+    assert spec.target == "s2" and spec.kind == "forcelog"
 
 
-@pytest.mark.parametrize("bad", [
-    "net.writelog.c2s",                      # no index/action
-    "net.nosuchkind.c2s:0:drop",             # unknown message kind
-    "net.writelog.sideways:0:drop",          # bad direction
-    "net.writelog.c2s:-1:drop",              # negative index
-    "net.writelog.c2s:0:explode",            # unknown action
-    "log.fsync:0:drop",                      # storage site, not net
-    "@net.writelog.c2s:0:drop",              # empty server id
-    "net.writelog.c2s:x:drop",               # non-integer index
+@pytest.mark.parametrize("bad,bad_token", [
+    ("net.writelog.c2s", "net.writelog.c2s"),        # no index/action
+    ("net.nosuchkind.c2s:0:drop", "nosuchkind"),     # unknown message kind
+    ("net.writelog.sideways:0:drop", "sideways"),    # bad direction
+    ("net.writelog.c2s:-1:drop", "-1"),              # negative index
+    ("net.writelog.c2s:0:explode", "explode"),       # unknown action
+    # A storage site with a network action.  (The one token that moved
+    # with the grammar: the old net-only parser blamed the site; now the
+    # site names its own family, so the action is what is wrong.)
+    ("log.fsync:0:drop", "drop"),
+    ("@net.writelog.c2s:0:drop", "@net.writelog.c2s:0:drop"),  # empty target
+    ("net.writelog.c2s:x:drop", "x"),                # non-integer index
 ])
-def test_net_plan_rejects_malformed(bad):
-    with pytest.raises(FaultSpecError):
-        NetFaultPlan.parse(bad)
+def test_net_plan_rejects_malformed(bad, bad_token):
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plan(bad)
+    assert excinfo.value.token == bad_token
 
 
-def test_parse_net_plans_rejects_duplicates():
-    plans = parse_net_plans(
+def test_parse_plan_rejects_duplicates_per_target():
+    plans = parse_plan(
         "net.writelog.c2s:0:drop,s2@net.writelog.c2s:0:drop")
     assert len(plans) == 2  # same point, different servers: legal
-    with pytest.raises(FaultSpecError):
-        parse_net_plans("net.writelog.c2s:0:drop,net.writelog.c2s:0:delay")
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plan("net.writelog.c2s:0:drop,net.writelog.c2s:0:delay")
+    assert excinfo.value.token == "net.writelog.c2s:0"
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plan("s2@net.ack.s2c:1:drop,s2@net.ack.s2c:1:delay")
+    assert excinfo.value.token == "s2@net.ack.s2c:1"
+
+
+def test_proxy_arms_only_network_specs():
+    with pytest.raises(FaultSpecError) as excinfo:
+        ChaosProxy("127.0.0.1", 1, plans=parse_plan("log.fsync:0:eio"))
+    assert excinfo.value.token == "log.fsync"
 
 
 # -- frame actions through a live proxy --------------------------------------
@@ -194,7 +204,7 @@ async def _run_through_proxy(plans, send_frames, *, read_timeout=0.5):
 def test_drop_swallows_only_the_armed_frame():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:0:drop"), _frames())
+            parse_plan("net.writelog.c2s:0:drop"), _frames())
         assert got == ["intervallistcall", "forcelog", "newhighlsn"]
         assert proxy.frames_dropped == 1
         assert proxy.dropped_by_direction["c2s"] == 1
@@ -206,7 +216,7 @@ def test_drop_swallows_only_the_armed_frame():
 def test_duplicate_forwards_twice():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.forcelog.c2s:0:duplicate"), _frames())
+            parse_plan("net.forcelog.c2s:0:duplicate"), _frames())
         assert got.count("forcelog") == 2
         assert proxy.frames_duplicated == 1
 
@@ -218,7 +228,7 @@ def test_corrupt_header_breaks_only_that_frame_boundary():
         # The echo upstream's scanner rejects the corrupted frame and
         # drops the connection — earlier frames made it through intact.
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.forcelog.c2s:0:corrupt-header"),
+            parse_plan("net.forcelog.c2s:0:corrupt-header"),
             _frames())
         assert "intervallistcall" in got and "writelog" in got
         assert "forcelog" not in got
@@ -230,7 +240,7 @@ def test_corrupt_header_breaks_only_that_frame_boundary():
 def test_truncate_mid_frame_kills_the_connection():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:1:truncate-mid-frame"),
+            parse_plan("net.writelog.c2s:1:truncate-mid-frame"),
             _frames() + [frame(WriteLogMsg("c1", epoch=1,
                                            records=(_record(3),)))])
         assert proxy.frames_truncated == 1
@@ -243,7 +253,7 @@ def test_truncate_mid_frame_kills_the_connection():
 def test_partition_after_blocks_the_rest_of_the_direction():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.intervallistcall.c2s:0:partition-after"),
+            parse_plan("net.intervallistcall.c2s:0:partition-after"),
             _frames())
         # The armed frame itself is forwarded; everything after it in
         # c2s is silently dropped.
@@ -256,7 +266,7 @@ def test_partition_after_blocks_the_rest_of_the_direction():
 def test_frame_indices_are_per_site():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:1:drop"),
+            parse_plan("net.writelog.c2s:1:drop"),
             [frame(WriteLogMsg("c1", epoch=1, records=(_record(n),)))
              for n in range(1, 4)]
             + [frame(ForceLogMsg("c1", epoch=1,

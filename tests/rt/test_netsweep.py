@@ -8,16 +8,19 @@ as ``repro crashsweep --point net...`` / ``--plan ...`` would.
 
 from __future__ import annotations
 
+import asyncio
+import itertools
 import random
 
 import pytest
 
+from repro.core.config import ReplicationConfig
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
-from repro.harness.netsweep import (
-    draw_fuzz_plan,
-    parse_composite_plan,
-)
-from repro.rt.faultfs import FaultSpecError
+from repro.harness.netsweep import draw_fuzz_plan
+from repro.harness.sweep import ClientJournal, verify_restart
+from repro.rt.cluster import LoopbackCluster
+from repro.rt.faultspec import FaultSpecError, by_target, parse_plan, \
+    plan_text
 
 SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
          "net.newhighlsn.s2c": 3, "net.ack.s2c": 3,
@@ -28,43 +31,157 @@ SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
 
 
 def test_composite_plan_routes_all_three_families():
-    plan = parse_composite_plan(
-        "net.writelog.c2s:1:drop,"
-        "s2@log.fsync:2:power-loss,"
-        "log.write.record:0:eio,"
-        "client.force.ack:0:raise")
-    assert [p.spec for p in plan.net] == ["net.writelog.c2s:1:drop"]
-    assert [(sid, p.spec) for sid, p in plan.storage] == [
-        ("s2", "log.fsync:2:power-loss"),
-        ("s1", "log.write.record:0:eio"),  # storage defaults to s1
-    ]
-    assert [p.spec for p in plan.client] == ["client.force.ack:0:raise"]
-    # The spec property round-trips through the parser.
-    assert parse_composite_plan(plan.spec).spec == plan.spec
+    text = ("net.writelog.c2s:1:drop,"
+            "s2@log.fsync:2:power-loss,"
+            "log.write.record:0:eio,"
+            "client.force.ack:0:raise")
+    plan = parse_plan(text)
+    assert [spec.family for spec in plan] \
+        == ["net", "storage", "storage", "client"]
+    storage = [spec for spec in plan if spec.family == "storage"]
+    assert {sid: plan_text(specs)
+            for sid, specs in by_target(storage, "s1").items()} == {
+        "s1": "log.write.record:0:eio",    # storage defaults to s1
+        "s2": "s2@log.fsync:2:power-loss",
+    }
+    # The plan text round-trips through the parser.
+    assert plan_text(plan) == text
+    assert parse_plan(plan_text(plan)) == plan
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "net.writelog.c2s:0:drop,",                    # trailing empty token
-    "s1@client.force.ack:0:raise",                 # client fault routed
-    "net.writelog.c2s:0:drop,net.writelog.c2s:0:delay",  # dup point
-    "@log.fsync:0:power-loss",                     # empty server id
-    "net.writelog.c2s:0:power-loss",               # storage action on net
+@pytest.mark.parametrize("bad,bad_token", [
+    ("", ""),
+    ("net.writelog.c2s:0:drop,", ""),              # trailing empty token
+    ("s1@client.force.ack:0:raise",                # client fault routed
+     "s1@client.force.ack:0:raise"),
+    ("net.writelog.c2s:0:drop,net.writelog.c2s:0:delay",  # dup point
+     "net.writelog.c2s:0"),
+    ("@log.fsync:0:power-loss",                    # empty server id
+     "@log.fsync:0:power-loss"),
+    ("net.writelog.c2s:0:power-loss", "power-loss"),  # storage action on net
 ])
-def test_composite_plan_rejects_malformed(bad):
-    with pytest.raises(FaultSpecError):
-        parse_composite_plan(bad)
+def test_composite_plan_rejects_malformed(bad, bad_token):
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plan(bad)
+    assert excinfo.value.token == bad_token
 
 
 def test_fuzz_plans_are_seed_deterministic():
     for seed in range(5):
         a = draw_fuzz_plan(random.Random(seed), SITES)
         b = draw_fuzz_plan(random.Random(seed), SITES)
-        assert a.spec == b.spec
-        total = len(a.net) + len(a.storage) + len(a.client)
-        assert 2 <= total <= 4
+        assert a == b
+        assert 2 <= len(a) <= 4
         # Every drawn plan replays through the parser unchanged.
-        assert parse_composite_plan(a.spec).spec == a.spec
+        assert parse_plan(plan_text(a)) == a
+
+
+def test_fuzz_plan_strings_are_pinned():
+    """The seed fixes the RNG draw order, so a plan string is a stable
+    replay key: these were recorded at the parent of the one-grammar
+    refactor and must not move (seeds 6 and 7 draw client faults, which
+    consume no action draw)."""
+    assert {seed: plan_text(draw_fuzz_plan(random.Random(seed), SITES))
+            for seed in (0, 5, 6, 7)} == {
+        0: "s2@net.forcelog.c2s:1:corrupt-header,"
+           "s1@net.forcelog.c2s:0:truncate-mid-frame,"
+           "s2@log.write.record:2:eio",
+        5: "s1@net.forcelog.c2s:2:corrupt-payload,"
+           "s1@net.copylog.c2s:0:corrupt-header,"
+           "s2@net.copylog.c2s:0:duplicate,"
+           "s1@log.write.record:1:power-loss",
+        6: "s2@net.copylog.c2s:0:partition-after,"
+           "s2@log.write.fence:1:eio,"
+           "client.recovery.copylog:1:raise,client.init.lists:0:raise",
+        7: "s2@net.writelog.c2s:0:drop,"
+           "client.recovery.copylog:0:raise,client.force.ack:0:raise",
+    }
+
+
+# -- the checker of the checker ----------------------------------------------
+
+_CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
+_client_ids = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def cluster(tmp_path_factory):
+    root = tmp_path_factory.mktemp("verify-restart")
+    with LoopbackCluster(str(root), num_servers=3) as running:
+        yield running
+
+
+@pytest.fixture
+def clean_run(cluster):
+    """A clean loopback cluster and the honest journal of one fresh
+    client (the verifier's liveness writes make a stream single-use)."""
+    from repro.rt.client import AsyncReplicatedLog
+
+    client_id = f"v{next(_client_ids)}"
+    journal = ClientJournal()
+
+    async def workload():
+        log = AsyncReplicatedLog(client_id, cluster.addresses(), _CONFIG,
+                                 timeout=3.0)
+        await log.initialize()
+        journal.epoch = log.current_epoch
+        try:
+            for i in range(6):
+                await journal.write(log, f"{client_id}.{i}".encode())
+            await journal.force(log)
+        finally:
+            await log.close()
+
+    asyncio.run(workload())
+    assert journal.acked_high == max(journal.attempts)
+    assert len(journal.attempts) == 6
+
+    def verify(**doctored) -> list[str]:
+        fields = dict(epoch=journal.epoch, intents=list(journal.intents),
+                      attempts=dict(journal.attempts),
+                      acked_high=journal.acked_high)
+        fields.update(doctored)
+        return asyncio.run(verify_restart(
+            cluster.addresses(), client_id, _CONFIG,
+            ClientJournal(**fields)))
+
+    return journal, verify
+
+
+def test_verify_restart_accepts_the_honest_journal(clean_run):
+    _, verify = clean_run
+    assert verify() == []
+
+
+def test_verify_restart_flags_a_never_written_ack(clean_run):
+    journal, verify = clean_run
+    ghost = journal.acked_high + 1   # inside the restart's guard window
+    (error,) = verify(
+        attempts={**journal.attempts, ghost: b"never sent"},
+        intents=journal.intents + [b"never sent"], acked_high=ghost)
+    assert f"acked lsn {ghost} lost" in error
+
+
+def test_verify_restart_flags_a_payload_missing_from_intents(clean_run):
+    journal, verify = clean_run
+    lsn, payload = sorted(journal.attempts.items())[2]
+    errors = verify(
+        attempts={k: v for k, v in journal.attempts.items() if k != lsn},
+        intents=[p for p in journal.intents if p != payload])
+    assert errors == [f"fabricated record at lsn {lsn}"]
+
+
+def test_verify_restart_flags_an_epoch_above_the_recovered_one(clean_run):
+    journal, verify = clean_run
+    (error,) = verify(epoch=journal.epoch + 1000)
+    assert "not monotone" in error
+
+
+def test_verify_restart_excuses_records_below_a_truncation_floor(clean_run):
+    """A requested truncation may or may not have been applied: records
+    below the floor that survive are legal (and still payload-checked)."""
+    journal, verify = clean_run
+    assert verify(trunc_req=min(journal.attempts) + 3) == []
 
 
 # -- replay paths against real daemons ---------------------------------------
@@ -73,8 +190,7 @@ def test_fuzz_plans_are_seed_deterministic():
 def test_replay_single_net_case(tmp_path):
     report = run_crashsweep(SweepConfig(
         root_dir=str(tmp_path), point="net.forcelog.c2s:0:drop"))
-    assert len(report.net_cases) == 1
-    case = report.net_cases[0]
+    (case,) = report.cases("net")
     assert case.hit, "the armed frame point never fired"
     assert case.ok, case.errors
     assert report.failures == []
@@ -84,8 +200,7 @@ def test_replay_partition_switch_case(tmp_path):
     report = run_crashsweep(SweepConfig(
         root_dir=str(tmp_path),
         point="net.newhighlsn.s2c:0:partition-after"))
-    assert len(report.net_cases) == 1
-    case = report.net_cases[0]
+    (case,) = report.cases("net")
     assert case.hit and case.ok, case.errors
 
 
@@ -93,15 +208,17 @@ def test_replay_composite_plan(tmp_path):
     report = run_crashsweep(SweepConfig(
         root_dir=str(tmp_path),
         plan="net.writelog.c2s:0:drop,client.force.ack:0:raise"))
-    assert len(report.fuzz_cases) == 1
-    assert report.fuzz_cases[0].ok, report.fuzz_cases[0].errors
+    (case,) = report.cases("fuzz")
+    assert case.ok, case.errors
 
 
 def test_fuzz_smoke_is_green_and_counted(tmp_path):
     report = run_crashsweep(SweepConfig(
-        root_dir=str(tmp_path), net_only=True, fuzz=2, seed=0))
-    assert len(report.fuzz_cases) == 2
+        root_dir=str(tmp_path), phases=(), fuzz=2, seed=0))
+    assert len(report.cases("fuzz")) == 2
     assert report.failures == []
     assert report.cases_run == 2
-    # The net sweep itself was not requested, only fuzz.
-    assert report.net_cases == []
+    # The net sweep itself was not requested, only fuzz — but the frame
+    # enumeration the fuzzer drew from is still reported.
+    assert report.cases("net") == []
+    assert report.as_dict()["net_points_enumerated"] > 0

@@ -99,3 +99,45 @@ class TestExtendedCommands:
         assert main(["restart-latency"]) == 0
         out = capsys.readouterr().out
         assert "Client initialization latency" in out
+
+
+class TestCrashsweepPhases:
+    """``repro crashsweep`` flags → the one ``SweepConfig.phases`` value."""
+
+    @staticmethod
+    def _five_booleans(args) -> tuple[str, ...]:
+        """The phase set the five pre-``phases`` SweepConfig booleans
+        (daemon, client, client_only, net, net_only) used to encode."""
+        net_only = bool(args.net or args.fuzz or args.plan)
+        run_net = args.net or (not net_only and not args.no_net
+                               and not args.client)
+        phases = []
+        if not args.client and not net_only:
+            phases.append("storage")
+            if not args.no_daemon:
+                phases.append("daemon")
+        if (not args.no_client or args.client) and not net_only:
+            phases.append("client")
+        if run_net:
+            phases.append("net")
+        return tuple(phases)
+
+    def test_every_flag_combination_keeps_its_phase_set(self):
+        import itertools
+
+        from repro.cli import _sweep_phases
+
+        flags = ("--no-daemon", "--client", "--no-client", "--net",
+                 "--no-net", "--fuzz=3", "--plan=log.fsync:0:eio")
+        for n in range(len(flags) + 1):
+            for chosen in itertools.combinations(flags, n):
+                args = build_parser().parse_args(["crashsweep", *chosen])
+                assert _sweep_phases(args) == self._five_booleans(args), \
+                    chosen
+
+    def test_defaults(self):
+        from repro.cli import _sweep_phases
+        from repro.harness.crashsweep import PHASES, SweepConfig
+
+        args = build_parser().parse_args(["crashsweep"])
+        assert _sweep_phases(args) == PHASES == SweepConfig().phases
