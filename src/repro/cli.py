@@ -26,23 +26,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import CapacityConfig, analyze
-from .core.availability import figure_3_4_series
-from .harness import (
-    ChurnConfig,
-    TargetLoadConfig,
-    run_availability_churn,
-    run_degraded_mode,
-    run_load_sweep,
-    run_paper_figure_states,
-    run_prototype_comparison,
-    run_restart_latency,
-    run_target_load,
-)
-from .harness.tables import format_table
+# Each subcommand imports what it runs inside its ``_cmd_*``: a
+# ``repro serve`` daemon then loads the runtime and nothing of the
+# simulator, the analysis or the experiment harness.
+
+
+def format_table(*args, **kwargs) -> str:
+    """:func:`repro.harness.tables.format_table`, imported on first use
+    (any ``repro.harness`` import loads the whole harness package)."""
+    from .harness.tables import format_table as render
+
+    return render(*args, **kwargs)
 
 
 def _cmd_availability(args: argparse.Namespace) -> int:
+    from .core.availability import figure_3_4_series
+
     rows = []
     for n, points in sorted(figure_3_4_series(p=args.p, max_m=args.max_m).items()):
         for pt in points:
@@ -56,6 +55,8 @@ def _cmd_availability(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .analysis import CapacityConfig, analyze
+
     report = analyze(CapacityConfig(
         clients=args.clients, servers=args.servers, copies=args.copies,
     ))
@@ -68,6 +69,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
+    from .harness import run_paper_figure_states
+
     states = run_paper_figure_states()
     for title, tables in (
         ("Figure 3-2 (record 10 partially written)", states.figure_3_2),
@@ -83,6 +86,8 @@ def _cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def _cmd_target_load(args: argparse.Namespace) -> int:
+    from .harness import TargetLoadConfig, run_target_load
+
     result = run_target_load(TargetLoadConfig(
         clients=args.clients, servers=args.servers,
         duration_s=args.duration, seed=args.seed,
@@ -98,6 +103,8 @@ def _cmd_target_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_prototype(args: argparse.Namespace) -> int:
+    from .harness import run_prototype_comparison
+
     pc = run_prototype_comparison(transactions=args.transactions)
     print(format_table(
         ["remote (s)", "local (s)", "ratio"],
@@ -111,6 +118,8 @@ def _cmd_prototype(args: argparse.Namespace) -> int:
 
 
 def _cmd_degraded(args: argparse.Namespace) -> int:
+    from .harness import run_degraded_mode
+
     rows = run_degraded_mode(duration_s=args.duration)
     print(format_table(
         ["down", "up", "txns", "mean force (ms)", "survivor CPU"],
@@ -123,6 +132,8 @@ def _cmd_degraded(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness import run_load_sweep
+
     rows = run_load_sweep(duration_s=args.duration)
     print(format_table(
         ["offered TPS/client", "achieved", "mean force (ms)", "disk util",
@@ -136,6 +147,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
+    from .harness import ChurnConfig, run_availability_churn
+
     result = run_availability_churn(ChurnConfig(
         servers=args.servers, copies=args.copies, clients=args.clients,
         p=args.p, mtbf_s=args.mtbf, duration_s=args.duration,
@@ -159,6 +172,8 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_restart(args: argparse.Namespace) -> int:
+    from .harness import run_restart_latency
+
     rows = run_restart_latency()
     print(format_table(
         ["M", "mean restart (ms)", "max restart (ms)"],

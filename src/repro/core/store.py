@@ -25,6 +25,7 @@ exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError, RecordNotStored, ServerUnavailable
@@ -45,8 +46,14 @@ class ClientLogState:
     staged: dict[Epoch, list[StoredRecord]] = field(default_factory=dict)
     #: fast lookup of the highest-epoch copy of each LSN.
     _by_lsn: dict[LSN, StoredRecord] = field(default_factory=dict)
-    #: highest LSN ever written, maintained on append (O(1) reads).
-    _high_lsn: LSN | None = None
+    #: the keys of ``_by_lsn`` in ascending order — the index ReadLog
+    #: bisects and walks, and whose last element is the high LSN.
+    #: Maintained where ``_by_lsn`` is: one list append when a record
+    #: is the new maximum (the only case the steady write path hits),
+    #: an ``insort`` when a new epoch fills a hole below it, nothing
+    #: when InstallCopies rewrites a stored LSN, and one slice delete
+    #: on truncation.  Readers get the list itself: do not mutate it.
+    lsns: list[LSN] = field(default_factory=list)
     #: maximal consecutive-LSN/same-epoch runs as ``[epoch, lo, hi]``,
     #: maintained incrementally: append order *is* (epoch, lsn) sorted
     #: order (the write-order rules enforce it), so extending the last
@@ -58,8 +65,9 @@ class ClientLogState:
 
     @property
     def high_lsn(self) -> LSN | None:
-        """Highest LSN ever written here, or None if empty."""
-        return self._high_lsn
+        """Highest LSN stored here, or None if empty."""
+        lsns = self.lsns
+        return lsns[-1] if lsns else None
 
     @property
     def high_epoch(self) -> Epoch:
@@ -98,8 +106,11 @@ class ClientLogState:
         cur = self._by_lsn.get(lsn)
         if cur is None or record.epoch > cur.epoch:
             self._by_lsn[lsn] = record
-        if self._high_lsn is None or lsn > self._high_lsn:
-            self._high_lsn = lsn
+        lsns = self.lsns
+        if not lsns or lsn > lsns[-1]:
+            lsns.append(lsn)
+        elif cur is None:
+            insort(lsns, lsn)
         runs = self._runs
         if runs and runs[-1][0] == record.epoch and runs[-1][2] == lsn - 1:
             runs[-1][2] = lsn
@@ -134,16 +145,17 @@ class ClientLogState:
         self.records = [r for r in self.records if r.lsn >= low_water]
         dropped = before - len(self.records)
         if dropped:
-            for lsn in [k for k in self._by_lsn if k < low_water]:
+            lsns = self.lsns
+            cut = bisect_left(lsns, low_water)
+            for lsn in lsns[:cut]:
                 del self._by_lsn[lsn]
+            del lsns[:cut]
             clipped: list[list] = []
             for epoch, lo, hi in self._runs:
                 if hi < low_water:
                     continue
                 clipped.append([epoch, max(lo, low_water), hi])
             self._runs = clipped
-            if not self.records:
-                self._high_lsn = None
         self.truncated_below = low_water
         return dropped
 
@@ -206,6 +218,16 @@ class LogServerStore:
             state = ClientLogState(client_id)
             self._clients[client_id] = state
         return state
+
+    def find_client(self, client_id: str) -> ClientLogState | None:
+        """The client's state, or ``None`` — never created here.
+
+        :meth:`client_state` creates the state it does not find, which
+        suits the simulated server; a daemon answering reads from the
+        network uses this instead, or a peer naming fresh ids would
+        grow it without bound.
+        """
+        return self._clients.get(client_id)
 
     def known_clients(self) -> list[str]:
         return sorted(self._clients)
@@ -296,8 +318,11 @@ class LogServerStore:
         records.append(record)
         if existing is None or epoch > existing.epoch:
             state._by_lsn[lsn] = record
-        if state._high_lsn is None or lsn > state._high_lsn:
-            state._high_lsn = lsn
+        lsns = state.lsns
+        if not lsns or lsn > lsns[-1]:
+            lsns.append(lsn)
+        elif existing is None:
+            insort(lsns, lsn)
         runs = state._runs
         if runs and runs[-1][0] == epoch and runs[-1][2] == lsn - 1:
             runs[-1][2] = lsn

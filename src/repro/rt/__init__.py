@@ -14,7 +14,10 @@ LAN contention, failure injection), this package *runs* it:
 * :mod:`repro.rt.cluster` — a loopback cluster harness spawning M
   server processes for tests and benchmarks;
 * :mod:`repro.rt.loadgen` — an ET1-shaped load driver reporting
-  throughput and ForceLog latency percentiles;
+  throughput and ForceLog latency percentiles (import it by name: it
+  is not re-exported here, so that a ``repro serve`` daemon, which
+  imports this package for :mod:`repro.rt.server`, does not load the
+  workload and analysis models with it);
 * :mod:`repro.rt.placement` — consistent-hash placement of tenant
   streams over the fleet, the ``placements.json`` cluster spec, and
   per-tenant quotas (the sharded multi-tenant layer over the runtime);
@@ -37,14 +40,6 @@ from .cluster import LoopbackCluster, ServerProcess
 from .faultfs import FaultInjector, PassthroughIO, PowerLoss
 from .faultspec import FaultSpec, FaultSpecError, parse_plan
 from .filestore import FileLogStore, FilePageStore
-from .loadgen import (
-    LoadReport,
-    MultiLoadReport,
-    run_loadgen,
-    run_loadgen_sync,
-    run_multi_loadgen,
-    run_multi_loadgen_sync,
-)
 from .placement import (
     ClusterSpec,
     HashRing,
@@ -68,10 +63,8 @@ __all__ = [
     "FileLogStore",
     "FilePageStore",
     "HashRing",
-    "LoadReport",
     "LogServerDaemon",
     "LoopbackCluster",
-    "MultiLoadReport",
     "PassthroughIO",
     "PlacementDirectory",
     "PowerLoss",
@@ -86,10 +79,6 @@ __all__ = [
     "loadgen_client_ids",
     "parse_plan",
     "qualified_client_id",
-    "run_loadgen",
-    "run_loadgen_sync",
-    "run_multi_loadgen",
-    "run_multi_loadgen_sync",
     "run_server",
     "tenant_of",
 ]

@@ -440,9 +440,14 @@ class ServerConnection:
         — the per-server failure the core algorithm already knows how
         to route around.  A timeout tears the connection down (reply
         matching is positional, so a late reply must never be allowed
-        to answer the wrong call).
+        to answer the wrong call).  The timeout is armed the way
+        :meth:`force` arms its own — a ``call_later`` handle cancelled
+        on reply, not an ``asyncio.wait_for`` per call — and a fired
+        one fails this and every other pending future through
+        :meth:`_abort`.
         """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        fut: asyncio.Future = loop.create_future()
         await self.send(msg)
         # Registered only after the send was accepted: a send that
         # raises (dead connection, stalled queue) must not leave a
@@ -451,11 +456,11 @@ class ServerConnection:
         # the enqueue returning and this append, so the reply cannot
         # arrive first.
         self._pending.append(fut)
+        handle = loop.call_later(self.timeout, self._abort, "call timed out")
         try:
-            reply = await asyncio.wait_for(fut, self.timeout)
-        except asyncio.TimeoutError as exc:
-            self._abort("call timed out")
-            raise ServerUnavailable(self.server_id, "call timed out") from exc
+            reply = await fut
+        finally:
+            handle.cancel()
         if isinstance(reply, ErrorReply):
             raise _reply_error(self.server_id, reply)
         return reply

@@ -678,7 +678,7 @@ class FileLogStore:
         if dropped:
             self._compact()
         else:
-            mark = self.mem.client_state(client_id).truncated_below
+            mark = self.truncated_lsn(client_id)
             if mark:
                 mark_bytes = struct.pack("!I", mark)
                 self._append_entry(
@@ -689,7 +689,8 @@ class FileLogStore:
 
     def truncated_lsn(self, client_id: str) -> LSN:
         """The client's applied low-water mark (0 = never truncated)."""
-        return self.mem.client_state(client_id).truncated_below
+        state = self.mem.find_client(client_id)
+        return state.truncated_below if state is not None else 0
 
     def _maybe_compact(self) -> None:
         """The size-watermark fallback: compact when the log outgrows
@@ -824,17 +825,27 @@ class FileLogStore:
     # -- reads --------------------------------------------------------
 
     def interval_list(self, client_id: str) -> ServerIntervals:
-        return self.mem.interval_list(client_id)
+        state = self.mem.find_client(client_id)
+        return ServerIntervals(
+            self.server_id, state.intervals() if state is not None else ())
 
     def read_record(self, client_id: str, lsn: LSN) -> StoredRecord:
         return self.mem.server_read_log(client_id, lsn)
 
     def stored_lsns(self, client_id: str) -> list[LSN]:
-        """All LSNs stored for a client, sorted (for ReadLog packing)."""
-        return sorted(self.mem.client_state(client_id)._by_lsn)
+        """All LSNs stored for a client, ascending (for ReadLog packing).
+
+        This is the stream's maintained index itself
+        (:attr:`~repro.core.store.ClientLogState.lsns`), not a copy:
+        the daemon asks for it on every ReadLog call, so it must cost
+        the same however much log is retained.  Callers only read it.
+        """
+        state = self.mem.find_client(client_id)
+        return state.lsns if state is not None else []
 
     def client_high_lsn(self, client_id: str) -> LSN | None:
-        return self.mem.client_state(client_id).high_lsn
+        state = self.mem.find_client(client_id)
+        return state.high_lsn if state is not None else None
 
     @property
     def log_size_bytes(self) -> int:

@@ -491,6 +491,10 @@ class LogServerDaemon:
         nearest stored LSN in the scan direction; the reply carries the
         highest-epoch copy of each.  An empty reply means the server
         stores nothing on that side.
+
+        ``stored_lsns`` is the stream's maintained index, so a call
+        costs one bisect plus a walk over the few records that fit the
+        packet — independent of how much log the daemon retains.
         """
         lsns = self.store.stored_lsns(client_id)
         picked: list[StoredRecord] = []

@@ -148,6 +148,37 @@ class TestCopyInstall:
         assert table == [(1, 2, "yes"), (2, 2, "yes")]
 
 
+class TestLsnIndex:
+    """``ClientLogState.lsns``: the stored LSNs, ascending, kept
+    incrementally (tests/rt/test_read_index.py has the property test
+    over the durable store)."""
+
+    def test_appends_rewrites_hole_fills_and_truncation(self, store):
+        for lsn in (1, 2, 5, 6):
+            store.server_write_log("c1", lsn, 1, True)
+        state = store.client_state("c1")
+        assert state.lsns == [1, 2, 5, 6] and state.high_lsn == 6
+        store.server_write_log("c1", 2, 2, True, b"rewrite")  # stored LSN
+        store.server_write_log("c1", 4, 2, True)  # hole below the high
+        assert state.lsns == [1, 2, 4, 5, 6] and state.high_lsn == 6
+        store.copy_log("c1", 3, 3, True)
+        store.copy_log("c1", 7, 3, False)
+        assert state.lsns == [1, 2, 4, 5, 6]  # staged copies are invisible
+        store.install_copies("c1", 3)
+        assert state.lsns == [1, 2, 3, 4, 5, 6, 7]
+        index = state.lsns
+        store.truncate_below("c1", 5)
+        assert state.lsns == [5, 6, 7] and state.lsns is index
+        store.truncate_below("c1", 9)
+        assert state.lsns == [] and state.high_lsn is None
+
+    def test_find_client_never_creates_state(self, store):
+        assert store.find_client("ghost") is None
+        assert store.known_clients() == []
+        store.server_write_log("c1", 1, 1, True)
+        assert store.find_client("c1") is store.client_state("c1")
+
+
 class TestAvailability:
     def test_crashed_store_refuses_everything(self, store):
         store.server_write_log("c1", 1, 1, True)

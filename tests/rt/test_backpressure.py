@@ -26,7 +26,11 @@ import pytest
 
 from repro.core.config import ReplicationConfig
 from repro.core.errors import ServerUnavailable
-from repro.net.messages import IntervalListCall
+from repro.net.messages import (
+    GeneratorReadCall,
+    GeneratorReadReply,
+    IntervalListCall,
+)
 from repro.rt.chaosproxy import ProxiedCluster
 from repro.rt.client import AsyncReplicatedLog, ServerConnection
 
@@ -56,6 +60,44 @@ def test_call_timeout_tears_down_connection(tmp_path):
             await asyncio.sleep(0)  # let cancellations propagate
             assert reader_task.done()
             assert writer_task.done()
+            await conn.close()
+
+    asyncio.run(main())
+
+
+def test_silent_server_fails_every_pending_call_at_the_timeout(tmp_path):
+    """``call`` arms one timer per call; the first to fire takes the
+    connection — and every other pending call — down with it, and the
+    replies the server finally sends can answer nothing afterwards."""
+
+    async def main():
+        async with ProxiedCluster(tmp_path) as cluster:
+            conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
+                                    timeout=0.3, client_id="c1")
+            await conn.connect()
+            cluster.proxy.stall()
+            started = time.monotonic()
+            first, second = await asyncio.gather(
+                conn.call(IntervalListCall("c1")),
+                conn.call(GeneratorReadCall("c1")),
+                return_exceptions=True)
+            elapsed = time.monotonic() - started
+            assert isinstance(first, ServerUnavailable)
+            assert isinstance(second, ServerUnavailable)
+            assert "call timed out" in str(first)
+            assert 0.3 <= elapsed < 2.0
+            assert not conn.alive
+            assert not conn._pending
+            # The stalled replies are released onto a closed socket; a
+            # call on the replacement connection gets its own reply.
+            cluster.proxy.unstall()
+            await conn.connect()
+            reply = await conn.call(GeneratorReadCall("c1"))
+            assert isinstance(reply, GeneratorReadReply)
+            # ... and a timely reply disarms its timer: nothing fires
+            # after the timeout has passed.
+            await asyncio.sleep(0.4)
+            assert conn.alive
             await conn.close()
 
     asyncio.run(main())

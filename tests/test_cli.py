@@ -141,3 +141,34 @@ class TestCrashsweepPhases:
 
         args = build_parser().parse_args(["crashsweep"])
         assert _sweep_phases(args) == PHASES == SweepConfig().phases
+
+
+def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
+    """A daemon's start is inside every runtime benchmark's ``setup_s``
+    three times over: ``repro serve`` must not import the experiment
+    harness or the analysis models on its way to the banner."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    imports = tmp_path / "imports.txt"
+    with open(imports, "w") as err:
+        with subprocess.Popen(
+                [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+                 "--data-dir", str(tmp_path / "s1"), "--server-id", "s1"],
+                stdout=subprocess.PIPE, stderr=err, text=True,
+                env={**os.environ, "PYTHONPATH": src}) as daemon:
+            try:
+                banner = daemon.stdout.readline()
+            finally:
+                daemon.terminate()
+                daemon.wait(timeout=10)
+    assert banner.startswith("REPRO-SERVE s1 ")
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in imports.read_text().splitlines() if "|" in line}
+    assert "repro.rt.server" in loaded
+    assert not [name for name in loaded
+                if name.startswith(("repro.harness", "repro.analysis"))]
