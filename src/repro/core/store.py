@@ -35,7 +35,15 @@ from .records import Epoch, LSN, StoredRecord
 
 @dataclass(slots=True)
 class ClientLogState:
-    """Records and staged copies one server holds for one client."""
+    """Records and staged copies one server holds for one client.
+
+    A record is kept as the object the caller passed, and only its
+    ``lsn``, ``epoch``, ``present`` and — on the duplicate check —
+    ``data`` are read here: the file-backed daemon
+    (:mod:`repro.rt.filestore`) stores payload-free handles whose
+    ``data`` reads the bytes back, so these rules run on its index
+    unchanged.
+    """
 
     client_id: str
     #: records in write order; (lsn, epoch) strictly increasing
@@ -372,17 +380,21 @@ class LogServerStore:
         log server."  The record stays invisible to reads and interval
         lists until InstallCopies.
         """
-        self._check_up()
-        state = self.client_state(client_id)
-        if epoch <= state.high_epoch:
-            raise ProtocolError(
-                f"CopyLog epoch {epoch} not above server high epoch "
-                f"{state.high_epoch}"
-            )
-        record = StoredRecord(
+        self.copy_record(client_id, StoredRecord(
             lsn=lsn, epoch=epoch, present=present,
             data=data if present else b"", kind=kind,
-        )
+        ))
+
+    def copy_record(self, client_id: str, record: StoredRecord) -> None:
+        """CopyLog taking a ready record, kept as the caller's object
+        (what :meth:`server_write_record` is to ServerWriteLog)."""
+        self._check_up()
+        state = self.client_state(client_id)
+        if record.epoch <= state.high_epoch:
+            raise ProtocolError(
+                f"CopyLog epoch {record.epoch} not above server high epoch "
+                f"{state.high_epoch}"
+            )
         state.stage_copy(record)
 
     def install_copies(self, client_id: str, epoch: Epoch) -> int:
@@ -400,7 +412,11 @@ class LogServerStore:
         return self.client_state(client_id).truncate_below(low_water)
 
     def record_count(self) -> int:
-        """Total records held across all clients (the daemon RSS proxy)."""
+        """Total records retained across all clients.
+
+        The file-backed daemon keeps one fixed-size handle per retained
+        record, so this is proportional to its resident index — not to
+        the payload bytes, which stay on disk."""
         return sum(len(s.records) for s in self._clients.values())
 
     # -- diagnostics -----------------------------------------------------

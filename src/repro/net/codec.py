@@ -255,6 +255,29 @@ def decode_stored_record(buf: bytes, offset: int) -> tuple[StoredRecord, int]:
     return trusted_stored_record(lsn, epoch, present, data, kind), end + dlen
 
 
+def check_stored_image(image: bytes, lsn: int, epoch: int) -> bytes:
+    """CRC-check one whole record image expected to hold ⟨lsn, epoch⟩;
+    return its data.
+
+    For the file store's reads: the index already holds the record's
+    validated fields, so all an image read back from disk owes is that
+    its bytes are intact and are that record's — a fraction of what
+    :func:`decode_stored_record` does for bytes off the wire.
+    """
+    if len(image) < RECORD_HEADER_BYTES:
+        raise WireCodecError("truncated record header")
+    got_lsn, got_epoch, _, _, dlen, crc = _RECORD.unpack_from(image, 0)
+    data = image[RECORD_HEADER_BYTES:]
+    if len(data) != dlen:
+        raise WireCodecError("truncated record data")
+    if zlib.crc32(data, zlib.crc32(image[:_RECORD_PREFIX.size])) != crc:
+        raise WireCodecError(f"record ⟨{lsn},{epoch}⟩ failed CRC check")
+    if got_lsn != lsn or got_epoch != epoch:
+        raise WireCodecError(
+            f"image holds ⟨{got_lsn},{got_epoch}⟩, not ⟨{lsn},{epoch}⟩")
+    return data
+
+
 def _encode_records(records: tuple[StoredRecord, ...]) -> bytes:
     return b"".join(encode_stored_record(r) for r in records)
 

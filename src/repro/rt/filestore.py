@@ -5,16 +5,24 @@ daemon: an fsync'd append stream of log entries (``log.dat``) plus a
 persisted append-forest index per client (``forest-<client>.idx``),
 both crash-recoverable by scan.
 
-The in-memory view replays through the existing
-:class:`~repro.core.store.LogServerStore`, so the Section 3.1.1
-semantics (write-order rules, duplicate tolerance, staged CopyLog /
-atomic InstallCopies, interval lists) are implemented exactly once; the
-file layer adds only durability.
+The daemon holds an index, not the log.  Memory keeps one fixed-size
+:class:`RecordHandle` per retained record — LSN, epoch, present flag,
+kind, and the byte offset and length of the record's image in
+``log.dat`` — plus the images appended since the last covering fsync
+(the only ones a ForceLog normally re-sends); the payloads live on
+disk.  The handles sit in the existing
+:class:`~repro.core.store.LogServerStore`, which stores them as-is, so
+the Section 3.1.1 semantics (write-order rules, duplicate tolerance,
+staged CopyLog / atomic InstallCopies, interval lists) are implemented
+exactly once; the file layer adds durability and the bytes.  A read
+reads the stored image with ``pread`` through one long-lived descriptor and
+CRC-verifies it; replay streams ``log.dat`` in bounded chunks; and
+compaction copies retained images from the old file by offset.
 
 Section 5.3 log space management: :meth:`FileLogStore.truncate_below`
 records a per-client truncation point, drops the reclaimed prefix from
-the in-memory store, and compacts ``log.dat`` by rewriting it from the
-live state (tmp file + atomic rename + directory fsync) — a restart
+the index, and compacts ``log.dat`` by rewriting it from the live
+state (tmp file + atomic rename + directory fsync) — a restart
 then replays only the retained suffix.  A size watermark
 (``compact_watermark_bytes``) triggers the same compaction
 automatically so a client that never truncates still gets a bounded
@@ -61,11 +69,12 @@ if a crash loses its tail, recovery rebuilds the missing suffix from
 the (authoritative) log scan, so the forest never needs an fsync.
 Records re-written below the high-water mark by CopyLog/InstallCopies
 are not re-indexed — append forests require strictly increasing keys —
-and are served from the replayed in-memory state instead.
+and are reached through their handles instead.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from collections.abc import Sequence
@@ -73,11 +82,12 @@ from pathlib import Path
 
 from ..core.errors import ProtocolError, StorageError
 from ..core.intervals import ServerIntervals
-from ..core.records import Epoch, LSN, StoredRecord
+from ..core.records import Epoch, LSN, StoredRecord, trusted_stored_record
 from ..core.store import LogServerStore
 from ..net.codec import (
     RECORD_HEADER_BYTES,
     WireCodecError,
+    check_stored_image,
     decode_stored_record,
     encode_stored_record,
 )
@@ -264,15 +274,67 @@ def _client_file_tag(client_id: str) -> str:
     return client_id.encode("utf-8").hex()
 
 
+#: a record image is a 16-byte header plus at most 2**16 - 1 data bytes.
+_LENGTH_BITS = 17
+_LENGTH_MASK = (1 << _LENGTH_BITS) - 1
+
+#: alignment and unit of reads from ``log.dat`` (a power of two).
+_READ_BLOCK_BYTES = 4096
+
+
+class RecordHandle:
+    """What the daemon keeps in memory per stored record — no payload.
+
+    ``offset`` is where the record's entry starts in ``log.dat`` and
+    ``length`` the size of its image (record header + data) there; the
+    two share one integer, so a handle costs the same whatever the
+    record's size.  Duck-types
+    :class:`~repro.core.records.StoredRecord` for
+    :class:`~repro.core.store.ClientLogState`, which stores it as-is
+    and reads ``data`` only on the duplicate check — that fetches the
+    bytes back through the owning store.
+    """
+
+    __slots__ = ("_store", "lsn", "epoch", "present", "kind", "_extent")
+
+    def __init__(self, store: "FileLogStore", record: StoredRecord,
+                 offset: int, length: int):
+        self._store = store
+        self.lsn = record.lsn
+        self.epoch = record.epoch
+        self.present = record.present
+        self.kind = record.kind
+        self._extent = offset << _LENGTH_BITS | length
+
+    @property
+    def offset(self) -> int:
+        return self._extent >> _LENGTH_BITS
+
+    @offset.setter
+    def offset(self, offset: int) -> None:
+        self._extent = offset << _LENGTH_BITS | self.length
+
+    @property
+    def length(self) -> int:
+        return self._extent & _LENGTH_MASK
+
+    @property
+    def data(self) -> bytes:
+        return self._store._data(self)
+
+
 class FileLogStore:
     """Durable state of one real log-server node.
 
-    All mutating operations append to ``log.dat`` first and then update
-    the replayed in-memory :class:`LogServerStore`; acknowledgments are
-    sent only after the append (and, for forces and installs, its
-    ``fsync``) returns.  Reopening the same ``data_dir`` recovers the
-    durable prefix by scan.
+    All mutating operations append to ``log.dat`` and index what they
+    appended in :attr:`mem`, a :class:`LogServerStore` of
+    :class:`RecordHandle` objects; acknowledgments are sent only after the
+    append (and, for forces and installs, its ``fsync``) returns.
+    Reopening the same ``data_dir`` recovers the durable prefix by scan.
     """
+
+    #: bytes read per ``pread`` while replaying ``log.dat`` at open.
+    replay_chunk_bytes = 256 * 1024
 
     def __init__(self, data_dir: str | Path, server_id: str, *,
                  compact_watermark_bytes: int | None = None,
@@ -312,7 +374,8 @@ class FileLogStore:
         self.reclaimed_bytes = 0
         self.storage_errors = 0
         #: complete-but-corrupt entries rejected by CRC during recovery
-        #: (torn tails are not corruption and are counted separately).
+        #: (torn tails are not corruption and are counted separately),
+        #: plus stored images that failed theirs when read back.
         self.crc_rejections = 0
         #: bumped by every compaction; ties forest index files to the
         #: log stream they index (see ``E_META``).
@@ -322,46 +385,84 @@ class FileLogStore:
         #: durability).
         self.io_error: str | None = None
         self._last_compact_size = 0
-        self._size = self._recover()
+        #: handle → image of every record appended since the last
+        #: covering fsync: what a ForceLog re-sends is compared against
+        #: these in memory, and reads of them need no flush.
+        self._tail: dict[RecordHandle, bytes] = {}
         existed = self._log_path.exists()
+        #: the one descriptor reads, replay and compaction read through.
+        self._reader = (open(self._log_path, "rb", buffering=0)
+                        if existed else None)
+        #: the last aligned block :meth:`_read` fetched, and its offset.
+        self._block = b""
+        self._block_base = 0
+        self._size = self._recover()
+        #: how much of ``log.dat`` the OS has; the rest of ``_size`` is
+        #: still in the append handle's buffer.
+        self._flushed = self._size
         self._file = self.io.open(self._log_path, "ab", "log.open")
         if not existed:
             # A freshly created log.dat is not durable until its
             # directory entry is: without this barrier, power loss
             # after the first acked fsync could drop the whole file.
             self.io.fsync_dir(self.data_dir, "dir.create-sync")
+            self._reader = open(self._log_path, "rb", buffering=0)
 
     # -- recovery -----------------------------------------------------
 
     def _recover(self) -> int:
-        """Replay the valid prefix of ``log.dat``; return its length."""
-        raw = self._log_path.read_bytes() if self._log_path.exists() else b""
-        offset = 0
-        valid = 0
-        steady: dict[str, list[tuple[LSN, int]]] = {}
-        while offset < len(raw):
-            parsed = self._parse_entry(raw, offset)
+        """Replay the valid prefix of ``log.dat``; return its length.
+
+        The file is streamed :attr:`replay_chunk_bytes` at a time (an
+        entry larger than that is read whole): ``buf`` holds the bytes
+        from file offset ``base`` on and ``pos`` walks it.
+        """
+        if self._reader is None:
+            return 0
+        fd = self._reader.fileno()
+        # nothing is buffered yet: a read-back during replay (the
+        # duplicate check on a repeated entry) goes straight to disk
+        file_size = self._flushed = os.fstat(fd).st_size
+        buf = b""
+        base = pos = 0
+        while True:
+            parsed = self._parse_entry(buf, pos)
+            if isinstance(parsed, int):
+                # ``buf`` ends inside the entry: read on, or — at the
+                # end of the file — stop at an ordinary torn tail.
+                chunk = os.pread(
+                    fd, max(self.replay_chunk_bytes,
+                            parsed - (len(buf) - pos)), base + len(buf))
+                if not chunk:
+                    break
+                buf = buf[pos:] + chunk
+                base += pos
+                pos = 0
+                continue
             if parsed is None:
                 break
-            etype, client_id, payload, next_offset = parsed
+            etype, client_id, payload, next_pos = parsed
+            offset = base + pos
             try:
                 if etype == E_RECORD:
-                    self.mem.server_write_record(client_id, payload)
-                    steady.setdefault(client_id, []).append(
-                        (payload.lsn, offset)
-                    )
+                    self.mem.server_write_record(client_id, RecordHandle(
+                        self, payload, offset,
+                        next_pos - pos - _ENTRY.size))
+                    # Index whatever steady-state suffix the buffered
+                    # forest file lost.  (No mark replayed later can
+                    # cover this record: ``truncate_below`` compacts
+                    # whenever it drops anything.)
+                    forest = self._forest(client_id)
+                    if payload.lsn > (forest.high_key or 0):
+                        forest.append_key(payload.lsn, offset)
                 elif etype == E_STAGED:
-                    self.mem.copy_log(client_id, payload.lsn, payload.epoch,
-                                      payload.present, payload.data,
-                                      payload.kind)
+                    self.mem.copy_record(client_id, RecordHandle(
+                        self, payload, offset,
+                        next_pos - pos - _ENTRY.size))
                 elif etype == E_INSTALL:
                     self.mem.install_copies(client_id, payload)
                 elif etype == E_TRUNCATE:
                     self.mem.truncate_below(client_id, payload)
-                    pairs = steady.get(client_id)
-                    if pairs:
-                        steady[client_id] = [(lsn, off) for lsn, off in pairs
-                                             if lsn >= payload]
                 elif etype == E_META:
                     self.log_generation = max(self.log_generation, payload)
                 elif etype == E_FENCE:
@@ -382,35 +483,34 @@ class FileLogStore:
                 self.crc_rejections += 1
                 break
             self.recovered_entries += 1
-            offset = next_offset
-            valid = offset
-        if valid < len(raw):
-            self.truncated_bytes = len(raw) - valid
-            with open(self._log_path, "r+b") as fh:
-                fh.truncate(valid)
-        # Rebuild each client's forest from its index file, then index
-        # whatever steady-state suffix the buffered index file lost.
-        for client_id, pairs in steady.items():
-            forest = self._forest(client_id)
-            high = forest.high_key or 0
-            for lsn, entry_offset in pairs:
-                if lsn > high:
-                    forest.append_key(lsn, entry_offset)
-                    high = lsn
+            pos = next_pos
+        valid = base + pos
+        if valid < file_size:
+            self.truncated_bytes = file_size - valid
+            os.truncate(self._log_path, valid)
+            # a read-back above may have kept a block reaching into
+            # the bytes just cut off, where new appends will land
+            self._block = b""
         return valid
 
     def _parse_entry(
         self, raw: bytes, offset: int
-    ) -> tuple[int, str, object, int] | None:
-        """Parse one entry; ``None`` if the tail is torn or corrupt.
+    ) -> tuple[int, str, object, int] | int | None:
+        """Parse the entry at ``offset`` of ``raw``.
+
+        Returns ``(etype, client_id, payload, end)``; or an ``int`` —
+        how many bytes the entry takes from ``offset``, as far as its
+        head tells — when ``raw`` ends before that; or ``None`` when
+        the bytes cannot be an entry.
 
         An entry whose bytes are all present but whose CRC does not
         verify is *corruption* (e.g. an injected bit flip), counted in
         ``crc_rejections``; an incomplete entry is an ordinary torn
         tail and is not.
         """
-        if offset + _ENTRY.size > len(raw):
-            return None
+        have = len(raw) - offset
+        if have < _ENTRY.size:
+            return _ENTRY.size
         magic, etype, cid_raw = _ENTRY.unpack_from(raw, offset)
         if magic != ENTRY_MAGIC:
             return None
@@ -424,23 +524,26 @@ class FileLogStore:
             try:
                 record, end = decode_stored_record(raw, body)
             except WireCodecError:
-                if body + RECORD_HEADER_BYTES <= len(raw):
+                need = _ENTRY.size + RECORD_HEADER_BYTES
+                if have >= need:
                     (dlen,) = struct.unpack_from("!H", raw, body + 10)
-                    if body + RECORD_HEADER_BYTES + dlen <= len(raw):
-                        self.crc_rejections += 1
+                    need += dlen
+                if have < need:
+                    return need
+                self.crc_rejections += 1
                 return None
             return etype, client_id, record, end
         if etype in (E_INSTALL, E_TRUNCATE, E_FENCE):
-            if body + _INSTALL.size > len(raw):
-                return None
+            if have < _ENTRY.size + _INSTALL.size:
+                return _ENTRY.size + _INSTALL.size
             value, crc = _INSTALL.unpack_from(raw, body)
             if zlib.crc32(raw[body:body + 4]) != crc:
                 self.crc_rejections += 1
                 return None
             return etype, client_id, value, body + _INSTALL.size
         if etype in (E_GENERATOR, E_META):
-            if body + _GENERATOR.size > len(raw):
-                return None
+            if have < _ENTRY.size + _GENERATOR.size:
+                return _ENTRY.size + _GENERATOR.size
             value, crc = _GENERATOR.unpack_from(raw, body)
             if zlib.crc32(raw[body:body + 8]) != crc:
                 self.crc_rejections += 1
@@ -482,7 +585,35 @@ class FileLogStore:
             raise self._wedge(exc) from exc
         self._size += len(buf)
         self.bytes_appended += len(buf)
+        if fsync:
+            self._covered()
         return offset
+
+    def _covered(self) -> None:
+        """An fsync of ``log.dat`` returned: all of it is on disk."""
+        self._flushed = self._size
+        self._tail.clear()
+
+    def _admit(self, client_id: str, record: StoredRecord, image: bytes,
+               offset: int) -> bool:
+        """Index ``record``, whose entry will start at ``offset``.
+
+        The Section 3.1.1 rules run in :attr:`mem` on the handle, so a
+        protocol violation raises before any byte is written; ``False``
+        means a duplicate retransmission, dropped without a write.  The
+        image joins the unsynced tail first: the duplicate check reads
+        the handle's ``data`` from there.
+        """
+        handle = RecordHandle(self, record, offset, len(image))
+        tail = self._tail
+        tail[handle] = image
+        stored = False
+        try:
+            stored = self.mem.server_write_record(client_id, handle)
+        finally:
+            if not stored:
+                del tail[handle]
+        return stored
 
     def append_record(self, client_id: str, record: StoredRecord, *,
                       fsync: bool) -> None:
@@ -494,14 +625,10 @@ class FileLogStore:
         written.
         """
         self.records_appended += 1
-        # Validate through the in-memory store first so a protocol
-        # violation leaves the durable stream untouched; ``False``
-        # means a duplicate retransmission, dropped without a write.
-        if not self.mem.server_write_record(client_id, record):
+        image = encode_stored_record(record)
+        if not self._admit(client_id, record, image, self._size):
             return
-        offset = self._append_entry(
-            E_RECORD, client_id, encode_stored_record(record), fsync
-        )
+        offset = self._append_entry(E_RECORD, client_id, image, fsync)
         forest = self._forest(client_id)
         if record.lsn > (forest.high_key or 0):
             try:
@@ -539,22 +666,20 @@ class FileLogStore:
         try:
             for i, record in enumerate(records):
                 self.records_appended += 1
-                # Validate through the in-memory store first so a
-                # protocol violation leaves the durable stream with
-                # exactly the records validated before it; ``False``
-                # means a duplicate retransmission, dropped without
-                # touching the file.
-                if not self.mem.server_write_record(client_id, record):
-                    continue
                 image = (images[i] if images is not None
                          else encode_stored_record(record))
-                pending.append((record.lsn, self._size + len(buf)))
+                offset = self._size + len(buf)
+                # A protocol violation leaves the durable stream with
+                # exactly the records admitted before it.
+                if not self._admit(client_id, record, image, offset):
+                    continue
+                pending.append((record.lsn, offset))
                 buf += header
                 buf += image
         finally:
-            # Flush whatever validated before a mid-batch protocol
-            # error: the in-memory store already holds those records,
-            # and mem must never run ahead of the durable stream.
+            # Flush whatever was admitted before a mid-batch protocol
+            # error: the index already holds those records, and it
+            # must never run ahead of the durable stream.
             if buf:
                 self._flush_record_batch(bytes(buf), client_id, pending)
         if fsync:
@@ -604,13 +729,14 @@ class FileLogStore:
         except OSError as exc:
             raise self._wedge(exc) from exc
         self.fsyncs += 1
+        self._covered()
 
     def stage_copy(self, client_id: str, record: StoredRecord) -> None:
         """CopyLog: durably stage a rewrite (installed atomically later)."""
-        self.mem.copy_log(client_id, record.lsn, record.epoch,
-                          record.present, record.data, record.kind)
-        self._append_entry(E_STAGED, client_id,
-                           encode_stored_record(record), fsync=False)
+        image = encode_stored_record(record)
+        self.mem.copy_record(client_id, RecordHandle(
+            self, record, self._size, len(image)))
+        self._append_entry(E_STAGED, client_id, image, fsync=False)
 
     def install_copies(self, client_id: str, epoch: Epoch) -> int:
         """InstallCopies: the install marker is the durable commit point."""
@@ -664,8 +790,7 @@ class FileLogStore:
     def truncate_below(self, client_id: str, low_water: LSN) -> int:
         """TruncateLog: reclaim a client's records below ``low_water``.
 
-        Drops them from the replayed in-memory store (bounding daemon
-        RSS) and compacts the append stream so the on-disk log shrinks
+        Drops their handles from the index and compacts the append stream so the on-disk log shrinks
         too.  Returns the number of records dropped.  The mark is
         durable: either the compacted stream simply no longer contains
         the records, or — when nothing was stored below the mark — an
@@ -709,7 +834,7 @@ class FileLogStore:
         self._compact()
 
     def _compact(self) -> None:
-        """Rewrite ``log.dat`` as a checkpoint of the in-memory state.
+        """Rewrite ``log.dat`` as a checkpoint of the live state.
 
         The compacted stream carries every standing fence epoch, then,
         per client: the truncation mark, every retained record in write
@@ -718,18 +843,24 @@ class FileLogStore:
         the generator value.  Install
         markers are not rewritten — installed copies are already
         materialized as records.  Replaying the compacted stream
-        reconstructs the exact same in-memory state.
+        reconstructs the exact same index.
 
-        The rewrite goes to ``log.dat.tmp`` (fsync'd), then atomically
-        replaces ``log.dat``; the append-forest index files are rebuilt
-        against the new byte offsets.  The rewritten stream opens with
-        an ``E_META`` entry carrying the incremented log generation, so
-        index files built against the old stream can never be mistaken
-        for current (see :class:`FilePageStore`).
+        Record images are copied from the old file by offset, each
+        CRC-verified on the way: a corrupt one aborts the compaction
+        rather than being carried into a stream whose replay would end
+        at it.  The rewrite goes to ``log.dat.tmp`` (fsync'd), then
+        atomically replaces ``log.dat``; only then do the handles and
+        the read descriptor move to the new file (until then, and if
+        the swap fails, both still address the old one), and the
+        append-forest index files are rebuilt against the new byte
+        offsets.  The rewritten stream opens with an ``E_META`` entry
+        carrying the incremented log generation, so index files built
+        against the old stream can never be mistaken for current (see
+        :class:`FilePageStore`).
         """
         self._check_writable()
         tmp_path = Path(str(self._log_path) + ".tmp")
-        steady: dict[str, list[tuple[LSN, int]]] = {}
+        moved: list[tuple[RecordHandle, int]] = []
         size = 0
         generation = self.log_generation + 1
         try:
@@ -759,16 +890,13 @@ class FileLogStore:
                         mark_bytes = struct.pack("!I", mark)
                         emit(E_TRUNCATE, client_id,
                              _TRUNCATE.pack(mark, zlib.crc32(mark_bytes)))
-                    for record in state.records:
-                        offset = emit(E_RECORD, client_id,
-                                      encode_stored_record(record))
-                        steady.setdefault(client_id, []).append(
-                            (record.lsn, offset)
-                        )
+                    for handle in state.records:
+                        moved.append((handle, emit(
+                            E_RECORD, client_id, self._load(handle)[1])))
                     for epoch in sorted(state.staged):
-                        for record in state.staged[epoch]:
-                            emit(E_STAGED, client_id,
-                                 encode_stored_record(record))
+                        for handle in state.staged[epoch]:
+                            moved.append((handle, emit(
+                                E_STAGED, client_id, self._load(handle)[1])))
                 if self.generator_value:
                     value_bytes = struct.pack("!Q", self.generator_value)
                     emit(E_GENERATOR, "",
@@ -779,30 +907,36 @@ class FileLogStore:
                 out.close()
             old_size = self._size
             self._file.close()
+            self._flushed = old_size
             self.io.replace(tmp_path, self._log_path, "compact.rename")
             self._file = self.io.open(self._log_path, "ab", "compact.reopen")
             self.io.fsync_dir(self.data_dir, "compact.dirsync")
+            reader = open(self._log_path, "rb", buffering=0)
         except OSError as exc:
             if self._file.closed:
-                # The store wedges read-only, but reads (and the final
-                # close) still go through ``self._file``: restore a
-                # usable handle on whatever log.dat survived.
+                # The store wedges read-only, but the final close still
+                # goes through ``self._file``: restore a usable handle
+                # on whatever log.dat survived.
                 try:
                     self._file = self.io.open(self._log_path, "ab",
                                               "log.open")
                 except OSError:
                     pass
             raise self._wedge(exc) from exc
+        self._reader.close()
+        self._reader = reader
+        self._block = b""
+        for handle, offset in moved:
+            handle.offset = offset
         self.log_generation = generation
         self._size = size
+        self._covered()
         self._last_compact_size = size
         self.compactions += 1
         self.reclaimed_bytes += max(0, old_size - size)
-        self._rebuild_forests(steady)
+        self._rebuild_forests()
 
-    def _rebuild_forests(
-        self, steady: dict[str, list[tuple[LSN, int]]]
-    ) -> None:
+    def _rebuild_forests(self) -> None:
         """Recreate every forest index against post-compaction offsets."""
         for forest in self._forests.values():
             forest.store.close()
@@ -810,13 +944,16 @@ class FileLogStore:
         try:
             for path in self.data_dir.glob("forest-*.idx"):
                 self.io.unlink(path, "forest.unlink")
-            for client_id, pairs in steady.items():
+            for client_id in self.mem.known_clients():
+                records = self.mem.client_state(client_id).records
+                if not records:
+                    continue
                 forest = self._forest(client_id)
                 high = 0
-                for lsn, offset in pairs:
-                    if lsn > high:
-                        forest.append_key(lsn, offset)
-                        high = lsn
+                for handle in records:
+                    if handle.lsn > high:
+                        forest.append_key(handle.lsn, handle.offset)
+                        high = handle.lsn
         except OSError as exc:
             # The index is advisory (rebuilt from the log scan on
             # recovery), but a failing disk wedges appends all the same.
@@ -829,8 +966,84 @@ class FileLogStore:
         return ServerIntervals(
             self.server_id, state.intervals() if state is not None else ())
 
-    def read_record(self, client_id: str, lsn: LSN) -> StoredRecord:
-        return self.mem.server_read_log(client_id, lsn)
+    def read_record(self, client_id: str, lsn: LSN,
+                    images: list[bytes] | None = None,
+                    limit: int | None = None) -> StoredRecord | None:
+        """ServerReadLog: the highest-epoch record stored under ``lsn``.
+
+        ``images``, when given, collects the stored image the record
+        came from — the bytes :func:`repro.net.codec.frame_iov` takes
+        as ``record_bufs``, so a ReadLog reply is framed without
+        re-encoding.  With a ``limit``, a record whose image is longer
+        is not read and the answer is ``None`` (a ReadLog reply's
+        remaining byte budget).
+        """
+        handle = self.mem.server_read_log(client_id, lsn)
+        if limit is not None and handle.length > limit:
+            return None
+        record, image = self._load(handle)
+        if images is not None:
+            images.append(image)
+        return record
+
+    def _read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes of ``log.dat`` at ``offset``, through the one
+        read descriptor.
+
+        Reads go by whole aligned blocks and the last block read is
+        kept, so neighbouring records — one ReadLog reply, a scan, a
+        compaction — share a ``pread`` (five syscalls per ReadLog call
+        cost a scan more than the CRCs did).  ``log.dat`` only grows,
+        so a kept block is never stale, only short.  The append buffer
+        is flushed only when the extent lies beyond what the OS has.
+        """
+        start = offset - self._block_base
+        if 0 <= start and start + length <= len(self._block):
+            return self._block[start:start + length]
+        try:
+            if offset + length > self._flushed:
+                self._file.flush()
+                self._flushed = self._size
+            base = offset & -_READ_BLOCK_BYTES
+            end = (offset + length + _READ_BLOCK_BYTES - 1) \
+                & -_READ_BLOCK_BYTES
+            self._block = os.pread(self._reader.fileno(), end - base, base)
+            self._block_base = base
+        except OSError as exc:
+            raise self._wedge(exc) from exc
+        return self._block[offset - base:offset - base + length]
+
+    def _unreadable(self, exc: WireCodecError) -> StorageError:
+        """A stored image failed its check (a byte rotted under the
+        live store): a storage error for that record only."""
+        self.crc_rejections += 1
+        return StorageError(
+            f"stored record unreadable on {self.server_id}: {exc}")
+
+    def _load(self, handle: RecordHandle) -> tuple[StoredRecord, bytes]:
+        """The record ``handle`` points at, and its stored image —
+        CRC-verified, and checked to be the ⟨LSN, epoch⟩ indexed."""
+        image = self._tail.get(handle)
+        if image is None:
+            extent = handle._extent  # offset and length in one load
+            image = self._read((extent >> _LENGTH_BITS) + _ENTRY.size,
+                               extent & _LENGTH_MASK)
+        try:
+            data = check_stored_image(image, handle.lsn, handle.epoch)
+        except WireCodecError as exc:
+            raise self._unreadable(exc) from exc
+        return trusted_stored_record(handle.lsn, handle.epoch,
+                                     handle.present, data,
+                                     handle.kind), image
+
+    def _data(self, handle: RecordHandle) -> bytes:
+        """A handle's payload, for the exact-bytes duplicate check:
+        from the unsynced tail when the record is still there (what a
+        ForceLog re-sends normally is), else read back and verified."""
+        image = self._tail.get(handle)
+        if image is not None:
+            return image[RECORD_HEADER_BYTES:]
+        return self._load(handle)[0].data
 
     def stored_lsns(self, client_id: str) -> list[LSN]:
         """All LSNs stored for a client, ascending (for ReadLog packing).
@@ -853,18 +1066,19 @@ class FileLogStore:
         return self._size
 
     def record_count(self) -> int:
-        """Records held in the replayed in-memory store (RSS proxy)."""
+        """Records retained, i.e. handles held — what the daemon's
+        resident index is proportional to, whatever the payload size."""
         return self.mem.record_count()
 
     def read_via_index(self, client_id: str, lsn: LSN) -> StoredRecord | None:
         """Point read through the durable path alone: forest → file.
 
         Returns ``None`` when the LSN is not in the forest (never
-        appended, or re-written below the high-water mark and so served
-        from replayed state instead).
+        appended, or re-written below the high-water mark and so reached
+        through its handle instead).
 
         A rewrite is detected by epoch: InstallCopies replaces a record
-        *in place* in the replayed state, but the forest — append-only,
+        *in place* in the handle index, but the forest — append-only,
         strictly increasing keys — still maps the LSN to the original
         append.  Found by ``repro crashsweep`` (crash point
         ``log.write.record:25``, any later restart): the index served
@@ -875,16 +1089,16 @@ class FileLogStore:
         if forest is None:
             return None
         try:
-            offset = forest.search(lsn)
+            body = forest.search(lsn) + _ENTRY.size
         except KeyError:
             return None
-        if not self._file.closed:
-            self._file.flush()
-        with open(self._log_path, "rb") as fh:
-            fh.seek(offset + _ENTRY.size)
-            header = fh.read(RECORD_HEADER_BYTES)
-            (dlen,) = struct.unpack_from("!H", header, 10)
-            record, _ = decode_stored_record(header + fh.read(dlen), 0)
+        header = self._read(body, RECORD_HEADER_BYTES)
+        (dlen,) = struct.unpack_from("!H", header, 10)
+        try:
+            record, _ = decode_stored_record(
+                header + self._read(body + RECORD_HEADER_BYTES, dlen), 0)
+        except WireCodecError as exc:
+            raise self._unreadable(exc) from exc
         current = self.mem.client_state(client_id).lookup(lsn)
         if current is not None and current.epoch != record.epoch:
             return None  # stale index entry: the record was re-written
@@ -915,6 +1129,7 @@ class FileLogStore:
     def flush(self) -> None:
         if not self._file.closed:
             self._file.flush()
+            self._flushed = self._size
         for forest in self._forests.values():
             forest.store.flush()
 
@@ -922,5 +1137,6 @@ class FileLogStore:
         if not self._file.closed:
             self._file.flush()
             self._file.close()
+        self._reader.close()
         for forest in self._forests.values():
             forest.store.close()

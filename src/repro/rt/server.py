@@ -45,18 +45,17 @@ import asyncio
 import logging
 import time
 from bisect import bisect_left, bisect_right
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..core.errors import LogError, ProtocolError, RecordNotStored, StorageError
 from ..core.records import LSN, StoredRecord
-from ..net.codec import FrameReader, frame, frame_new_high_lsn
+from ..net.codec import FrameReader, frame, frame_iov, frame_new_high_lsn
 from ..net.messages import (
     ERR_FENCED,
     ERR_GENERIC,
     ERR_PROTOCOL,
     ERR_QUOTA,
     ERR_STORAGE,
-    RECORD_HEADER_BYTES,
     STATS_COUNTERS,
     AckReply,
     CopyLogCall,
@@ -197,7 +196,7 @@ class LogServerDaemon:
                 else:
                     replies = self._dispatch(msg, images)
                 if replies:
-                    self._write_replies(writer, replies)
+                    self._write_replies(writer, replies, images)
                     await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -215,8 +214,17 @@ class LogServerDaemon:
                 pass
 
     def _write_replies(self, writer: asyncio.StreamWriter,
-                       replies: list[Message]) -> None:
-        bufs = [frame(reply) for reply in replies]
+                       replies: list[Message],
+                       images: Sequence[bytes]) -> None:
+        """Frame and send ``replies``; a ReadLogReply goes out as its
+        header plus ``images`` — the stored images :meth:`_on_read`
+        collected for it — without re-encoding a record."""
+        bufs: list[bytes] = []
+        for reply in replies:
+            if isinstance(reply, ReadLogReply):
+                bufs += frame_iov(reply, images)
+            else:
+                bufs.append(frame(reply))
         writer.writelines(bufs)
         self.send_iovecs += len(bufs)
 
@@ -424,9 +432,11 @@ class LogServerDaemon:
             report = self.store.interval_list(msg.client_id)
             return [IntervalListReply(msg.client_id, report.intervals)]
         if isinstance(msg, ReadLogForwardCall):
-            return [self._on_read(msg.client_id, msg.lsn, forward=True)]
+            return [self._on_read(msg.client_id, msg.lsn, forward=True,
+                                  images=images)]
         if isinstance(msg, ReadLogBackwardCall):
-            return [self._on_read(msg.client_id, msg.lsn, forward=False)]
+            return [self._on_read(msg.client_id, msg.lsn, forward=False,
+                                  images=images)]
         if isinstance(msg, CopyLogCall):
             return self._guarded(msg, self._on_copy)
         if isinstance(msg, InstallCopiesCall):
@@ -484,7 +494,8 @@ class LogServerDaemon:
             self.forces_acked += 1
         return out
 
-    def _on_read(self, client_id: str, lsn: LSN, *, forward: bool) -> Message:
+    def _on_read(self, client_id: str, lsn: LSN, *, forward: bool,
+                 images: list[bytes] | None = None) -> Message:
         """Pack stored records around ``lsn``, as many as fit a packet.
 
         Reads start at the requested LSN when it is stored, else at the
@@ -493,10 +504,16 @@ class LogServerDaemon:
         stores nothing on that side.
 
         ``stored_lsns`` is the stream's maintained index, so a call
-        costs one bisect plus a walk over the few records that fit the
+        costs one bisect plus a read of the few records that fit the
         packet — independent of how much log the daemon retains.
+        ``images`` (the connection's scratch list, empty on a ReadLog
+        call) receives the stored image of each record of the reply,
+        in reply order.  A record whose stored image fails its CRC
+        answers the call with a typed error, like a failed append.
         """
         lsns = self.store.stored_lsns(client_id)
+        if images is None:
+            images = []
         picked: list[StoredRecord] = []
         budget = self.read_budget_bytes
         if forward:
@@ -507,17 +524,22 @@ class LogServerDaemon:
             step = -1
         while 0 <= index < len(lsns) and budget > 0:
             try:
-                record = self.store.read_record(client_id, lsns[index])
+                # the first record always goes; the rest while they fit
+                record = self.store.read_record(
+                    client_id, lsns[index], images,
+                    budget if picked else None)
             except RecordNotStored:  # pragma: no cover - lsns() is stored
                 break
-            cost = RECORD_HEADER_BYTES + len(record.data)
-            if picked and cost > budget:
+            except StorageError as exc:
+                return ErrorReply(client_id, str(exc), code=ERR_STORAGE)
+            if record is None:
                 break
-            budget -= cost
+            budget -= len(images[-1])
             picked.append(record)
             index += step
         if not forward:
             picked.reverse()
+            images.reverse()
         return ReadLogReply(client_id, tuple(picked))
 
     def _on_copy(self, msg: CopyLogCall) -> list[Message]:

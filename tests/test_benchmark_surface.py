@@ -15,6 +15,8 @@ import inspect
 import pytest
 
 from benchmarks.e2e import tracing
+from repro.core.intervals import Interval
+from repro.core.records import StoredRecord
 from repro.net import codec
 from repro.rt import client as rt_client
 from repro.rt import server as rt_server
@@ -38,6 +40,19 @@ SURFACE = {
 }
 
 
+def _read_surface(store: FileLogStore) -> tuple:
+    """What ``ladder.py`` and the traced daemon read from a store, by
+    the names and argument shapes they use."""
+    return (
+        [(store.read_record("c", lsn), store.read_via_index("c", lsn))
+         for lsn in store.stored_lsns("c")],
+        list(store.stored_lsns("c")),
+        store.interval_list("c").intervals,
+        store.record_count(),
+        store.log_size_bytes,
+    )
+
+
 @pytest.mark.parametrize("install", [tracing.install_client_spans,
                                      tracing.install_server_spans])
 def test_span_wrappers_install_and_come_off(install):
@@ -51,6 +66,30 @@ def test_span_wrappers_install_and_come_off(install):
         tracer.unpatch_all()
     for (owner, name), original in before.items():
         assert inspect.getattr_static(owner, name) is original, (owner, name)
+
+
+def test_reopened_store_reads_the_same_traced_and_untraced(tmp_path):
+    records = tuple(StoredRecord(lsn, 1, data=bytes([lsn]) * 256)
+                    for lsn in range(1, 9))
+    store = FileLogStore(tmp_path / "s1", "s1")
+    store.append_records("c", records, fsync=False)
+    store.sync()
+    store.close()
+    tracer = tracing.Tracer()
+    tracing.install_server_spans(tracer)
+    try:
+        store = FileLogStore(tmp_path / "s1", "s1")
+        traced = _read_surface(store)
+        assert sum(span[0] == "rt.filestore.read_record"
+                   for span in tracer.spans) == len(records)
+    finally:
+        tracer.unpatch_all()
+    untraced = _read_surface(store)
+    store.close()
+    assert traced == untraced
+    assert traced[0] == [(record, record) for record in records]
+    assert traced[1:4] == (list(range(1, 9)), (Interval(1, 1, 8),), 8)
+    assert traced[4] == 8 * (19 + 16 + 256)
 
 
 def test_every_name_the_ladder_calls_resolves():
