@@ -37,6 +37,10 @@ operation               ``args``                     value sent back
 :data:`FENCE`           ``(epoch,)``                 :data:`ACK`
 ======================  ===========================  ==================
 
+:data:`READ` asks for the record stored under ``lsn``; a network driver
+may send back that record's neighbours too, and the procedure picks
+its own out of the tuple.
+
 Three drivers exist: :func:`run` below (direct function calls — see
 :func:`repro.core.ports.port_performer`), ``SimLogClient._drive``
 (simulated RPCs) and ``AsyncReplicatedLog._drive`` (TCP).

@@ -31,7 +31,8 @@ followed by a type-specific body:
 * ErrorReply: the UTF-8 reason string.
 
 ``a``/``b`` carry the scalar arguments (LSNs, generator values, the
-ack flag); unused slots are zero.  LSNs and epochs are 32-bit on the
+ack flag, a ReadLog call's ``max_records`` in ``b``); unused slots are
+zero.  LSNs and epochs are 32-bit on the
 wire, record payloads at most 64 KiB, client ids at most 16 UTF-8
 bytes, and record kinds come from a fixed registry — each limit is
 checked at encode time and raises :class:`WireCodecError`.
@@ -341,9 +342,9 @@ def _message_parts(
             for i in msg.intervals
         ]
     elif isinstance(msg, ReadLogForwardCall):
-        mtype, a = T_READ_LOG_FORWARD, msg.lsn
+        mtype, a, b = T_READ_LOG_FORWARD, msg.lsn, msg.max_records
     elif isinstance(msg, ReadLogBackwardCall):
-        mtype, a = T_READ_LOG_BACKWARD, msg.lsn
+        mtype, a, b = T_READ_LOG_BACKWARD, msg.lsn, msg.max_records
     elif isinstance(msg, ReadLogReply):
         mtype = T_READ_LOG_REPLY
         body = record_bufs if record_bufs is not None else [
@@ -461,9 +462,9 @@ def decode(buf, record_images: list[bytes] | None = None) -> Message:
             )
             return IntervalListReply(client_id, intervals)
         if mtype == T_READ_LOG_FORWARD:
-            return ReadLogForwardCall(client_id, a)
+            return ReadLogForwardCall(client_id, a, b)
         if mtype == T_READ_LOG_BACKWARD:
-            return ReadLogBackwardCall(client_id, a)
+            return ReadLogBackwardCall(client_id, a, b)
         if mtype == T_READ_LOG_REPLY:
             return ReadLogReply(client_id, _decode_records(buf, off))
         if mtype == T_COPY_LOG:
@@ -577,7 +578,30 @@ RECV_CHUNK_BYTES = 256 * 1024
 #: its buffer (sooner if the buffer is fully drained, which is free).
 _COMPACT_THRESHOLD = 128 * 1024
 
+#: Most bytes one socket ``recv`` may return (see
+#: :func:`bound_socket_reads`): under glibc's 128 KiB ``mmap``
+#: threshold, and room for a full ReadLog reply.
+SOCKET_READ_BYTES = 96 * 1024
+
 _NEED_MORE = object()
+
+
+def bound_socket_reads(transport: asyncio.BaseTransport) -> None:
+    """Keep the transport from allocating 256 KiB per socket read.
+
+    asyncio's selector transport ``recv``s into a fresh ``bytes`` of
+    its ``max_size`` — 256 KiB — on every wakeup, then shrinks it to
+    the few hundred bytes that arrived.  At that size glibc serves the
+    allocation either from the heap or by ``mmap``/``mremap``/
+    ``munmap`` — three syscalls and a page fault per message,
+    ≈ 90 µs on the benchmark box — and which of the two a process gets
+    depends on its allocation history, so an unrelated edit flips a
+    client between them (EXPERIMENTS.md E22).  A read size below the
+    ``mmap`` threshold is always heap-served.  Transports without the
+    attribute are left alone.
+    """
+    if getattr(transport, "max_size", 0) > SOCKET_READ_BYTES:
+        transport.max_size = SOCKET_READ_BYTES
 
 
 class BufferPool:

@@ -14,20 +14,25 @@ Asynchronous messages from log server to client::
 Synchronous calls from client to log server::
 
     IntervalList(ClientId) -> IntervalList
-    ReadLogForward(ClientId, LSN) -> LSNs, LogRecords, PresentFlags
-    ReadLogBackward(ClientId, LSN) -> LSNs, LogRecords, PresentFlags
+    ReadLogForward(ClientId, LSN[, MaxRecords]) -> LSNs, LogRecords, PresentFlags
+    ReadLogBackward(ClientId, LSN[, MaxRecords]) -> LSNs, LogRecords, PresentFlags
     CopyLog(ClientId, EpochNum, LSNs, LogRecords, PresentFlags)
     InstallCopies(ClientId, EpochNum)
 
 All messages are small dataclasses with a ``wire_size`` so the
 LAN model can charge transmission time.  Multi-record messages carry
 consecutive LSNs ("client processes and log servers attempt to pack as
-many log records as will fit in a network packet in each call").
+many log records as will fit in a network packet in each call").  A
+ReadLog call may instead say how many records it wants (``max_records``):
+the packet was a 1987-Ethernet limit, and over TCP a point read wants
+one record while a scan wants as many as a reply may hold.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core import procedure
 from ..core.intervals import Interval
@@ -179,18 +184,32 @@ class IntervalListReply(Message):
         return MESSAGE_HEADER_BYTES + 12 * len(self.intervals)
 
 
+#: ``max_records`` of a scan — no limit of the caller's own, the server
+#: fills the reply to its cap: the largest value the field carries.
+MAX_RECORDS_ANY = 2**32 - 1
+
+
 @dataclass(slots=True)
 class ReadLogForwardCall(Message):
-    """Read records with LSNs >= ``lsn``, as many as fit in a packet."""
+    """Read records with LSNs >= ``lsn``: at most ``max_records`` of
+    them, or — when that is 0 — as many as fit in a packet."""
 
     lsn: LSN = 1
+    #: the most records the reply may carry (the server also caps a
+    #: reply's bytes); 0 asks for the paper's one packet's worth, which
+    #: is all the simulated server ever sends.  Not counted by
+    #: ``wire_size``: it rides in a header field that was always there.
+    max_records: int = 0
 
 
 @dataclass(slots=True)
 class ReadLogBackwardCall(Message):
-    """Read records with LSNs <= ``lsn``, as many as fit in a packet."""
+    """Read records with LSNs <= ``lsn``: at most ``max_records`` of
+    them, or — when that is 0 — as many as fit in a packet."""
 
     lsn: LSN = 1
+    #: as for :class:`ReadLogForwardCall`.
+    max_records: int = 0
 
 
 @dataclass(slots=True)
@@ -444,9 +463,13 @@ class GeneratorWriteCall(Message):
 # and exchange plain values; both network drivers (simulated RPC and
 # TCP) translate through these two functions.
 
-_PROCEDURE_CALLS: dict[str, type[Message]] = {
+_PROCEDURE_CALLS: dict[str, Callable[..., Message]] = {
     procedure.INTERVAL_LIST: IntervalListCall,
-    procedure.READ: ReadLogForwardCall,
+    # "the record under this LSN" (the direct driver answers with
+    # exactly that): one record; a server that ignores the field — the
+    # simulated one — sends a packet's worth and the procedure picks
+    # its record out of it.
+    procedure.READ: partial(ReadLogForwardCall, max_records=1),
     procedure.COPY: CopyLogCall,
     procedure.INSTALL: InstallCopiesCall,
     procedure.GEN_READ: GeneratorReadCall,

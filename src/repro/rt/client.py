@@ -78,10 +78,17 @@ from ..core.recovery import (
     takeover,
 )
 from ..core.retry import RetryPolicy
-from ..net.codec import FrameReader, encode_stored_record, frame, frame_iov
+from ..net.codec import (
+    FrameReader,
+    bound_socket_reads,
+    encode_stored_record,
+    frame,
+    frame_iov,
+)
 from ..net.messages import (
     ERR_FENCED,
     ERR_QUOTA,
+    MAX_RECORDS_ANY,
     ErrorReply,
     ForceLogMsg,
     Message,
@@ -201,6 +208,7 @@ class ServerConnection:
             )
         except (OSError, asyncio.TimeoutError) as exc:
             raise ServerUnavailable(self.server_id, str(exc)) from exc
+        bound_socket_reads(self._writer.transport)
         # A fresh connection must never inherit reply-routing state:
         # a future left over from the dead connection would be answered
         # by the new stream's *first* reply, shifting every positional
@@ -1194,14 +1202,16 @@ class AsyncReplicatedLog:
         return record.to_log_record()
 
     async def read_forward(self, lsn: LSN) -> tuple[StoredRecord, ...]:
-        """ReadLogForward from any server known to store ``lsn``."""
+        """ReadLogForward from any server known to store ``lsn``: as
+        many records from there on as the server puts in one reply."""
         merged = self._require_init()
         for sid in merged.servers_for(lsn):
             conn = self._conns.get(sid)
             if conn is None or not conn.alive:
                 continue
             try:
-                reply = await conn.call(ReadLogForwardCall(self.client_id, lsn))
+                reply = await conn.call(ReadLogForwardCall(
+                    self.client_id, lsn, MAX_RECORDS_ANY))
             except ServerUnavailable:
                 continue
             if isinstance(reply, ReadLogReply):

@@ -16,8 +16,10 @@ the Section 3.1.1 semantics (write-order rules, duplicate tolerance,
 staged CopyLog / atomic InstallCopies, interval lists) are implemented
 exactly once; the file layer adds durability and the bytes.  A read
 reads the stored image with ``pread`` through one long-lived descriptor and
-CRC-verifies it; replay streams ``log.dat`` in bounded chunks; and
-compaction copies retained images from the old file by offset.
+CRC-verifies it — a ReadLog reply's whole run of images with one
+``pread`` sized to the run; replay streams ``log.dat`` in bounded
+chunks; and compaction copies retained images from the old file by
+offset.
 
 Section 5.3 log space management: :meth:`FileLogStore.truncate_below`
 records a per-client truncation point, drops the reclaimed prefix from
@@ -77,7 +79,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from ..core.errors import ProtocolError, StorageError
@@ -967,35 +969,79 @@ class FileLogStore:
             self.server_id, state.intervals() if state is not None else ())
 
     def read_record(self, client_id: str, lsn: LSN,
-                    images: list[bytes] | None = None,
-                    limit: int | None = None) -> StoredRecord | None:
+                    images: list[bytes] | None = None) -> StoredRecord:
         """ServerReadLog: the highest-epoch record stored under ``lsn``.
 
         ``images``, when given, collects the stored image the record
         came from — the bytes :func:`repro.net.codec.frame_iov` takes
         as ``record_bufs``, so a ReadLog reply is framed without
-        re-encoding.  With a ``limit``, a record whose image is longer
-        is not read and the answer is ``None`` (a ReadLog reply's
-        remaining byte budget).
+        re-encoding.
         """
-        handle = self.mem.server_read_log(client_id, lsn)
-        if limit is not None and handle.length > limit:
-            return None
-        record, image = self._load(handle)
+        record, image = self._load(self.mem.server_read_log(client_id, lsn))
         if images is not None:
             images.append(image)
         return record
+
+    def read_run(self, client_id: str, lsns: Iterable[LSN], budget: int,
+                 images: list[bytes]) -> list[StoredRecord]:
+        """What a ReadLog reply carries: :meth:`read_record` of each of
+        ``lsns`` (stored LSNs of the client) in turn, their images
+        collected in ``images``.
+
+        The first record goes whatever its size, the rest while the
+        images stay within ``budget`` bytes; the one that does not fit
+        is judged by its indexed length and never read.  A record whose
+        image fails its check ends the run before it — the good
+        records ahead of it still go — unless it is the first, which is
+        a :class:`~repro.core.errors.StorageError`: the call that
+        *starts* at a rotten record is the one that reports it.
+        """
+        state = self.mem.find_client(client_id)
+        run: list[RecordHandle] = []
+        run_bytes = 0
+        for lsn in lsns:
+            handle = state.lookup(lsn)
+            length = handle.length
+            if run and length > budget:
+                break
+            run.append(handle)
+            budget -= length
+            run_bytes += _ENTRY.size + length
+        if not run:
+            return []
+        # A run appended in order (scanned either way) lies in one
+        # stretch of log.dat: read it with one pread, which _read
+        # keeps, instead of one block per dozen records.  Not when it
+        # is scattered over more than twice its own bytes (rewritten by
+        # a later epoch, interleaved with many streams), nor when it
+        # reaches into the unsynced tail, which is served from memory.
+        first, last = sorted((run[0], run[-1]), key=lambda h: h.offset)
+        if first not in self._tail and last not in self._tail:
+            span = last.offset + _ENTRY.size + last.length - first.offset
+            if span <= 2 * run_bytes:
+                self._read(first.offset, span)
+        records: list[StoredRecord] = []
+        for handle in run:
+            try:
+                records.append(self.read_record(client_id, handle.lsn,
+                                                images))
+            except StorageError:
+                if not records:
+                    raise
+                break
+        return records
 
     def _read(self, offset: int, length: int) -> bytes:
         """``length`` bytes of ``log.dat`` at ``offset``, through the one
         read descriptor.
 
-        Reads go by whole aligned blocks and the last block read is
-        kept, so neighbouring records — one ReadLog reply, a scan, a
-        compaction — share a ``pread`` (five syscalls per ReadLog call
-        cost a scan more than the CRCs did).  ``log.dat`` only grows,
-        so a kept block is never stale, only short.  The append buffer
-        is flushed only when the extent lies beyond what the OS has.
+        Reads go by whole aligned blocks and the last stretch read is
+        kept, so neighbouring records — one ReadLog reply (which
+        :meth:`read_run` fetches whole), a scan, a compaction — share
+        a ``pread`` (a syscall per record cost a scan more than the
+        CRCs did).  ``log.dat`` only grows, so what is kept is never
+        stale, only short.  The append buffer is flushed only when the
+        extent lies beyond what the OS has.
         """
         start = offset - self._block_base
         if 0 <= start and start + length <= len(self._block):

@@ -11,8 +11,10 @@ protocol of Section 4.2 (Figure 4-1) over TCP:
 * **synchronous** ForceLog — the batch is appended, fsync'd, and
   acknowledged with NewHighLSN only once durable;
 * **synchronous calls** IntervalList, ReadLogForward, ReadLogBackward
-  (each reply packs as many records as fit in one LAN packet budget),
-  CopyLog, InstallCopies, and the Appendix I generator Read/Write;
+  (the call says how many records it wants and the reply carries up
+  to that many within :data:`READ_REPLY_CAP_BYTES`; a call that names
+  no number gets the paper's one LAN packet's worth), CopyLog,
+  InstallCopies, and the Appendix I generator Read/Write;
 * **operational messages**: Ping/Pong keep-alive probes, the Section
   5.3 TruncateLog call ("records below the truncation point will never
   be read again" — the store compacts and forgets them), and a Stats
@@ -47,15 +49,22 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import Mapping, Sequence
 
-from ..core.errors import LogError, ProtocolError, RecordNotStored, StorageError
-from ..core.records import LSN, StoredRecord
-from ..net.codec import FrameReader, frame, frame_iov, frame_new_high_lsn
+from ..core.errors import LogError, ProtocolError, StorageError
+from ..core.records import LSN
+from ..net.codec import (
+    FrameReader,
+    bound_socket_reads,
+    frame,
+    frame_iov,
+    frame_new_high_lsn,
+)
 from ..net.messages import (
     ERR_FENCED,
     ERR_GENERIC,
     ERR_PROTOCOL,
     ERR_QUOTA,
     ERR_STORAGE,
+    RECORD_HEADER_BYTES,
     STATS_COUNTERS,
     AckReply,
     CopyLogCall,
@@ -92,6 +101,15 @@ from .placement import TenantQuota, load_cluster_spec, tenant_of
 
 log = logging.getLogger(__name__)
 
+#: the reply budget of a ReadLog call that names no ``max_records``:
+#: "as many log records as will fit in a network packet" (Section 4.2).
+PACKET_REPLY_BYTES = PACKET_PAYLOAD_BYTES
+#: the cap on the record bytes of a reply to a call that does — the
+#: measured knee (EXPERIMENTS.md E22): a scan of 256 B records runs at
+#: 88k rec/s with 16 KiB replies, 148k with 64 KiB, 175k with 256 KiB,
+#: and the last adds 2 % to the daemon's resident set.
+READ_REPLY_CAP_BYTES = 64 * 1024
+
 
 class LogServerDaemon:
     """One log-server node: a TCP endpoint over a :class:`FileLogStore`."""
@@ -102,14 +120,12 @@ class LogServerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        read_budget_bytes: int = PACKET_PAYLOAD_BYTES,
         group_commit: bool = True,
         quotas: Mapping[str, TenantQuota] | None = None,
     ):
         self.store = store
         self.host = host
         self.port = port
-        self.read_budget_bytes = read_budget_bytes
         #: tenant → admission limits ("*" is the default tenant); empty
         #: means no multi-tenant admission control at all.
         self.quotas: dict[str, TenantQuota] = dict(quotas or {})
@@ -176,6 +192,7 @@ class LogServerDaemon:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        bound_socket_reads(writer.transport)
         frames = FrameReader(reader)
         images: list[bytes] = []
         try:
@@ -433,9 +450,11 @@ class LogServerDaemon:
             return [IntervalListReply(msg.client_id, report.intervals)]
         if isinstance(msg, ReadLogForwardCall):
             return [self._on_read(msg.client_id, msg.lsn, forward=True,
+                                  max_records=msg.max_records,
                                   images=images)]
         if isinstance(msg, ReadLogBackwardCall):
             return [self._on_read(msg.client_id, msg.lsn, forward=False,
+                                  max_records=msg.max_records,
                                   images=images)]
         if isinstance(msg, CopyLogCall):
             return self._guarded(msg, self._on_copy)
@@ -495,52 +514,55 @@ class LogServerDaemon:
         return out
 
     def _on_read(self, client_id: str, lsn: LSN, *, forward: bool,
+                 max_records: int = 0,
                  images: list[bytes] | None = None) -> Message:
-        """Pack stored records around ``lsn``, as many as fit a packet.
+        """The stored records around ``lsn``, as many as the call wants.
 
         Reads start at the requested LSN when it is stored, else at the
-        nearest stored LSN in the scan direction; the reply carries the
-        highest-epoch copy of each.  An empty reply means the server
-        stores nothing on that side.
+        nearest stored LSN in the scan direction, and the reply carries
+        the highest-epoch copy of each.  An empty reply means the
+        server stores nothing on that side.
+
+        ``max_records`` is the caller's limit: a point read says 1 and
+        pays for one record, a scan says "all you can" and the reply is
+        filled to :data:`READ_REPLY_CAP_BYTES`.  ``0`` is a caller that
+        predates the field: it gets one packet's worth
+        (:data:`PACKET_REPLY_BYTES`), as it always did.  The first
+        record goes whatever its size, so a reply is never larger than
+        its cap plus one record.
 
         ``stored_lsns`` is the stream's maintained index, so a call
-        costs one bisect plus a read of the few records that fit the
-        packet — independent of how much log the daemon retains.
-        ``images`` (the connection's scratch list, empty on a ReadLog
-        call) receives the stored image of each record of the reply,
-        in reply order.  A record whose stored image fails its CRC
-        answers the call with a typed error, like a failed append.
+        costs one bisect plus a read of the records it sends —
+        independent of how much log the daemon retains.  ``images``
+        (the connection's scratch list, empty on a ReadLog call)
+        receives the stored image of each record of the reply, in
+        reply order.  A stored image that fails its CRC ends the reply
+        before it; when it is the record the call starts at, the answer
+        is a typed error, like a failed append.
         """
         lsns = self.store.stored_lsns(client_id)
         if images is None:
             images = []
-        picked: list[StoredRecord] = []
-        budget = self.read_budget_bytes
+        budget = READ_REPLY_CAP_BYTES if max_records else PACKET_REPLY_BYTES
+        # no image is shorter than its header
+        count = budget // RECORD_HEADER_BYTES + 1
+        if max_records and max_records < count:
+            count = max_records
         if forward:
             index = bisect_left(lsns, lsn)
-            step = 1
+            run = lsns[index:index + count]
         else:
-            index = bisect_right(lsns, lsn) - 1
-            step = -1
-        while 0 <= index < len(lsns) and budget > 0:
-            try:
-                # the first record always goes; the rest while they fit
-                record = self.store.read_record(
-                    client_id, lsns[index], images,
-                    budget if picked else None)
-            except RecordNotStored:  # pragma: no cover - lsns() is stored
-                break
-            except StorageError as exc:
-                return ErrorReply(client_id, str(exc), code=ERR_STORAGE)
-            if record is None:
-                break
-            budget -= len(images[-1])
-            picked.append(record)
-            index += step
+            index = bisect_right(lsns, lsn)
+            run = lsns[max(0, index - count):index]
+            run.reverse()
+        try:
+            records = self.store.read_run(client_id, run, budget, images)
+        except StorageError as exc:
+            return ErrorReply(client_id, str(exc), code=ERR_STORAGE)
         if not forward:
-            picked.reverse()
+            records.reverse()
             images.reverse()
-        return ReadLogReply(client_id, tuple(picked))
+        return ReadLogReply(client_id, tuple(records))
 
     def _on_copy(self, msg: CopyLogCall) -> list[Message]:
         for record in msg.records:

@@ -414,6 +414,9 @@ class SimLogServer:
     def _do_read(self, call, forward: bool):
         """ReadLogForward/Backward: fill a packet with consecutive records.
 
+        Always a packet's worth, as in the paper: the call's
+        ``max_records`` is the TCP runtime's and is not consulted here.
+
         The append-forest index (Section 4.3) maps each requested LSN
         to its sealed track; the call charges one random disk read per
         *distinct* track touched.  Records still in NVRAM (the unsealed

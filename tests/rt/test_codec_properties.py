@@ -24,9 +24,11 @@ from repro.net.codec import (
     KIND_CODES,
     MAX_CLIENT_ID_BYTES,
     MAX_RECORD_DATA,
+    SOCKET_READ_BYTES,
     BufferPool,
     FrameReader,
     WireCodecError,
+    bound_socket_reads,
     decode,
     decode_stored_record,
     encode,
@@ -75,6 +77,9 @@ client_ids = st.text(
 lsns = st.integers(min_value=1, max_value=2**32 - 1)
 epochs = st.integers(min_value=1, max_value=2**32 - 1)
 kinds = st.sampled_from(sorted(KIND_CODES))
+#: a ReadLog call's ``max_records``: none, the edges, anything between
+record_limits = st.one_of(st.sampled_from([0, 1, 2**32 - 1]),
+                          st.integers(min_value=0, max_value=2**32 - 1))
 payloads = st.binary(max_size=300)
 
 
@@ -150,9 +155,11 @@ def messages(draw):
     if which == 6:
         return IntervalListReply(cid, draw(interval_tuples()))
     if which == 7:
-        return ReadLogForwardCall(cid, lsn=draw(lsns))
+        return ReadLogForwardCall(cid, lsn=draw(lsns),
+                                  max_records=draw(record_limits))
     if which == 8:
-        return ReadLogBackwardCall(cid, lsn=draw(lsns))
+        return ReadLogBackwardCall(cid, lsn=draw(lsns),
+                                   max_records=draw(record_limits))
     if which == 9:
         ep, recs = draw(record_batches(min_size=0))
         return ReadLogReply(cid, recs)
@@ -231,6 +238,26 @@ def test_wire_size_constants_match_issue_accounting():
     assert len(encode(msg)) == 32 + 16 + 100
     reply = IntervalListReply("c", (Interval(1, 1, 9),))
     assert len(encode(reply)) == 32 + 12
+
+
+@pytest.mark.parametrize("cls, mtype", [(ReadLogForwardCall, 8),
+                                        (ReadLogBackwardCall, 9)])
+def test_read_call_limit_rides_in_header_field_b(cls, mtype):
+    """``max_records`` took the header's unused last word: a call
+    without one is, byte for byte, what was sent before the field
+    existed, and the frame is no longer with one."""
+    def golden(b):
+        return struct.pack("!HBB16sIII", 0x4C47, mtype, 1, b"c7", 0, 41, b)
+
+    assert encode(cls("c7", lsn=41)) == golden(0)
+    assert encode(cls("c7", 41, max_records=0)) == golden(0)
+    assert encode(cls("c7", 41, max_records=1)) == golden(1)
+    assert encode(cls("c7", 41, 2**32 - 1)) == golden(2**32 - 1)
+    assert decode(golden(0)) == cls("c7", 41)
+    assert decode(golden(240)).max_records == 240
+    assert cls("c7", 41, 240).wire_size == MESSAGE_HEADER_BYTES
+    with pytest.raises(WireCodecError):
+        encode(cls("c7", 41, 2**32))
 
 
 # -- corruption and limits ------------------------------------------------
@@ -409,3 +436,45 @@ def test_buffer_pool_recycles_buffers():
     pool.release(a)
     b = pool.acquire()
     assert b is a and len(b) == 0  # recycled, cleared
+
+
+def test_bound_socket_reads_only_lowers_an_existing_read_size():
+    class Transport:
+        max_size = 256 * 1024
+
+    class Small:
+        max_size = 4096
+
+    big, small, bare = Transport(), Small(), object()
+    for transport in (big, small, bare):
+        bound_socket_reads(transport)
+    assert big.max_size == SOCKET_READ_BYTES < 128 * 1024 - 64
+    assert small.max_size == 4096
+    assert not hasattr(bare, "max_size")
+
+
+def test_stream_transports_have_the_read_size_it_bounds():
+    """The attribute is asyncio's own, undocumented: if a Python
+    release renames it the bound silently stops applying, and this is
+    where that shows."""
+    async def main():
+        seen = []
+
+        async def handle(reader, writer):
+            bound_socket_reads(writer.transport)
+            seen.append(writer.transport.max_size)
+            writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        assert writer.transport.max_size > SOCKET_READ_BYTES
+        bound_socket_reads(writer.transport)
+        seen.append(writer.transport.max_size)
+        await reader.read()
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return seen
+
+    assert asyncio.run(main()) == [SOCKET_READ_BYTES] * 2

@@ -1,6 +1,7 @@
-"""The crash-point sweep harness (in-process phase only — the daemon
-phase spawns real subprocesses and runs in CI as ``repro crashsweep
---quick``)."""
+"""The crash-point sweep harness: the in-process phase, and the one
+daemon-phase case whose armed point fires on the workload's last call
+(the other phases spawn real subprocesses by the dozen and run in CI
+as ``repro crashsweep --quick``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import json
 from pathlib import Path
 
 from repro.harness.crashsweep import (
+    _DAEMON_COMBINED,
     SweepConfig,
+    _daemon_case,
     _payloads,
     run_crashsweep,
     storage_phase,
@@ -79,3 +82,13 @@ def test_report_as_dict_is_json_shaped(tmp_path):
         "fuzz_cases", "failures", "duration_s"))
     assert payload["cases_run"] == 1
     assert payload["failures"] == []
+
+
+def test_daemon_case_waits_for_an_exit_on_the_last_call(tmp_path):
+    """``compact.rename:0`` fires inside the workload's final
+    TruncateLog, so the workload returns while the dying daemon still
+    polls alive; read as "point not reached", the case was skipped and
+    the torn-then-power-loss compaction never verified."""
+    case = _daemon_case(tmp_path, 0, _DAEMON_COMBINED[0])
+    assert case.hit
+    assert case.ok, case.errors

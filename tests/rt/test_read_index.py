@@ -2,9 +2,11 @@
 
 ``ClientLogState.lsns`` must equal ``sorted(state._by_lsn)`` after every
 mutation the file store can make, and ``LogServerDaemon._on_read`` —
-which now bisects that list instead of sorting the keys per call — must
-answer exactly as the sort-per-call implementation did.  That
-implementation is kept here, verbatim, as the oracle.
+which now bisects that list instead of sorting the keys per call, and
+reads a reply's records as one run — must answer exactly as the
+sort-per-call, record-at-a-time implementation did.  That
+implementation is kept here as the oracle, with the call's
+``max_records`` and the reply's byte cap as one more input.
 
 Also here: read-only calls must not create per-client state, or a peer
 could grow a daemon without bound just by naming client ids.
@@ -20,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import RecordNotStored
 from repro.core.records import StoredRecord
+from repro.net.codec import encode_stored_record
 from repro.net.messages import (
+    MAX_RECORDS_ANY,
     RECORD_HEADER_BYTES,
     IntervalListCall,
     IntervalListReply,
@@ -30,26 +34,36 @@ from repro.net.messages import (
     StatsCall,
 )
 from repro.rt.filestore import FileLogStore
-from repro.rt.server import LogServerDaemon
+from repro.rt.server import (
+    PACKET_REPLY_BYTES,
+    READ_REPLY_CAP_BYTES,
+    LogServerDaemon,
+)
 
 CLIENTS = ("a", "b")
 
+#: no limit (one packet's worth), a point read, small limits the byte
+#: caps do or do not bite first, and "all a reply may hold"
+LIMITS = (0, 1, 2, 7, MAX_RECORDS_ANY)
 
-def oracle_on_read(daemon: LogServerDaemon, client_id: str, lsn: int, *,
-                   forward: bool) -> ReadLogReply:
-    """``_on_read`` as it was when ``stored_lsns`` sorted per call."""
-    store = daemon.store
+
+def oracle_on_read(store: FileLogStore, client_id: str, lsn: int, *,
+                   forward: bool, max_records: int) -> ReadLogReply:
+    """``_on_read`` as it was when ``stored_lsns`` sorted per call and
+    the reply was packed a ``read_record`` at a time — stopping at the
+    call's limit, under the byte cap that limit selects."""
     state = store.mem.find_client(client_id)
     lsns = sorted(state._by_lsn) if state is not None else []
     picked: list[StoredRecord] = []
-    budget = daemon.read_budget_bytes
+    budget = READ_REPLY_CAP_BYTES if max_records else PACKET_REPLY_BYTES
     if forward:
         index = bisect_left(lsns, lsn)
         step = 1
     else:
         index = bisect_right(lsns, lsn) - 1
         step = -1
-    while 0 <= index < len(lsns) and budget > 0:
+    while 0 <= index < len(lsns) and budget > 0 \
+            and not (max_records and len(picked) == max_records):
         try:
             record = store.read_record(client_id, lsns[index])
         except RecordNotStored:
@@ -80,9 +94,16 @@ def check_index_and_reads(store: FileLogStore) -> None:
         # gap, the high LSN, above it
         for lsn in range(0, (state.high_lsn or 0) + 3):
             for forward in (True, False):
-                assert daemon._on_read(client_id, lsn, forward=forward) \
-                    == oracle_on_read(daemon, client_id, lsn,
-                                      forward=forward)
+                for limit in LIMITS:
+                    images: list[bytes] = []
+                    reply = daemon._on_read(client_id, lsn, forward=forward,
+                                            max_records=limit, images=images)
+                    assert reply == oracle_on_read(
+                        store, client_id, lsn, forward=forward,
+                        max_records=limit)
+                    # what goes on the wire is the collected images
+                    assert images == [encode_stored_record(r)
+                                      for r in reply.records]
 
 
 def _payload(lsn: int, epoch: int, size: int) -> bytes:
@@ -95,7 +116,8 @@ STEP = st.tuples(
     st.sampled_from(["append", "append", "append", "new-epoch", "install",
                      "truncate", "compact", "reopen"]),
     st.integers(0, 1), st.integers(0, 6), st.integers(1, 6),
-    st.sampled_from([0, 40, 300, 600]),
+    # 600 B: two to a packet; 30 000 B: two to a 64 KiB reply
+    st.sampled_from([0, 40, 300, 600, 30_000]),
 )
 
 
