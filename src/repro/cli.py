@@ -195,7 +195,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             compact_watermark_bytes=args.compact_watermark_bytes,
             fault_plan=args.fault_plan,
             fault_trace=args.fault_trace,
-            group_commit=not args.no_group_commit,
             cluster_spec=args.cluster_spec,
         ))
     except KeyboardInterrupt:
@@ -576,10 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-trace", default=None, metavar="PATH",
                    help="append every storage I/O point this daemon hits "
                         "to PATH (crash-point enumeration)")
-    p.add_argument("--no-group-commit", action="store_true",
-                   help="disable the shared one-fsync-per-group commit "
-                        "path (each ForceLog appends and fsyncs inline; "
-                        "the perf baseline for A/B benchmarks)")
     p.add_argument("--cluster-spec", default=None, metavar="PATH",
                    help="placements.json with per-tenant quotas to "
                         "enforce (the roster section is for clients; "

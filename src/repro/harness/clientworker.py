@@ -94,12 +94,9 @@ async def _run_workload(args, say) -> None:
     # nobody retrieves; that is the scenario, not a worker bug.
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
     # batch_bytes small enough that WriteLog streaming (site
-    # client.flush.sent) actually triggers between forces; the adaptive
-    # force trigger is pinned at the ceiling so run N's protocol trace
-    # is a prefix of run N+1's — crash points must be deterministic.
+    # client.flush.sent) actually triggers between forces.
     log = AsyncReplicatedLog(args.client_id, servers, config,
                              timeout=args.timeout, batch_bytes=256)
-    log.delta_controller.min_delta = log.delta_controller.max_delta
     await log.initialize()
     say(f"EPOCH {log.current_epoch}")
     seq = 0
@@ -127,7 +124,6 @@ async def _run_workload(args, say) -> None:
     # over (its fresh epoch always exceeds any standing fence).
     taker = AsyncReplicatedLog(args.client_id, servers, config,
                                timeout=args.timeout, batch_bytes=256)
-    taker.delta_controller.min_delta = taker.delta_controller.max_delta
     await taker.takeover()
     say(f"EPOCH {taker.current_epoch}")
     for i in range(args.records_per_txn):
@@ -149,7 +145,6 @@ async def _run_recover(args, say, *, takeover: bool = False) -> None:
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
     log = AsyncReplicatedLog(args.client_id, servers, config,
                              timeout=args.timeout, batch_bytes=256)
-    log.delta_controller.min_delta = log.delta_controller.max_delta
     if takeover:
         await log.takeover()
     else:

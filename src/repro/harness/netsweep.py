@@ -124,16 +124,12 @@ _STALE_PREFIX = b"stale."
 
 
 def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
-    log = AsyncReplicatedLog(
+    return AsyncReplicatedLog(
         client_id, addresses, _NET_CONFIG,
         timeout=_TIMEOUT, batch_bytes=256,
         keepalive_interval=_KA_INTERVAL, keepalive_misses=_KA_MISSES,
         retry_policy=RetryPolicy(cap_delay_s=0.25, max_attempts=5),
     )
-    # Pin δ so the implicit-force trigger cannot adapt mid-sweep and
-    # shift frame counts between enumeration and the armed runs.
-    log.delta_controller.min_delta = log.delta_controller.max_delta
-    return log
 
 
 async def _run_workload(addresses: dict, client_id: str,

@@ -604,39 +604,6 @@ def bound_socket_reads(transport: asyncio.BaseTransport) -> None:
         transport.max_size = SOCKET_READ_BYTES
 
 
-class BufferPool:
-    """A small free-list of ``bytearray`` scratch buffers.
-
-    Receive paths churn through buffers at connection granularity;
-    recycling them here keeps long-running daemons from re-growing a
-    fresh ``bytearray`` past the high-water mark for every connection.
-    """
-
-    def __init__(self, max_buffers: int = 8):
-        self.max_buffers = max_buffers
-        self._free: list[bytearray] = []
-
-    def acquire(self) -> bytearray:
-        if self._free:
-            return self._free.pop()
-        return bytearray()
-
-    def release(self, buf: bytearray) -> None:
-        if len(self._free) >= self.max_buffers:
-            return
-        try:
-            buf.clear()
-        except BufferError:
-            # A live memoryview export (e.g. held by the traceback of a
-            # decode error) pins the buffer; let it go instead of pooling.
-            return
-        self._free.append(buf)
-
-
-#: Module-level pool shared by default across FrameReaders in a process.
-DEFAULT_POOL = BufferPool()
-
-
 class FrameReader:
     """Frame parser over a persistent receive buffer.
 
@@ -650,11 +617,9 @@ class FrameReader:
     """
 
     def __init__(self, reader: asyncio.StreamReader, *,
-                 pool: BufferPool | None = None,
                  max_frame: int = MAX_FRAME_BYTES):
         self._reader = reader
-        self._pool = pool if pool is not None else DEFAULT_POOL
-        self._buf = self._pool.acquire()
+        self._buf = bytearray()
         self._pos = 0
         self._max_frame = max_frame
         self._eof = False
@@ -710,8 +675,7 @@ class FrameReader:
             self._pos = 0
 
     def close(self) -> None:
-        """Return the receive buffer to the pool."""
-        self._pool.release(self._buf)
+        """Drop the receive buffer."""
         self._buf = bytearray()
         self._pos = 0
 

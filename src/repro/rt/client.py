@@ -33,9 +33,10 @@ appends ``δ`` not-present guards, and installs atomically — the exact
 procedure of :mod:`repro.core.recovery`, spoken over the wire.
 
 Degraded servers (slow, hung, disk-full) are handled without blocking
-the batch path: every connection owns a bounded send queue drained by
-a writer task, consecutive queue-full flushes strike a slow server out
-of the write set (the same Section 5.4 switch a crash triggers),
+the batch path: a connection's only send queue is its transport's
+write buffer, bounded at :data:`SEND_BUFFER_BYTES`; consecutive
+flushes that find it full strike a slow server out of the write set
+(the same Section 5.4 switch a crash triggers),
 keep-alive pings demote a hung server in about two probe intervals and
 quarantine it against instant re-adoption, and
 :meth:`AsyncReplicatedLog.truncate` announces a Section 5.3 truncation
@@ -109,6 +110,12 @@ from ..net.packet import PACKET_PAYLOAD_BYTES
 from . import clientfault
 from .placement import PlacementDirectory
 
+#: Unsent bytes a connection lets its transport hold — asyncio's own
+#: 64 KiB high-water mark.  Above it :meth:`ServerConnection.try_send`
+#: refuses the frame (the slow-server strike) and the waiting sends
+#: park in ``drain()``.
+SEND_BUFFER_BYTES = 64 * 1024
+
 
 def _reply_error(server_id: str, reply: ErrorReply) -> Exception:
     """The exception a typed ErrorReply maps to.
@@ -140,15 +147,18 @@ class ServerConnection:
     everything else answers the oldest pending call (TCP preserves
     request order, and the daemon replies inline).
 
-    Outbound frames go through a **bounded send queue** drained by a
-    writer task, so a peer whose TCP buffer has filled blocks only its
-    own writer task — never the caller.  :meth:`try_send` reports a
-    full queue instead of waiting, which is the signal the client's
-    slow-server policy counts.  When ``keepalive_interval`` is set, a
-    probe task pings the server every interval; ``keepalive_misses``
-    consecutive silent intervals (no bytes received at all) abort the
-    connection and quarantine it briefly so a hung (e.g. SIGSTOP'd)
-    process is not immediately re-adopted by reconnect.
+    Outbound frames go straight to the transport, in call order; its
+    write buffer (on top of the kernel's) is the only send queue.
+    :meth:`try_send` refuses a frame while more than
+    :data:`SEND_BUFFER_BYTES` are unsent instead of waiting — the
+    signal the client's slow-server policy counts — and :meth:`send`,
+    :meth:`call` and :meth:`force` wait for the buffer to drain under
+    the timer that bounds their reply.  When ``keepalive_interval`` is
+    set, a probe task pings the server every interval;
+    ``keepalive_misses`` consecutive silent intervals (no bytes
+    received at all) abort the connection and quarantine it briefly so
+    a hung (e.g. SIGSTOP'd) process is not immediately re-adopted by
+    reconnect.
     """
 
     def __init__(
@@ -160,7 +170,6 @@ class ServerConnection:
         timeout: float = 5.0,
         on_missing: Callable[[str, MissingIntervalMsg], None] | None = None,
         client_id: str = "-",
-        send_queue_limit: int = 64,
         keepalive_interval: float = 0.0,
         keepalive_misses: int = 2,
     ):
@@ -170,17 +179,12 @@ class ServerConnection:
         self.timeout = timeout
         self.on_missing = on_missing
         self.client_id = client_id
-        self.send_queue_limit = send_queue_limit
         self.keepalive_interval = keepalive_interval
         self.keepalive_misses = keepalive_misses
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
-        self._writer_task: asyncio.Task | None = None
         self._keepalive_task: asyncio.Task | None = None
-        #: queue entries are one frame each: either a single ``bytes``
-        #: or an iovec (``list[bytes]``) produced by ``frame_iov``.
-        self._sendq: asyncio.Queue[bytes | list[bytes]] | None = None
         self._pending: list[asyncio.Future] = []
         self._force_waiters: list[tuple[LSN, asyncio.Future]] = []
         self._last_rx: float = 0.0
@@ -191,11 +195,6 @@ class ServerConnection:
         self.queue_full_events = 0
         self.pings_sent = 0
         self.keepalive_aborts = 0
-        #: buffers handed to the transport (writelines iovec entries).
-        self.send_iovecs = 0
-        #: writelines+drain cycles — each covers every frame that was
-        #: queued when the writer task woke up.
-        self.send_batches = 0
 
     async def connect(self) -> None:
         loop = asyncio.get_running_loop()
@@ -209,6 +208,8 @@ class ServerConnection:
         except (OSError, asyncio.TimeoutError) as exc:
             raise ServerUnavailable(self.server_id, str(exc)) from exc
         bound_socket_reads(self._writer.transport)
+        self._writer.transport.set_write_buffer_limits(
+            high=SEND_BUFFER_BYTES)
         # A fresh connection must never inherit reply-routing state:
         # a future left over from the dead connection would be answered
         # by the new stream's *first* reply, shifting every positional
@@ -225,9 +226,7 @@ class ServerConnection:
         self._force_waiters = []
         self.alive = True
         self._last_rx = loop.time()
-        self._sendq = asyncio.Queue(maxsize=self.send_queue_limit)
         self._reader_task = asyncio.create_task(self._read_loop())
-        self._writer_task = asyncio.create_task(self._write_loop())
         if self.keepalive_interval > 0:
             self._keepalive_task = asyncio.create_task(self._keepalive_loop())
 
@@ -270,40 +269,6 @@ class ServerConnection:
             frames.close()
             self._abort("connection lost")
 
-    async def _write_loop(self) -> None:
-        """Drain the send queue onto the socket in coalesced batches.
-
-        Each wakeup collects *every* queued frame, hands the flattened
-        iovec to one ``writelines`` call, and drains once — so back-to-
-        back WriteLog batches cost one syscall and one scheduling round
-        trip instead of one each.  ``drain()`` only actually parks when
-        the transport is above its high-water mark; when the peer stops
-        reading, back-pressure stops at this task and the bounded
-        queue, and the keep-alive probe (or a call timeout) decides
-        when the connection is declared dead.
-        """
-        try:
-            while True:
-                item = await self._sendq.get()
-                bufs = [item] if isinstance(item, bytes) else list(item)
-                while True:
-                    try:
-                        item = self._sendq.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if isinstance(item, bytes):
-                        bufs.append(item)
-                    else:
-                        bufs.extend(item)
-                self._writer.writelines(bufs)
-                self.send_iovecs += len(bufs)
-                self.send_batches += 1
-                await self._writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._abort(f"send failed: {exc}")
-
     async def _keepalive_loop(self) -> None:
         """Ping an idle connection; declare it hung after enough misses.
 
@@ -340,7 +305,7 @@ class ServerConnection:
             last_probe = loop.time()
             token += 1
             self.pings_sent += 1
-            self._enqueue_nowait(frame(PingMsg(self.client_id, token=token)))
+            self.try_send(PingMsg(self.client_id, token=token))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -380,66 +345,74 @@ class ServerConnection:
         if not was_alive:
             return
         current = asyncio.current_task()
-        for task in (self._reader_task, self._writer_task,
-                     self._keepalive_task):
+        for task in (self._reader_task, self._keepalive_task):
             if task is not None and task is not current:
                 task.cancel()
-        if self._writer is not None:
-            self._writer.close()
+        # Unsent bytes go with the connection; close() started a
+        # flushing close first and is left to finish it.
+        if not self._writer.transport.is_closing():
+            self._writer.transport.abort()
 
     # -- sending -------------------------------------------------------
 
     def _require_alive(self) -> None:
-        if not self.alive or self._sendq is None:
+        if not self.alive:
             raise ServerUnavailable(self.server_id, "not connected")
 
-    def _enqueue_nowait(self, buf: bytes | list[bytes]) -> bool:
-        try:
-            self._sendq.put_nowait(buf)
-        except asyncio.QueueFull:
-            self.queue_full_events += 1
-            return False
-        return True
+    def _write(self, msg: Message,
+               bufs: list[bytes] | None = None) -> None:
+        """Hand one frame to the transport; ``bufs`` may carry it
+        pre-encoded as an iovec (:func:`repro.net.codec.frame_iov`),
+        shared unchanged by every connection sending the same frame."""
+        self._require_alive()
+        self._writer.writelines(bufs if bufs is not None else (frame(msg),))
 
-    def queued_frames(self) -> int:
-        """Frames waiting in the send queue (the load signal adaptive
-        δ reads: a non-empty queue at force time means the writer task
-        is behind the workload)."""
-        return self._sendq.qsize() if self._sendq is not None else 0
+    async def _wait(self, reason: str, fut: asyncio.Future | None = None):
+        """Wait for the transport to drain, then for ``fut``.
+
+        Both under one ``call_later`` handle — cancelled on the
+        (overwhelmingly common) timely outcome, where an
+        ``asyncio.wait_for`` would create and tear down a task per
+        wait.  A fired one aborts the connection with ``reason``,
+        which fails ``fut`` and every other pending future with
+        :class:`ServerUnavailable` and releases a parked ``drain()``.
+        """
+        handle = asyncio.get_running_loop().call_later(
+            self.timeout, self._abort, reason)
+        try:
+            try:
+                await self._writer.drain()
+            except OSError as exc:
+                self._abort(f"send failed: {exc}")
+            if fut is not None:
+                return await fut
+            self._require_alive()
+        finally:
+            handle.cancel()
 
     def try_send(self, msg: Message,
                  bufs: list[bytes] | None = None) -> bool:
-        """Enqueue an asynchronous message without ever waiting.
+        """Send an asynchronous message without ever waiting.
 
-        Returns ``False`` when the send queue is full — the slow-server
-        signal; raises :class:`ServerUnavailable` when the connection
-        is dead.  Used for WriteLog streaming, where skipping a batch
-        is safe because the next force re-sends the whole window.
-        ``bufs`` may carry the frame pre-encoded as an iovec
-        (:func:`repro.net.codec.frame_iov`), shared unchanged across
-        every connection sending the same frame.
+        Returns ``False`` while more than :data:`SEND_BUFFER_BYTES` are
+        unsent — the slow-server signal; raises
+        :class:`ServerUnavailable` when the connection is dead.  Used
+        for WriteLog streaming, where skipping a batch is safe because
+        the next force re-sends the whole window.
         """
         self._require_alive()
-        return self._enqueue_nowait(bufs if bufs is not None else frame(msg))
+        if (self._writer.transport.get_write_buffer_size()
+                > SEND_BUFFER_BYTES):
+            self.queue_full_events += 1
+            return False
+        self._write(msg, bufs)
+        return True
 
     async def send(self, msg: Message,
                    bufs: list[bytes] | None = None) -> None:
-        """Enqueue a message, waiting (bounded) for queue space."""
-        self._require_alive()
-        payload = bufs if bufs is not None else frame(msg)
-        try:
-            # Fast path: space available, no waiter machinery at all.
-            self._sendq.put_nowait(payload)
-            return
-        except asyncio.QueueFull:
-            pass
-        try:
-            await asyncio.wait_for(self._sendq.put(payload),
-                                   self.timeout)
-        except asyncio.TimeoutError as exc:
-            self._abort("send queue stalled")
-            raise ServerUnavailable(self.server_id,
-                                    "send queue stalled") from exc
+        """Send a message, waiting (bounded) for the transport to drain."""
+        self._write(msg, bufs)
+        await self._wait("send queue stalled")
 
     async def call(self, msg: Message) -> Message:
         """Send a synchronous call; await its reply in order.
@@ -448,71 +421,54 @@ class ServerConnection:
         — the per-server failure the core algorithm already knows how
         to route around.  A timeout tears the connection down (reply
         matching is positional, so a late reply must never be allowed
-        to answer the wrong call).  The timeout is armed the way
-        :meth:`force` arms its own — a ``call_later`` handle cancelled
-        on reply, not an ``asyncio.wait_for`` per call — and a fired
-        one fails this and every other pending future through
-        :meth:`_abort`.
+        to answer the wrong call) and fails this and every other
+        pending future through :meth:`_abort`.
         """
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        await self.send(msg)
-        # Registered only after the send was accepted: a send that
-        # raises (dead connection, stalled queue) must not leave a
-        # stale future in the positional routing list, where it would
-        # swallow the first reply after a reconnect.  No await between
-        # the enqueue returning and this append, so the reply cannot
-        # arrive first.
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._write(msg)
+        # Registered only once the frame is written: a dead connection
+        # raised above, so it cannot leave a stale future in the
+        # positional routing list, where it would swallow the first
+        # reply after a reconnect.  No await between the write and this
+        # append, so the reply cannot arrive first.
         self._pending.append(fut)
-        handle = loop.call_later(self.timeout, self._abort, "call timed out")
-        try:
-            reply = await fut
-        finally:
-            handle.cancel()
+        reply = await self._wait("call timed out", fut)
         if isinstance(reply, ErrorReply):
             raise _reply_error(self.server_id, reply)
         return reply
 
     async def force(self, msg: ForceLogMsg,
                     bufs: list[bytes] | None = None) -> LSN:
-        """Send a ForceLog and await its NewHighLSN acknowledgment.
-
-        The timeout is a plain ``call_later`` handle — cancelled on the
-        (overwhelmingly common) timely ack — instead of an
-        ``asyncio.wait_for``, which would create and then tear down a
-        whole task per force.  A fired timeout aborts the connection,
-        which fails this future with :class:`ServerUnavailable` exactly
-        like the old path.
-        """
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        await self.send(msg, bufs)
-        # After the send for the same reason as in call(): a failed
-        # send must not leak a waiter that a later connection's ack
-        # would resolve as if this force had been acknowledged.
+        """Send a ForceLog and await its NewHighLSN acknowledgment."""
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._write(msg, bufs)
+        # After the write for the same reason as in call(): a dead
+        # connection must not leak a waiter that a later connection's
+        # ack would resolve as if this force had been acknowledged.
         self._force_waiters.append((msg.high_lsn, fut))
-        handle = loop.call_later(
-            self.timeout, self._abort, "force ack timed out")
-        try:
-            return await fut
-        finally:
-            handle.cancel()
+        return await self._wait("force ack timed out", fut)
 
     async def close(self) -> None:
+        if self.alive:
+            self._writer.close()  # deliberate: flush what is unsent
         self._abort("closed")
-        for task in (self._reader_task, self._writer_task,
-                     self._keepalive_task):
+        for task in (self._reader_task, self._keepalive_task):
             if task is not None:
                 try:
                     await task
                 except (asyncio.CancelledError, Exception):
                     pass
-        self._reader_task = self._writer_task = self._keepalive_task = None
+        self._reader_task = self._keepalive_task = None
         if self._writer is not None:
+            # A flush the peer never takes is given up on, like a send.
+            handle = asyncio.get_running_loop().call_later(
+                self.timeout, self._writer.transport.abort)
             try:
                 await self._writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                handle.cancel()
 
 
 async def async_retry(
@@ -540,73 +496,6 @@ async def async_retry(
             attempt += 1
 
 
-class AdaptiveDelta:
-    """Frugal-batching controller for the client's effective δ.
-
-    ``config.delta`` is the protocol-safety ceiling — recovery copies
-    the last δ records, so the unacknowledged window may never exceed
-    it.  *Below* that ceiling the client is free to force earlier, and
-    this controller picks the operating point from load, in the spirit
-    of Taurus's frugal batching: heavy load rides windows at the
-    ceiling (amortizing each ack round trip over many records), while
-    sustained light load walks the trigger down toward ``min_delta`` so
-    a force never waits behind a deep window and p50 force latency
-    stays near the fsync floor.
-
-    Signals, observed once per completed force:
-
-    * ``queue_depth`` — frames still sitting in a send queue mean the
-      writer tasks are behind the workload: grow.
-    * the latency EWMA exceeding ``target_latency_s`` — acks are
-      already slow, so buy throughput with bigger batches: grow.
-    * a window at most half the current trigger, with fast acks, for
-      ``shrink_patience`` consecutive forces — demand is light: shrink
-      by one.
-
-    Growth doubles (load spikes should reach the ceiling in a few
-    forces); shrinking is linear with hysteresis so a burst does not
-    whipsaw the trigger.
-    """
-
-    def __init__(self, max_delta: int, *, min_delta: int = 1,
-                 target_latency_s: float = 0.002,
-                 shrink_patience: int = 4):
-        self.max_delta = max(1, max_delta)
-        self.min_delta = max(1, min(min_delta, self.max_delta))
-        self.target_latency_s = target_latency_s
-        self.shrink_patience = shrink_patience
-        #: the live implicit-force trigger, in [min_delta, max_delta].
-        self.effective = self.max_delta
-        self.latency_ewma_s = 0.0
-        self.grows = 0
-        self.shrinks = 0
-        self._light_streak = 0
-
-    def observe_force(self, latency_s: float, window_records: int,
-                      queue_depth: int) -> None:
-        """Feed one completed force's measurements into the controller."""
-        self.latency_ewma_s = latency_s if not self.latency_ewma_s else (
-            0.8 * self.latency_ewma_s + 0.2 * latency_s)
-        loaded = (queue_depth > 0
-                  or self.latency_ewma_s > self.target_latency_s
-                  or window_records >= self.effective)
-        if loaded:
-            self._light_streak = 0
-            if self.effective < self.max_delta:
-                self.effective = min(self.max_delta, self.effective * 2)
-                self.grows += 1
-            return
-        if (window_records <= self.effective // 2
-                and self.effective > self.min_delta):
-            self._light_streak += 1
-            if self._light_streak >= self.shrink_patience:
-                self.effective -= 1
-                self.shrinks += 1
-                self._light_streak = 0
-        else:
-            self._light_streak = 0
-
-
 class AsyncReplicatedLog:
     """Client-side replicated log over ``M`` real servers, ``N`` copies.
 
@@ -630,7 +519,6 @@ class AsyncReplicatedLog:
         rng: random.Random | None = None,
         timeout: float = 5.0,
         batch_bytes: int = PACKET_PAYLOAD_BYTES,
-        send_queue_limit: int = 64,
         keepalive_interval: float = 0.5,
         keepalive_misses: int = 2,
         slow_strike_limit: int = 3,
@@ -657,11 +545,10 @@ class AsyncReplicatedLog:
         self.rng = rng if rng is not None else random.Random(0)
         self.timeout = timeout
         self.batch_bytes = batch_bytes
-        #: consecutive queue-full strikes that demote a write-set
+        #: consecutive send-buffer-full strikes that demote a write-set
         #: server (the Section 5.4 "switch servers when necessary").
         self.slow_strike_limit = slow_strike_limit
-        self._conn_params = dict(send_queue_limit=send_queue_limit,
-                                 keepalive_interval=keepalive_interval,
+        self._conn_params = dict(keepalive_interval=keepalive_interval,
                                  keepalive_misses=keepalive_misses)
         self._conns: dict[str, ServerConnection] = {
             sid: self._make_conn(sid, host, port)
@@ -673,19 +560,18 @@ class AsyncReplicatedLog:
         self._epoch: Epoch = 0
         self._next_lsn: LSN = 1
         self._write_set: list[str] = []
-        #: records buffered, not yet sent anywhere.
-        self._buffer: list[StoredRecord] = []
-        #: records sent (or buffered) since the last fully-acked force.
+        #: the unacknowledged window: every record written since the
+        #: last fully-acked force, in LSN order.
         self._window: list[StoredRecord] = []
-        #: wire images of the above, encoded exactly once at write()
-        #: time and shared by every frame that carries the record.
-        self._buffer_enc: list[bytes] = []
+        #: their wire images, encoded exactly once at write() time and
+        #: shared by every frame that carries the record.
         self._window_enc: list[bytes] = []
+        #: how many of them a WriteLog batch has already streamed, and
+        #: the image bytes of the rest.
+        self._streamed = 0
         self._buffer_bytes = 0
         self._last_record: StoredRecord | None = None
         self._last_record_enc: bytes | None = None
-        #: adaptive implicit-force trigger (≤ config.delta, never more).
-        self.delta_controller = AdaptiveDelta(config.delta)
         # Bookkeeping for experiments and tests:
         self.writes_performed = 0
         self.forces_performed = 0
@@ -741,7 +627,7 @@ class AsyncReplicatedLog:
 
         The gap means those records were written to other servers while
         this one was out of the write set; telling it to start a new
-        interval is the Figure 4-1 response.  A full send queue drops
+        interval is the Figure 4-1 response.  A full send buffer drops
         the answer — the server will simply NAK again.
         """
         self.missing_intervals_seen += 1
@@ -815,10 +701,9 @@ class AsyncReplicatedLog:
         self._epoch = result.epoch
         self._next_lsn = result.next_lsn
         self._write_set = list(result.write_set)
-        self._buffer = []
         self._window = []
-        self._buffer_enc = []
         self._window_enc = []
+        self._streamed = 0
         self._buffer_bytes = 0
         self._last_record = result.staged[-1]
         self._last_record_enc = encode_stored_record(result.staged[-1])
@@ -882,40 +767,38 @@ class AsyncReplicatedLog:
         # unregistered kind.
         record = trusted_stored_record(lsn, self._epoch, True, data, kind)
         self._next_lsn = lsn + 1
-        self._buffer.append(record)
+        self._window.append(record)
         # Encode once, here; every WriteLog/ForceLog frame that carries
         # this record — to any server, any number of times — reuses
         # these bytes.
         enc = encode_stored_record(record)
-        self._buffer_enc.append(enc)
+        self._window_enc.append(enc)
         self._buffer_bytes += len(enc)
         self.writes_performed += 1
         clientfault.hit("client.write.buffered")
-        if (len(self._window) + len(self._buffer)
-                >= self.delta_controller.effective):
-            # δ unacknowledged records: must not run further ahead
-            # (adaptive δ only ever lowers this trigger below the
-            # configured protocol ceiling).
+        if len(self._window) >= self.config.delta:
+            # δ unacknowledged records: must not run further ahead.
             await self.force()
         elif self._buffer_bytes >= self.batch_bytes:
             await self._flush_writes()
         return lsn
 
     async def _flush_writes(self) -> None:
-        """Stream the buffer as an unacknowledged WriteLog batch.
+        """Stream the window's unstreamed suffix as a WriteLog batch.
 
         Sends never wait: :meth:`ServerConnection.try_send` either
-        queues the frame or reports the queue full.  A full queue is a
+        writes the frame or reports the send buffer full.  That is a
         *strike* against that server — the batch is simply skipped
         there (safe: the next force re-sends the whole window) — and
         ``slow_strike_limit`` consecutive strikes demote the server
         from the write set exactly as a crash would (Section 5.4).
         """
-        if not self._buffer:
+        start, end = self._streamed, len(self._window)
+        if start == end:
             return
-        batch = tuple(self._buffer)
-        msg = WriteLogMsg.trusted(self.client_id, self._epoch, batch)
-        bufs = frame_iov(msg, self._buffer_enc)
+        msg = WriteLogMsg.trusted(self.client_id, self._epoch,
+                                  tuple(self._window[start:end]))
+        bufs = frame_iov(msg, self._window_enc[start:end])
         for sid in list(self._write_set):
             try:
                 sent = self._conns[sid].try_send(msg, bufs)
@@ -932,14 +815,11 @@ class AsyncReplicatedLog:
                 self._strikes[sid] = 0
                 await self._replace_server(sid)
         clientfault.hit("client.flush.sent")
-        self._window.extend(batch)
-        self._window_enc.extend(self._buffer_enc)
-        self._buffer = []
-        self._buffer_enc = []
+        self._streamed = end
         self._buffer_bytes = 0
-        # One scheduling point per flush: without it, back-to-back
-        # writes starve the writer tasks and even healthy servers'
-        # queues would overflow.
+        # One scheduling point per flush: a transport buffer the socket
+        # did not take at once is only emptied when this task yields, so
+        # without it a burst of writes would strike a healthy server.
         await asyncio.sleep(0)
 
     async def force(self) -> LSN:
@@ -951,8 +831,8 @@ class AsyncReplicatedLog:
         dead servers as needed.
         """
         self._require_init()
-        records = tuple(self._window) + tuple(self._buffer)
-        record_bufs = self._window_enc + self._buffer_enc
+        records = tuple(self._window)
+        record_bufs = self._window_enc
         if not records:
             if self._last_record is None or self._last_record.epoch != self._epoch:
                 return self._next_lsn - 1
@@ -1008,29 +888,20 @@ class AsyncReplicatedLog:
                     raise result
             return msg.high_lsn
 
-        loop = asyncio.get_running_loop()
-        queue_depth = max(
-            (self._conns[sid].queued_frames() for sid in self._write_set),
-            default=0,
-        )
-        t0 = loop.time()
         high = await async_retry(
             guarded, self.retry_policy, self.rng,
             retry_on=(NotEnoughServers, TenantQuotaExceeded),
             on_retry=self._reconnect_for_retry,
         )
         clientfault.hit("client.force.acked")
-        self.delta_controller.observe_force(loop.time() - t0,
-                                            len(records), queue_depth)
         merged = self._require_init()
         # Forced records are one consecutive LSN run by construction.
         for sid in self._write_set:
             merged.note_range(records[0].lsn, records[-1].lsn,
                               self._epoch, sid)
         self._window = []
-        self._buffer = []
         self._window_enc = []
-        self._buffer_enc = []
+        self._streamed = 0
         self._buffer_bytes = 0
         self._last_record = records[-1]
         self._last_record_enc = record_bufs[-1]
@@ -1058,7 +929,7 @@ class AsyncReplicatedLog:
             live = await self._ensure_connections()
             spares = [sid for sid in self._candidate_order()
                       if sid in live and sid not in self._write_set]
-            pending = pending or tuple(self._window) + tuple(self._buffer)
+            pending = pending or tuple(self._window)
             for spare in spares:
                 if await self._switch_member(dead_sid, spare, pending):
                     self.server_switches += 1
@@ -1132,7 +1003,7 @@ class AsyncReplicatedLog:
                       if sid in self._conns]
             outgoing = [sid for sid in self._write_set if sid not in target]
             incoming = [sid for sid in target if sid not in self._write_set]
-            pending = tuple(self._window) + tuple(self._buffer)
+            pending = tuple(self._window)
             moves: list[tuple[str, str]] = []
             for old_sid, new_sid in zip(outgoing, incoming):
                 if await self._switch_member(old_sid, new_sid, pending):
@@ -1162,9 +1033,8 @@ class AsyncReplicatedLog:
         servers.
         """
         merged = self._require_init()
-        unacked = tuple(self._window) + tuple(self._buffer)
-        if unacked:
-            low_water = min(low_water, unacked[0].lsn)
+        if self._window:
+            low_water = min(low_water, self._window[0].lsn)
         dropped = 0
         for sid in sorted(self._conns):
             conn = self._conns[sid]

@@ -619,27 +619,8 @@ class FileLogStore:
 
     def append_record(self, client_id: str, record: StoredRecord, *,
                       fsync: bool) -> None:
-        """ServerWriteLog, durably.
-
-        Duplicate retransmissions (already stored, identical) are
-        dropped without touching the file; conflicting rewrites raise
-        :class:`~repro.core.errors.ProtocolError` before any bytes are
-        written.
-        """
-        self.records_appended += 1
-        image = encode_stored_record(record)
-        if not self._admit(client_id, record, image, self._size):
-            return
-        offset = self._append_entry(E_RECORD, client_id, image, fsync)
-        forest = self._forest(client_id)
-        if record.lsn > (forest.high_key or 0):
-            try:
-                forest.append_key(record.lsn, offset)
-            except OSError as exc:
-                # The index is advisory (rebuilt from the log on
-                # recovery), but a failing disk should wedge appends
-                # all the same.
-                raise self._wedge(exc) from exc
+        """ServerWriteLog, durably: :meth:`append_records` of one."""
+        self.append_records(client_id, (record,), fsync=fsync)
 
     def append_records(self, client_id: str,
                        records: tuple[StoredRecord, ...], *,

@@ -8,8 +8,8 @@ protocol of Section 4.2 (Figure 4-1) over TCP:
   acknowledgment ("a server detects lost messages when it receives a
   ForceLog or WriteLog message with log sequence numbers that are not
   contiguous with those it has previously received");
-* **synchronous** ForceLog — the batch is appended, fsync'd, and
-  acknowledged with NewHighLSN only once durable;
+* **synchronous** ForceLog — the batch is appended, and acknowledged
+  with NewHighLSN only once a group fsync has made it durable;
 * **synchronous calls** IntervalList, ReadLogForward, ReadLogBackward
   (the call says how many records it wants and the reply carries up
   to that many within :data:`READ_REPLY_CAP_BYTES`; a call that names
@@ -25,12 +25,10 @@ protocol of Section 4.2 (Figure 4-1) over TCP:
 
 One daemon serves many clients over many connections; per-client gap
 tracking is daemon-wide, seeded from the durable high-water mark after
-a restart.  Handlers run inline on the event loop — including the
-``fsync`` — so a force acts as a natural group-commit barrier for
-every connection, the same economy the paper's grouped interface is
-designed around.
+a restart.  Handlers run inline on the event loop.
 
-Group commit is explicit, not just incidental: a ForceLog appends its
+Group commit is the only way a force is served — the economy the
+paper's grouped interface is designed around: a ForceLog appends its
 records *without* syncing and parks on a shared sync generation; a
 single scheduled task then issues one ``fsync`` (crash point
 ``log.group-fsync``) covering every force parked so far — across all
@@ -80,7 +78,6 @@ from ..net.messages import (
     IntervalListReply,
     Message,
     MissingIntervalMsg,
-    NewHighLSNMsg,
     NewIntervalMsg,
     PingMsg,
     PongMsg,
@@ -120,7 +117,6 @@ class LogServerDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        group_commit: bool = True,
         quotas: Mapping[str, TenantQuota] | None = None,
     ):
         self.store = store
@@ -129,10 +125,6 @@ class LogServerDaemon:
         #: tenant → admission limits ("*" is the default tenant); empty
         #: means no multi-tenant admission control at all.
         self.quotas: dict[str, TenantQuota] = dict(quotas or {})
-        #: when set (the default), concurrent ForceLogs share one fsync
-        #: via the parked sync generation; clearing it restores the
-        #: inline append+fsync+ack path of :meth:`_dispatch`.
-        self.group_commit = group_commit
         self._server: asyncio.AbstractServer | None = None
         #: next LSN expected per client ("contiguous with those it has
         #: previously received"); absent ⇒ seed from the durable high.
@@ -208,7 +200,7 @@ class LogServerDaemon:
                     denial = self._admit(msg)
                 if denial is not None:
                     replies = [denial]
-                elif self.group_commit and isinstance(msg, ForceLogMsg):
+                elif isinstance(msg, ForceLogMsg):
                     replies = self._park_force(msg, writer, images)
                 else:
                     replies = self._dispatch(msg, images)
@@ -253,12 +245,12 @@ class LogServerDaemon:
 
         Anything that must be said *before* durability — the
         MissingInterval NAK for a gap, a typed error for a failed
-        append — is returned for an inline reply exactly as on the
-        ungrouped path.  The NewHighLSN ack is not: it fans out from
+        append — is returned for an inline reply, as for a WriteLog.
+        The NewHighLSN ack is not: it fans out from
         :meth:`_sync_loop` after the one fsync that covers every
         parked force, and never before.
         """
-        out = self._on_write(msg, force=False, images=images)
+        out = self._on_write(msg, images)
         if any(isinstance(reply, ErrorReply) for reply in out):
             return out  # nothing was appended; nothing to acknowledge
         self._parked_forces.append((writer, msg.client_id, msg.high_lsn))
@@ -437,11 +429,10 @@ class LogServerDaemon:
 
     def _dispatch(self, msg: Message,
                   images: list[bytes] | None = None) -> list[Message]:
-        # ForceLogMsg subclasses WriteLogMsg: test it first.
-        if isinstance(msg, ForceLogMsg):
-            return self._on_write(msg, force=True, images=images)
-        if isinstance(msg, WriteLogMsg):
-            return self._on_write(msg, force=False, images=images)
+        # Exactly WriteLogMsg: a ForceLogMsg (its subclass) is appended
+        # only by _park_force, which owes it an ack after the fsync.
+        if type(msg) is WriteLogMsg:
+            return self._on_write(msg, images)
         if isinstance(msg, NewIntervalMsg):
             self._expected[msg.client_id] = msg.starting_lsn
             return []
@@ -486,8 +477,10 @@ class LogServerDaemon:
             return [ErrorReply(msg.client_id, str(exc),
                                code=_error_code(exc))]
 
-    def _on_write(self, msg: WriteLogMsg, *, force: bool,
+    def _on_write(self, msg: WriteLogMsg,
                   images: list[bytes] | None = None) -> list[Message]:
+        """Append a WriteLog's or a parked ForceLog's records, unsynced;
+        returns the MissingInterval NAK and/or typed error to send."""
         client_id = msg.client_id
         out: list[Message] = []
         expected = self._expected.get(client_id)
@@ -501,16 +494,13 @@ class LogServerDaemon:
         if images is not None and len(images) != len(msg.records):
             images = None  # defensive: only trust an aligned capture
         try:
-            self.store.append_records(client_id, msg.records, fsync=force,
+            self.store.append_records(client_id, msg.records, fsync=False,
                                       images=images)
         except LogError as exc:
             out.append(ErrorReply(client_id, str(exc),
                                   code=_error_code(exc)))
             return out
         self._expected[client_id] = msg.high_lsn + 1
-        if force:
-            out.append(NewHighLSNMsg(client_id, new_high_lsn=msg.high_lsn))
-            self.forces_acked += 1
         return out
 
     def _on_read(self, client_id: str, lsn: LSN, *, forward: bool,
@@ -645,7 +635,6 @@ async def run_server(
     compact_watermark_bytes: int | None = None,
     fault_plan: str | None = None,
     fault_trace: str | None = None,
-    group_commit: bool = True,
     cluster_spec: str | None = None,
 ) -> None:
     """Run one daemon until cancelled (the ``repro serve`` entry point).
@@ -675,8 +664,7 @@ async def run_server(
     store = FileLogStore(data_dir, server_id,
                          compact_watermark_bytes=compact_watermark_bytes,
                          io=io)
-    daemon = LogServerDaemon(store, host, port, group_commit=group_commit,
-                             quotas=quotas)
+    daemon = LogServerDaemon(store, host, port, quotas=quotas)
     await daemon.start()
     announce(f"REPRO-SERVE {server_id} {daemon.host} {daemon.port}",
              flush=True)

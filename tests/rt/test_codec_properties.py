@@ -25,7 +25,6 @@ from repro.net.codec import (
     MAX_CLIENT_ID_BYTES,
     MAX_RECORD_DATA,
     SOCKET_READ_BYTES,
-    BufferPool,
     FrameReader,
     WireCodecError,
     bound_socket_reads,
@@ -427,15 +426,6 @@ def test_frame_reader_rejects_mid_frame_eof():
         reader.close()
 
     asyncio.run(main())
-
-
-def test_buffer_pool_recycles_buffers():
-    pool = BufferPool(max_buffers=2)
-    a = pool.acquire()
-    a += b"scratch"
-    pool.release(a)
-    b = pool.acquire()
-    assert b is a and len(b) == 0  # recycled, cleared
 
 
 def test_bound_socket_reads_only_lowers_an_existing_read_size():

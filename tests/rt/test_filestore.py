@@ -90,6 +90,17 @@ def test_duplicate_append_is_dropped_conflict_rejected(tmp_path):
     store.close()
 
 
+def test_forced_duplicate_still_syncs_the_unsynced_original(tmp_path):
+    """A duplicate writes nothing, but its fsync is still owed: the
+    original may sit in an unsynced WriteLog."""
+    store = FileLogStore(tmp_path, "s1")
+    store.append_records("c", (rec(1),), fsync=False)
+    before = store.fsyncs
+    store.append_record("c", rec(1), fsync=True)
+    assert store.fsyncs == before + 1
+    store.close()
+
+
 def test_copy_install_cycle_survives_reopen(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     for i in range(1, 4):

@@ -9,10 +9,9 @@ cases):
   fsync returns;
 * a failing group fsync fans out a typed ErrorReply to every parked
   client — no ack is fabricated for anyone;
-* ``--no-group-commit`` restores the inline append+fsync+ack path;
-* the client's :class:`AdaptiveDelta` walks its force trigger down
-  under light load and doubles it back under pressure, inside
-  ``[min_delta, config.delta]``.
+* parking is the only way a ForceLog reaches the store;
+* the client forces implicitly at exactly ``config.delta``
+  unacknowledged records.
 """
 
 from __future__ import annotations
@@ -27,59 +26,53 @@ from repro.core.errors import ProtocolError
 from repro.core.records import StoredRecord
 from repro.core.store import LogServerStore
 from repro.net.codec import decode
-from repro.net.messages import ERR_STORAGE, ErrorReply, ForceLogMsg, NewHighLSNMsg
-from repro.rt.client import AdaptiveDelta, AsyncReplicatedLog
+from repro.net.messages import (
+    ERR_PROTOCOL,
+    ERR_STORAGE,
+    ErrorReply,
+    ForceLogMsg,
+    NewHighLSNMsg,
+)
+from repro.rt.client import AsyncReplicatedLog
 from repro.rt.faultfs import FaultInjector
 from repro.rt.faultspec import FaultSpec
 from repro.rt.filestore import FileLogStore
 from repro.rt.server import LogServerDaemon
 
 
-# -- AdaptiveDelta -------------------------------------------------------
+# -- the client's δ trigger ----------------------------------------------
 
 
-def test_adaptive_delta_starts_at_the_protocol_ceiling():
-    ad = AdaptiveDelta(8)
-    assert ad.effective == 8
-    assert ad.min_delta == 1
+def test_twenty_writes_at_delta_eight_make_two_forces_of_eight(tmp_path):
+    """δ is δ: with no explicit force the window is forced exactly when
+    it holds ``config.delta`` records — counts, not timings."""
+    config = ReplicationConfig(total_servers=1, copies=1, delta=8)
 
+    async def main():
+        store = FileLogStore(os.path.join(tmp_path, "s1"), "s1")
+        daemon = LogServerDaemon(store)
+        await daemon.start()
+        try:
+            log = AsyncReplicatedLog(
+                "c1", {"s1": (daemon.host, daemon.port)}, config)
+            await log.initialize()
+            appended = store.records_appended
+            for i in range(20):
+                await log.write(f"r{i}".encode())
+            assert log.forces_performed == 2
+            assert daemon.forces_acked == 2
+            # no WriteLog streamed these small records ahead of their
+            # force, so each ForceLog carried one full window
+            assert store.records_appended - appended == 2 * 8
+            assert len(log._window) == 4
+            await log.force()
+            assert (log.forces_performed, daemon.forces_acked) == (3, 3)
+            assert store.records_appended - appended == 20
+            await log.close()
+        finally:
+            await daemon.close()
 
-def test_adaptive_delta_shrinks_under_sustained_light_load():
-    ad = AdaptiveDelta(8, shrink_patience=4)
-    for _ in range(100):
-        ad.observe_force(0.0005, window_records=1, queue_depth=0)
-    # One-record windows settle at 2: a window that reaches the trigger
-    # itself counts as load, so the controller hovers just above it.
-    assert ad.effective <= 2
-    assert ad.shrinks >= 6
-
-
-def test_adaptive_delta_needs_patience_to_shrink():
-    ad = AdaptiveDelta(8, shrink_patience=4)
-    for _ in range(3):
-        ad.observe_force(0.0005, window_records=1, queue_depth=0)
-    assert ad.effective == 8  # three light forces are not yet a trend
-
-
-def test_adaptive_delta_grows_back_on_queue_depth():
-    ad = AdaptiveDelta(8, shrink_patience=1)
-    for _ in range(50):
-        ad.observe_force(0.0005, window_records=0, queue_depth=0)
-    assert ad.effective == 1
-    ad.observe_force(0.0005, window_records=1, queue_depth=3)
-    assert ad.effective == 2  # growth doubles
-    ad.observe_force(0.0005, window_records=2, queue_depth=3)
-    ad.observe_force(0.0005, window_records=4, queue_depth=3)
-    assert ad.effective == 8  # back at the ceiling in a few forces
-    ad.observe_force(0.0005, window_records=8, queue_depth=3)
-    assert ad.effective == 8  # never above config.delta
-
-
-def test_adaptive_delta_slow_acks_keep_the_window_wide():
-    ad = AdaptiveDelta(8, target_latency_s=0.002, shrink_patience=2)
-    for _ in range(50):
-        ad.observe_force(0.010, window_records=1, queue_depth=0)
-    assert ad.effective == 8  # latency EWMA says loaded: no shrink
+    asyncio.run(main())
 
 
 # -- server_write_record's newly-stored contract -------------------------
@@ -197,6 +190,25 @@ def test_concurrent_client_forces_coalesce_over_the_wire(tmp_path):
     async def main():
         store = FileLogStore(os.path.join(tmp_path, "s1"), "s1")
         daemon = LogServerDaemon(store)
+        # fsyncs completed when each force was parked, and when acked
+        parked: dict[tuple[str, int], int] = {}
+        acked: dict[tuple[str, int], int] = {}
+        park, write_frames = daemon._park_force, daemon._write_frames_safely
+
+        def park_force(msg, writer, images=None):
+            out = park(msg, writer, images)
+            parked[msg.client_id, msg.high_lsn] = store.fsyncs
+            return out
+
+        def write_frames_safely(writer, bufs):
+            for buf in bufs:
+                reply = decode(buf[4:])
+                if isinstance(reply, NewHighLSNMsg):
+                    acked[reply.client_id, reply.new_high_lsn] = store.fsyncs
+            write_frames(writer, bufs)
+
+        daemon._park_force = park_force
+        daemon._write_frames_safely = write_frames_safely
         await daemon.start()
         addresses = {"s1": (daemon.host, daemon.port)}
         try:
@@ -208,29 +220,22 @@ def test_concurrent_client_forces_coalesce_over_the_wire(tmp_path):
         # Every shared generation is one fsync for the whole batch.
         assert daemon.forces_coalesced > 0
         assert store.fsyncs < daemon.forces_acked
+        # No ack precedes its covering fsync: one returned between the
+        # append that parked the force and the ack that answered it.
+        assert len(acked) == 40
+        for force, fsyncs_when_acked in acked.items():
+            assert fsyncs_when_acked > parked[force]
 
     asyncio.run(main())
 
 
-def test_no_group_commit_daemon_acks_inline(tmp_path):
-    config = ReplicationConfig(total_servers=1, copies=1, delta=8)
-
-    async def main():
-        store = FileLogStore(os.path.join(tmp_path, "s1"), "s1")
-        daemon = LogServerDaemon(store, group_commit=False)
-        await daemon.start()
-        try:
-            log = AsyncReplicatedLog(
-                "c1", {"s1": (daemon.host, daemon.port)}, config)
-            await log.initialize()
-            for i in range(5):
-                await log.write(f"r{i}".encode())
-                assert await log.force() > 0
-            await log.close()
-        finally:
-            await daemon.close()
-        assert daemon.forces_acked == 5
-        assert daemon.forces_coalesced == 0
-        assert daemon.group_syncs == 0
-
-    asyncio.run(main())
+def test_a_force_reaches_the_store_only_by_parking(tmp_path):
+    """``_dispatch`` serves every message but a ForceLog: handing it one
+    appends nothing and acknowledges nothing."""
+    store = FileLogStore(os.path.join(tmp_path, "s1"), "s1")
+    daemon = LogServerDaemon(store)
+    (reply,) = daemon._dispatch(_force_msg("c0", range(1, 4)))
+    assert isinstance(reply, ErrorReply) and reply.code == ERR_PROTOCOL
+    assert store.records_appended == 0
+    assert daemon.forces_acked == 0
+    store.close()
