@@ -454,9 +454,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             return 0 if reached else 1
         show = ["messages_handled", "forces_acked", "store_records",
                 "log_bytes", "fsyncs", "quota_rejections",
-                "tenant_streams", "fence_rejections", "fence_epoch"]
+                "tenant_streams", "fence_rejections", "fence_epoch",
+                "read_ahead_hits", "read_ahead_wasted"]
         rows = [
-            tuple([sid] + [str(counters[k]) for k in show])
+            tuple([sid] + [str(counters.get(k, "-")) for k in show])
             for sid, counters in sorted(reached.items())
         ] + [
             tuple([sid] + ["DOWN"] * len(show))

@@ -409,6 +409,10 @@ STATS_COUNTERS: tuple[str, ...] = (
     # ownership fencing (appended after the admission block)
     "fence_rejections",    # writes/forces/truncates refused with ERR_FENCED
     "fence_epoch",         # this client's standing fence (0 = unfenced)
+    # read-ahead of scans (appended after the fencing block: old
+    # replies simply lack them)
+    "read_ahead_hits",     # scan calls answered from a reply built ahead
+    "read_ahead_wasted",   # replies built ahead that no call took
 )
 
 

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import asyncio
 import random
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Awaitable, Callable, Mapping
 
 from ..core.config import ReplicationConfig
@@ -494,6 +496,29 @@ async def async_retry(
                 await on_retry(attempt)
             await asyncio.sleep(policy.delay(attempt, rng))
             attempt += 1
+
+
+def _attributed(merged: MergedIntervalMap, server_id: str, lsn: LSN,
+                records: tuple[StoredRecord, ...],
+                ) -> tuple[StoredRecord, ...]:
+    """The prefix of ``records`` (a ReadLog reply of ``server_id``) that
+    ``merged`` says the server holds: LSNs ``lsn``, ``lsn + 1``, … each
+    at the epoch of the segment it falls in.  Walks the map's segments
+    once — the cost per record is two comparisons."""
+    segments = merged.segments()
+    taken = 0
+    for lo, hi, epoch, servers in segments[
+            bisect_right(segments, lsn, key=itemgetter(0)) - 1:]:
+        if lo > lsn or server_id not in servers:
+            break
+        for record in records[taken:taken + hi - lsn + 1]:
+            if record.lsn != lsn or record.epoch != epoch:
+                return records[:taken]
+            taken += 1
+            lsn += 1
+        if taken == len(records):
+            break
+    return records[:taken]
 
 
 class AsyncReplicatedLog:
@@ -1072,8 +1097,18 @@ class AsyncReplicatedLog:
         return record.to_log_record()
 
     async def read_forward(self, lsn: LSN) -> tuple[StoredRecord, ...]:
-        """ReadLogForward from any server known to store ``lsn``: as
-        many records from there on as the server puts in one reply."""
+        """ReadLogForward from any server known to store ``lsn``: the
+        records from there on that one reply carries *and* the merged
+        map attributes to that server — consecutive LSNs from ``lsn``,
+        each at its winning epoch, none past :meth:`end_of_log`.
+
+        A server's reply jumps over LSNs it does not store (written
+        while it was out of the write set) and may carry copies a later
+        epoch superseded; a caller stepping ``records[-1].lsn + 1``
+        must meet neither, so the reply is cut where the map stops
+        vouching for it and the next call goes to whoever holds the
+        rest.
+        """
         merged = self._require_init()
         for sid in merged.servers_for(lsn):
             conn = self._conns.get(sid)
@@ -1085,7 +1120,9 @@ class AsyncReplicatedLog:
             except ServerUnavailable:
                 continue
             if isinstance(reply, ReadLogReply):
-                return reply.records
+                records = _attributed(merged, sid, lsn, reply.records)
+                if records:
+                    return records
         raise NotEnoughServers(f"no server holding LSN {lsn} is reachable")
 
     def end_of_log(self) -> LSN:

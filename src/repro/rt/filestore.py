@@ -283,6 +283,14 @@ _LENGTH_MASK = (1 << _LENGTH_BITS) - 1
 #: alignment and unit of reads from ``log.dat`` (a power of two).
 _READ_BLOCK_BYTES = 4096
 
+#: the most bytes appended to ``log.dat`` whose record images the
+#: unsynced tail may cache.  The tail is only a cache — anything
+#: dropped from it is read back from ``log.dat`` — so a client that
+#: streams WriteLogs and never forces costs the daemon this much
+#: memory, not its whole stream.  A ForceLog's window is far below it
+#: (``bulk_stream`` appends 32 KiB per fsync).
+TAIL_CACHE_BYTES = 1024 * 1024
+
 
 class RecordHandle:
     """What the daemon keeps in memory per stored record — no payload.
@@ -391,6 +399,9 @@ class FileLogStore:
         #: covering fsync: what a ForceLog re-sends is compared against
         #: these in memory, and reads of them need no flush.
         self._tail: dict[RecordHandle, bytes] = {}
+        #: client id → how many times the stream's stored records have
+        #: changed under this open store (:meth:`stream_version`).
+        self._versions: dict[str, int] = {}
         existed = self._log_path.exists()
         #: the one descriptor reads, replay and compaction read through.
         self._reader = (open(self._log_path, "rb", buffering=0)
@@ -402,6 +413,9 @@ class FileLogStore:
         #: how much of ``log.dat`` the OS has; the rest of ``_size`` is
         #: still in the append handle's buffer.
         self._flushed = self._size
+        #: the size of ``log.dat`` when the tail was last emptied: what
+        #: has been appended since bounds the image bytes it caches.
+        self._tail_start = self._size
         self._file = self.io.open(self._log_path, "ab", "log.open")
         if not existed:
             # A freshly created log.dat is not durable until its
@@ -592,8 +606,9 @@ class FileLogStore:
         return offset
 
     def _covered(self) -> None:
-        """An fsync of ``log.dat`` returned: all of it is on disk."""
-        self._flushed = self._size
+        """The OS has all of ``log.dat`` — an fsync returned, or the
+        append buffer was flushed — so no image needs caching."""
+        self._flushed = self._tail_start = self._size
         self._tail.clear()
 
     def _admit(self, client_id: str, record: StoredRecord, image: bytes,
@@ -672,13 +687,19 @@ class FileLogStore:
     def _flush_record_batch(self, buf: bytes, client_id: str,
                             pending: list[tuple[LSN, int]]) -> None:
         """One buffered write + one forest node for a validated batch."""
+        self._changed(client_id)  # the index already holds the batch
         self._check_writable()
         try:
             self.io.write(self._file, buf, "log.write.record")
+            self._size += len(buf)
+            self.bytes_appended += len(buf)
+            if self._size - self._tail_start > TAIL_CACHE_BYTES:
+                # Nobody forces: hand the buffered bytes to the OS and
+                # stop caching their images; _read serves them now.
+                self._file.flush()
+                self._covered()
         except OSError as exc:
             raise self._wedge(exc) from exc
-        self._size += len(buf)
-        self.bytes_appended += len(buf)
         forest = self._forest(client_id)
         high = forest.high_key or 0
         fresh = [(lsn, off) for lsn, off in pending if lsn > high]
@@ -728,6 +749,7 @@ class FileLogStore:
             E_INSTALL, client_id,
             _INSTALL.pack(epoch, zlib.crc32(epoch_bytes)), fsync=True,
         )
+        self._changed(client_id)
         return self.mem.install_copies(client_id, epoch)
 
     def generator_write(self, value: int) -> None:
@@ -781,6 +803,7 @@ class FileLogStore:
         replay.
         """
         self._check_writable()
+        self._changed(client_id)
         dropped = self.mem.truncate_below(client_id, low_water)
         self.truncations += 1
         if dropped:
@@ -1086,6 +1109,17 @@ class FileLogStore:
     def client_high_lsn(self, client_id: str) -> LSN | None:
         state = self.mem.find_client(client_id)
         return state.high_lsn if state is not None else None
+
+    def stream_version(self, client_id: str) -> int:
+        """Moves whenever what a ReadLog of the client's stream would
+        answer may have: an admitted append batch, an InstallCopies, a
+        truncation.  An answer built at one version is the answer for
+        as long as the version stands (0 for a stream never changed
+        under this open store — asking allocates nothing)."""
+        return self._versions.get(client_id, 0)
+
+    def _changed(self, client_id: str) -> None:
+        self._versions[client_id] = self._versions.get(client_id, 0) + 1
 
     @property
     def log_size_bytes(self) -> int:

@@ -27,6 +27,12 @@ One daemon serves many clients over many connections; per-client gap
 tracking is daemon-wide, seeded from the durable high-water mark after
 a restart.  Handlers run inline on the event loop.
 
+Log readers read in order, so the daemon reads ahead of a scan: once a
+ReadLog call continues exactly where the previous reply on its
+connection ended, the next reply is built right after this one has
+been written — while the client is still decoding it — and held on the
+connection (:class:`_Scan`) for the call that asks for it.
+
 Group commit is the only way a force is served — the economy the
 paper's grouped interface is designed around: a ForceLog appends its
 records *without* syncing and parks on a shared sync generation; a
@@ -107,6 +113,32 @@ PACKET_REPLY_BYTES = PACKET_PAYLOAD_BYTES
 #: and the last adds 2 % to the daemon's resident set.
 READ_REPLY_CAP_BYTES = 64 * 1024
 
+_ReadLogCall = ReadLogForwardCall | ReadLogBackwardCall
+
+
+class _Scan:
+    """What one connection remembers of the scan it may be serving.
+
+    At most one reply is held, framed and ready to write: the answer to
+    ``following`` as long as the stream's version is still ``version``.
+    ``held`` and ``pending`` are only ever set while ``following`` is.
+    """
+
+    __slots__ = ("following", "held", "version", "pending")
+
+    def __init__(self) -> None:
+        #: the call that would continue the last reply, if more of the
+        #: stream lies beyond it; None after anything else.
+        self.following: _ReadLogCall | None = None
+        #: what :meth:`LogServerDaemon._read_frames` answered to
+        #: ``following``, once built: the framed reply, and the call
+        #: that would continue *it*.
+        self.held: tuple[list[bytes], _ReadLogCall | None] | None = None
+        #: :meth:`FileLogStore.stream_version` when ``held`` was built.
+        self.version = 0
+        #: the scheduled build of ``held``, until it has run.
+        self.pending: asyncio.Handle | None = None
+
 
 class LogServerDaemon:
     """One log-server node: a TCP endpoint over a :class:`FileLogStore`."""
@@ -153,6 +185,13 @@ class LogServerDaemon:
         self.group_syncs = 0
         #: buffers handed to the transport via vectored reply writes.
         self.send_iovecs = 0
+        #: scan calls answered from the reply built ahead of them, and
+        #: replies built ahead that no call ever took.
+        self.read_ahead_hits = 0
+        self.read_ahead_wasted = 0
+        #: bytes of framed replies held across all connections: each
+        #: holds at most one, of READ_REPLY_CAP_BYTES plus one record.
+        self.held_reply_bytes = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -187,6 +226,7 @@ class LogServerDaemon:
         bound_socket_reads(writer.transport)
         frames = FrameReader(reader)
         images: list[bytes] = []
+        scan = _Scan()
         try:
             while True:
                 images.clear()
@@ -194,6 +234,12 @@ class LogServerDaemon:
                 if msg is None:
                     break
                 self.messages_handled += 1
+                if isinstance(msg, _ReadLogCall) and msg.max_records > 1:
+                    self._on_scan_call(msg, writer, scan)
+                    await writer.drain()
+                    continue
+                if scan.following is not None:
+                    self._forget_scan(scan)
                 denial = self._fence_denial(msg)
                 if denial is None and self.quotas \
                         and isinstance(msg, WriteLogMsg):
@@ -213,6 +259,7 @@ class LogServerDaemon:
             log.exception("connection handler failed on %s",
                           self.store.server_id)
         finally:
+            self._forget_scan(scan)
             frames.close()
             writer.close()
             try:
@@ -236,6 +283,84 @@ class LogServerDaemon:
                 bufs.append(frame(reply))
         writer.writelines(bufs)
         self.send_iovecs += len(bufs)
+
+    # -- reading ahead of a scan ----------------------------------------
+
+    def _on_scan_call(self, msg: _ReadLogCall, writer: asyncio.StreamWriter,
+                      scan: _Scan) -> None:
+        """Answer a ReadLog call that asks for more than one record.
+
+        From the held reply when it is the answer — the call is the one
+        it was built for and the stream has not changed since — else
+        through :meth:`_dispatch` like any call.  When the call
+        continued the reply before it and the stream goes on past this
+        one, the next reply is built once this one has been handed to
+        the transport and whatever the loop already has queued has run
+        (``call_soon``): the client decodes this reply meanwhile.  The
+        first call of a scan, a call after a reply that reached the end
+        of the stream, and a call for an unknown client are answered
+        and nothing more.
+        """
+        continues = msg == scan.following
+        if continues and scan.held is not None \
+                and scan.version == self.store.stream_version(msg.client_id):
+            bufs, following = scan.held
+            self.held_reply_bytes -= sum(map(len, bufs))
+            scan.held = None
+            self.read_ahead_hits += 1
+        else:
+            self._forget_scan(scan)
+            bufs, following = self._read_frames(msg)
+        writer.writelines(bufs)
+        self.send_iovecs += len(bufs)
+        scan.following = following
+        if continues and following is not None:
+            scan.pending = asyncio.get_running_loop().call_soon(
+                self._read_ahead, scan)
+
+    def _read_frames(self, msg: _ReadLogCall
+                     ) -> tuple[list[bytes], _ReadLogCall | None]:
+        """The framed reply to ``msg``, and the call that continues it
+        when stored records lie beyond the reply (else ``None``)."""
+        images: list[bytes] = []
+        (reply,) = self._dispatch(msg, images)
+        if not isinstance(reply, ReadLogReply):
+            return [frame(reply)], None
+        bufs = frame_iov(reply, images)
+        following = None
+        if reply.records:
+            lsns = self.store.stored_lsns(msg.client_id)
+            if isinstance(msg, ReadLogForwardCall):
+                lsn = reply.records[-1].lsn
+                more = lsn < lsns[-1]
+                lsn += 1
+            else:
+                lsn = reply.records[0].lsn
+                more = lsn > lsns[0]
+                lsn -= 1
+            if more:
+                following = type(msg)(msg.client_id, lsn, msg.max_records)
+        return bufs, following
+
+    def _read_ahead(self, scan: _Scan) -> None:
+        """Build and hold the reply to ``scan.following``."""
+        scan.pending = None
+        call = scan.following
+        scan.version = self.store.stream_version(call.client_id)
+        scan.held = self._read_frames(call)
+        self.held_reply_bytes += sum(map(len, scan.held[0]))
+
+    def _forget_scan(self, scan: _Scan) -> None:
+        """Anything but the continuing call ends the scan: drop the
+        held reply (or the build of it that has not run yet)."""
+        if scan.pending is not None:
+            scan.pending.cancel()
+            scan.pending = None
+        if scan.held is not None:
+            self.held_reply_bytes -= sum(map(len, scan.held[0]))
+            scan.held = None
+            self.read_ahead_wasted += 1
+        scan.following = None
 
     # -- group commit --------------------------------------------------
 
@@ -611,6 +736,8 @@ class LogServerDaemon:
                                   for s in self._tenant_streams.values()),
             "fence_rejections": store.fence_rejections,
             "fence_epoch": store.fence_epoch(msg.client_id),
+            "read_ahead_hits": self.read_ahead_hits,
+            "read_ahead_wasted": self.read_ahead_wasted,
         }
         counters = tuple(values[name] for name in STATS_COUNTERS)
         return StatsReply(msg.client_id, counters)

@@ -24,8 +24,11 @@ from repro.net.codec import (
     KIND_CODES,
     MAX_CLIENT_ID_BYTES,
     MAX_RECORD_DATA,
+    MESSAGE_MAGIC,
     SOCKET_READ_BYTES,
+    WIRE_VERSION,
     FrameReader,
+    FrameScanner,
     WireCodecError,
     bound_socket_reads,
     decode,
@@ -468,3 +471,126 @@ def test_stream_transports_have_the_read_size_it_bounds():
         return seen
 
     assert asyncio.run(main()) == [SOCKET_READ_BYTES] * 2
+
+
+# -- hostile bytes ---------------------------------------------------------
+#
+# Bytes off the wire are outside input: whatever arrives — noise, a
+# valid stream damaged in flight, a well-framed body that lies about
+# its contents — the decoder and both frame readers answer with a
+# decoded message or ``WireCodecError``, never any other exception.
+
+
+def _framed(payload: bytes) -> bytes:
+    return struct.pack("!I", len(payload)) + payload
+
+
+#: a body of noise behind a header whose magic and version are right,
+#: so the decoder gets as far as the type's own parsing.
+_plausible = st.tuples(
+    st.integers(0, 40), st.binary(min_size=16, max_size=16),
+    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1), st.binary(max_size=120),
+).map(lambda t: struct.pack("!HBB16sIII", MESSAGE_MAGIC, t[0],
+                            WIRE_VERSION, *t[1:5]) + t[5])
+
+_damage = st.lists(st.tuples(
+    st.sampled_from(["set", "insert", "delete", "cut"]),
+    st.integers(0, 2**16), st.integers(0, 255)), max_size=4)
+
+
+def _damaged(data: bytes, damage) -> bytes:
+    out = bytearray(data)
+    for how, where, value in damage:
+        if not out:
+            break
+        where %= len(out)
+        if how == "set":
+            out[where] = value
+        elif how == "insert":
+            out.insert(where, value)
+        elif how == "delete":
+            del out[where]
+        else:
+            del out[where:]
+    return bytes(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200), _plausible,
+    st.tuples(st.one_of(messages(), generator_messages()).map(encode),
+              _damage).map(lambda t: _damaged(*t))))
+def test_decode_of_hostile_bytes_is_a_message_or_a_codec_error(payload):
+    images: list[bytes] = []
+    try:
+        decode(payload, images)
+    except WireCodecError:
+        pass
+
+
+_hostile_streams = st.tuples(
+    st.lists(st.one_of(
+        st.one_of(messages(), generator_messages()).map(frame),
+        _plausible.map(_framed),
+        st.binary(max_size=120).map(_framed),
+        st.binary(max_size=60)), min_size=1, max_size=5).map(b"".join),
+    _damage).map(lambda t: _damaged(*t))
+
+
+def _chunks(stream: bytes, cuts: list[int]) -> list[bytes]:
+    edges = [0, *sorted(cut % (len(stream) + 1) for cut in cuts),
+             len(stream)]
+    return [stream[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hostile_streams, st.lists(st.integers(0, 2**16), max_size=6))
+def test_frame_readers_answer_hostile_streams_with_codec_errors_and_agree(
+        stream, cuts):
+    """Over any stream in any chunking, ``FrameReader`` (which decodes)
+    and ``FrameScanner`` (which only finds boundaries) raise nothing
+    but ``WireCodecError``, and up to the first error each frame one
+    yields is the frame the other yields."""
+    chunks = _chunks(stream, cuts)
+
+    async def read_all() -> list:
+        source = asyncio.StreamReader()
+        for chunk in chunks:
+            source.feed_data(chunk)
+        source.feed_eof()
+        reader = FrameReader(source)
+        out = []
+        try:
+            while (msg := await reader.read_message()) is not None:
+                out.append(msg)
+        except WireCodecError:
+            pass
+        reader.close()
+        return out
+
+    decoded = asyncio.run(read_all())
+
+    def scan_all(pieces) -> tuple[list, bool]:
+        scanner = FrameScanner()
+        out = []
+        try:
+            for piece in pieces:
+                out += scanner.feed(piece)
+        except WireCodecError:
+            return out, True
+        return out, False
+
+    for pieces in (chunks, [stream[i:i + 1] for i in range(len(stream))]):
+        scanned, failed = scan_all(pieces)
+        for message, scanned_frame in zip(decoded, scanned):
+            assert decode(scanned_frame.data[4:]) == message
+        if not failed:
+            # checking less, the scanner gets at least as far
+            assert len(scanned) >= len(decoded)
+    # fed a byte at a time, every frame is out before the scanner has
+    # looked at what follows it: nothing the reader decoded is missing,
+    # and the frames lie end to end from the start of the stream
+    assert len(scanned) >= len(decoded)
+    consumed = b"".join(f.data for f in scanned)
+    assert stream.startswith(consumed)

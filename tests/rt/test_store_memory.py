@@ -5,6 +5,8 @@ not depend on the record's payload size — neither after appending nor
 after close + reopen — and opening a log streams it instead of reading
 it whole.  (With payloads held in memory, a 2 048 B record retained
 ≈ 2 300 B and opening a 40 MB log peaked ≈ 40 MB above what it kept.)
+The images appended since the last fsync are a cache too, and capped:
+a client that streams WriteLogs and never forces does not grow it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import tracemalloc
 import pytest
 
 from repro.core.records import StoredRecord
-from repro.rt.filestore import FileLogStore
+from repro.rt.faultfs import PassthroughIO
+from repro.rt.filestore import TAIL_CACHE_BYTES, FileLogStore
 
 RECORDS = 20_000
 BATCH = 8
@@ -83,3 +86,64 @@ def test_open_streams_the_log_instead_of_reading_it_whole(measured):
     run = measured[2048]
     assert run["log_bytes"] >= 20 * 1024 * 1024
     assert run["open_peak_over_retained"] <= 4 * 1024 * 1024, run
+
+
+class _CountingIO(PassthroughIO):
+    """The passthrough backend, counting ``log.dat`` fsyncs."""
+
+    fsyncs = 0
+
+    def fsync(self, fh, site):
+        self.fsyncs += 1
+        super().fsync(fh, site)
+
+
+def test_a_stream_that_never_forces_does_not_grow_the_tail(tmp_path):
+    """8 MiB of WriteLogs and no force: the unsynced tail stays within
+    its cap, and nothing that was dropped from it is lost — it reads
+    back, a re-send is still a duplicate, one fsync still covers it."""
+    size = 1024
+    batch = 32
+
+    def records(lo: int) -> tuple[StoredRecord, ...]:
+        return tuple(
+            StoredRecord(lsn, 1, data=lsn.to_bytes(4, "big") * (size // 4))
+            for lsn in range(lo, lo + batch))
+
+    io = _CountingIO()
+    store = FileLogStore(tmp_path, "s1", io=io)
+    try:
+        total = 8 * 1024 * 1024 // size
+        most = 0
+        for lo in range(1, total + 1, batch):
+            store.append_records("c", records(lo), fsync=False)
+            most = max(most, sum(map(len, store._tail.values())))
+        assert io.fsyncs == 0
+        assert most <= TAIL_CACHE_BYTES + batch * (16 + size), most
+        assert len(store._tail) < total  # the head of the stream left it
+
+        for lsn in (1, batch, total // 2, total):
+            assert store.read_record("c", lsn) == StoredRecord(
+                lsn, 1, data=lsn.to_bytes(4, "big") * (size // 4))
+        appended = store.bytes_appended
+        store.append_records("c", records(1), fsync=False)  # evicted
+        store.append_records("c", records(total - batch + 1), fsync=False)
+        assert store.bytes_appended == appended  # duplicates: no write
+        assert store.record_count() == total
+
+        store.sync()
+        assert io.fsyncs == 1 and not store._tail
+
+        # a forced window (bulk_stream's: 32 x 1 KiB) is far below the
+        # cap: all of it is still cached when its force re-sends it
+        store.append_records("c", records(total + 1), fsync=False)
+        assert len(store._tail) == batch
+        total += batch
+    finally:
+        store.close()
+    reopened = FileLogStore(tmp_path, "s1")
+    try:
+        assert reopened.record_count() == total
+        assert reopened.truncated_bytes == 0
+    finally:
+        reopened.close()
