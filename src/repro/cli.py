@@ -192,7 +192,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run_server(
             args.data_dir, args.server_id, args.host, args.port,
-            compact_watermark_bytes=args.compact_watermark_bytes,
             fault_plan=args.fault_plan,
             fault_trace=args.fault_trace,
             cluster_spec=args.cluster_spec,
@@ -559,16 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run one real log-server daemon (asyncio, TCP)")
     p.add_argument("--data-dir", required=True,
-                   help="directory for the durable log and forest files")
+                   help="directory for the durable log (log.dat)")
     p.add_argument("--server-id", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 = ephemeral; the chosen port is "
                         "announced as 'REPRO-SERVE <id> <host> <port>')")
-    p.add_argument("--compact-watermark-bytes", type=int, default=None,
-                   help="compact the on-disk log whenever it exceeds "
-                        "this size (Section 5.3 fallback when clients "
-                        "do not send TruncateLog; default off)")
     p.add_argument("--fault-plan", default=None, metavar="SITE:IDX:ACTION",
                    help="arm one deterministic storage fault (e.g. "
                         "'log.fsync:3:power-loss'); the daemon exits 86 "

@@ -20,16 +20,13 @@ between two I/O operations.  This harness checks that literally:
    exact epoch/present/data/kind (unless reclaimed by an acked
    truncation), nothing not written is ever surfaced, the truncation
    mark is monotone and bounded by what was attempted, InstallCopies
-   is all-or-nothing, the generator value never regresses, the
-   append-forest agrees with the log, and the reopened store accepts
-   and persists further appends.
+   is all-or-nothing, the generator value never regresses, and the
+   reopened store accepts and persists further appends.
 
 Bit flips are *silent corruption* — fsync succeeded but the disk lied —
 so durability of later acks is unprovable by design; those cases check
 the weaker contract that recovery never surfaces corrupt data (the
-CRC rejects the entry and ends the valid prefix).  Flips in the
-advisory forest index must not weaken anything: the log is
-authoritative, so the full invariants still apply there.
+CRC rejects the entry and ends the valid prefix).
 
 The **daemon phase** repeats a subset against a real ``repro serve``
 process: the armed daemon dies with exit status 86 mid-workload
@@ -80,7 +77,6 @@ from pathlib import Path
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError, StorageError
 from ..core.records import StoredRecord
-from ..storage.append_forest import AppendForestError
 from ..rt import clientfault
 from ..rt.cluster import LoopbackCluster
 from ..rt.faultfs import FAULT_EXIT_CODE, FaultInjector, PowerLoss
@@ -107,7 +103,7 @@ from .sweep import (
 
 #: sites whose payload can be torn or bit-flipped (the others degrade
 #: crash-shaped actions to a plain power loss).
-_WRITE_SITES = ("log.write.", "compact.write", "forest.write")
+_WRITE_SITES = ("log.write.", "compact.write")
 
 #: the phases ``SweepConfig.phases`` can name, in running order.
 #: ``net`` brings the curated partition-switch and handoff phases with
@@ -280,7 +276,7 @@ def _store_workload(store: FileLogStore, journal: _Journal,
     store.append_records("cr", batch, fsync=True)
     journal.ack_records("cr", batch)
     # §5.3 truncation that reclaims records → compaction (tmp + rename
-    # + dir fsync + forest rebuild).
+    # + dir fsync).
     journal.attempted_mark["cw"] = 8
     store.truncate_below("cw", 8)
     journal.ack_truncate("cw", 8)
@@ -404,22 +400,6 @@ def _verify(data_dir, journal: _Journal, payloads: dict, *,
             if store.generator_value > journal.attempted_gen:
                 errors.append(f"generator overshot: {store.generator_value}"
                               f" > attempted {journal.attempted_gen}")
-            # Forest ↔ log consistency.
-            for cid in sorted(clients):
-                forest = store.forest(cid)
-                if forest is not None:
-                    try:
-                        forest.check_invariants()
-                    except AppendForestError as exc:
-                        errors.append(f"forest invariants broken for "
-                                      f"{cid}: {exc}")
-                for lsn in store.stored_lsns(cid):
-                    via = store.read_via_index(cid, lsn)
-                    if via is not None \
-                            and _tup(via) != _tup(store.read_record(cid, lsn)):
-                        errors.append(
-                            f"forest disagrees with log at {cid}/{lsn}"
-                        )
             # Continuation: the recovered store accepts appends and
             # persists them across another reopen.
             high = store.client_high_lsn("cw") or 0
@@ -475,11 +455,8 @@ def _run_case(data_dir: Path, plan: Plan, payloads: dict) -> CrashCase:
             except (StorageError, OSError):
                 pass
         injector.close_all()
-    # Silent log corruption voids later acks by design; corruption of
-    # the advisory forest index must not (the log is authoritative).
-    strict = not any(spec.action == "bit-flip"
-                     and not spec.site.startswith("forest.")
-                     for spec in plan)
+    # Silent log corruption voids later acks by design.
+    strict = not any(spec.action == "bit-flip" for spec in plan)
     case.errors = _verify(data_dir, journal, payloads, strict=strict)
     case.ok = not case.errors
     return case

@@ -4,8 +4,9 @@ Where :mod:`repro.sim` *models* the distributed log (simulated clocks,
 LAN contention, failure injection), this package *runs* it:
 
 * :mod:`repro.rt.filestore` — durable file-backed log-server storage:
-  an fsync'd append stream replayed through the unchanged in-memory
-  store on recovery, plus a persisted append-forest index;
+  one fsync'd append stream, replayed on recovery into an in-memory
+  index of handles (LSN → offset) held by the unchanged in-memory
+  store;
 * :mod:`repro.rt.server` — the asyncio log-server daemon speaking the
   Figure 4-1 message set in the binary encoding of
   :mod:`repro.net.codec`;
@@ -39,7 +40,7 @@ from .client import AsyncReplicatedLog, ServerConnection, async_retry
 from .cluster import LoopbackCluster, ServerProcess
 from .faultfs import FaultInjector, PassthroughIO, PowerLoss
 from .faultspec import FaultSpec, FaultSpecError, parse_plan
-from .filestore import FileLogStore, FilePageStore
+from .filestore import FileLogStore
 from .placement import (
     ClusterSpec,
     HashRing,
@@ -61,7 +62,6 @@ __all__ = [
     "FaultSpec",
     "FaultSpecError",
     "FileLogStore",
-    "FilePageStore",
     "HashRing",
     "LogServerDaemon",
     "LoopbackCluster",

@@ -70,7 +70,7 @@ class LoopbackCluster:
         self.root_dir = str(root_dir)
         self.startup_timeout = startup_timeout
         #: extra ``repro serve`` CLI arguments applied to every spawn
-        #: (e.g. ``["--compact-watermark-bytes", "65536"]``).
+        #: (e.g. ``["--fault-trace", "trace.txt"]``).
         self.server_args = list(server_args or [])
         self.servers: dict[str, ServerProcess] = {}
         for i in range(num_servers):

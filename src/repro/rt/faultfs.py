@@ -1,7 +1,7 @@
 """Injectable storage I/O backends for the real runtime.
 
 :class:`FileLogStore` routes every mutating filesystem call — open,
-write, fsync, rename, directory fsync, unlink — through a backend
+write, fsync, rename, directory fsync — through a backend
 object with this interface.  The default :class:`PassthroughIO` is a
 thin veneer over the ``os`` module; :class:`FaultInjector` is the
 deterministic fault layer behind ``repro crashsweep``.
@@ -40,7 +40,7 @@ model allows:
 * every file is truncated back to its last fsync barrier (for
   ``short-write`` the flushed prefix of the torn write survives — both
   the all-lost and the torn shape are exercised by the sweep);
-* directory operations (create, rename, unlink) that were not yet
+* directory operations (create, rename) that were not yet
   covered by a directory fsync are rolled back — a file's ``fsync``
   does **not** commit its own directory entry.
 
@@ -105,9 +105,6 @@ class PassthroughIO:
 
     def replace(self, src: str | Path, dst: str | Path, site: str) -> None:
         os.replace(src, dst)
-
-    def unlink(self, path: str | Path, site: str) -> None:
-        os.unlink(path)
 
     def fsync_dir(self, path: str | Path, site: str) -> None:
         dir_fd = os.open(path, os.O_RDONLY)
@@ -285,18 +282,6 @@ class FaultInjector(PassthroughIO):
             ("replace", src, dst, pre, pre_synced, src_bytes, src_synced),
         ))
 
-    def unlink(self, path: str | Path, site: str) -> None:
-        path = os.fspath(path)
-        action = self._hit(site)
-        self._act(action)
-        data = Path(path).read_bytes()
-        synced = min(self._synced.get(path, len(data)), len(data))
-        os.unlink(path)
-        self._synced.pop(path, None)
-        self._pending_ops.append(
-            (os.path.dirname(path), ("unlink", path, data, synced))
-        )
-
     def fsync_dir(self, path: str | Path, site: str) -> None:
         path = os.fspath(path)
         action = self._hit(site)
@@ -342,9 +327,6 @@ class FaultInjector(PassthroughIO):
             _, path = op
             if os.path.exists(path):
                 os.unlink(path)
-        elif kind == "unlink":
-            _, path, data, synced = op
-            Path(path).write_bytes(data if keep_flushed else data[:synced])
         else:  # replace
             _, src, dst, pre, pre_synced, src_bytes, src_synced = op
             if pre is None:

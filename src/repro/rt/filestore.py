@@ -1,9 +1,9 @@
 """Durable file-backed log-server storage.
 
 One :class:`FileLogStore` is the durable state of one real log-server
-daemon: an fsync'd append stream of log entries (``log.dat``) plus a
-persisted append-forest index per client (``forest-<client>.idx``),
-both crash-recoverable by scan.
+daemon: an fsync'd append stream of log entries (``log.dat``),
+crash-recoverable by scan.  It is the only file the store reads or
+writes.
 
 The daemon holds an index, not the log.  Memory keeps one fixed-size
 :class:`RecordHandle` per retained record — LSN, epoch, present flag,
@@ -19,17 +19,17 @@ reads the stored image with ``pread`` through one long-lived descriptor and
 CRC-verifies it — a ReadLog reply's whole run of images with one
 ``pread`` sized to the run; replay streams ``log.dat`` in bounded
 chunks; and compaction copies retained images from the old file by
-offset.
+offset.  Reads, the duplicate check and replay all go through this
+handle index alone: it is rebuilt by the replay that open does anyway,
+so nothing beside ``log.dat`` needs to be kept durable.
 
 Section 5.3 log space management: :meth:`FileLogStore.truncate_below`
 records a per-client truncation point, drops the reclaimed prefix from
 the index, and compacts ``log.dat`` by rewriting it from the live
 state (tmp file + atomic rename + directory fsync) — a restart
-then replays only the retained suffix.  A size watermark
-(``compact_watermark_bytes``) triggers the same compaction
-automatically so a client that never truncates still gets a bounded
-log.  An IO error (disk full) wedges the store read-only: appends
-raise :class:`~repro.core.errors.StorageError`, reads keep working.
+then replays only the retained suffix.  An IO error (disk full) wedges
+the store read-only: appends raise
+:class:`~repro.core.errors.StorageError`, reads keep working.
 
 Append stream
 -------------
@@ -57,21 +57,6 @@ bytes are complete and whose CRC verifies; the first torn or corrupt
 entry ends the valid prefix and the file is truncated there.  A record
 is therefore durable exactly when the ``fsync`` that covered it
 returned — the contract the crash tests assert.
-
-Append-forest index
--------------------
-
-Steady-state appends (each client's strictly increasing LSN stream)
-are indexed in an append-forest (Section 4.3) whose nodes live in a
-:class:`FilePageStore` — a real-file append-only page store.  The
-forest maps LSN → byte offset of the record's entry in ``log.dat``,
-giving O(log n) point reads from durable state alone
-(:meth:`FileLogStore.read_via_index`).  The index is written buffered:
-if a crash loses its tail, recovery rebuilds the missing suffix from
-the (authoritative) log scan, so the forest never needs an fsync.
-Records re-written below the high-water mark by CopyLog/InstallCopies
-are not re-indexed — append forests require strictly increasing keys —
-and are reached through their handles instead.
 """
 
 from __future__ import annotations
@@ -93,7 +78,6 @@ from ..net.codec import (
     decode_stored_record,
     encode_stored_record,
 )
-from ..storage.append_forest import AppendForest, ForestNode
 from .faultfs import PassthroughIO
 
 ENTRY_MAGIC = 0x4C45
@@ -113,12 +97,9 @@ E_GENERATOR = 4
 #: late-retransmission guard.
 E_TRUNCATE = 5
 #: Stream metadata: the log generation (``!QI`` value + CRC, like
-#: ``E_GENERATOR``).  Each compaction starts its rewritten stream with
-#: the incremented generation; forest index files record the generation
-#: they were built against, so a crash anywhere between the compaction
-#: rename and the index rebuild leaves forests that are *detectably*
-#: stale (discarded and rebuilt from the log scan) instead of silently
-#: mapping LSNs to byte offsets in a different stream.
+#: ``E_GENERATOR``), a count of the compactions this stream has been
+#: through.  Each compaction starts its rewritten stream with the
+#: incremented count, and replay restores the highest one it sees.
 E_META = 6
 #: Ownership fence: the entry's client stream refuses any
 #: WriteLog/ForceLog/TruncateLog below the stored epoch (``!II`` epoch
@@ -138,142 +119,9 @@ _ETYPE_SITES = {
     E_FENCE: "log.write.fence",
 }
 
-PAGE_MAGIC = 0x4C46
-_PAGE = struct.Struct("!HHI")  # magic, payload length, CRC-32(payload)
-_NODE = struct.Struct("!IIqqqIHH")  # lo, hi, left, right, forest, min, h, n
-
-FOREST_MAGIC = 0x4C47
-_FOREST_HDR = struct.Struct("!HQI")  # magic, generation, CRC-32(!Q gen)
-
 
 class FileStoreError(Exception):
     """A malformed durable file that is not a recoverable torn tail."""
-
-
-def _pack_addr(address: int | None) -> int:
-    return -1 if address is None else address
-
-
-def _unpack_addr(value: int) -> int | None:
-    return None if value < 0 else value
-
-
-class FilePageStore:
-    """An append-only page store over a real file (forest index pages).
-
-    Satisfies the store interface :class:`AppendForest` needs —
-    ``append`` / ``read`` / ``len`` — with :class:`ForestNode` payloads
-    serialized one per page.  Pages are cached in memory after the
-    opening scan; the file is the durable copy.  A torn final page is
-    dropped at open, matching the append-forest durability contract
-    ("a torn final page simply yields the forest as of the previous
-    append").
-
-    The file starts with a header recording the **log generation** the
-    index was built against (see ``E_META``).  A file whose header is
-    missing, torn, or from a different generation is discarded whole —
-    its byte offsets describe a stream that no longer exists — and the
-    owner rebuilds it from the log scan.
-    """
-
-    def __init__(self, path: Path, io: PassthroughIO | None = None, *,
-                 generation: int = 0):
-        self.path = Path(path)
-        self.io = io if io is not None else PassthroughIO()
-        self.generation = generation
-        self._pages: list[ForestNode] = []
-        self.appends = 0
-        self.reads = 0
-        valid = 0
-        if self.path.exists():
-            raw = self.path.read_bytes()
-            offset = None
-            if len(raw) >= _FOREST_HDR.size:
-                magic, gen, crc = _FOREST_HDR.unpack_from(raw, 0)
-                if magic == FOREST_MAGIC and gen == generation \
-                        and zlib.crc32(raw[2:2 + 8]) == crc:
-                    offset = _FOREST_HDR.size
-            if offset is None:
-                # Stale generation, torn header, or a pre-generation
-                # legacy file: the offsets inside are not trustworthy.
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(0)
-            else:
-                valid = offset
-                while offset + _PAGE.size <= len(raw):
-                    magic, plen, crc = _PAGE.unpack_from(raw, offset)
-                    body = raw[offset + _PAGE.size:offset + _PAGE.size + plen]
-                    if magic != PAGE_MAGIC or len(body) != plen \
-                            or zlib.crc32(body) != crc:
-                        break
-                    self._pages.append(self._decode_node(body))
-                    offset += _PAGE.size + plen
-                    valid = offset
-                if valid < len(raw):
-                    with open(self.path, "r+b") as fh:
-                        fh.truncate(valid)
-        self._file = self.io.open(self.path, "ab", "forest.open")
-        if valid == 0:
-            gen_bytes = struct.pack("!Q", generation)
-            self.io.write(
-                self._file,
-                _FOREST_HDR.pack(FOREST_MAGIC, generation,
-                                 zlib.crc32(gen_bytes)),
-                "forest.write",
-            )
-
-    @staticmethod
-    def _encode_node(node: ForestNode) -> bytes:
-        head = _NODE.pack(
-            node.lo, node.hi, _pack_addr(node.left), _pack_addr(node.right),
-            _pack_addr(node.forest), node.tree_min, node.height,
-            len(node.entries),
-        )
-        return head + struct.pack(f"!{len(node.entries)}Q", *node.entries)
-
-    @staticmethod
-    def _decode_node(body: bytes) -> ForestNode:
-        lo, hi, left, right, forest, tree_min, height, n = \
-            _NODE.unpack_from(body, 0)
-        entries = struct.unpack_from(f"!{n}Q", body, _NODE.size)
-        return ForestNode(
-            lo=lo, hi=hi, entries=entries, left=_unpack_addr(left),
-            right=_unpack_addr(right), forest=_unpack_addr(forest),
-            tree_min=tree_min, height=height,
-        )
-
-    def append(self, payload: ForestNode) -> int:
-        body = self._encode_node(payload)
-        page = _PAGE.pack(PAGE_MAGIC, len(body), zlib.crc32(body)) + body
-        self.io.write(self._file, page, "forest.write")
-        self._pages.append(payload)
-        self.appends += 1
-        return len(self._pages) - 1
-
-    def read(self, address: int) -> ForestNode:
-        self.reads += 1
-        return self._pages[address]
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    @property
-    def next_address(self) -> int:
-        return len(self._pages)
-
-    def flush(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-
-
-def _client_file_tag(client_id: str) -> str:
-    """A filesystem-safe tag for per-client index files."""
-    return client_id.encode("utf-8").hex()
 
 
 #: a record image is a 16-byte header plus at most 2**16 - 1 data bytes.
@@ -347,7 +195,6 @@ class FileLogStore:
     replay_chunk_bytes = 256 * 1024
 
     def __init__(self, data_dir: str | Path, server_id: str, *,
-                 compact_watermark_bytes: int | None = None,
                  io: PassthroughIO | None = None):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
@@ -363,12 +210,6 @@ class FileLogStore:
         self.fence_epochs: dict[str, int] = {}
         #: WriteLog/ForceLog/TruncateLog calls refused below a fence.
         self.fence_rejections = 0
-        #: size watermark fallback (Section 5.3): when ``log.dat``
-        #: exceeds this many bytes, the stream is compacted against the
-        #: clients' declared low-water marks without waiting for the
-        #: next TruncateLog.  ``None`` disables the fallback.
-        self.compact_watermark_bytes = compact_watermark_bytes
-        self._forests: dict[str, AppendForest] = {}
         self._log_path = self.data_dir / "log.dat"
         self.recovered_entries = 0
         self.truncated_bytes = 0
@@ -387,14 +228,12 @@ class FileLogStore:
         #: (torn tails are not corruption and are counted separately),
         #: plus stored images that failed theirs when read back.
         self.crc_rejections = 0
-        #: bumped by every compaction; ties forest index files to the
-        #: log stream they index (see ``E_META``).
+        #: compactions this stream has been through (see ``E_META``).
         self.log_generation = 0
         #: first storage failure observed; non-None wedges all appends
         #: (the daemon degrades to read-only rather than lying about
         #: durability).
         self.io_error: str | None = None
-        self._last_compact_size = 0
         #: handle → image of every record appended since the last
         #: covering fsync: what a ForceLog re-sends is compared against
         #: these in memory, and reads of them need no flush.
@@ -464,13 +303,6 @@ class FileLogStore:
                     self.mem.server_write_record(client_id, RecordHandle(
                         self, payload, offset,
                         next_pos - pos - _ENTRY.size))
-                    # Index whatever steady-state suffix the buffered
-                    # forest file lost.  (No mark replayed later can
-                    # cover this record: ``truncate_below`` compacts
-                    # whenever it drops anything.)
-                    forest = self._forest(client_id)
-                    if payload.lsn > (forest.high_key or 0):
-                        forest.append_key(payload.lsn, offset)
                 elif etype == E_STAGED:
                     self.mem.copy_record(client_id, RecordHandle(
                         self, payload, offset,
@@ -660,7 +492,6 @@ class FileLogStore:
             raise FileStoreError(f"client id {client_id!r} exceeds 16 bytes")
         header = _ENTRY.pack(ENTRY_MAGIC, E_RECORD, cid_raw)
         buf = bytearray()
-        pending: list[tuple[LSN, int]] = []  # (lsn, entry offset)
         try:
             for i, record in enumerate(records):
                 self.records_appended += 1
@@ -671,7 +502,6 @@ class FileLogStore:
                 # exactly the records admitted before it.
                 if not self._admit(client_id, record, image, offset):
                     continue
-                pending.append((record.lsn, offset))
                 buf += header
                 buf += image
         finally:
@@ -679,14 +509,12 @@ class FileLogStore:
             # error: the index already holds those records, and it
             # must never run ahead of the durable stream.
             if buf:
-                self._flush_record_batch(bytes(buf), client_id, pending)
+                self._flush_record_batch(bytes(buf), client_id)
         if fsync:
             self.sync()
-        self._maybe_compact()
 
-    def _flush_record_batch(self, buf: bytes, client_id: str,
-                            pending: list[tuple[LSN, int]]) -> None:
-        """One buffered write + one forest node for a validated batch."""
+    def _flush_record_batch(self, buf: bytes, client_id: str) -> None:
+        """One buffered write for a validated batch."""
         self._changed(client_id)  # the index already holds the batch
         self._check_writable()
         try:
@@ -699,24 +527,6 @@ class FileLogStore:
                 self._file.flush()
                 self._covered()
         except OSError as exc:
-            raise self._wedge(exc) from exc
-        forest = self._forest(client_id)
-        high = forest.high_key or 0
-        fresh = [(lsn, off) for lsn, off in pending if lsn > high]
-        if not fresh:
-            return
-        try:
-            lo, hi = fresh[0][0], fresh[-1][0]
-            if hi - lo + 1 == len(fresh):
-                # Consecutive batch LSNs: one multi-key node indexes
-                # the whole group instead of one node per record.
-                forest.append(lo, hi, tuple(off for _, off in fresh))
-            else:
-                for lsn, off in fresh:
-                    forest.append_key(lsn, off)
-        except OSError as exc:
-            # The index is advisory (rebuilt from the log on recovery),
-            # but a failing disk should wedge appends all the same.
             raise self._wedge(exc) from exc
 
     def sync(self, *, site: str = "log.fsync") -> None:
@@ -823,22 +633,6 @@ class FileLogStore:
         state = self.mem.find_client(client_id)
         return state.truncated_below if state is not None else 0
 
-    def _maybe_compact(self) -> None:
-        """The size-watermark fallback: compact when the log outgrows
-        ``compact_watermark_bytes``, using whatever low-water marks the
-        clients have already declared.
-
-        A compaction that reclaims little would immediately re-trigger,
-        so another pass is deferred until the file doubles past the
-        last compacted size.
-        """
-        wm = self.compact_watermark_bytes
-        if wm is None or self._size < wm or self.io_error is not None:
-            return
-        if self._size < 2 * self._last_compact_size:
-            return
-        self._compact()
-
     def _compact(self) -> None:
         """Rewrite ``log.dat`` as a checkpoint of the live state.
 
@@ -857,12 +651,9 @@ class FileLogStore:
         at it.  The rewrite goes to ``log.dat.tmp`` (fsync'd), then
         atomically replaces ``log.dat``; only then do the handles and
         the read descriptor move to the new file (until then, and if
-        the swap fails, both still address the old one), and the
-        append-forest index files are rebuilt against the new byte
-        offsets.  The rewritten stream opens with an ``E_META`` entry
-        carrying the incremented log generation, so index files built
-        against the old stream can never be mistaken for current (see
-        :class:`FilePageStore`).
+        the swap fails, both still address the old one).  The rewritten
+        stream opens with an ``E_META`` entry carrying the incremented
+        log generation.
         """
         self._check_writable()
         tmp_path = Path(str(self._log_path) + ".tmp")
@@ -937,33 +728,8 @@ class FileLogStore:
         self.log_generation = generation
         self._size = size
         self._covered()
-        self._last_compact_size = size
         self.compactions += 1
         self.reclaimed_bytes += max(0, old_size - size)
-        self._rebuild_forests()
-
-    def _rebuild_forests(self) -> None:
-        """Recreate every forest index against post-compaction offsets."""
-        for forest in self._forests.values():
-            forest.store.close()
-        self._forests = {}
-        try:
-            for path in self.data_dir.glob("forest-*.idx"):
-                self.io.unlink(path, "forest.unlink")
-            for client_id in self.mem.known_clients():
-                records = self.mem.client_state(client_id).records
-                if not records:
-                    continue
-                forest = self._forest(client_id)
-                high = 0
-                for handle in records:
-                    if handle.lsn > high:
-                        forest.append_key(handle.lsn, handle.offset)
-                        high = handle.lsn
-        except OSError as exc:
-            # The index is advisory (rebuilt from the log scan on
-            # recovery), but a failing disk wedges appends all the same.
-            raise self._wedge(exc) from exc
 
     # -- reads --------------------------------------------------------
 
@@ -1132,53 +898,20 @@ class FileLogStore:
         return self.mem.record_count()
 
     def read_via_index(self, client_id: str, lsn: LSN) -> StoredRecord | None:
-        """Point read through the durable path alone: forest → file.
+        """The record stored under ``lsn``, read through the handle
+        index like :meth:`read_record`; ``None`` when none is stored.
 
-        Returns ``None`` when the LSN is not in the forest (never
-        appended, or re-written below the high-water mark and so reached
-        through its handle instead).
-
-        A rewrite is detected by epoch: InstallCopies replaces a record
-        *in place* in the handle index, but the forest — append-only,
-        strictly increasing keys — still maps the LSN to the original
-        append.  Found by ``repro crashsweep`` (crash point
-        ``log.write.record:25``, any later restart): the index served
-        the superseded pre-install record.  The next compaction
-        re-indexes the winning copy and the entry becomes valid again.
+        Not a second index: the handles are the store's only one (the
+        Section 4.3 append-forest is the simulator's, in
+        :mod:`repro.storage.append_forest`).  This exists only because
+        the ``rt.filestore.read_via_index_us`` rung of
+        ``benchmarks/e2e/ladder.py`` and
+        ``tests/test_benchmark_surface.py`` call it by name; ROADMAP
+        item 0 retires it with that rung.
         """
-        forest = self._forests.get(client_id)
-        if forest is None:
-            return None
-        try:
-            body = forest.search(lsn) + _ENTRY.size
-        except KeyError:
-            return None
-        header = self._read(body, RECORD_HEADER_BYTES)
-        (dlen,) = struct.unpack_from("!H", header, 10)
-        try:
-            record, _ = decode_stored_record(
-                header + self._read(body + RECORD_HEADER_BYTES, dlen), 0)
-        except WireCodecError as exc:
-            raise self._unreadable(exc) from exc
-        current = self.mem.client_state(client_id).lookup(lsn)
-        if current is not None and current.epoch != record.epoch:
-            return None  # stale index entry: the record was re-written
-        return record
-
-    def forest(self, client_id: str) -> AppendForest | None:
-        """The client's index forest (for tests and diagnostics)."""
-        return self._forests.get(client_id)
-
-    def _forest(self, client_id: str) -> AppendForest:
-        forest = self._forests.get(client_id)
-        if forest is None:
-            path = self.data_dir / f"forest-{_client_file_tag(client_id)}.idx"
-            forest = AppendForest(FilePageStore(
-                path, self.io, generation=self.log_generation
-            ))
-            forest.rebuild_from_store()
-            self._forests[client_id] = forest
-        return forest
+        state = self.mem.find_client(client_id)
+        handle = state.lookup(lsn) if state is not None else None
+        return self._load(handle)[0] if handle is not None else None
 
     # -- lifecycle ----------------------------------------------------
 
@@ -1191,13 +924,9 @@ class FileLogStore:
         if not self._file.closed:
             self._file.flush()
             self._flushed = self._size
-        for forest in self._forests.values():
-            forest.store.flush()
 
     def close(self) -> None:
         if not self._file.closed:
             self._file.flush()
             self._file.close()
         self._reader.close()
-        for forest in self._forests.values():
-            forest.store.close()

@@ -759,7 +759,6 @@ async def run_server(
     *,
     announce=print,
     ready: "asyncio.Event | None" = None,
-    compact_watermark_bytes: int | None = None,
     fault_plan: str | None = None,
     fault_trace: str | None = None,
     cluster_spec: str | None = None,
@@ -788,9 +787,7 @@ async def run_server(
                            mode="exit", trace_path=fault_trace)
     quotas = (load_cluster_spec(cluster_spec).quotas
               if cluster_spec is not None else None)
-    store = FileLogStore(data_dir, server_id,
-                         compact_watermark_bytes=compact_watermark_bytes,
-                         io=io)
+    store = FileLogStore(data_dir, server_id, io=io)
     daemon = LogServerDaemon(store, host, port, quotas=quotas)
     await daemon.start()
     announce(f"REPRO-SERVE {server_id} {daemon.host} {daemon.port}",

@@ -33,7 +33,7 @@ def test_quick_sweep_passes_all_invariants(tmp_path):
     assert storage.points == _BASELINE["metrics"]["points_enumerated"]
     assert len(storage.sites) == _BASELINE["metrics"]["sites"]
     assert {"log.write.record", "log.fsync", "compact.rename",
-            "compact.dirsync", "forest.write", "log.write.install",
+            "compact.dirsync", "log.write.install",
             "log.write.truncate", "dir.create-sync"} <= set(storage.sites)
     assert report.cases_run > 0
     assert report.failures == [], [c.as_dict() for c in report.failures]

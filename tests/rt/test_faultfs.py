@@ -236,31 +236,28 @@ def test_created_log_survives_power_loss_after_ack(tmp_path):
     again.close()
 
 
-def test_stale_forest_detected_after_compaction_crash(tmp_path):
-    """Crash point ``forest.unlink:0:power-loss`` (Bug B).
+def test_compaction_is_durable_at_the_next_io_point(tmp_path):
+    """Crash point ``log.write.record:1:power-loss``.
 
-    The crash lands after the compacted stream is durably installed
-    (rename + dir fsync) but before the forest index files are
-    rebuilt: every forest on disk maps LSNs to byte offsets in the
-    *old* stream.  The generation header ties an index file to the
-    stream it was built against, so the reopen discards and rebuilds
-    instead of silently reading garbage offsets.
+    The crash lands on the first I/O after a compaction was durably
+    installed (rename + dir fsync).  The reopen must replay the
+    compacted stream — its generation, and the retained suffix read
+    back exactly through the handles it rebuilds — and nothing of the
+    append the crash interrupted.
     """
-    inj = FaultInjector(parse_plan("forest.unlink:0:power-loss"))
+    inj = FaultInjector(parse_plan("log.write.record:1:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)
-    store.flush()  # persist the (soon stale) forest pages
+    store.truncate_below("c", 5)  # compacts: rename + dir fsync
     with pytest.raises(PowerLoss):
-        store.truncate_below("c", 5)  # compacts, crashes at the rebuild
+        store.append_records("c", (rec(9),), fsync=True)
     inj.close_all()
     again = FileLogStore(tmp_path, "s1")
     assert again.log_generation == 1
+    assert again.stored_lsns("c") == [5, 6, 7, 8]
     for lsn in (5, 6, 7, 8):
         assert again.read_record("c", lsn).data == f"r{lsn}".encode()
-        via = again.read_via_index("c", lsn)
-        if via is not None:
-            assert via.data == f"r{lsn}".encode()
     again.close()
 
 

@@ -1,4 +1,4 @@
-"""Durable-store tests: reopen, torn tails, the persisted forest index."""
+"""Durable-store tests: reopen, torn tails, duplicates, fences."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.errors import ProtocolError
 from repro.core.records import StoredRecord
-from repro.rt.filestore import ENTRY_MAGIC, FileLogStore, FilePageStore
-from repro.storage.append_forest import AppendForest
+from repro.rt.filestore import ENTRY_MAGIC, FileLogStore
 
 
 def rec(lsn, epoch=1, data=None, present=True, kind="data"):
@@ -138,55 +137,6 @@ def test_generator_value_is_durable_and_monotone(tmp_path):
     again = FileLogStore(tmp_path, "s1")
     assert again.generator_value == 7
     again.close()
-
-
-def test_forest_index_serves_point_reads(tmp_path):
-    store = FileLogStore(tmp_path, "s1")
-    for i in range(1, 201):
-        store.append_record("c", rec(i), fsync=False)
-    store.sync()
-    forest = store.forest("c")
-    assert forest is not None and forest.high_key == 200
-    forest.check_invariants()
-    for lsn in (1, 37, 200):
-        via = store.read_via_index("c", lsn)
-        assert via is not None and via.data == f"r{lsn}".encode()
-    assert store.read_via_index("c", 999) is None
-    store.close()
-
-
-def test_forest_rebuilt_after_losing_index_file(tmp_path):
-    """The log stream is authoritative; the index is reconstructable."""
-    store = FileLogStore(tmp_path, "s1")
-    for i in range(1, 51):
-        store.append_record("c", rec(i), fsync=False)
-    store.sync()
-    store.close()
-    for idx in tmp_path.glob("forest-*.idx"):
-        idx.unlink()  # lose the whole buffered index
-
-    again = FileLogStore(tmp_path, "s1")
-    forest = again.forest("c")
-    assert forest is not None and forest.high_key == 50
-    forest.check_invariants()
-    assert again.read_via_index("c", 25).data == b"r25"
-    again.close()
-
-
-def test_filepagestore_drops_torn_final_page(tmp_path):
-    path = tmp_path / "pages.idx"
-    forest = AppendForest(FilePageStore(path))
-    for key in range(1, 9):
-        forest.append_key(key, key * 10)
-    forest.store.close()
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])  # tear the final page
-
-    reopened = AppendForest(FilePageStore(path))
-    reopened.rebuild_from_store()
-    assert reopened.high_key is not None and reopened.high_key < 8
-    reopened.check_invariants()
-    reopened.store.close()
 
 
 def test_fence_is_durable_and_monotone(tmp_path):

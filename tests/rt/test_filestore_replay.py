@@ -194,7 +194,7 @@ MUTILATION = st.one_of(
 
 
 def run_history(path: str, steps) -> None:
-    store = FileLogStore(path, "s1", compact_watermark_bytes=4000)
+    store = FileLogStore(path, "s1")
     epochs = {cid: 1 for cid in CLIENTS}
     generator = 0
 
@@ -245,8 +245,7 @@ def run_history(path: str, steps) -> None:
                 store._compact()
             else:  # reopen
                 store.close()
-                store = FileLogStore(path, "s1",
-                                     compact_watermark_bytes=4000)
+                store = FileLogStore(path, "s1")
     finally:
         store.close()
 

@@ -9,8 +9,8 @@ recycle the space.  These tests pin the whole contract:
   only the retained suffix — with present flags intact;
 * a late retransmission of a reclaimed LSN is ignored, not treated as
   a protocol violation;
-* the size-watermark fallback bounds the log of a client that never
-  truncates explicitly;
+* a client that keeps truncating keeps the log bounded by what it
+  retains — truncation alone compacts, with no size trigger;
 * the client's ``truncate`` fans the call out to every reachable
   server and prunes its own read-routing map;
 * a wedged store (disk full / IO error) degrades to read-only with a
@@ -97,8 +97,8 @@ def test_late_retransmission_below_mark_is_ignored(tmp_path):
     store.close()
 
 
-def test_watermark_compaction_bounds_log_size(tmp_path):
-    store = FileLogStore(tmp_path, "s1", compact_watermark_bytes=8_000)
+def test_truncation_alone_bounds_log_size(tmp_path):
+    store = FileLogStore(tmp_path, "s1")
     hi = 0
     for round_no in range(8):
         lo = hi + 1
@@ -107,8 +107,9 @@ def test_watermark_compaction_bounds_log_size(tmp_path):
         # The client keeps only the last δ records interesting.
         store.truncate_below("c1", max(1, hi - CONFIG.delta))
     assert store.compactions >= 1
-    # Live state is ~δ records; the on-disk log must be bounded by the
-    # watermark region, not by the 160 records ever appended.
+    # Live state is ~δ records; every truncation that drops records
+    # compacts, so the on-disk log is bounded by what is retained, not
+    # by the 160 records ever appended.
     assert store.log_size_bytes < 3 * 8_000
     assert store.record_count() == CONFIG.delta + 1
     store.close()

@@ -25,6 +25,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--data-dir", "/tmp/x"])
 
+    def test_serve_has_no_compaction_watermark(self, capsys):
+        """Truncation is what compacts the log; there is no size knob."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--data-dir", "/tmp/x", "--server-id", "s1",
+                 "--compact-watermark-bytes", "1"])
+        assert excinfo.value.code == 2
+        assert "--compact-watermark-bytes" in capsys.readouterr().err
+
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(
             ["loadgen", "--server", "s1=127.0.0.1:7311"])
@@ -146,7 +155,8 @@ class TestCrashsweepPhases:
 def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
     """A daemon's start is inside every runtime benchmark's ``setup_s``
     three times over: ``repro serve`` must not import the experiment
-    harness or the analysis models on its way to the banner."""
+    harness, the analysis models or the simulated storage models on
+    its way to the banner."""
     import os
     import subprocess
     import sys
@@ -171,4 +181,5 @@ def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
               for line in imports.read_text().splitlines() if "|" in line}
     assert "repro.rt.server" in loaded
     assert not [name for name in loaded
-                if name.startswith(("repro.harness", "repro.analysis"))]
+                if name.startswith(("repro.harness", "repro.analysis",
+                                    "repro.storage"))]
