@@ -19,23 +19,31 @@ Encoded message = 32-byte header (``MESSAGE_HEADER_BYTES``)::
 
     !HBB16sIII — magic, type, flags, client_id, epoch, a, b
 
-followed by a type-specific body:
+followed by a type-specific body.  Each message class is one row of
+:data:`_WIRE`: its type code, its ``net.<kind>.<dir>`` fault-site name,
+which message fields ride in the header words ``epoch``/``a``/``b``
+(LSNs, generator values, the ack flag, a ReadLog call's
+``max_records`` in ``b``; unused words are zero), and its body kind:
 
-* record-bearing messages (WriteLog, ForceLog, CopyLog, ReadLogReply):
-  a sequence of records, each a 16-byte record header
-  (``RECORD_HEADER_BYTES``: ``!IIBBHI`` — lsn, epoch, flags, kind,
-  data length, CRC-32 of the preceding header fields *and* the data)
-  followed by the data bytes;
-* IntervalListReply: 12 bytes per interval (``!III`` — epoch, lo, hi),
-  "storing one interval requires space for three integers";
-* ErrorReply: the UTF-8 reason string.
+* records (WriteLog, ForceLog, CopyLog, ReadLogReply): a sequence of
+  records, each a 16-byte record header (``RECORD_HEADER_BYTES``:
+  ``!IIBBHI`` — lsn, epoch, flags, kind, data length, CRC-32 of the
+  preceding header fields *and* the data) followed by the data bytes;
+* intervals (IntervalListReply): 12 bytes per interval (``!III`` —
+  epoch, lo, hi), "storing one interval requires space for three
+  integers";
+* text (ErrorReply): the UTF-8 reason string;
+* counters (StatsReply): one ``!Q`` per counter;
+* none: every other message is its header alone.
 
-``a``/``b`` carry the scalar arguments (LSNs, generator values, the
-ack flag, a ReadLog call's ``max_records`` in ``b``); unused slots are
-zero.  LSNs and epochs are 32-bit on the
-wire, record payloads at most 64 KiB, client ids at most 16 UTF-8
-bytes, and record kinds come from a fixed registry — each limit is
-checked at encode time and raises :class:`WireCodecError`.
+Encoding, decoding, the frame scanner's kind names and the fault
+grammar's vocabulary all read that one table.  Decoding accepts exactly
+the bytes encoding produces: a header word the row does not use must
+be zero, a header-only message carries no body, and a record's flags
+byte is 0 or 1.  LSNs and epochs are 32-bit on the wire, record
+payloads at most 64 KiB, client ids at most 16 UTF-8 bytes, and record
+kinds come from a fixed registry — each limit is checked at encode
+time and raises :class:`WireCodecError`.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import struct
 import zlib
+from typing import Any, Callable, NamedTuple
 
 from ..core.intervals import Interval
 from ..core.records import (
@@ -104,9 +113,13 @@ _RECORD = struct.Struct("!IIBBHI")
 _RECORD_PREFIX = struct.Struct("!IIBBH")
 _INTERVAL = struct.Struct("!III")
 _FRAME_PREFIX = struct.Struct("!I")
+_MAGIC = struct.Struct("!H")
 
 assert _HEADER.size == MESSAGE_HEADER_BYTES
 assert _RECORD.size == RECORD_HEADER_BYTES
+
+#: Bytes of the stream-level length prefix preceding each encoded message.
+FRAME_PREFIX_BYTES = _FRAME_PREFIX.size
 
 #: Largest value carried in a u32 wire field (LSNs, epochs).
 MAX_WIRE_INT = 2**32 - 1
@@ -114,33 +127,6 @@ MAX_WIRE_INT = 2**32 - 1
 MAX_RECORD_DATA = 2**16 - 1
 #: Largest client id, UTF-8 encoded.
 MAX_CLIENT_ID_BYTES = 16
-
-# Message type codes.
-T_WRITE_LOG = 1
-T_FORCE_LOG = 2
-T_NEW_INTERVAL = 3
-T_NEW_HIGH_LSN = 4
-T_MISSING_INTERVAL = 5
-T_INTERVAL_LIST_CALL = 6
-T_INTERVAL_LIST_REPLY = 7
-T_READ_LOG_FORWARD = 8
-T_READ_LOG_BACKWARD = 9
-T_READ_LOG_REPLY = 10
-T_COPY_LOG = 11
-T_INSTALL_COPIES = 12
-T_ACK = 13
-T_ERROR = 14
-T_GENERATOR_READ_CALL = 15
-T_GENERATOR_READ_REPLY = 16
-T_GENERATOR_WRITE_CALL = 17
-T_PING = 18
-T_PONG = 19
-T_TRUNCATE_LOG = 20
-T_TRUNCATE_REPLY = 21
-T_STATS_CALL = 22
-T_STATS_REPLY = 23
-T_FENCE_LOG = 24
-T_FENCE_REPLY = 25
 
 #: Record kinds are a closed registry so one byte suffices on the wire
 #: (RECORD_HEADER_BYTES leaves no room for a string).  Every kind the
@@ -165,6 +151,8 @@ KIND_CODES: dict[str, int] = {
 CODE_KINDS: dict[int, str] = {v: k for k, v in KIND_CODES.items()}
 
 _PRESENT_FLAG = 0x01
+#: offset of the flags byte in a record header (after lsn and epoch).
+_RECORD_FLAGS_AT = 8
 
 
 def _check_u32(value: int, what: str) -> int:
@@ -192,13 +180,6 @@ def _encode_client_id(client_id: str) -> bytes:
     if len(_CID_CACHE) < _CID_CACHE_MAX:
         _CID_CACHE[client_id] = raw
     return raw
-
-
-def _decode_client_id(raw: bytes) -> str:
-    try:
-        return raw.rstrip(b"\x00").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireCodecError(f"undecodable client id {raw!r}") from exc
 
 
 # -- records ----------------------------------------------------------------
@@ -279,16 +260,17 @@ def check_stored_image(image: bytes, lsn: int, epoch: int) -> bytes:
     return data
 
 
-def _encode_records(records: tuple[StoredRecord, ...]) -> bytes:
-    return b"".join(encode_stored_record(r) for r in records)
-
-
 def _decode_records(buf: bytes, offset: int,
                     images: list[bytes] | None = None,
                     ) -> tuple[StoredRecord, ...]:
     records = []
     while offset < len(buf):
         record, end = decode_stored_record(buf, offset)
+        # Only on the wire: replay of ``log.dat`` (decode_stored_record
+        # alone) takes whatever flags a stored image has.
+        if buf[offset + _RECORD_FLAGS_AT] > _PRESENT_FLAG:
+            raise WireCodecError(
+                f"record ⟨{record.lsn},{record.epoch}⟩ has unknown flags")
         if images is not None:
             # The CRC-checked wire image, byte-compatible with
             # ``encode_stored_record`` — the server appends these to
@@ -297,6 +279,168 @@ def _decode_records(buf: bytes, offset: int,
         records.append(record)
         offset = end
     return tuple(records)
+
+
+# -- the wire table ---------------------------------------------------------
+
+
+class _Body(NamedTuple):
+    """How a message's body follows its header: nothing, records,
+    intervals, text or counters."""
+
+    #: message → its body as a list of buffers
+    parts: Callable[[Any], list[bytes]]
+    #: (buffer, body offset, record images) → the value ``build`` takes
+    parse: Callable[[Any, int, Any], Any]
+
+
+def _header_only(buf, offset: int, images) -> None:
+    if len(buf) != offset:
+        raise WireCodecError("a header-only message carries a body")
+
+
+def _encode_intervals(msg: IntervalListReply) -> list[bytes]:
+    return [_INTERVAL.pack(_check_u32(i.epoch, "epoch"),
+                           _check_u32(i.lo, "interval lo"),
+                           _check_u32(i.hi, "interval hi"))
+            for i in msg.intervals]
+
+
+def _decode_intervals(buf, offset: int, images) -> tuple[Interval, ...]:
+    if (len(buf) - offset) % _INTERVAL.size:
+        raise WireCodecError("interval body not a multiple of 12")
+    return tuple(Interval(e, lo, hi)
+                 for e, lo, hi in _INTERVAL.iter_unpack(buf[offset:]))
+
+
+def _decode_counters(buf, offset: int, images) -> tuple[int, ...]:
+    if (len(buf) - offset) % 8:
+        raise WireCodecError("stats body not a multiple of 8")
+    return tuple(v for (v,) in struct.iter_unpack("!Q", buf[offset:]))
+
+
+_NONE = _Body(lambda m: [], _header_only)
+_RECORDS = _Body(lambda m: [encode_stored_record(r) for r in m.records],
+                 _decode_records)
+_INTERVALS = _Body(_encode_intervals, _decode_intervals)
+_TEXT = _Body(lambda m: [m.reason.encode("utf-8")],
+              lambda buf, offset, images: bytes(buf[offset:]).decode("utf-8"))
+_COUNTERS = _Body(
+    lambda m: [struct.pack(f"!{len(m.counters)}Q", *m.counters)],
+    _decode_counters)
+
+
+class _Row(NamedTuple):
+    """One message type on the wire."""
+
+    cls: type[Message]
+    code: int
+    #: the ``<kind>`` of the ``net.<kind>.<dir>`` fault sites
+    name: str
+    body: _Body
+    #: message → its header words ``(epoch, a, b)``
+    words: Callable[[Any], tuple[int, int, int]]
+    #: ``(client_id, epoch, a, b, body) → message``
+    build: Callable[[str, int, int, int, Any], Message]
+
+
+# header words shared by several rows
+def _no_words(msg) -> tuple[int, int, int]:
+    return 0, 0, 0
+
+
+def _epoch_word(msg) -> tuple[int, int, int]:
+    return msg.epoch, 0, 0
+
+
+def _read_words(msg) -> tuple[int, int, int]:
+    return 0, msg.lsn, msg.max_records
+
+
+def _token_word(msg) -> tuple[int, int, int]:
+    return 0, msg.token, 0
+
+
+def _value_words(msg) -> tuple[int, int, int]:
+    """A 64-bit generator value as the words ``a`` (low) and ``b``."""
+    return 0, msg.value & 0xFFFFFFFF, msg.value >> 32
+
+
+_WIRE: tuple[_Row, ...] = (
+    _Row(WriteLogMsg, 1, "writelog", _RECORDS, _epoch_word,
+         lambda cid, e, a, b, body: WriteLogMsg(cid, e, body)),
+    _Row(ForceLogMsg, 2, "forcelog", _RECORDS, _epoch_word,
+         lambda cid, e, a, b, body: ForceLogMsg(cid, e, body)),
+    _Row(NewIntervalMsg, 3, "newinterval", _NONE,
+         lambda m: (m.epoch, m.starting_lsn, 0),
+         lambda cid, e, a, b, body: NewIntervalMsg(cid, e, a)),
+    _Row(NewHighLSNMsg, 4, "newhighlsn", _NONE,
+         lambda m: (0, m.new_high_lsn, 0),
+         lambda cid, e, a, b, body: NewHighLSNMsg(cid, a)),
+    _Row(MissingIntervalMsg, 5, "missinginterval", _NONE,
+         lambda m: (0, m.lo, m.hi),
+         lambda cid, e, a, b, body: MissingIntervalMsg(cid, a, b)),
+    _Row(IntervalListCall, 6, "intervallistcall", _NONE, _no_words,
+         lambda cid, e, a, b, body: IntervalListCall(cid)),
+    _Row(IntervalListReply, 7, "intervallistreply", _INTERVALS, _no_words,
+         lambda cid, e, a, b, body: IntervalListReply(cid, body)),
+    _Row(ReadLogForwardCall, 8, "readlogforward", _NONE, _read_words,
+         lambda cid, e, a, b, body: ReadLogForwardCall(cid, a, b)),
+    _Row(ReadLogBackwardCall, 9, "readlogbackward", _NONE, _read_words,
+         lambda cid, e, a, b, body: ReadLogBackwardCall(cid, a, b)),
+    _Row(ReadLogReply, 10, "readlogreply", _RECORDS, _no_words,
+         lambda cid, e, a, b, body: ReadLogReply(cid, body)),
+    _Row(CopyLogCall, 11, "copylog", _RECORDS, _epoch_word,
+         lambda cid, e, a, b, body: CopyLogCall(cid, e, body)),
+    _Row(InstallCopiesCall, 12, "installcopies", _NONE, _epoch_word,
+         lambda cid, e, a, b, body: InstallCopiesCall(cid, e)),
+    _Row(AckReply, 13, "ack", _NONE,
+         lambda m: (0, int(m.ok), 0),
+         lambda cid, e, a, b, body: AckReply(cid, bool(a))),
+    _Row(ErrorReply, 14, "error", _TEXT,
+         lambda m: (0, m.code, 0),
+         lambda cid, e, a, b, body: ErrorReply(cid, body, code=a)),
+    _Row(GeneratorReadCall, 15, "genreadcall", _NONE, _no_words,
+         lambda cid, e, a, b, body: GeneratorReadCall(cid)),
+    _Row(GeneratorReadReply, 16, "genreadreply", _NONE, _value_words,
+         lambda cid, e, a, b, body: GeneratorReadReply(cid, b << 32 | a)),
+    _Row(GeneratorWriteCall, 17, "genwritecall", _NONE, _value_words,
+         lambda cid, e, a, b, body: GeneratorWriteCall(cid, b << 32 | a)),
+    _Row(PingMsg, 18, "ping", _NONE, _token_word,
+         lambda cid, e, a, b, body: PingMsg(cid, token=a)),
+    _Row(PongMsg, 19, "pong", _NONE, _token_word,
+         lambda cid, e, a, b, body: PongMsg(cid, token=a)),
+    _Row(TruncateLogCall, 20, "truncatelog", _NONE,
+         lambda m: (m.epoch, m.low_water_lsn, 0),
+         lambda cid, e, a, b, body: TruncateLogCall(
+             cid, low_water_lsn=a, epoch=e)),
+    _Row(TruncateReply, 21, "truncatereply", _NONE,
+         lambda m: (0, m.low_water_lsn, m.records_dropped),
+         lambda cid, e, a, b, body: TruncateReply(
+             cid, low_water_lsn=a, records_dropped=b)),
+    _Row(StatsCall, 22, "statscall", _NONE, _no_words,
+         lambda cid, e, a, b, body: StatsCall(cid)),
+    _Row(StatsReply, 23, "statsreply", _COUNTERS, _no_words,
+         lambda cid, e, a, b, body: StatsReply(cid, body)),
+    _Row(FenceLogCall, 24, "fencelog", _NONE, _epoch_word,
+         lambda cid, e, a, b, body: FenceLogCall(cid, epoch=e)),
+    _Row(FenceReply, 25, "fencereply", _NONE, _epoch_word,
+         lambda cid, e, a, b, body: FenceReply(cid, epoch=e)),
+)
+_ROW_OF_CLASS = {row.cls: row for row in _WIRE}
+_ROW_OF_CODE = {row.code: row for row in _WIRE}
+
+#: type code → short lowercase kind name: the vocabulary of the
+#: ``net.<kind>.<dir>`` fault sites of :mod:`repro.rt.chaosproxy`.
+TYPE_NAMES: dict[int, str] = {row.code: row.name for row in _WIRE}
+NAME_TYPES: dict[str, int] = {row.name: row.code for row in _WIRE}
+
+#: kinds whose body is a CRC-protected record sequence.  Corrupting
+#: their payload is always *detectable* — the receiver rejects the
+#: record — unlike e.g. an interval list, whose body bytes carry no
+#: checksum of their own (TCP's is the model's integrity layer there).
+RECORD_BEARING_KINDS = frozenset(
+    row.name for row in _WIRE if row.body is _RECORDS)
 
 
 # -- messages ---------------------------------------------------------------
@@ -314,107 +458,35 @@ def _message_parts(
     already-encoded record images — the encode-once cache the client
     keeps alongside its window — instead of re-encoding ``msg.records``.
     """
-    epoch = a = b = 0
-    body: list[bytes] = []
-    # ForceLogMsg subclasses WriteLogMsg: test it first.
-    if isinstance(msg, ForceLogMsg):
-        mtype, epoch = T_FORCE_LOG, msg.epoch
-        body = record_bufs if record_bufs is not None else [
-            encode_stored_record(r) for r in msg.records]
-    elif isinstance(msg, WriteLogMsg):
-        mtype, epoch = T_WRITE_LOG, msg.epoch
-        body = record_bufs if record_bufs is not None else [
-            encode_stored_record(r) for r in msg.records]
-    elif isinstance(msg, NewIntervalMsg):
-        mtype, epoch, a = T_NEW_INTERVAL, msg.epoch, msg.starting_lsn
-    elif isinstance(msg, NewHighLSNMsg):
-        mtype, a = T_NEW_HIGH_LSN, msg.new_high_lsn
-    elif isinstance(msg, MissingIntervalMsg):
-        mtype, a, b = T_MISSING_INTERVAL, msg.lo, msg.hi
-    elif isinstance(msg, IntervalListCall):
-        mtype = T_INTERVAL_LIST_CALL
-    elif isinstance(msg, IntervalListReply):
-        mtype = T_INTERVAL_LIST_REPLY
-        body = [
-            _INTERVAL.pack(_check_u32(i.epoch, "epoch"),
-                           _check_u32(i.lo, "interval lo"),
-                           _check_u32(i.hi, "interval hi"))
-            for i in msg.intervals
-        ]
-    elif isinstance(msg, ReadLogForwardCall):
-        mtype, a, b = T_READ_LOG_FORWARD, msg.lsn, msg.max_records
-    elif isinstance(msg, ReadLogBackwardCall):
-        mtype, a, b = T_READ_LOG_BACKWARD, msg.lsn, msg.max_records
-    elif isinstance(msg, ReadLogReply):
-        mtype = T_READ_LOG_REPLY
-        body = record_bufs if record_bufs is not None else [
-            encode_stored_record(r) for r in msg.records]
-    elif isinstance(msg, CopyLogCall):
-        mtype, epoch = T_COPY_LOG, msg.epoch
-        body = record_bufs if record_bufs is not None else [
-            encode_stored_record(r) for r in msg.records]
-    elif isinstance(msg, InstallCopiesCall):
-        mtype, epoch = T_INSTALL_COPIES, msg.epoch
-    elif isinstance(msg, AckReply):
-        mtype, a = T_ACK, int(msg.ok)
-    elif isinstance(msg, ErrorReply):
-        mtype, a = T_ERROR, msg.code
-        body = [msg.reason.encode("utf-8")]
-    elif isinstance(msg, PingMsg):
-        mtype, a = T_PING, msg.token
-    elif isinstance(msg, PongMsg):
-        mtype, a = T_PONG, msg.token
-    elif isinstance(msg, TruncateLogCall):
-        mtype, epoch, a = T_TRUNCATE_LOG, msg.epoch, msg.low_water_lsn
-    elif isinstance(msg, FenceLogCall):
-        mtype, epoch = T_FENCE_LOG, msg.epoch
-    elif isinstance(msg, FenceReply):
-        mtype, epoch = T_FENCE_REPLY, msg.epoch
-    elif isinstance(msg, TruncateReply):
-        mtype, a, b = T_TRUNCATE_REPLY, msg.low_water_lsn, msg.records_dropped
-    elif isinstance(msg, StatsCall):
-        mtype = T_STATS_CALL
-    elif isinstance(msg, StatsReply):
-        mtype = T_STATS_REPLY
-        body = [struct.pack(f"!{len(msg.counters)}Q", *msg.counters)]
-    elif isinstance(msg, GeneratorReadCall):
-        mtype = T_GENERATOR_READ_CALL
-    elif isinstance(msg, GeneratorReadReply):
-        mtype = T_GENERATOR_READ_REPLY
-        a, b = msg.value & 0xFFFFFFFF, msg.value >> 32
-        _check_u32(b, "generator value high word")
-    elif isinstance(msg, GeneratorWriteCall):
-        mtype = T_GENERATOR_WRITE_CALL
-        a, b = msg.value & 0xFFFFFFFF, msg.value >> 32
-        _check_u32(b, "generator value high word")
-    else:
+    row = _ROW_OF_CLASS.get(type(msg))
+    if row is None:
         raise WireCodecError(f"cannot encode {type(msg).__name__}")
+    epoch, a, b = row.words(msg)
     header = _HEADER.pack(
-        MESSAGE_MAGIC, mtype, WIRE_VERSION,
+        MESSAGE_MAGIC, row.code, WIRE_VERSION,
         _encode_client_id(msg.client_id),
         _check_u32(epoch, "epoch"), _check_u32(a, "field a"),
         _check_u32(b, "field b"),
     )
-    if record_bufs is None:
-        # Cross-check freshly encoded parts against the declared size.
-        # Caller-supplied record images skip this: ``wire_size``
-        # re-walks every record, and the images are the same bytes the
-        # encode path produces (the codec property tests pin this).
-        total = MESSAGE_HEADER_BYTES + sum(len(part) for part in body)
-        if total != msg.wire_size:
-            raise WireCodecError(
-                f"{type(msg).__name__} encoded to {total} bytes but "
-                f"declares wire_size {msg.wire_size}"
-            )
+    if record_bufs is not None and row.body is _RECORDS:
+        # Caller-supplied record images skip the size cross-check:
+        # ``wire_size`` re-walks every record, and the images are the
+        # same bytes the encode path produces (the codec property tests
+        # pin this).
+        return [header, *record_bufs]
+    body = row.body.parts(msg)
+    total = MESSAGE_HEADER_BYTES + sum(len(part) for part in body)
+    if total != msg.wire_size:
+        raise WireCodecError(
+            f"{type(msg).__name__} encoded to {total} bytes but "
+            f"declares wire_size {msg.wire_size}"
+        )
     return [header, *body]
 
 
 def encode(msg: Message) -> bytes:
     """Encode ``msg``; the result is exactly ``msg.wire_size`` bytes."""
-    parts = _message_parts(msg)
-    if len(parts) == 1:
-        return parts[0]
-    return b"".join(parts)
+    return b"".join(_message_parts(msg))
 
 
 def decode(buf, record_images: list[bytes] | None = None) -> Message:
@@ -422,12 +494,13 @@ def decode(buf, record_images: list[bytes] | None = None) -> Message:
 
     Accepts any buffer — ``bytes``, ``bytearray``, or a ``memoryview``
     slice of a persistent receive buffer (:class:`FrameReader`); only
-    record payloads and text fields are copied out.
+    record payloads and text fields are copied out.  Whatever it
+    returns re-encodes to exactly ``buf``.
 
     ``record_images``, when given, collects the raw CRC-checked wire
-    image of each record of a WriteLog/ForceLog — byte-compatible with
-    :func:`encode_stored_record`, so the server's append path can write
-    the wire bytes straight to disk without re-encoding.
+    image of each record of a record-bearing message — byte-compatible
+    with :func:`encode_stored_record`, so the server's append path can
+    write the wire bytes straight to disk without re-encoding.
     """
     if len(buf) < MESSAGE_HEADER_BYTES:
         raise WireCodecError(f"message shorter than header: {len(buf)} bytes")
@@ -436,76 +509,19 @@ def decode(buf, record_images: list[bytes] | None = None) -> Message:
         raise WireCodecError(f"bad magic 0x{magic:04x}")
     if version != WIRE_VERSION:
         raise WireCodecError(f"unsupported wire version {version}")
-    client_id = _decode_client_id(cid_raw)
-    off = MESSAGE_HEADER_BYTES
-    try:
-        if mtype == T_WRITE_LOG:
-            return WriteLogMsg(client_id, epoch,
-                               _decode_records(buf, off, record_images))
-        if mtype == T_FORCE_LOG:
-            return ForceLogMsg(client_id, epoch,
-                               _decode_records(buf, off, record_images))
-        if mtype == T_NEW_INTERVAL:
-            return NewIntervalMsg(client_id, epoch, a)
-        if mtype == T_NEW_HIGH_LSN:
-            return NewHighLSNMsg(client_id, a)
-        if mtype == T_MISSING_INTERVAL:
-            return MissingIntervalMsg(client_id, a, b)
-        if mtype == T_INTERVAL_LIST_CALL:
-            return IntervalListCall(client_id)
-        if mtype == T_INTERVAL_LIST_REPLY:
-            if (len(buf) - off) % _INTERVAL.size:
-                raise WireCodecError("interval body not a multiple of 12")
-            intervals = tuple(
-                Interval(e, lo, hi)
-                for e, lo, hi in _INTERVAL.iter_unpack(buf[off:])
-            )
-            return IntervalListReply(client_id, intervals)
-        if mtype == T_READ_LOG_FORWARD:
-            return ReadLogForwardCall(client_id, a, b)
-        if mtype == T_READ_LOG_BACKWARD:
-            return ReadLogBackwardCall(client_id, a, b)
-        if mtype == T_READ_LOG_REPLY:
-            return ReadLogReply(client_id, _decode_records(buf, off))
-        if mtype == T_COPY_LOG:
-            return CopyLogCall(client_id, epoch, _decode_records(buf, off))
-        if mtype == T_INSTALL_COPIES:
-            return InstallCopiesCall(client_id, epoch)
-        if mtype == T_ACK:
-            return AckReply(client_id, bool(a))
-        if mtype == T_ERROR:
-            return ErrorReply(client_id, bytes(buf[off:]).decode("utf-8"),
-                              code=a)
-        if mtype == T_PING:
-            return PingMsg(client_id, token=a)
-        if mtype == T_PONG:
-            return PongMsg(client_id, token=a)
-        if mtype == T_TRUNCATE_LOG:
-            return TruncateLogCall(client_id, low_water_lsn=a, epoch=epoch)
-        if mtype == T_FENCE_LOG:
-            return FenceLogCall(client_id, epoch=epoch)
-        if mtype == T_FENCE_REPLY:
-            return FenceReply(client_id, epoch=epoch)
-        if mtype == T_TRUNCATE_REPLY:
-            return TruncateReply(client_id, low_water_lsn=a,
-                                 records_dropped=b)
-        if mtype == T_STATS_CALL:
-            return StatsCall(client_id)
-        if mtype == T_STATS_REPLY:
-            if (len(buf) - off) % 8:
-                raise WireCodecError("stats body not a multiple of 8")
-            return StatsReply(client_id, tuple(
-                v for (v,) in struct.iter_unpack("!Q", buf[off:])
-            ))
-        if mtype == T_GENERATOR_READ_CALL:
-            return GeneratorReadCall(client_id)
-        if mtype == T_GENERATOR_READ_REPLY:
-            return GeneratorReadReply(client_id, (b << 32) | a)
-        if mtype == T_GENERATOR_WRITE_CALL:
-            return GeneratorWriteCall(client_id, (b << 32) | a)
+    row = _ROW_OF_CODE.get(mtype)
+    if row is None:
+        raise WireCodecError(f"unknown message type {mtype}")
+    try:  # a UnicodeDecodeError is a ValueError too
+        client_id = cid_raw.rstrip(b"\x00").decode("utf-8")
+        body = row.body.parse(buf, MESSAGE_HEADER_BYTES, record_images)
+        msg = row.build(client_id, epoch, a, b, body)
     except ValueError as exc:
         raise WireCodecError(str(exc)) from exc
-    raise WireCodecError(f"unknown message type {mtype}")
+    if row.words(msg) != (epoch, a, b):
+        raise WireCodecError(
+            f"{row.name} does not use header words {(epoch, a, b)}")
+    return msg
 
 
 # -- stream framing ---------------------------------------------------------
@@ -513,12 +529,12 @@ def decode(buf, record_images: list[bytes] | None = None) -> Message:
 
 def frame(msg: Message) -> bytes:
     """Length-prefixed frame ready for a stream write."""
-    payload = encode(msg)
-    return _FRAME_PREFIX.pack(len(payload)) + payload
+    return b"".join(frame_iov(msg))
 
 
 #: all fixed-size header-only frames are MESSAGE_HEADER_BYTES long.
 _HEADER_FRAME_PREFIX = _FRAME_PREFIX.pack(MESSAGE_HEADER_BYTES)
+_NEW_HIGH_LSN_CODE = _ROW_OF_CLASS[NewHighLSNMsg].code
 
 
 def frame_new_high_lsn(client_id: str, new_high_lsn: int) -> bytes:
@@ -528,7 +544,7 @@ def frame_new_high_lsn(client_id: str, new_high_lsn: int) -> bytes:
     ``frame(NewHighLSNMsg(client_id, new_high_lsn))``.
     """
     return _HEADER_FRAME_PREFIX + _HEADER.pack(
-        MESSAGE_MAGIC, T_NEW_HIGH_LSN, WIRE_VERSION,
+        MESSAGE_MAGIC, _NEW_HIGH_LSN_CODE, WIRE_VERSION,
         _encode_client_id(client_id), 0,
         _check_u32(new_high_lsn, "new high LSN"), 0,
     )
@@ -551,17 +567,23 @@ def frame_iov(msg: Message,
     return [_FRAME_PREFIX.pack(payload_len) + parts[0], *parts[1:]]
 
 
+def _frame_length(buf, pos: int = 0) -> int:
+    """The length prefix at ``pos``, checked to be a plausible frame's."""
+    (length,) = _FRAME_PREFIX.unpack_from(buf, pos)
+    if length < MESSAGE_HEADER_BYTES or length > MAX_FRAME_BYTES:
+        raise WireCodecError(f"implausible frame length {length}")
+    return length
+
+
 async def read_message(reader: asyncio.StreamReader) -> Message | None:
     """Read one framed message; ``None`` on clean EOF at a frame edge."""
     try:
-        prefix = await reader.readexactly(_FRAME_PREFIX.size)
+        prefix = await reader.readexactly(FRAME_PREFIX_BYTES)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise WireCodecError("stream ended inside a frame prefix") from exc
-    (length,) = _FRAME_PREFIX.unpack(prefix)
-    if length < MESSAGE_HEADER_BYTES or length > MAX_FRAME_BYTES:
-        raise WireCodecError(f"implausible frame length {length}")
+    length = _frame_length(prefix)
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
@@ -574,8 +596,8 @@ async def read_message(reader: asyncio.StreamReader) -> Message | None:
 #: Bytes requested per socket read by :class:`FrameReader` — large
 #: enough to swallow many back-to-back frames in one syscall.
 RECV_CHUNK_BYTES = 256 * 1024
-#: Consumed-prefix size beyond which a :class:`FrameReader` compacts
-#: its buffer (sooner if the buffer is fully drained, which is free).
+#: Consumed-prefix size beyond which a receive buffer is compacted
+#: (sooner if the buffer is fully drained, which is free).
 _COMPACT_THRESHOLD = 128 * 1024
 
 #: Most bytes one socket ``recv`` may return (see
@@ -583,7 +605,8 @@ _COMPACT_THRESHOLD = 128 * 1024
 #: threshold, and room for a full ReadLog reply.
 SOCKET_READ_BYTES = 96 * 1024
 
-_NEED_MORE = object()
+#: where a frame's magic ends — and its type code sits — from its start.
+_MAGIC_END = FRAME_PREFIX_BYTES + _MAGIC.size
 
 
 def bound_socket_reads(transport: asyncio.BaseTransport) -> None:
@@ -602,128 +625,6 @@ def bound_socket_reads(transport: asyncio.BaseTransport) -> None:
     """
     if getattr(transport, "max_size", 0) > SOCKET_READ_BYTES:
         transport.max_size = SOCKET_READ_BYTES
-
-
-class FrameReader:
-    """Frame parser over a persistent receive buffer.
-
-    One socket read refills the buffer with up to ``RECV_CHUNK_BYTES``;
-    every complete frame already buffered is then parsed without
-    touching the socket again, each decoded from a ``memoryview`` slice
-    so no per-frame payload copy is made.  This replaces the two
-    ``readexactly`` calls (and two allocations) per frame of
-    :func:`read_message` on the hot paths of ``rt.server`` and
-    ``rt.client``.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, *,
-                 max_frame: int = MAX_FRAME_BYTES):
-        self._reader = reader
-        self._buf = bytearray()
-        self._pos = 0
-        self._max_frame = max_frame
-        self._eof = False
-        #: frames parsed since construction (observability / tests)
-        self.frames_decoded = 0
-
-    async def read_message(
-        self, record_images: list[bytes] | None = None,
-    ) -> Message | None:
-        """Next framed message; ``None`` on clean EOF at a frame edge.
-
-        ``record_images`` is forwarded to :func:`decode`: the server
-        passes a scratch list here to capture each WriteLog/ForceLog
-        record's raw wire image for the zero-re-encode append path.
-        """
-        while True:
-            msg = self._parse_one(record_images)
-            if msg is not _NEED_MORE:
-                return msg
-            if self._eof:
-                if len(self._buf) - self._pos:
-                    raise WireCodecError("stream ended inside a frame")
-                return None
-            chunk = await self._reader.read(RECV_CHUNK_BYTES)
-            if not chunk:
-                self._eof = True
-            else:
-                self._compact()
-                self._buf += chunk
-
-    def _parse_one(self, record_images: list[bytes] | None = None):
-        buf, pos = self._buf, self._pos
-        avail = len(buf) - pos
-        if avail < _FRAME_PREFIX.size:
-            return _NEED_MORE
-        (length,) = _FRAME_PREFIX.unpack_from(buf, pos)
-        if length < MESSAGE_HEADER_BYTES or length > self._max_frame:
-            raise WireCodecError(f"implausible frame length {length}")
-        start = pos + _FRAME_PREFIX.size
-        if len(buf) - start < length:
-            return _NEED_MORE
-        with memoryview(buf) as view:
-            msg = decode(view[start:start + length], record_images)
-        self._pos = start + length
-        self.frames_decoded += 1
-        return msg
-
-    def _compact(self) -> None:
-        """Drop the consumed prefix once it is worth the memmove."""
-        if self._pos and (self._pos >= len(self._buf)
-                          or self._pos >= _COMPACT_THRESHOLD):
-            del self._buf[:self._pos]
-            self._pos = 0
-
-    def close(self) -> None:
-        """Drop the receive buffer."""
-        self._buf = bytearray()
-        self._pos = 0
-
-
-# -- frame scanning (network fault injection) --------------------------------
-
-#: Bytes of the stream-level length prefix preceding each encoded message.
-FRAME_PREFIX_BYTES = _FRAME_PREFIX.size
-
-#: type code → short lowercase kind name: the vocabulary of the
-#: ``net.<kind>.<dir>`` fault sites of :mod:`repro.rt.chaosproxy`.
-TYPE_NAMES: dict[int, str] = {
-    T_WRITE_LOG: "writelog",
-    T_FORCE_LOG: "forcelog",
-    T_NEW_INTERVAL: "newinterval",
-    T_NEW_HIGH_LSN: "newhighlsn",
-    T_MISSING_INTERVAL: "missinginterval",
-    T_INTERVAL_LIST_CALL: "intervallistcall",
-    T_INTERVAL_LIST_REPLY: "intervallistreply",
-    T_READ_LOG_FORWARD: "readlogforward",
-    T_READ_LOG_BACKWARD: "readlogbackward",
-    T_READ_LOG_REPLY: "readlogreply",
-    T_COPY_LOG: "copylog",
-    T_INSTALL_COPIES: "installcopies",
-    T_ACK: "ack",
-    T_ERROR: "error",
-    T_GENERATOR_READ_CALL: "genreadcall",
-    T_GENERATOR_READ_REPLY: "genreadreply",
-    T_GENERATOR_WRITE_CALL: "genwritecall",
-    T_PING: "ping",
-    T_PONG: "pong",
-    T_TRUNCATE_LOG: "truncatelog",
-    T_TRUNCATE_REPLY: "truncatereply",
-    T_STATS_CALL: "statscall",
-    T_STATS_REPLY: "statsreply",
-    T_FENCE_LOG: "fencelog",
-    T_FENCE_REPLY: "fencereply",
-}
-NAME_TYPES: dict[str, int] = {v: k for k, v in TYPE_NAMES.items()}
-
-#: kinds whose body is a CRC-protected record sequence.  Corrupting
-#: their payload is always *detectable* — the receiver rejects the
-#: record — unlike e.g. an interval list, whose body bytes carry no
-#: checksum of their own (TCP's is the model's integrity layer there).
-RECORD_BEARING_KINDS = frozenset(
-    {"writelog", "forcelog", "copylog", "readlogreply"})
-
-_SCAN_HEAD = struct.Struct("!HB")  # magic + type, at the header's front
 
 
 class ScannedFrame:
@@ -755,52 +656,122 @@ class FrameScanner:
     pump direction's chunks through one of these; partial frames are
     buffered across chunks and every *complete* frame comes back as a
     :class:`ScannedFrame`, so faults can target protocol messages
-    rather than arbitrary 4096-byte windows.  Unlike
-    :class:`FrameReader` it never decodes bodies — a relay must forward
-    byte-exact images, deliberately corrupted ones included.
+    rather than arbitrary 4096-byte windows.  It never decodes bodies —
+    a relay must forward byte-exact images, deliberately corrupted ones
+    included; :class:`FrameReader` is the scanner that does.
 
-    A stream that desynchronizes (an implausible length prefix, a bad
-    magic) raises :class:`WireCodecError`; the proxy degrades that
-    connection to raw passthrough and lets the endpoint's decoder
-    tear it down.
+    The receive buffer, its compaction and the boundary check are the
+    ones both share, so a relay and an endpoint always agree on where a
+    frame ends.  A stream that desynchronizes — an implausible length
+    prefix, or a bad magic, raised as soon as its two bytes are in —
+    raises :class:`WireCodecError`; the proxy degrades that connection
+    to raw passthrough and lets the endpoint's decoder tear it down.
     """
 
-    def __init__(self, *, max_frame: int = MAX_FRAME_BYTES):
+    def __init__(self) -> None:
         self._buf = bytearray()
-        self._max_frame = max_frame
+        #: where the next frame starts; the bytes before it are consumed
+        self._pos = 0
         #: complete frames returned since construction.
         self.frames_scanned = 0
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buf)
+        return len(self._buf) - self._pos
 
     def take_buffer(self) -> bytes:
         """Drain and return the partial buffer (passthrough fallback)."""
-        data = bytes(self._buf)
-        self._buf.clear()
+        data = bytes(self._buf[self._pos:])
+        self.close()
         return data
 
-    def feed(self, chunk: bytes) -> list[ScannedFrame]:
-        """Buffer ``chunk``; return every frame now complete, in order."""
+    def close(self) -> None:
+        """Drop the receive buffer."""
+        self._buf = bytearray()
+        self._pos = 0
+
+    def _append(self, chunk: bytes) -> None:
+        """Buffer ``chunk``, first dropping the consumed prefix once it
+        is worth the memmove."""
+        if self._pos and (self._pos >= len(self._buf)
+                          or self._pos >= _COMPACT_THRESHOLD):
+            del self._buf[:self._pos]
+            self._pos = 0
         self._buf += chunk
-        buf = self._buf
-        frames: list[ScannedFrame] = []
-        pos = 0
-        while len(buf) - pos >= FRAME_PREFIX_BYTES + _SCAN_HEAD.size:
-            (length,) = _FRAME_PREFIX.unpack_from(buf, pos)
-            if length < MESSAGE_HEADER_BYTES or length > self._max_frame:
-                raise WireCodecError(f"implausible frame length {length}")
-            magic, mtype = _SCAN_HEAD.unpack_from(
-                buf, pos + FRAME_PREFIX_BYTES)
+
+    def _frame_end(self) -> int:
+        """Where the frame at the read position ends, once all of it is
+        buffered; 0 until then."""
+        buf, pos = self._buf, self._pos
+        avail = len(buf) - pos
+        if avail < FRAME_PREFIX_BYTES:
+            return 0
+        length = _frame_length(buf, pos)
+        if avail >= _MAGIC_END:
+            (magic,) = _MAGIC.unpack_from(buf, pos + FRAME_PREFIX_BYTES)
             if magic != MESSAGE_MAGIC:
                 raise WireCodecError(f"bad message magic 0x{magic:04x}")
-            total = FRAME_PREFIX_BYTES + length
-            if len(buf) - pos < total:
-                break
-            frames.append(ScannedFrame(bytes(buf[pos:pos + total]), mtype))
-            pos += total
-        del buf[:pos]
+        end = pos + FRAME_PREFIX_BYTES + length
+        return end if end <= len(buf) else 0
+
+    def feed(self, chunk: bytes) -> list[ScannedFrame]:
+        """Buffer ``chunk``; return every frame now complete, in order.
+
+        On a :class:`WireCodecError` nothing of this chunk counts as
+        scanned: :meth:`take_buffer` returns every byte not returned.
+        """
+        self._append(chunk)
+        start = self._pos
+        frames: list[ScannedFrame] = []
+        try:
+            while end := self._frame_end():
+                pos = self._pos
+                frames.append(ScannedFrame(bytes(self._buf[pos:end]),
+                                           self._buf[pos + _MAGIC_END]))
+                self._pos = end
+        except WireCodecError:
+            self._pos = start
+            raise
         self.frames_scanned += len(frames)
         return frames
+
+
+class FrameReader(FrameScanner):
+    """A :class:`FrameScanner` over a ``StreamReader`` that decodes.
+
+    One socket read refills the buffer with up to ``RECV_CHUNK_BYTES``;
+    every complete frame already buffered is then decoded without
+    touching the socket again, each from a ``memoryview`` slice so no
+    per-frame payload copy is made.  This replaces the two
+    ``readexactly`` calls (and two allocations) per frame of
+    :func:`read_message` on the hot paths of ``rt.server`` and
+    ``rt.client``.  Frames go through the module's :func:`decode`,
+    looked up on every call.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader):
+        super().__init__()
+        self._reader = reader
+
+    async def read_message(
+        self, record_images: list[bytes] | None = None,
+    ) -> Message | None:
+        """Next framed message; ``None`` on clean EOF at a frame edge.
+
+        ``record_images`` is forwarded to :func:`decode`: the server
+        passes a scratch list here to capture each WriteLog/ForceLog
+        record's raw wire image for the zero-re-encode append path.
+        """
+        while not (end := self._frame_end()):
+            chunk = await self._reader.read(RECV_CHUNK_BYTES)
+            if not chunk:
+                if self.pending_bytes:
+                    raise WireCodecError("stream ended inside a frame")
+                return None
+            self._append(chunk)
+        start = self._pos + FRAME_PREFIX_BYTES
+        with memoryview(self._buf) as view:
+            msg = decode(view[start:end], record_images)
+        self._pos = end
+        return msg

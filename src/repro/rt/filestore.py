@@ -82,10 +82,6 @@ from .faultfs import PassthroughIO
 
 ENTRY_MAGIC = 0x4C45
 _ENTRY = struct.Struct("!HB16s")
-_INSTALL = struct.Struct("!II")
-_GENERATOR = struct.Struct("!QI")
-_TRUNCATE = struct.Struct("!II")
-_FENCE = struct.Struct("!II")
 
 E_RECORD = 1
 E_STAGED = 2
@@ -107,6 +103,26 @@ E_META = 6
 #: recovers still fences the superseded writer — the linearizable
 #: handoff's safety rests on the fence never being forgotten.
 E_FENCE = 7
+
+#: the payload of each scalar entry type: a value, then the CRC-32 of
+#: the value's bytes.
+_SCALARS = {
+    E_INSTALL: struct.Struct("!II"),
+    E_GENERATOR: struct.Struct("!QI"),
+    E_TRUNCATE: struct.Struct("!II"),
+    E_META: struct.Struct("!QI"),
+    E_FENCE: struct.Struct("!II"),
+}
+#: bytes of the CRC that ends a scalar payload.
+_SCALAR_CRC_BYTES = 4
+
+
+def _scalar(etype: int, value: int) -> bytes:
+    """The payload of an ``etype`` entry carrying ``value``."""
+    layout = _SCALARS[etype]
+    value_bytes = layout.pack(value, 0)[:-_SCALAR_CRC_BYTES]
+    return layout.pack(value, zlib.crc32(value_bytes))
+
 
 #: injector site name per entry type (``faultfs`` crash-point naming).
 _ETYPE_SITES = {
@@ -381,23 +397,17 @@ class FileLogStore:
                 self.crc_rejections += 1
                 return None
             return etype, client_id, record, end
-        if etype in (E_INSTALL, E_TRUNCATE, E_FENCE):
-            if have < _ENTRY.size + _INSTALL.size:
-                return _ENTRY.size + _INSTALL.size
-            value, crc = _INSTALL.unpack_from(raw, body)
-            if zlib.crc32(raw[body:body + 4]) != crc:
-                self.crc_rejections += 1
-                return None
-            return etype, client_id, value, body + _INSTALL.size
-        if etype in (E_GENERATOR, E_META):
-            if have < _ENTRY.size + _GENERATOR.size:
-                return _ENTRY.size + _GENERATOR.size
-            value, crc = _GENERATOR.unpack_from(raw, body)
-            if zlib.crc32(raw[body:body + 8]) != crc:
-                self.crc_rejections += 1
-                return None
-            return etype, client_id, value, body + _GENERATOR.size
-        return None
+        layout = _SCALARS.get(etype)
+        if layout is None:
+            return None
+        if have < _ENTRY.size + layout.size:
+            return _ENTRY.size + layout.size
+        value, crc = layout.unpack_from(raw, body)
+        end = body + layout.size
+        if zlib.crc32(raw[body:end - _SCALAR_CRC_BYTES]) != crc:
+            self.crc_rejections += 1
+            return None
+        return etype, client_id, value, end
 
     # -- the durable append path --------------------------------------
 
@@ -554,22 +564,16 @@ class FileLogStore:
 
     def install_copies(self, client_id: str, epoch: Epoch) -> int:
         """InstallCopies: the install marker is the durable commit point."""
-        epoch_bytes = struct.pack("!I", epoch)
-        self._append_entry(
-            E_INSTALL, client_id,
-            _INSTALL.pack(epoch, zlib.crc32(epoch_bytes)), fsync=True,
-        )
+        self._append_entry(E_INSTALL, client_id, _scalar(E_INSTALL, epoch),
+                           fsync=True)
         self._changed(client_id)
         return self.mem.install_copies(client_id, epoch)
 
     def generator_write(self, value: int) -> None:
         """Durably advance the Appendix I generator representative."""
         if value > self.generator_value:
-            value_bytes = struct.pack("!Q", value)
-            self._append_entry(
-                E_GENERATOR, "", _GENERATOR.pack(value, zlib.crc32(value_bytes)),
-                fsync=True,
-            )
+            self._append_entry(E_GENERATOR, "", _scalar(E_GENERATOR, value),
+                               fsync=True)
             self.generator_value = value
 
     # -- ownership fencing --------------------------------------------
@@ -591,11 +595,8 @@ class FileLogStore:
         """
         standing = self.fence_epochs.get(client_id, 0)
         if epoch > standing:
-            epoch_bytes = struct.pack("!I", epoch)
-            self._append_entry(
-                E_FENCE, client_id,
-                _FENCE.pack(epoch, zlib.crc32(epoch_bytes)), fsync=True,
-            )
+            self._append_entry(E_FENCE, client_id, _scalar(E_FENCE, epoch),
+                               fsync=True)
             self.fence_epochs[client_id] = epoch
             standing = epoch
         return standing
@@ -621,11 +622,8 @@ class FileLogStore:
         else:
             mark = self.truncated_lsn(client_id)
             if mark:
-                mark_bytes = struct.pack("!I", mark)
-                self._append_entry(
-                    E_TRUNCATE, client_id,
-                    _TRUNCATE.pack(mark, zlib.crc32(mark_bytes)), fsync=True,
-                )
+                self._append_entry(E_TRUNCATE, client_id,
+                                   _scalar(E_TRUNCATE, mark), fsync=True)
         return dropped
 
     def truncated_lsn(self, client_id: str) -> LSN:
@@ -672,21 +670,14 @@ class FileLogStore:
                     size += len(buf)
                     return offset
 
-                gen_bytes = struct.pack("!Q", generation)
-                emit(E_META, "",
-                     _GENERATOR.pack(generation, zlib.crc32(gen_bytes)))
-                for cid in sorted(self.fence_epochs):
-                    fence = self.fence_epochs[cid]
-                    fence_bytes = struct.pack("!I", fence)
-                    emit(E_FENCE, cid,
-                         _FENCE.pack(fence, zlib.crc32(fence_bytes)))
+                emit(E_META, "", _scalar(E_META, generation))
+                for cid, fence in sorted(self.fence_epochs.items()):
+                    emit(E_FENCE, cid, _scalar(E_FENCE, fence))
                 for client_id in self.mem.known_clients():
                     state = self.mem.client_state(client_id)
                     if state.truncated_below:
-                        mark = state.truncated_below
-                        mark_bytes = struct.pack("!I", mark)
                         emit(E_TRUNCATE, client_id,
-                             _TRUNCATE.pack(mark, zlib.crc32(mark_bytes)))
+                             _scalar(E_TRUNCATE, state.truncated_below))
                     for handle in state.records:
                         moved.append((handle, emit(
                             E_RECORD, client_id, self._load(handle)[1])))
@@ -695,10 +686,8 @@ class FileLogStore:
                             moved.append((handle, emit(
                                 E_STAGED, client_id, self._load(handle)[1])))
                 if self.generator_value:
-                    value_bytes = struct.pack("!Q", self.generator_value)
                     emit(E_GENERATOR, "",
-                         _GENERATOR.pack(self.generator_value,
-                                         zlib.crc32(value_bytes)))
+                         _scalar(E_GENERATOR, self.generator_value))
                 self.io.fsync(out, "compact.fsync")
             finally:
                 out.close()

@@ -57,6 +57,7 @@ from ..core.errors import LogError, ProtocolError, StorageError
 from ..core.records import LSN
 from ..net.codec import (
     FrameReader,
+    WireCodecError,
     bound_socket_reads,
     frame,
     frame_iov,
@@ -230,7 +231,15 @@ class LogServerDaemon:
         try:
             while True:
                 images.clear()
-                msg = await frames.read_message(images)
+                try:
+                    msg = await frames.read_message(images)
+                except WireCodecError as exc:
+                    # Bytes the codec rejects are the peer's fault, not
+                    # a handler bug: one line, no traceback.
+                    log.warning("%s: closing a connection that sent "
+                                "undecodable bytes: %s",
+                                self.store.server_id, exc)
+                    break
                 if msg is None:
                     break
                 self.messages_handled += 1

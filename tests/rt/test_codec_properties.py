@@ -12,7 +12,9 @@ Two invariants for every message type:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.intervals import Interval
 from repro.core.records import StoredRecord
+from repro.net import codec
 from repro.net.codec import (
     KIND_CODES,
     MAX_CLIENT_ID_BYTES,
@@ -40,6 +43,7 @@ from repro.net.codec import (
     frame_new_high_lsn,
 )
 from repro.net.messages import (
+    ERR_FENCED,
     MESSAGE_HEADER_BYTES,
     RECORD_HEADER_BYTES,
     AckReply,
@@ -262,6 +266,54 @@ def test_read_call_limit_rides_in_header_field_b(cls, mtype):
         encode(cls("c7", 41, 2**32))
 
 
+#: one fixed instance of every message type, in type-code order.
+ONE_OF_EACH = (
+    WriteLogMsg("c1", 3, (StoredRecord(7, 3, data=b"seven"),
+                          StoredRecord(8, 3, present=False, kind="guard"))),
+    ForceLogMsg("c1", 3, (StoredRecord(9, 3, data=b"nine", kind="commit"),)),
+    NewIntervalMsg("c1", 3, starting_lsn=12),
+    NewHighLSNMsg("s1", new_high_lsn=9),
+    MissingIntervalMsg("c1", lo=4, hi=6),
+    IntervalListCall("c1"),
+    IntervalListReply("c1", (Interval(1, 1, 5), Interval(3, 7, 9))),
+    ReadLogForwardCall("c1", lsn=5, max_records=64),
+    ReadLogBackwardCall("c1", lsn=9, max_records=1),
+    ReadLogReply("c1", (StoredRecord(5, 1, data=b"five"),)),
+    CopyLogCall("c1", 4, (StoredRecord(9, 4, data=b"copy"),)),
+    InstallCopiesCall("c1", 4),
+    AckReply("c1", ok=True),
+    ErrorReply("c1", "fenced at 5", code=ERR_FENCED),
+    GeneratorReadCall(""),
+    GeneratorReadReply("", value=2**40 + 17),
+    GeneratorWriteCall("", value=18),
+    PingMsg("c1", token=77),
+    PongMsg("c1", token=77),
+    TruncateLogCall("c1", low_water_lsn=3, epoch=4),
+    TruncateReply("c1", low_water_lsn=3, records_dropped=2),
+    StatsCall("c1"),
+    StatsReply("c1", (1, 2, 2**40)),
+    FenceLogCall("c1", epoch=5),
+    FenceReply("c1", epoch=5),
+)
+#: SHA-256 of their frames end to end, generated by the codec that had
+#: one hand-written encode and decode branch per type: a table row that
+#: moves a byte fails here.
+WIRE_GOLDEN = \
+    "f4891885d86c71285fa21a6536da159f775d20074b59aefd4efb60b242b09d7a"
+
+
+def test_one_frame_of_every_type_is_the_wire_golden():
+    wire = b"".join(frame(msg) for msg in ONE_OF_EACH)
+    assert len(wire) == 1056
+    assert hashlib.sha256(wire).hexdigest() == WIRE_GOLDEN
+    assert [f.kind for f in FrameScanner().feed(wire)] == \
+        [row.name for row in codec._WIRE]
+    assert [type(msg) for msg in ONE_OF_EACH] == \
+        [row.cls for row in codec._WIRE]
+    assert [decode(f.data[4:]) for f in FrameScanner().feed(wire)] == \
+        list(ONE_OF_EACH)
+
+
 # -- corruption and limits ------------------------------------------------
 
 
@@ -431,6 +483,46 @@ def test_frame_reader_rejects_mid_frame_eof():
     asyncio.run(main())
 
 
+def test_frame_reader_decodes_through_the_module_decode(monkeypatch):
+    """``FrameReader`` looks ``decode`` up in the codec module on every
+    frame: a tracer that wraps ``repro.net.codec.decode`` sees each one
+    the daemon decodes."""
+    calls = []
+    original = codec.decode
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(codec, "decode", counting)
+    msgs = ONE_OF_EACH[:3]
+
+    async def main():
+        reader = FrameReader(_stream_reader(
+            b"".join(frame(m) for m in msgs), [5, 40]))
+        out = [await reader.read_message() for _ in msgs]
+        assert await reader.read_message() is None
+        return out
+
+    assert asyncio.run(main()) == list(msgs)
+    assert len(calls) == 3
+
+
+def test_frame_reader_stops_at_a_bad_magic_without_buffering_the_frame():
+    """The boundary check the scanner makes: a frame whose magic is
+    wrong fails once its first six bytes are in, though its length
+    prefix still promises a megabyte."""
+    bad = struct.pack("!IH", 1 << 20, MESSAGE_MAGIC ^ 0xFFFF)
+
+    async def main():
+        source = asyncio.StreamReader()
+        source.feed_data(bad)  # no EOF: the reader must not wait for more
+        with pytest.raises(WireCodecError, match="magic"):
+            await asyncio.wait_for(FrameReader(source).read_message(), 5)
+
+    asyncio.run(main())
+
+
 def test_bound_socket_reads_only_lowers_an_existing_read_size():
     class Transport:
         max_size = 256 * 1024
@@ -516,17 +608,77 @@ def _damaged(data: bytes, damage) -> bytes:
     return bytes(out)
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(
+_hostile_payloads = st.one_of(
     st.binary(max_size=200), _plausible,
     st.tuples(st.one_of(messages(), generator_messages()).map(encode),
-              _damage).map(lambda t: _damaged(*t))))
+              _damage).map(lambda t: _damaged(*t)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hostile_payloads)
 def test_decode_of_hostile_bytes_is_a_message_or_a_codec_error(payload):
     images: list[bytes] = []
     try:
         decode(payload, images)
     except WireCodecError:
         pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hostile_payloads)
+def test_decode_accepts_only_what_encode_produces(payload):
+    """Whatever ``decode`` accepts re-encodes to the very bytes it
+    was given: no header word, body byte or record flag is ignored.  A
+    daemon appends received record images verbatim, so this is what
+    keeps bytes ``encode`` never writes off the disk."""
+    try:
+        msg = decode(payload)
+    except WireCodecError:
+        return
+    assert encode(msg) == bytes(payload)
+
+
+def _with_record_flags(payload: bytes, flags: int) -> bytes:
+    """``payload`` (one record after the header) with the record's
+    flags byte set to ``flags`` and its CRC recomputed."""
+    out = bytearray(payload)
+    at = MESSAGE_HEADER_BYTES
+    out[at + 8] = flags
+    out[at + 12:at + 16] = struct.pack(
+        "!I", zlib.crc32(bytes(out[at + 16:]),
+                         zlib.crc32(bytes(out[at:at + 12]))))
+    return bytes(out)
+
+
+def _header(mtype: int, epoch: int, a: int, b: int) -> bytes:
+    return struct.pack("!HBB16sIII", MESSAGE_MAGIC, mtype, WIRE_VERSION,
+                       b"", epoch, a, b)
+
+
+_FORCE = encode(ForceLogMsg("c", 1, (StoredRecord(1, 1, data=b"x"),)))
+
+
+@pytest.mark.parametrize("payload", [
+    _header(3, 0, 0, 1),                            # NewInterval, b = 1
+    _header(13, 0, 2, 0),                           # AckReply, a = 2
+    _header(4, 7, 1, 0),                            # NewHighLSN, epoch 7
+    encode(IntervalListCall("c")) + b"junk",        # a header-only body
+    _with_record_flags(_FORCE, 0x03),               # unknown record flags
+], ids=["newinterval-b", "ack-a", "newhighlsn-epoch", "call-junk",
+        "record-flags"])
+def test_decode_refuses_bytes_encode_never_produces(payload):
+    with pytest.raises(WireCodecError):
+        decode(payload)
+
+
+def test_record_flags_are_refused_on_the_wire_only():
+    """``log.dat`` replay decodes records with ``decode_stored_record``
+    alone, which takes a stored image whatever its flags — a file
+    written before the wire refused them opens as it always did."""
+    assert decode(_with_record_flags(_FORCE, 0x01)) == decode(_FORCE)
+    image = _with_record_flags(_FORCE, 0x03)[MESSAGE_HEADER_BYTES:]
+    record, end = decode_stored_record(image, 0)
+    assert record == StoredRecord(1, 1, data=b"x") and end == len(image)
 
 
 _hostile_streams = st.tuples(

@@ -32,8 +32,6 @@ from repro.net.codec import (
 )
 from repro.rt.filestore import (
     _ENTRY,
-    _GENERATOR,
-    _INSTALL,
     E_FENCE,
     E_GENERATOR,
     E_INSTALL,
@@ -46,6 +44,11 @@ from repro.rt.filestore import (
 )
 
 CLIENTS = ("a", "b")
+
+#: the scalar entries' payloads as the oracle reads them: a value and
+#: the CRC-32 of its bytes (stated here, not taken from the store).
+_INSTALL = struct.Struct("!II")
+_GENERATOR = struct.Struct("!QI")
 
 
 # -- the oracle: the whole-file scan, holding real records --------------------

@@ -24,9 +24,11 @@ from repro.net.codec import (
     frame,
 )
 from repro.core.records import StoredRecord
+from repro.net import messages
 from repro.net.messages import (
     ForceLogMsg,
     IntervalListCall,
+    Message,
     NewHighLSNMsg,
     WriteLogMsg,
 )
@@ -85,12 +87,25 @@ def test_scanner_rejects_absurd_length():
         FrameScanner().feed(bad)
 
 
-def test_type_name_tables_are_a_bijection():
-    codes = {value for name, value in vars(codec).items()
-             if name.startswith("T_") and isinstance(value, int)}
-    assert set(TYPE_NAMES) == codes
-    assert {NAME_TYPES[n] for n in NAME_TYPES} == codes
-    assert RECORD_BEARING_KINDS <= set(NAME_TYPES)
+def test_wire_table_has_one_row_per_message_class():
+    """``_WIRE`` states each message type once; the name tables the
+    fault grammar and the sweeps import are read off it."""
+    rows = codec._WIRE
+    concrete = {cls for cls in vars(messages).values()
+                if isinstance(cls, type) and issubclass(cls, Message)
+                and cls is not Message}
+    assert len(concrete) == 25
+    assert sorted(row.cls.__name__ for row in rows) == \
+        sorted(cls.__name__ for cls in concrete)
+    assert len({row.code for row in rows}) == len(rows)
+    assert len({row.name for row in rows}) == len(rows)
+    assert TYPE_NAMES == {row.code: row.name for row in rows}
+    assert {code: name for name, code in NAME_TYPES.items()} == TYPE_NAMES
+    assert RECORD_BEARING_KINDS == {
+        row.name for row in rows
+        if "records" in row.cls.__dataclass_fields__}
+    assert RECORD_BEARING_KINDS == {
+        "writelog", "forcelog", "copylog", "readlogreply"}
 
 
 # -- the plan grammar --------------------------------------------------------
