@@ -20,8 +20,8 @@ from repro.core.availability import (
     max_m_for_init_availability,
     single_server_availability,
 )
-from repro.harness import run_availability_monte_carlo
-from repro.harness.tables import format_table
+from repro.harness.experiments import run_availability_monte_carlo
+from repro.tables import format_table
 
 
 def main(p: float = 0.05) -> None:

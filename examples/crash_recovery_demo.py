@@ -13,8 +13,8 @@ Run:  python examples/crash_recovery_demo.py
 """
 
 from repro.client import ClientNode, UndoCache
-from repro.harness import run_paper_figure_states
-from repro.harness.tables import format_table
+from repro.harness.experiments import run_paper_figure_states
+from repro.tables import format_table
 
 
 def drain(gen):

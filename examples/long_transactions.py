@@ -20,7 +20,7 @@ Run:  python examples/long_transactions.py
 import random
 
 from repro.client import ClientNode, UndoCache
-from repro.harness.tables import format_table
+from repro.tables import format_table
 from repro.workload import LongTxnParams
 
 

@@ -25,7 +25,7 @@ from repro.core import (
     repair_log_copy,
     under_replicated_lsns,
 )
-from repro.harness.tables import format_table
+from repro.tables import format_table
 from repro.net import Lan
 from repro.server import SimLogServer, SpaceManager
 from repro.sim import MetricSet, Simulator

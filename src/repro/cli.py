@@ -1,17 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-A thin front-end over the experiment harness so the paper's results
-can be regenerated without writing code:
+A thin front-end so the paper's results can be regenerated without
+writing code.  Each row of :data:`repro.paper.EXPERIMENTS` is one
+command, printing what ``benchmarks/bench_paper.py`` checks:
 
-* ``python -m repro availability``  — the Figure 3-4 table;
-* ``python -m repro capacity``      — the Section 4.1 capacity table;
-* ``python -m repro figures``       — the Figures 3-2/3-3 server states;
-* ``python -m repro target-load``   — the simulated 500-TPS experiment;
-* ``python -m repro prototype``     — the Section 5.6 comparison;
-* ``python -m repro degraded``      — WriteLog under server outages;
-* ``python -m repro sweep``         — offered-load saturation sweep;
-* ``python -m repro churn``         — availability under crash/repair churn;
-* ``python -m repro restart-latency`` — client init time vs M;
+* ``availability`` (E1), ``monte-carlo`` (E2) — Figure 3-4;
+* ``capacity`` (E3), ``target-load`` (E4) — Section 4.1;
+* ``prototype`` (E5) — the Section 5.6 comparison;
+* ``figures`` (E6) — the Figures 3-2/3-3 server states;
+* ``append-forest`` (E7) — Figures 4-2/4-3;
+* ``generator`` (E8) — Appendix I;
+* ``degraded`` (E9), ``restart-latency`` (E10), ``churn`` (E11);
+* ``grouping``, ``nvram``, ``splitting``, ``assignment``,
+  ``replication``, ``space``, ``multicast``, ``commit``, ``sweep`` —
+  the ablations A1–A9.
+
+The real runtime has its own commands:
+
 * ``python -m repro serve``         — run one real log-server daemon;
 * ``python -m repro loadgen``       — drive ET1 load at a real cluster;
 * ``python -m repro stats``         — query a daemon's counters;
@@ -26,161 +31,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-# Each subcommand imports what it runs inside its ``_cmd_*``: a
-# ``repro serve`` daemon then loads the runtime and nothing of the
-# simulator, the analysis or the experiment harness.
+from .paper import EXPERIMENTS
+from .tables import format_table
+
+# Each subcommand imports what it runs when it runs (``repro.paper``
+# loads nothing beyond ``repro.core`` at import): a ``repro serve``
+# daemon then loads the runtime and nothing of the simulator, the
+# analysis or the experiment harness.
 
 
-def format_table(*args, **kwargs) -> str:
-    """:func:`repro.harness.tables.format_table`, imported on first use
-    (any ``repro.harness`` import loads the whole harness package)."""
-    from .harness.tables import format_table as render
-
-    return render(*args, **kwargs)
-
-
-def _cmd_availability(args: argparse.Namespace) -> int:
-    from .core.availability import figure_3_4_series
-
-    rows = []
-    for n, points in sorted(figure_3_4_series(p=args.p, max_m=args.max_m).items()):
-        for pt in points:
-            rows.append((pt.m, pt.n, f"{pt.write:.6f}", f"{pt.init:.6f}",
-                         f"{pt.read:.6f}"))
-    print(format_table(
-        ["M", "N", "WriteLog", "client init", "ReadLog"], rows,
-        title=f"Figure 3-4 — availability of replicated logs (p = {args.p})",
-    ))
-    return 0
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    from .analysis import CapacityConfig, analyze
-
-    report = analyze(CapacityConfig(
-        clients=args.clients, servers=args.servers, copies=args.copies,
-    ))
-    print(format_table(
-        ["quantity", "model", "paper"], report.rows(),
-        title=(f"Section 4.1 — capacity analysis ({args.clients} clients, "
-               f"{args.servers} servers, N={args.copies})"),
-    ))
-    return 0
-
-
-def _cmd_figures(_args: argparse.Namespace) -> int:
-    from .harness import run_paper_figure_states
-
-    states = run_paper_figure_states()
-    for title, tables in (
-        ("Figure 3-2 (record 10 partially written)", states.figure_3_2),
-        ("Figure 3-3 (after crash recovery)", states.figure_3_3),
-    ):
-        for server_id in sorted(tables):
-            print()
-            print(format_table(["LSN", "Epoch", "Present"],
-                               tables[server_id],
-                               title=f"{title} — {server_id}"))
-    print(f"\nreplicated log contents: {states.replicated_log_contents}")
-    return 0
-
-
-def _cmd_target_load(args: argparse.Namespace) -> int:
-    from .harness import TargetLoadConfig, run_target_load
-
-    result = run_target_load(TargetLoadConfig(
-        clients=args.clients, servers=args.servers,
-        duration_s=args.duration, seed=args.seed,
-    ))
-    print(format_table(
-        ["quantity", "measured", "expected"], result.rows(),
-        title=(f"Section 4.1 (simulated) — {args.clients} clients, "
-               f"{args.servers} servers, {args.duration}s"),
-    ))
-    print(f"\ncompleted transactions: {result.completed_txns}; "
-          f"force p95 {result.force_p95_ms:.2f} ms")
-    return 0
-
-
-def _cmd_prototype(args: argparse.Namespace) -> int:
-    from .harness import run_prototype_comparison
-
-    pc = run_prototype_comparison(transactions=args.transactions)
-    print(format_table(
-        ["remote (s)", "local (s)", "ratio"],
-        [(f"{pc.remote_elapsed_s:.2f}", f"{pc.local_elapsed_s:.2f}",
-          f"{pc.ratio:.2f}")],
-        title=(f"Section 5.6 — remote (N=2, Accent IPC) vs local disk, "
-               f"{args.transactions} ET1 transactions"),
-    ))
-    print("\npaper: remote used less than twice the local elapsed time")
-    return 0
-
-
-def _cmd_degraded(args: argparse.Namespace) -> int:
-    from .harness import run_degraded_mode
-
-    rows = run_degraded_mode(duration_s=args.duration)
-    print(format_table(
-        ["down", "up", "txns", "mean force (ms)", "survivor CPU"],
-        [(r.servers_down, r.servers_up, r.completed_txns,
-          f"{r.mean_force_ms:.2f}",
-          f"{r.survivor_cpu_utilization * 100:.1f}%") for r in rows],
-        title="Section 3.2 — WriteLog under server outages",
-    ))
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import run_load_sweep
-
-    rows = run_load_sweep(duration_s=args.duration)
-    print(format_table(
-        ["offered TPS/client", "achieved", "mean force (ms)", "disk util",
-         "shed"],
-        [(f"{r.tps_per_client:.0f}", f"{r.achieved_tps:.0f}",
-          f"{r.mean_force_ms:.2f}", f"{r.disk_utilization * 100:.0f}%",
-          r.messages_shed) for r in rows],
-        title="Saturation sweep",
-    ))
-    return 0
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from .harness import ChurnConfig, run_availability_churn
-
-    result = run_availability_churn(ChurnConfig(
-        servers=args.servers, copies=args.copies, clients=args.clients,
-        p=args.p, mtbf_s=args.mtbf, duration_s=args.duration,
-        tps_per_client=args.tps, seed=args.seed,
-        link_p=args.link_p, generator_p=args.generator_p,
-    ))
-    print(format_table(
-        ["quantity", "measured", "closed form"], result.rows(),
-        title=(f"Section 3.2 under churn — M={args.servers}, "
-               f"N={args.copies}, p={args.p}, {args.duration:.0f}s"),
-    ))
-    print(f"\nserver crashes: {result.server_crashes} "
-          f"(mttr {result.mttr_s:.2f}s); "
-          f"link crashes: {result.link_crashes}; "
-          f"generator crashes: {result.generator_crashes}")
-    print(f"transactions committed: {result.committed_txns}, "
-          f"failed: {result.failed_txns}; "
-          f"client initializations: {result.client_reinits}; "
-          f"write-set migrations: {result.server_switches}")
-    return 0
-
-
-def _cmd_restart(args: argparse.Namespace) -> int:
-    from .harness import run_restart_latency
-
-    rows = run_restart_latency()
-    print(format_table(
-        ["M", "mean restart (ms)", "max restart (ms)"],
-        [(r.m, f"{r.mean_restart_ms:.1f}", f"{r.max_restart_ms:.1f}")
-         for r in rows],
-        title="Client initialization latency vs M",
-    ))
+def _cmd_paper(args: argparse.Namespace) -> int:
+    experiment = args.experiment
+    for block in experiment.render(experiment.run(args), args):
+        print()
+        print(block)
     return 0
 
 
@@ -497,63 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("availability", help="Figure 3-4 closed forms")
-    p.add_argument("--p", type=float, default=0.05,
-                   help="per-server unavailability (default 0.05)")
-    p.add_argument("--max-m", type=int, default=8)
-    p.set_defaults(func=_cmd_availability)
-
-    p = sub.add_parser("capacity", help="Section 4.1 capacity analysis")
-    p.add_argument("--clients", type=int, default=50)
-    p.add_argument("--servers", type=int, default=6)
-    p.add_argument("--copies", type=int, default=2)
-    p.set_defaults(func=_cmd_capacity)
-
-    p = sub.add_parser("figures", help="Figures 3-2/3-3 server states")
-    p.set_defaults(func=_cmd_figures)
-
-    p = sub.add_parser("target-load", help="simulated Section 4.1 load")
-    p.add_argument("--clients", type=int, default=50)
-    p.add_argument("--servers", type=int, default=6)
-    p.add_argument("--duration", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_target_load)
-
-    p = sub.add_parser("prototype", help="Section 5.6 comparison")
-    p.add_argument("--transactions", type=int, default=200)
-    p.set_defaults(func=_cmd_prototype)
-
-    p = sub.add_parser("degraded", help="WriteLog under server outages")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.set_defaults(func=_cmd_degraded)
-
-    p = sub.add_parser("sweep", help="offered-load saturation sweep")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "churn", help="measured vs closed-form availability under "
-                      "crash/repair churn")
-    p.add_argument("--servers", type=int, default=6)
-    p.add_argument("--copies", type=int, default=2)
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--p", type=float, default=0.05,
-                   help="per-server long-run unavailability (default 0.05)")
-    p.add_argument("--mtbf", type=float, default=30.0,
-                   help="mean time between server failures, seconds")
-    p.add_argument("--duration", type=float, default=120.0,
-                   help="simulated seconds of churn (default 120)")
-    p.add_argument("--tps", type=float, default=10.0,
-                   help="ET1 transactions/second per client")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--link-p", type=float, default=0.0,
-                   help="LAN unavailability (message-loss churn)")
-    p.add_argument("--generator-p", type=float, default=0.0,
-                   help="generator-representative unavailability")
-    p.set_defaults(func=_cmd_churn)
-
-    p = sub.add_parser("restart-latency", help="client init time vs M")
-    p.set_defaults(func=_cmd_restart)
+    for experiment in EXPERIMENTS:
+        p = sub.add_parser(experiment.command,
+                           help=f"{experiment.id}: {experiment.title}")
+        for param in experiment.params:
+            p.add_argument(param.flag, type=type(param.default),
+                           default=param.default,
+                           help=f"{param.help} (default %(default)s)".lstrip())
+        p.set_defaults(func=_cmd_paper, experiment=experiment)
 
     p = sub.add_parser(
         "serve", help="run one real log-server daemon (asyncio, TCP)")

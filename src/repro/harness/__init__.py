@@ -1,75 +1,7 @@
-"""Experiment harness: runners for every figure/claim, plus tables."""
+"""Experiment harness: runners for every figure/claim.
 
-from .churn import ChurnConfig, ChurnResult, run_availability_churn
-from .crashsweep import CrashCase, SweepConfig, SweepReport, run_crashsweep
-from .experiments import (
-    AssignmentAblationRow,
-    AvailabilityMeasurement,
-    DegradedModeRow,
-    GeneratorMeasurement,
-    LoadSweepRow,
-    MulticastAblationResult,
-    NvramAblationResult,
-    PaperFigureStates,
-    PrototypeComparison,
-    RestartLatencyRow,
-    SpaceManagementRow,
-    SplittingAblationRow,
-    TargetLoadConfig,
-    TargetLoadResult,
-    run_assignment_ablation,
-    run_availability_monte_carlo,
-    run_degraded_mode,
-    run_generator_monte_carlo,
-    run_load_sweep,
-    run_multicast_ablation,
-    run_nvram_ablation,
-    run_paper_figure_states,
-    run_prototype_comparison,
-    run_restart_latency,
-    run_space_management,
-    run_splitting_ablation,
-    run_target_load,
-)
-from .tables import fmt_pct, fmt_prob, format_table, print_table
-
-__all__ = [
-    "AssignmentAblationRow",
-    "AvailabilityMeasurement",
-    "ChurnConfig",
-    "ChurnResult",
-    "CrashCase",
-    "DegradedModeRow",
-    "GeneratorMeasurement",
-    "LoadSweepRow",
-    "MulticastAblationResult",
-    "NvramAblationResult",
-    "PaperFigureStates",
-    "PrototypeComparison",
-    "RestartLatencyRow",
-    "SpaceManagementRow",
-    "SplittingAblationRow",
-    "SweepConfig",
-    "SweepReport",
-    "TargetLoadConfig",
-    "TargetLoadResult",
-    "fmt_pct",
-    "fmt_prob",
-    "format_table",
-    "print_table",
-    "run_assignment_ablation",
-    "run_availability_churn",
-    "run_availability_monte_carlo",
-    "run_crashsweep",
-    "run_degraded_mode",
-    "run_generator_monte_carlo",
-    "run_load_sweep",
-    "run_multicast_ablation",
-    "run_nvram_ablation",
-    "run_paper_figure_states",
-    "run_prototype_comparison",
-    "run_restart_latency",
-    "run_space_management",
-    "run_splitting_ablation",
-    "run_target_load",
-]
+Import the submodule you need (``repro.harness.experiments``,
+``.churn``, ``.crashsweep``, ...): the package itself loads nothing,
+so a crash sweep never pulls in the simulator and a simulated run
+never pulls in the runtime.
+"""

@@ -2,21 +2,26 @@
 
 Each runner assembles the full simulated system (or the direct
 algorithm layer, where timing is irrelevant), executes the workload,
-and returns a small result dataclass that the benchmarks print and the
+and returns a small result dataclass that a row of
+:data:`repro.paper.EXPERIMENTS` renders and checks and the
 integration tests assert on.  All runs are deterministic given their
 seed.
 
 Index (see DESIGN.md §4):
 
-* :func:`run_availability_monte_carlo` — E2, validates the Figure 3-4
-  closed forms against the real algorithm under random outages;
-* :func:`run_generator_monte_carlo` — E8, same for Appendix I;
+* :func:`run_availability_grid` — E2, validates the Figure 3-4
+  closed forms against the real algorithm under random outages
+  (:func:`run_availability_monte_carlo`, one (M, N) point);
+* :func:`run_generator_grid` — E8, same for Appendix I;
 * :func:`run_target_load` — E4, the 50-client / 6-server / 500-TPS
   configuration of Section 4.1, measured rather than derived;
-* :func:`run_prototype_comparison` — E5, the Section 5.6 measurement
+* :func:`run_prototype_pair` — E5, the Section 5.6 measurement
   (remote logging to two servers vs local single-disk logging);
 * :func:`run_paper_figure_states` — E6, the Figure 3-1/3-2/3-3 worked
   example;
+* :func:`run_append_forest` — E7, the Figure 4-3 example and the
+  Section 4.3 complexity claims;
+* :func:`run_replication_tradeoff` — A5;
 * :func:`run_nvram_ablation` — A2;
 * :func:`run_assignment_ablation` — A4;
 * :func:`run_splitting_ablation` — A3.
@@ -24,6 +29,7 @@ Index (see DESIGN.md §4):
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -43,6 +49,7 @@ from ..core import (
     ServerUnavailable,
     make_generator,
 )
+from ..core.availability import init_availability, write_availability
 from ..core.epoch import LocalIdGenerator, make_generator as make_id_generator
 from ..net.lan import DualLan, Lan
 from ..server.load import RandomAssignment, StickyAssignment
@@ -50,6 +57,7 @@ from ..server.log_server import SimLogServer
 from ..sim.failures import bernoulli_outage_sample, restore_all
 from ..sim.kernel import Simulator
 from ..sim.stats import MetricSet
+from ..storage.append_forest import AppendForest
 from ..storage.disk import SLOW_1987_DISK, DiskParams, SimDisk
 from ..workload.et1 import Et1Driver, Et1Params, et1_log_pattern
 from ..workload.generators import LongTxnParams, transactional_mix
@@ -148,6 +156,34 @@ def run_availability_monte_carlo(
     )
 
 
+def run_availability_grid() -> list[AvailabilityMeasurement]:
+    """E2: :func:`run_availability_monte_carlo` at p = 0.05, 1200
+    trials, for four (M, N), seeded ``10 * M + N``."""
+    return [run_availability_monte_carlo(m, n, 0.05, trials=1200,
+                                         seed=m * 10 + n)
+            for m, n in ((3, 2), (5, 2), (7, 2), (5, 3))]
+
+
+def run_replication_tradeoff() -> tuple[
+        list[tuple[int, int, float, float]],
+        tuple[AvailabilityMeasurement, AvailabilityMeasurement]]:
+    """A5 at p = 0.05: (M, N, write, init) closed forms for N = 2, 3
+    and M up to 8, and the frontier spot-checked on the real algorithm
+    (800 trials) at M=8 and M=3.
+
+    (M=3 rather than M=2 as the small configuration: the
+    implementation's restart also installs copies on N servers, which
+    for M=N dominates the pure interval-list quorum the closed form
+    counts.)
+    """
+    closed_form = [(m, n, write_availability(m, n, 0.05),
+                    init_availability(m, n, 0.05))
+                   for n in (2, 3) for m in range(n, 9)]
+    return closed_form, (
+        run_availability_monte_carlo(8, 2, 0.05, trials=800, seed=11),
+        run_availability_monte_carlo(3, 2, 0.05, trials=800, seed=12))
+
+
 @dataclass(frozen=True, slots=True)
 class GeneratorMeasurement:
     n_reps: int
@@ -182,6 +218,13 @@ def run_generator_monte_carlo(
         n_reps=n_reps, p=p, trials=trials,
         available=ok / trials, monotone=monotone,
     )
+
+
+def run_generator_grid() -> list[GeneratorMeasurement]:
+    """E8: :func:`run_generator_monte_carlo` at p = 0.05, 1500 trials,
+    over representative counts."""
+    return [run_generator_monte_carlo(n_reps, 0.05, trials=1500, seed=n_reps)
+            for n_reps in (1, 3, 5, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +539,18 @@ def run_prototype_comparison(
         remote_elapsed_s=elapsed_remote["t"],
         local_elapsed_s=elapsed_local["t"],
     )
+
+
+def run_prototype_pair(
+    transactions: int,
+) -> tuple[PrototypeComparison, PrototypeComparison]:
+    """E5 twice: with Accent-era IPC (the 1986 prototype), and with the
+    specialized 1000-instruction protocols of Section 4.1 at 4 MIPS."""
+    accent = run_prototype_comparison(transactions=transactions)
+    efficient = run_prototype_comparison(
+        transactions=transactions, accent_instructions_per_packet=1000,
+        mips=4.0)
+    return accent, efficient
 
 
 # ---------------------------------------------------------------------------
@@ -1247,3 +1302,50 @@ def run_splitting_ablation(
             local_aborts=node.rm.local_aborts,
         ))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# E7: the append-forest (Figures 4-2 / 4-3, Section 4.3)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class AppendForestResult:
+    #: tree heights of the eleven-node forest of Figure 4-3
+    example_heights: list[int]
+    appends: int
+    #: page writes made by ``appends`` appends
+    page_writes: int
+    #: (nodes, mean hops, worst hops, 2·⌈log2(n+1)⌉+1 bound, trees)
+    search_cost: list[tuple[int, float, int, int, int]]
+
+
+def _build_forest(n: int) -> AppendForest:
+    forest = AppendForest()
+    for key in range(1, n + 1):
+        forest.append_key(key, key)
+    return forest
+
+
+def run_append_forest() -> AppendForestResult:
+    """E7: the 11-node example's shape, one page write per append over
+    10 000 appends, and search hops over a sweep of forest sizes."""
+    rows = []
+    for n in (15, 63, 255, 1023, 4095, 16383):
+        forest = _build_forest(n)
+        worst = 0
+        samples = range(1, n + 1, max(1, n // 257))
+        total = 0
+        for key in samples:
+            forest.search(key)
+            worst = max(worst, forest.last_search_hops)
+            total += forest.last_search_hops
+        mean = total / len(list(samples))
+        bound = 2 * math.ceil(math.log2(n + 1)) + 1
+        rows.append((n, mean, worst, bound, len(forest.tree_heights())))
+    return AppendForestResult(
+        example_heights=_build_forest(11).tree_heights(),
+        appends=10_000,
+        page_writes=_build_forest(10_000).store.appends,
+        search_cost=rows,
+    )

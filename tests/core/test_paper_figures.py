@@ -1,6 +1,6 @@
 """E6: the worked example of Figures 3-1, 3-2 and 3-3, exactly."""
 
-from repro.harness import run_paper_figure_states
+from repro.harness.experiments import run_paper_figure_states
 
 
 class TestPaperFigures:

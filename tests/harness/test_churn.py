@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import ChurnConfig, run_availability_churn
+from repro.harness.churn import ChurnConfig, run_availability_churn
 
 
 def _stats(result):

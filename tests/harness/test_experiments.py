@@ -8,7 +8,7 @@ from repro.core.availability import (
     read_availability,
     write_availability,
 )
-from repro.harness import (
+from repro.harness.experiments import (
     TargetLoadConfig,
     run_assignment_ablation,
     run_availability_monte_carlo,

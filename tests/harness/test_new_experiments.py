@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import (
+from repro.harness.experiments import (
     run_degraded_mode,
     run_load_sweep,
     run_multicast_ablation,
@@ -60,7 +60,7 @@ class TestSpaceManagementRunner:
 
 class TestRestartLatency:
     def test_restart_latency_grows_mildly_with_m(self):
-        from repro.harness import run_restart_latency
+        from repro.harness.experiments import run_restart_latency
         rows = run_restart_latency(m_values=(2, 6), records=60, restarts=2)
         small, large = rows
         assert large.mean_restart_ms > small.mean_restart_ms

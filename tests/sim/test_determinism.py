@@ -11,7 +11,7 @@ mutable state into the simulation.
 
 import dataclasses
 
-from repro.harness import TargetLoadConfig, run_target_load
+from repro.harness.experiments import TargetLoadConfig, run_target_load
 
 #: Fields that legitimately differ between identical runs (wall-clock
 #: measurement) or compare by object identity (the config carries the
