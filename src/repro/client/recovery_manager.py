@@ -188,7 +188,6 @@ class RecoveryManager:
         checkpoint_every: int = 0,
         reinitialize=None,
         max_log_retries: int = 2,
-        truncate_on_checkpoint: bool = False,
     ):
         self._txids = itertools.count(1)
         self.backend = backend
@@ -201,19 +200,8 @@ class RecoveryManager:
         #: historical fail-fast behaviour.
         self.reinitialize = reinitialize
         self.max_log_retries = max_log_retries
-        #: send the post-checkpoint low-water mark to the log servers
-        #: (Section 5.3's TruncateLog) whenever the backend supports it.
-        self.truncate_on_checkpoint = truncate_on_checkpoint
         self.active: dict[int, Transaction] = {}
         self._since_checkpoint = 0
-        #: no record below this LSN is needed for node recovery: the
-        #: floor over the last checkpoint, every active transaction's
-        #: begin record, and the first update still dirty in the cache.
-        self.checkpoint_low_water: LSN = 1
-        #: key -> LSN of the update that first dirtied the page since
-        #: its last cleaning (ARIES recLSN; redo must replay from here).
-        self._dirty_first_lsn: dict[str, LSN] = {}
-        self.truncations_requested = 0
         # statistics for the splitting ablation
         self.records_logged = 0
         self.bytes_logged = 0
@@ -279,7 +267,6 @@ class RecoveryManager:
             )
         txn.updates.append((key, old, value, lsn))
         self.db.write_volatile(key, value)
-        self._dirty_first_lsn.setdefault(key, lsn)
         return lsn
 
     def commit(self, txn: Transaction):
@@ -408,7 +395,6 @@ class RecoveryManager:
                 self.undo_records_logged += 1
         yield from self.backend.force()
         self.db.clean_to_stable(key)
-        self._dirty_first_lsn.pop(key, None)
 
     def clean_all(self):
         for key in self.db.dirty_keys():
@@ -425,30 +411,10 @@ class RecoveryManager:
             self._since_checkpoint = 0
 
     def checkpoint(self):
-        """Log the set of active transactions (a fuzzy checkpoint).
-
-        Returns the checkpoint record's LSN and refreshes
-        :attr:`checkpoint_low_water`: restart recovery needs nothing
-        below min(checkpoint LSN, oldest active transaction's begin
-        record, oldest update still dirty in the page cache).  "Client
-        recovery managers can use checkpoints and other mechanisms to
-        limit the online log storage required for node recovery"
-        (Section 5.3) — with ``truncate_on_checkpoint`` the new floor
-        is sent to the log servers as a TruncateLog round.
-        """
+        """Log the set of active transactions (a fuzzy checkpoint)."""
         record = encode_checkpoint(sorted(self.active))
-        lsn = yield from self._log(record, "checkpoint")
+        yield from self._log(record, "checkpoint")
         yield from self.backend.force()
-        floors = [lsn]
-        floors += [t.begin_lsn for t in self.active.values()]
-        floors += list(self._dirty_first_lsn.values())
-        self.checkpoint_low_water = max(self.checkpoint_low_water,
-                                        min(floors))
-        if self.truncate_on_checkpoint \
-                and hasattr(self.backend, "truncate"):
-            yield from self.backend.truncate(self.checkpoint_low_water)
-            self.truncations_requested += 1
-        return lsn
 
     # -- restart recovery ----------------------------------------------------------------
 

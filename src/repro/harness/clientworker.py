@@ -2,9 +2,10 @@
 
 ``python -m repro.harness.clientworker`` runs one
 :class:`~repro.rt.client.AsyncReplicatedLog` against real ``repro
-serve`` daemons and journals every protocol step to a line-buffered
-file, so the harness knows exactly what the client *believed* at the
-instant it was killed.  Two modes:
+serve`` daemons and journals every client-visible step to a
+:class:`~repro.harness.oracle.History` file, so the harness knows
+exactly what the client *believed* at the instant it was killed.
+Three modes:
 
 ``--mode run``
     ET1-shaped workload (Section 4.1: several buffered WriteLogs, then
@@ -19,9 +20,10 @@ instant it was killed.  Two modes:
 
 ``--mode recover``
     The *second* OS process: runs the full Section 5.4 restart
-    (interval-list merge, epoch bump, copy, guard, install), dumps
-    every LSN's final state, then proves the log is still live with a
-    post-recovery transaction.
+    (interval-list merge, epoch bump, copy, guard, install), then
+    observes the log (:func:`~repro.harness.oracle.observe`): a
+    post-recovery transaction, then every LSN's final state by point
+    reads and by a forward scan.
 
 ``--mode takeover``
     Like ``recover``, but via
@@ -29,29 +31,16 @@ instant it was killed.  Two modes:
     linearizable handoff that installs a durable fence before
     recovering, so it works even while the *first* process is still
     alive (merely partitioned) and writing.  The first process, once
-    fenced, journals ``FENCED`` and exits with status 3.
+    fenced, exits with status 3.
 
-Journal grammar (one record per line, hex-encoded payloads)::
-
-    EPOCH <epoch>            initialize() finished with this epoch
-    ATTEMPT <seq> <hex>      about to write payload (no promise)
-    LSN <seq> <lsn>          the write was assigned this LSN
-    ACK <high>               an explicit force acked through <high>
-    TRUNCREQ <low>           about to request truncation (no promise)
-    TRUNC <low>              a truncation below <low> was acknowledged
-    FENCED                   a server refused us: ownership moved on
-    RECOVERED <epoch> <high> (recover) restart done
-    TAKEOVER <epoch> <high>  (takeover) fenced handoff done
-    FINAL <lsn> 1 <hex>      (recover) present record
-    FINAL <lsn> 0            (recover) not-present (guard) record
-    FINAL <lsn> -            (recover) unreadable / truncated away
-    POST <lsn> <hex>         (recover) post-recovery write
-    POSTACK <high>           (recover) post-recovery force acked
-    DONE                     the workload ran to completion
-
-The journal is written with ``buffering=1`` and every promise line is
-emitted only *after* the awaited call returned, so a SIGKILL can never
-leave a journaled ack that the server side did not issue.
+The journal is the History's JSON-lines form, one event per line
+(``epoch``, ``intent``, ``lsn``, ``ack``, ``trunc-req``,
+``trunc-ack``, ``observe`` — see :mod:`repro.harness.oracle`),
+appended line-buffered.  Every promise line is emitted only *after*
+the awaited call returned, so a SIGKILL can never leave a journaled
+ack that the server side did not issue; the run, recover and takeover
+journals of one stream concatenate into one history for
+:func:`~repro.harness.oracle.check`.
 """
 
 from __future__ import annotations
@@ -61,9 +50,10 @@ import asyncio
 import sys
 
 from ..core.config import ReplicationConfig
-from ..core.errors import LogError, LogFenced, RecordNotPresent
+from ..core.errors import LogError, LogFenced
 from ..rt import clientfault
 from ..rt.client import AsyncReplicatedLog
+from .oracle import History, observe
 
 #: exit status of a worker stopped by a fence (ownership handoff) —
 #: distinct from crash-plan exits and from genuine failures.
@@ -86,7 +76,7 @@ def _payload(client_id: str, txn: int, i: int) -> bytes:
     return tag + b"x" * max(0, 100 - len(tag))
 
 
-async def _run_workload(args, say) -> None:
+async def _run_workload(args, history: History) -> None:
     servers = parse_servers(args.servers)
     config = ReplicationConfig(total_servers=args.m, copies=args.n,
                                delta=args.delta)
@@ -98,25 +88,15 @@ async def _run_workload(args, say) -> None:
     log = AsyncReplicatedLog(args.client_id, servers, config,
                              timeout=args.timeout, batch_bytes=256)
     await log.initialize()
-    say(f"EPOCH {log.current_epoch}")
-    seq = 0
+    history.epoch(log)
     for txn in range(args.txns):
         for i in range(args.records_per_txn):
-            seq += 1
-            data = _payload(args.client_id, txn, i)
-            say(f"ATTEMPT {seq} {data.hex()}")
-            lsn = await log.write(data)
-            say(f"LSN {seq} {lsn}")
-        high = await log.force()
-        say(f"ACK {high}")
+            await history.write(log, _payload(args.client_id, txn, i))
+        await history.force(log)
         if args.truncate_every and (txn + 1) % args.truncate_every == 0:
             low = log.end_of_log() - config.delta
             if low > 1:
-                # Intent first: a kill mid-truncation may leave the
-                # servers already reclaimed with no TRUNC ack journaled.
-                say(f"TRUNCREQ {low}")
-                await log.truncate(low)
-                say(f"TRUNC {low}")
+                await history.truncate(log, low)
     # Handoff tail: a second instance of the same stream seizes
     # ownership through the fenced takeover, then commits one more
     # transaction.  A kill inside any client.handoff.* seam leaves a
@@ -125,20 +105,16 @@ async def _run_workload(args, say) -> None:
     taker = AsyncReplicatedLog(args.client_id, servers, config,
                                timeout=args.timeout, batch_bytes=256)
     await taker.takeover()
-    say(f"EPOCH {taker.current_epoch}")
+    history.epoch(taker)
     for i in range(args.records_per_txn):
-        seq += 1
-        data = _payload(args.client_id, 9000, i)
-        say(f"ATTEMPT {seq} {data.hex()}")
-        lsn = await taker.write(data)
-        say(f"LSN {seq} {lsn}")
-    say(f"ACK {await taker.force()}")
-    say("DONE")
+        await history.write(taker, _payload(args.client_id, 9000, i))
+    await history.force(taker)
     await taker.close()
     await log.close()
 
 
-async def _run_recover(args, say, *, takeover: bool = False) -> None:
+async def _run_recover(args, history: History, *,
+                       takeover: bool = False) -> None:
     servers = parse_servers(args.servers)
     config = ReplicationConfig(total_servers=args.m, copies=args.n,
                                delta=args.delta)
@@ -149,26 +125,8 @@ async def _run_recover(args, say, *, takeover: bool = False) -> None:
         await log.takeover()
     else:
         await log.initialize()
-    high = log.end_of_log()
-    verb = "TAKEOVER" if takeover else "RECOVERED"
-    say(f"{verb} {log.current_epoch} {high}")
-    for lsn in range(1, high + 1):
-        try:
-            record = await log.read(lsn)
-        except RecordNotPresent:
-            say(f"FINAL {lsn} 0")
-            continue
-        except LogError:
-            say(f"FINAL {lsn} -")
-            continue
-        say(f"FINAL {lsn} 1 {record.data.hex()}")
-    # Liveness: the recovered log still accepts a transaction.
-    for i in range(2):
-        data = _payload(args.client_id, 10_000, i)
-        lsn = await log.write(data)
-        say(f"POST {lsn} {data.hex()}")
-    say(f"POSTACK {await log.force()}")
-    say("DONE")
+    history.epoch(log)
+    await observe(log, history)
     await log.close()
 
 
@@ -180,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--servers", required=True,
                         help="s1=host:port,s2=host:port,...")
     parser.add_argument("--journal", required=True,
-                        help="line-buffered journal file (appended)")
+                        help="History file, JSON lines (appended)")
     parser.add_argument("--mode", choices=("run", "recover", "takeover"),
                         default="run")
     parser.add_argument("--client-id", default="sweep")
@@ -194,29 +152,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     injector = clientfault.install_from_env()
-    journal = open(args.journal, "a", buffering=1)
-
-    def say(line: str) -> None:
-        journal.write(line + "\n")
-
+    history = History(args.journal)
     try:
         if args.mode == "run":
-            asyncio.run(_run_workload(args, say))
+            asyncio.run(_run_workload(args, history))
         else:
-            asyncio.run(_run_recover(args, say,
+            asyncio.run(_run_recover(args, history,
                                      takeover=args.mode == "takeover"))
     except LogFenced as exc:
-        # Ownership moved on mid-workload: journal the observation so
-        # the harness can prove the old writer *stopped*, and exit with
-        # a status it can tell apart from ordinary failures.
-        say("FENCED")
+        # Ownership moved on mid-workload: exit with a status the
+        # harness can tell apart from ordinary failures.
         print(f"clientworker: {exc}", file=sys.stderr)
         return EXIT_FENCED
     except LogError as exc:
         print(f"clientworker: {exc}", file=sys.stderr)
         return 1
     finally:
-        journal.close()
+        history.close()
         if injector is not None:
             injector.close()
     return 0

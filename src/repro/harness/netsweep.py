@@ -18,10 +18,12 @@ client workload runs through them:
    direction* within :data:`SWITCH_BUDGET_S`.
 3. **Verify** — heal (drop the proxies), confirm no daemon died, then
    re-run the §5.4 restart with the same client id *directly* against
-   the daemons and check the standing invariants: epoch monotone, every
-   acked record readable with its exact payload (above the truncation
-   floor), nothing fabricated, and post-heal liveness (a fresh
-   transaction acks and reads back).
+   the daemons, observe the log into the case's
+   :class:`~repro.harness.oracle.History`, and
+   :func:`~repro.harness.oracle.check` it: epoch monotone, every acked
+   record readable with its exact payload (above the truncation floor),
+   nothing fabricated, the forward scan complete, and post-heal
+   liveness (a fresh transaction acks and reads back).
 
 The **fuzz phase** (``repro crashsweep --fuzz N --seed S``) composes
 2–4 faults per case drawn across all three injector families — network
@@ -37,8 +39,7 @@ invariants are checked regardless, after the fleet is revived.
 
 Each of the four is a :class:`~repro.harness.sweep.Phase`
 (:func:`net_phases`) run by the one loop in :mod:`repro.harness.sweep`,
-and all of them verify with its
-:func:`~repro.harness.sweep.verify_restart`.
+and all of them end in its :func:`~repro.harness.sweep.verify_restart`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import random
+from dataclasses import dataclass, field
 
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError, LogFenced
@@ -64,8 +66,8 @@ from ..rt.faultspec import (
     trace_points,
 )
 from ..rt.filestore import FileLogStore
+from .oracle import History
 from .sweep import (
-    ClientJournal,
     CrashCase,
     Phase,
     Plan,
@@ -132,8 +134,25 @@ def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
     )
 
 
-async def _run_workload(addresses: dict, client_id: str,
-                        journal: ClientJournal, *, seed: int = 0) -> None:
+@dataclass
+class _Run:
+    """One armed workload run: its history, and how the run went."""
+
+    history: History = field(default_factory=History)
+    completed: bool = False
+    aborted: str = ""
+    switches: int = 0
+    max_force_s: float = 0.0
+
+    async def force(self, log) -> None:
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        await self.history.force(log)
+        self.max_force_s = max(self.max_force_s, loop.time() - t0)
+
+
+async def _run_workload(addresses: dict, client_id: str, run: _Run, *,
+                        seed: int = 0) -> None:
     """Three 4-record transactions with explicit forces and one §5.3
     truncation, then a fenced ownership handoff (a second instance
     seizes the stream and commits one more transaction — putting the
@@ -142,49 +161,48 @@ async def _run_workload(addresses: dict, client_id: str,
     # Injected faults abort in-flight futures by design; unretrieved
     # exceptions are expected noise, not harness bugs.
     asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
+    history = run.history
     log = _make_client(addresses, client_id)
     taker: AsyncReplicatedLog | None = None
     try:
         await log.initialize()
-        journal.epoch = log.current_epoch
+        history.epoch(log)
         for txn in range(3):
             for i in range(4):
-                await journal.write(log, (
+                await history.write(log, (
                     f"{client_id}.{txn}.{i}.".encode()
                     + bytes((seed + 16 * txn + 4 * i + j) % 256
                             for j in range(64))))
-            await journal.force(log)
+            await run.force(log)
             if txn == 1:
                 low = log.end_of_log() - _NET_CONFIG.delta
                 if low > 1:
-                    await journal.truncate(log, low)
+                    await history.truncate(log, low)
         taker = _make_client(addresses, client_id)
         await taker.takeover()
-        journal.epoch = taker.current_epoch
+        history.epoch(taker)
         for i in range(4):
-            await journal.write(taker, (
+            await history.write(taker, (
                 f"{client_id}.t.{i}.".encode()
                 + bytes((seed + 128 + 4 * i + j) % 256 for j in range(64))))
-        await journal.force(taker)
-        journal.completed = True
+        await run.force(taker)
+        run.completed = True
     finally:
-        journal.switches = max(journal.switches, log.server_switches)
+        run.switches = max(run.switches, log.server_switches)
         if taker is not None:
-            journal.switches = max(journal.switches,
-                                   taker.server_switches)
+            run.switches = max(run.switches, taker.server_switches)
             await taker.close()
         await log.close()
 
 
-async def _run_armed(fleet: ProxyFleet, client_id: str,
-                     journal: ClientJournal) -> None:
-    """The workload through an armed fleet; a legal abort is journaled."""
+async def _run_armed(fleet: ProxyFleet, client_id: str, run: _Run) -> None:
+    """The workload through an armed fleet; a legal abort is noted."""
     try:
         await asyncio.wait_for(
-            _run_workload(fleet.addresses(), client_id, journal),
+            _run_workload(fleet.addresses(), client_id, run),
             timeout=60.0)
     except (LogError, OSError, asyncio.TimeoutError) as exc:
-        journal.aborted = repr(exc)
+        run.aborted = repr(exc)
 
 
 # -- enumeration and case selection ------------------------------------------
@@ -198,9 +216,9 @@ def enumerate_net_points(cluster: LoopbackCluster, *,
         fleet = ProxyFleet(cluster.addresses(), record_server=target)
         await fleet.start()
         try:
-            journal = ClientJournal()
-            await _run_workload(fleet.addresses(), "net-e", journal)
-            if not journal.completed:
+            run = _Run()
+            await _run_workload(fleet.addresses(), "net-e", run)
+            if not run.completed:
                 raise RuntimeError(
                     "net enumeration workload did not complete")
             return fleet.proxies[target].trace
@@ -258,33 +276,33 @@ def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     case = CrashCase.of(plan)
     target = spec.target or "s1"
     client_id = f"n{index}"
-    journal = ClientJournal()
+    run = _Run()
 
-    async def run() -> int:
+    async def armed() -> int:
         fleet = ProxyFleet(cluster.addresses(), plans=plan,
                            default_target=target)
         await fleet.start()
         try:
-            await _run_armed(fleet, client_id, journal)
+            await _run_armed(fleet, client_id, run)
             return fleet.faults_injected
         finally:
             await fleet.close()
 
-    case.hit = asyncio.run(run()) > 0
+    case.hit = asyncio.run(armed()) > 0
     if spec.action == "partition-after":
         if not cluster.servers[target].alive:
             case.errors.append(
-                f"partitioned daemon {target} died during the case")
-        if not journal.switches:
+                f"live: partitioned daemon {target} died during the case")
+        if not run.switches:
             case.errors.append(
-                "partition did not drive a §5.4 write-set switch")
-        if not journal.completed:
+                "live: partition did not drive a §5.4 write-set switch")
+        if not run.completed:
             case.errors.append(
-                f"workload did not complete off the partitioned server "
-                f"({journal.aborted or 'incomplete'})")
-        if journal.max_force_s > SWITCH_BUDGET_S:
+                f"live: workload did not complete off the partitioned "
+                f"server ({run.aborted or 'incomplete'})")
+        if run.max_force_s > SWITCH_BUDGET_S:
             case.errors.append(
-                f"switch took {journal.max_force_s:.2f}s, over the "
+                f"live: switch took {run.max_force_s:.2f}s, over the "
                 f"{SWITCH_BUDGET_S:.2f}s detection budget")
     # Heal == the proxies are gone.  A network-only fault must never
     # kill a daemon; restart any casualty so one bad case cannot
@@ -292,10 +310,10 @@ def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     for sid, entry in cluster.servers.items():
         if not entry.alive:
             case.errors.append(
-                f"daemon {sid} died during a network-only case")
+                f"live: daemon {sid} died during a network-only case")
             cluster.restart(sid)
     case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, _NET_CONFIG, journal)))
+        cluster.addresses(), client_id, _NET_CONFIG, run.history)))
     case.ok = not case.errors
     return case
 
@@ -327,8 +345,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     case = CrashCase(point="handoff.partition", action="takeover")
     client_id = f"h{index}"
     config = _NET_CONFIG
-    journal = ClientJournal()
-    outcome = {"fenced": ""}
+    history = History()
+    outcome = {"fenced": "", "epoch": 0}
 
     async def run() -> None:
         loop = asyncio.get_running_loop()
@@ -340,11 +358,12 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                                  timeout=2.0)
         try:
             await old.initialize()
+            history.epoch(old)
             for txn in range(2):
                 for i in range(4):
-                    await journal.write(
+                    await history.write(
                         old, f"{client_id}.pre.{txn}.{i}".encode())
-                await journal.force(old)
+                await history.force(old)
             # Half-partition the old writer: every proxy drops
             # server→client, so it hears nothing — but its own frames
             # still land on every daemon.
@@ -352,7 +371,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                 proxy.partition("s2c")
             # The second process seizes the stream over its own links.
             await new.takeover()
-            journal.epoch = new.current_epoch
+            history.epoch(new)
+            outcome["epoch"] = new.current_epoch
             # The deaf old writer keeps forcing.  These frames reach
             # the daemons; the fence must refuse them *before* any
             # append, even though the refusals cannot be delivered.
@@ -388,8 +408,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                         await asyncio.sleep(0.25)
             # The new owner's log was live through all of it.
             for i in range(4):
-                await journal.write(new, f"{client_id}.post.{i}".encode())
-            await journal.force(new)
+                await history.write(new, f"{client_id}.post.{i}".encode())
+            await history.force(new)
         finally:
             await old.close()
             await new.close()
@@ -398,10 +418,10 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     try:
         asyncio.run(run())
     except (LogError, OSError, asyncio.TimeoutError) as exc:
-        case.errors.append(f"handoff case aborted: {exc!r}")
+        case.errors.append(f"live: handoff case aborted: {exc!r}")
     if outcome["fenced"] != "fenced":
         case.errors.append(
-            f"old writer was not terminally fenced: "
+            f"fenced: old writer was not terminally fenced: "
             f"{outcome['fenced'] or 'no refusal observed'}")
     # Durable-file check, per daemon: kill it, reopen its store the
     # way a restart would, and look for leaked stale records and the
@@ -409,32 +429,32 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     fence_holders = 0
     for sid, entry in sorted(cluster.servers.items()):
         if not entry.alive:
-            case.errors.append(f"daemon {sid} died during the handoff "
-                               f"case")
+            case.errors.append(f"live: daemon {sid} died during the "
+                               f"handoff case")
             continue
         cluster.kill(sid)
         store = FileLogStore(entry.data_dir, sid)
         try:
-            if store.fence_epoch(client_id) >= (journal.epoch or 1):
+            if store.fence_epoch(client_id) >= (outcome["epoch"] or 1):
                 fence_holders += 1
             for lsn in store.stored_lsns(client_id):
                 if store.read_record(client_id, lsn).data.startswith(
                         _STALE_PREFIX):
                     case.errors.append(
-                        f"stale record committed past the fence: "
+                        f"fenced: stale record committed past the fence: "
                         f"{sid} lsn {lsn}")
         finally:
             store.close()
         cluster.start_server(sid)
     if fence_holders < config.init_quorum:
         case.errors.append(
-            f"fence durable on only {fence_holders} servers; "
+            f"fenced: fence durable on only {fence_holders} servers; "
             f"{config.init_quorum} needed to poison every write set")
     # Final §5.4 restart over the healed daemons: epoch monotone, all
     # acked records (old pre-handoff + new post-handoff) durable, and
-    # nothing stale readable anywhere.
+    # nothing stale readable anywhere (stale writes are no intents).
     case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, config, journal)))
+        cluster.addresses(), client_id, config, history)))
     case.ok = not case.errors
     return case
 
@@ -497,13 +517,13 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
         case.ok = False
         return case
     client_id = f"f{index}"
-    journal = ClientJournal()
+    run = _Run()
     armed = by_target(
         (spec for spec in plan if spec.family == "storage"), "s1")
     for sid, faults in armed.items():
         cluster.restart(sid, extra_args=["--fault-plan", plan_text(faults)])
 
-    async def run() -> int:
+    async def fuzzed() -> int:
         fleet = ProxyFleet(
             cluster.addresses(),
             plans=tuple(spec for spec in plan if spec.family == "net"),
@@ -513,22 +533,22 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
         clientfault.install(injector)
         try:
             try:
-                await _run_armed(fleet, client_id, journal)
-            except ClientCrash as crash:
-                journal.aborted = f"client crashed at {crash.point}"
+                await _run_armed(fleet, client_id, run)
+            except ClientCrash:
+                pass  # the armed client crash: nothing after it is acked
             return fleet.faults_injected + injector.crashes
         finally:
             clientfault.install(None)
             await fleet.close()
 
     try:
-        fired = asyncio.run(run())
+        fired = asyncio.run(fuzzed())
     finally:
         cluster.revive(list(armed))
     case.hit = fired > 0 or any(not cluster.servers[sid].alive
                                 for sid in armed)
     case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, _NET_CONFIG, journal)))
+        cluster.addresses(), client_id, _NET_CONFIG, run.history)))
     case.ok = not case.errors
     return case
 

@@ -12,18 +12,16 @@ then **heal and verify**.  Here that shape is written once:
 * :func:`run_phase` is the one loop: site histogram, hit / not-reached
   bookkeeping, ``FAIL`` reporting, and single-plan replay
   (``--point`` / ``--plan``);
-* :class:`ClientJournal` and :func:`verify_restart` are the one
-  client-visible journal and the one restart-and-read-back check the
-  daemon, network and fuzz phases share.  The invariants — acked
-  records durable with their exact payload, nothing fabricated, the
-  epoch strictly monotone, the log live afterwards — pin
-  *recoverability*, not one byte-exact history: an unacked write or an
-  unacked truncation may or may not have landed.
+* :func:`verify_restart` is the one restart-and-check the daemon,
+  network, partition, handoff and fuzz phases share: a fresh client
+  restarts the stream, :func:`~repro.harness.oracle.observe` reads it
+  back into the case's :class:`~repro.harness.oracle.History`, and
+  :func:`~repro.harness.oracle.check` names every broken promise.
 
-The storage phase checks a store directly and the client phase checks
-journals written by other OS processes; their verifiers
-(:func:`repro.harness.crashsweep._verify`, ``_client_verify``) check
-more and stay where their journals are.
+The client phase runs the same ``observe`` in recovery processes of
+its own and checks the histories they journaled; the storage phase
+checks a store directly, with the oracle's ``acked-durable`` and
+``no-fabrication`` rules plus the store-only ones.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from dataclasses import dataclass, field
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError
 from ..rt.faultspec import FaultSpec, plan_text
+from .oracle import History, check, observe
 
 #: the faults armed together in one case.
 Plan = tuple[FaultSpec, ...]
@@ -145,109 +144,24 @@ def run_phase(phase: Phase, *, quick: bool, say,
     return result
 
 
-# -- the client-visible journal and its verifier ----------------------------
-
-
-@dataclass
-class ClientJournal:
-    """What a scripted client workload promised (acks) and attempted.
-
-    The ``write`` / ``force`` / ``truncate`` wrappers keep the one
-    discipline every workload needs: an intent is journaled *before*
-    the call (a record can reach a server even if the call never
-    returns) and a promise only *after* it returned (an interrupted
-    call carries none).
-    """
-
-    epoch: int = 0
-    #: every payload handed to ``write()``.
-    intents: list[bytes] = field(default_factory=list)
-    #: lsn → payload, for writes that returned.
-    attempts: dict[int, bytes] = field(default_factory=dict)
-    acked_high: int = 0
-    trunc_req: int = 0
-    trunc_ack: int = 0
-    max_force_s: float = 0.0
-    switches: int = 0
-    completed: bool = False
-    aborted: str = ""
-
-    async def write(self, log, payload: bytes) -> None:
-        self.intents.append(payload)
-        self.attempts[await log.write(payload)] = payload
-
-    async def force(self, log) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        high = await log.force()
-        self.max_force_s = max(self.max_force_s, loop.time() - t0)
-        self.acked_high = max(self.acked_high, high)
-
-    async def truncate(self, log, low: int) -> None:
-        self.trunc_req = max(self.trunc_req, low)
-        await log.truncate(low)
-        self.trunc_ack = max(self.trunc_ack, low)
+# -- the one restart-and-check -------------------------------------------------
 
 
 async def verify_restart(addresses: dict, client_id: str,
                          config: ReplicationConfig,
-                         journal: ClientJournal) -> list[str]:
-    """§5.4 restart directly against healed daemons; check the invariants.
-
-    A truncation requested but not acknowledged may or may not have
-    been applied, so the durability floor is the highest *requested*
-    mark; a record that does survive below it still goes through the
-    no-fabrication check.
-    """
+                         history: History) -> list[str]:
+    """§5.4 restart directly against healed daemons, observed into
+    ``history``; the broken promises of the whole history."""
     from ..rt.client import AsyncReplicatedLog
 
-    errors: list[str] = []
     asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
     log = AsyncReplicatedLog(client_id, addresses, config, timeout=5.0)
     try:
         await log.initialize()
-        if journal.epoch and log.current_epoch <= journal.epoch:
-            errors.append(
-                f"epoch not monotone: recovery drew {log.current_epoch} "
-                f"after the workload ran at {journal.epoch}")
-        floor = max(journal.trunc_ack, journal.trunc_req)
-        end = log.end_of_log()
-        if journal.acked_high and end < journal.acked_high:
-            errors.append(f"end_of_log {end} below acked high "
-                          f"{journal.acked_high}")
-        allowed = set(journal.intents)
-        for lsn in range(1, end + 1):
-            acked = (lsn in journal.attempts
-                     and lsn <= journal.acked_high and lsn >= floor)
-            try:
-                record = await log.read(lsn)
-            except LogError as exc:
-                # Guard, truncated, or never-landed unacked write: all
-                # legal — unless the record was acked.
-                if acked:
-                    errors.append(f"acked lsn {lsn} lost after heal: "
-                                  f"{exc}")
-                continue
-            want = journal.attempts.get(lsn)
-            if want is not None:
-                if record.data != want:
-                    errors.append(f"lsn {lsn} does not match the write "
-                                  f"assigned to it")
-            elif record.data not in allowed:
-                errors.append(f"fabricated record at lsn {lsn}")
-        # Post-heal liveness: a fresh transaction acks and reads back.
-        post: list[tuple[int, bytes]] = []
-        for i in range(2):
-            data = f"post.{client_id}.{i}".encode()
-            post.append((await log.write(data), data))
-        await log.force()
-        for lsn, data in post:
-            record = await log.read(lsn)
-            if record.data != data:
-                errors.append(f"post-heal write at lsn {lsn} not "
-                              f"readable")
+        history.epoch(log)
+        await observe(log, history)
     except LogError as exc:
-        errors.append(f"post-heal recovery failed: {exc!r}")
+        return [f"live: post-heal recovery failed: {exc!r}"]
     finally:
         await log.close()
-    return errors
+    return check(history)

@@ -12,9 +12,9 @@ after the send is accepted, and ``connect()`` fails any leftover
 routing state before the fresh stream starts.
 
 The end-to-end smoke (one real kill/restart case through
-:func:`run_crashsweep`) runs the whole tentpole machinery: a worker
-process killed at the partial-ack point, §5.4 recovery from a second
-OS process, and the journal invariants.
+:func:`run_crashsweep`) runs the whole machinery: a worker process
+killed at the partial-ack point, §5.4 recovery from a second OS
+process, and :func:`~repro.harness.oracle.check` over the journals.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.harness.crashsweep import (
-    SweepConfig,
-    _client_verify,
-    _parse_worker_journal,
-    _WorkerJournal,
-    run_crashsweep,
-)
+from repro.harness.crashsweep import SweepConfig, run_crashsweep
+from repro.harness.oracle import History, check
 from repro.net.messages import IntervalListCall, ForceLogMsg
 from repro.rt.client import ServerConnection
 
@@ -106,107 +101,114 @@ def test_connect_fails_stale_routing_state():
     asyncio.run(main())
 
 
-# -- journal parsing and invariant checking ---------------------------
+# -- the three journals of a client case, as one history ---------------
 
 
-def _journal(tmp_path, name, lines):
-    path = tmp_path / name
-    path.write_text("".join(line + "\n" for line in lines))
-    return _parse_worker_journal(path)
+def _journal(tmp_path, name, events):
+    """Write ``events`` as one worker process would journal them."""
+    history = History(tmp_path / name)
+    for op, fields in events:
+        history.add(op, **fields)
+    history.close()
+    return tmp_path / name
+
+
+def _run_journal(tmp_path, *extra):
+    """The killed worker: epoch 1, LSNs 5 and 6 written and acked."""
+    return _journal(tmp_path, "run.journal", [
+        ("epoch", {"epoch": 1}),
+        ("intent", {"data": b"r1".hex()}),
+        ("lsn", {"lsn": 5, "data": b"r1".hex()}),
+        ("intent", {"data": b"r2".hex()}),
+        ("lsn", {"lsn": 6, "data": b"r2".hex()}),
+        ("ack", {"high": 6}),
+        *extra])
+
+
+def _recovered(tmp_path, name, epoch, post_lsn, read):
+    """A recovery worker: restart at ``epoch``, commit one post record
+    at ``post_lsn``, then observe ``read`` (hex payload, False = guard,
+    None = unreadable) — the forward scan agreeing."""
+    post = f"p{epoch}".encode().hex()
+    read = {**read, post_lsn: post}
+    observed = {str(lsn): got for lsn, got in read.items()}
+    return _journal(tmp_path, name, [
+        ("epoch", {"epoch": epoch}),
+        ("intent", {"data": post}),
+        ("lsn", {"lsn": post_lsn, "data": post}),
+        ("ack", {"high": post_lsn}),
+        ("observe", {"read": observed, "scan": {
+            lsn: got for lsn, got in observed.items() if got is not None}}),
+    ])
+
+
+_R1, _R2, _P2 = b"r1".hex(), b"r2".hex(), b"p2".hex()
 
 
 def test_parse_worker_journal(tmp_path):
-    j = _journal(tmp_path, "run.journal", [
-        "EPOCH 3",
-        f"ATTEMPT 1 {b'aa'.hex()}",
-        "LSN 1 5",
-        "ACK 5",
-        "TRUNCREQ 4",
-        "TRUNC 4",
-        f"FINAL 5 1 {b'aa'.hex()}",
-        "FINAL 6 0",
-        "FINAL 7 -",
-        f"POST 8 {b'bb'.hex()}",
-        "POSTACK 8",
-        "RECOVERED 4 8",
-        "DONE",
-    ])
-    assert j.epoch == 3
-    assert j.attempts == {1: b"aa"}
-    assert j.lsn_of == {1: 5}
-    assert j.acked_high == 5
-    assert j.trunc_req == 4 and j.trunc_mark == 4
-    assert j.finals == {5: ("1", b"aa"), 6: ("0", None), 7: ("-", None)}
-    assert j.posts == {8: b"bb"}
-    assert j.postack == 8
-    assert (j.rec_epoch, j.rec_high) == (4, 8)
-    assert j.done
+    """A worker's journal loads back event for event; a last line the
+    kill cut before its newline was never journaled."""
+    path = _run_journal(tmp_path)
+    with open(path, "a") as torn:
+        torn.write('{"op": "ack", "hi')
+    events = History.load(path).events
+    assert [event["op"] for event in events] \
+        == ["epoch", "intent", "lsn", "intent", "lsn", "ack"]
+    assert events[2] == {"op": "lsn", "lsn": 5, "data": _R1}
 
 
 def test_parse_worker_journal_missing_file(tmp_path):
-    j = _parse_worker_journal(tmp_path / "never-written.journal")
-    assert not j.done and j.epoch == 0 and j.finals == {}
+    assert History.load(tmp_path / "never-written.journal").events == []
 
 
-def _run_journal(**kw) -> _WorkerJournal:
-    j = _WorkerJournal(epoch=1, attempts={1: b"r1", 2: b"r2"},
-                       lsn_of={1: 5, 2: 6}, acked_high=6, done=True)
-    for key, value in kw.items():
-        setattr(j, key, value)
-    return j
+def test_client_verify_accepts_clean_recovery(tmp_path):
+    run = _run_journal(tmp_path)
+    rec1 = _recovered(tmp_path, "recover1.journal", 2, 7,
+                      {5: _R1, 6: _R2})
+    rec2 = _recovered(tmp_path, "recover2.journal", 3, 8,
+                      {5: _R1, 6: _R2, 7: _P2})
+    assert check(History.load(run, rec1, rec2)) == []
 
 
-def _recovered(epoch, finals, **kw) -> _WorkerJournal:
-    j = _WorkerJournal(rec_epoch=epoch, rec_high=max(finals, default=0),
-                       finals=dict(finals), done=True,
-                       posts={7: b"p"}, postack=7)
-    for key, value in kw.items():
-        setattr(j, key, value)
-    return j
+def test_client_verify_flags_lost_ack_and_fabrication(tmp_path):
+    run = _run_journal(tmp_path)
+    rec1 = _recovered(tmp_path, "recover1.journal", 2, 7,
+                      {5: _R1, 6: None})
+    rec2 = _recovered(tmp_path, "recover2.journal", 3, 10,
+                      {5: _R1, 6: None, 7: _P2, 9: b"forged".hex()})
+    errors = check(History.load(run, rec1, rec2))
+    assert "acked-durable: acked lsn 6 lost" in errors
+    assert "no-fabrication: lsn 9 holds a value never written there" \
+        in errors
 
 
-def test_client_verify_accepts_clean_recovery():
-    run = _run_journal()
-    base = {5: ("1", b"r1"), 6: ("1", b"r2"), 7: ("1", b"p")}
-    rec1 = _recovered(2, {5: ("1", b"r1"), 6: ("1", b"r2")})
-    rec2 = _recovered(3, base)
-    assert _client_verify(run, rec1, rec2) == []
+def test_client_verify_flags_non_monotone_epoch_and_divergence(tmp_path):
+    run = _run_journal(tmp_path)
+    rec1 = _recovered(tmp_path, "recover1.journal", 2, 8,
+                      {5: _R1, 6: _R2, 7: False})
+    rec2 = _recovered(tmp_path, "recover2.journal", 2, 9,
+                      {5: _R1, 6: _R2, 7: None, 8: b"p2".hex()})
+    errors = check(History.load(run, rec1, rec2))
+    assert "epoch-monotone: a generation drew epoch 2 after epoch 2" \
+        in errors
+    assert any(e.startswith("idempotent: lsn 7 ") for e in errors)
 
 
-def test_client_verify_flags_lost_ack_and_fabrication():
-    run = _run_journal()
-    rec1 = _recovered(2, {5: ("1", b"r1"), 6: ("-", None)})
-    rec2 = _recovered(3, {5: ("1", b"r1"), 6: ("-", None),
-                          7: ("1", b"p"), 9: ("1", b"forged")})
-    errors = _client_verify(run, rec1, rec2)
-    assert any("acked lsn 6 lost" in e for e in errors)
-    assert any("fabricated lsn 9" in e for e in errors)
-
-
-def test_client_verify_flags_non_monotone_epoch_and_divergence():
-    run = _run_journal()
-    rec1 = _recovered(1, {5: ("1", b"r1"), 6: ("1", b"r2")})
-    rec2 = _recovered(1, {5: ("1", b"r1"), 6: ("0", None),
-                          7: ("1", b"p")})
-    errors = _client_verify(run, rec1, rec2)
-    assert any("epoch not monotone" in e for e in errors)
-    assert any("not idempotent at lsn 6" in e for e in errors)
-
-
-def test_client_verify_requested_truncation_may_or_may_not_apply():
-    """A kill between TRUNCREQ and TRUNC makes both outcomes legal:
-    the record may be reclaimed ("-") or survive with its exact
+def test_client_verify_requested_truncation_may_or_may_not_apply(tmp_path):
+    """A kill between the truncation request and its ack makes both
+    outcomes legal: LSN 5 may be reclaimed or survive with its exact
     payload — but never survive with a different one."""
-    run = _run_journal(trunc_req=6)
-    gone = _recovered(2, {5: ("-", None), 6: ("1", b"r2")})
-    gone2 = _recovered(3, {5: ("-", None), 6: ("1", b"r2"),
-                           7: ("1", b"p")})
-    assert _client_verify(run, gone, gone2) == []
-    forged = _recovered(2, {5: ("1", b"not-r1"), 6: ("1", b"r2")})
-    forged2 = _recovered(3, {5: ("1", b"not-r1"), 6: ("1", b"r2"),
-                             7: ("1", b"p")})
-    errors = _client_verify(run, forged, forged2)
-    assert any("does not match" in e for e in errors)
+    run = _run_journal(tmp_path, ("trunc-req", {"low": 6}))
+    for n, survivor in enumerate((None, _R1)):
+        rec1 = _recovered(tmp_path, f"gone{n}.1", 2, 7,
+                          {5: survivor, 6: _R2})
+        rec2 = _recovered(tmp_path, f"gone{n}.2", 3, 8,
+                          {5: survivor, 6: _R2, 7: _P2})
+        assert check(History.load(run, rec1, rec2)) == []
+    forged = _recovered(tmp_path, "forged.1", 2, 7,
+                        {5: b"not-r1".hex(), 6: _R2})
+    assert check(History.load(run, forged)) \
+        == ["no-fabrication: lsn 5 holds a value never written there"]
 
 
 # -- the end-to-end smoke ---------------------------------------------

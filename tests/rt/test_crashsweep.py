@@ -1,21 +1,30 @@
-"""The crash-point sweep harness: the in-process phase, and the one
-daemon-phase case whose armed point fires on the workload's last call
-(the other phases spawn real subprocesses by the dozen and run in CI
-as ``repro crashsweep --quick``)."""
+"""The crash-point sweep harness: the in-process phase, the one
+daemon-phase case whose armed point fires on the workload's last call,
+and single cases that must fail by name rather than abort the sweep
+(the phases themselves spawn real subprocesses by the dozen and run in
+CI as ``repro crashsweep --quick``)."""
 
 from __future__ import annotations
 
+import errno
 import json
+import subprocess
 from pathlib import Path
 
+from repro.harness import crashsweep
 from repro.harness.crashsweep import (
     _DAEMON_COMBINED,
     SweepConfig,
+    _client_case,
     _daemon_case,
     _payloads,
+    _run_case,
     run_crashsweep,
     storage_phase,
 )
+from repro.rt.client import AsyncReplicatedLog
+from repro.rt.faultspec import parse_plan
+from repro.rt.filestore import FileLogStore
 
 #: the committed seed-0 enumeration: the gate a refactor must hold.
 _BASELINE = json.loads(
@@ -92,3 +101,60 @@ def test_daemon_case_waits_for_an_exit_on_the_last_call(tmp_path):
     case = _daemon_case(tmp_path, 0, _DAEMON_COMBINED[0])
     assert case.hit
     assert case.ok, case.errors
+
+
+def test_daemon_case_fails_on_a_scan_that_skips_a_record(tmp_path,
+                                                         monkeypatch):
+    """``scan-complete`` is live: the same case passes, then fails by
+    name once ``read_forward`` drops the second record of each reply."""
+    plan = parse_plan("log.fsync:0:power-loss")
+    case = _daemon_case(tmp_path / "honest", 0, plan)
+    assert case.hit and case.ok, case.errors
+
+    read_forward = AsyncReplicatedLog.read_forward
+
+    async def drops_one(self, lsn):
+        records = await read_forward(self, lsn)
+        return records[:1] + records[2:] if len(records) > 2 else records
+
+    monkeypatch.setattr(AsyncReplicatedLog, "read_forward", drops_one)
+    case = _daemon_case(tmp_path / "lossy", 0, plan)
+    assert case.hit and not case.ok
+    assert case.errors and all(error.startswith("scan-complete: ")
+                               for error in case.errors), case.errors
+
+
+def test_a_hung_client_worker_fails_its_case(tmp_path, monkeypatch):
+    """A worker past ``_run_worker``'s bound fails its own case instead
+    of aborting the sweep and every other case's verdict."""
+    def hang(*args, **kwargs):
+        raise subprocess.TimeoutExpired("clientworker", 120.0)
+
+    monkeypatch.setattr(crashsweep, "_run_worker", hang)
+    case = _client_case(tmp_path, 0, parse_plan("client.force.ack:0:exit"))
+    assert not case.ok
+    assert case.errors[0].startswith("live: client worker hung")
+
+
+def test_a_store_that_fails_its_second_reopen_fails_its_case(tmp_path,
+                                                             monkeypatch):
+    """The continuation check's reopen failing is the case's failure,
+    not an exception out of the sweep."""
+    reopened = []
+
+    class SecondReopenFails(FileLogStore):
+        def __init__(self, data_dir, server_id, *, io=None):
+            if io is None:
+                reopened.append(data_dir)
+                if len(reopened) == 2:
+                    raise OSError(errno.EIO, "second reopen")
+            super().__init__(data_dir, server_id, io=io)
+
+    monkeypatch.setattr(crashsweep, "FileLogStore", SecondReopenFails)
+    # An index the workload never reaches: a clean run, then the check.
+    case = _run_case(tmp_path, parse_plan("log.fsync:999:power-loss"),
+                     _payloads(0))
+    assert len(reopened) == 2
+    assert not case.ok
+    assert case.errors == [
+        "continuation: reopen failed: OSError(5, 'second reopen')"]

@@ -9,7 +9,6 @@ as ``repro crashsweep --point net...`` / ``--plan ...`` would.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import random
 
 import pytest
@@ -17,7 +16,8 @@ import pytest
 from repro.core.config import ReplicationConfig
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
 from repro.harness.netsweep import draw_fuzz_plan
-from repro.harness.sweep import ClientJournal, verify_restart
+from repro.harness.oracle import History
+from repro.harness.sweep import verify_restart
 from repro.rt.cluster import LoopbackCluster
 from repro.rt.faultspec import FaultSpecError, by_target, parse_plan, \
     plan_text
@@ -98,90 +98,40 @@ def test_fuzz_plan_strings_are_pinned():
     }
 
 
-# -- the checker of the checker ----------------------------------------------
+# -- the one live observe smoke ----------------------------------------------
 
 _CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
-_client_ids = itertools.count()
 
 
-@pytest.fixture(scope="module")
-def cluster(tmp_path_factory):
-    root = tmp_path_factory.mktemp("verify-restart")
-    with LoopbackCluster(str(root), num_servers=3) as running:
-        yield running
-
-
-@pytest.fixture
-def clean_run(cluster):
-    """A clean loopback cluster and the honest journal of one fresh
-    client (the verifier's liveness writes make a stream single-use)."""
+def test_verify_restart_accepts_the_honest_journal(tmp_path):
+    """One stream's honest history over three real daemons: the restart
+    observes every write by point reads and by the forward scan, and
+    :func:`check` finds every promise kept.  (The per-promise doctored
+    histories are daemon-free: ``tests/harness/test_oracle.py``.)"""
     from repro.rt.client import AsyncReplicatedLog
 
-    client_id = f"v{next(_client_ids)}"
-    journal = ClientJournal()
+    history = History()
 
-    async def workload():
-        log = AsyncReplicatedLog(client_id, cluster.addresses(), _CONFIG,
-                                 timeout=3.0)
+    async def workload(addresses):
+        log = AsyncReplicatedLog("v0", addresses, _CONFIG, timeout=3.0)
         await log.initialize()
-        journal.epoch = log.current_epoch
+        history.epoch(log)
         try:
             for i in range(6):
-                await journal.write(log, f"{client_id}.{i}".encode())
-            await journal.force(log)
+                await history.write(log, f"v0.{i}".encode())
+            await history.force(log)
         finally:
             await log.close()
 
-    asyncio.run(workload())
-    assert journal.acked_high == max(journal.attempts)
-    assert len(journal.attempts) == 6
-
-    def verify(**doctored) -> list[str]:
-        fields = dict(epoch=journal.epoch, intents=list(journal.intents),
-                      attempts=dict(journal.attempts),
-                      acked_high=journal.acked_high)
-        fields.update(doctored)
-        return asyncio.run(verify_restart(
-            cluster.addresses(), client_id, _CONFIG,
-            ClientJournal(**fields)))
-
-    return journal, verify
-
-
-def test_verify_restart_accepts_the_honest_journal(clean_run):
-    _, verify = clean_run
-    assert verify() == []
-
-
-def test_verify_restart_flags_a_never_written_ack(clean_run):
-    journal, verify = clean_run
-    ghost = journal.acked_high + 1   # inside the restart's guard window
-    (error,) = verify(
-        attempts={**journal.attempts, ghost: b"never sent"},
-        intents=journal.intents + [b"never sent"], acked_high=ghost)
-    assert f"acked lsn {ghost} lost" in error
-
-
-def test_verify_restart_flags_a_payload_missing_from_intents(clean_run):
-    journal, verify = clean_run
-    lsn, payload = sorted(journal.attempts.items())[2]
-    errors = verify(
-        attempts={k: v for k, v in journal.attempts.items() if k != lsn},
-        intents=[p for p in journal.intents if p != payload])
-    assert errors == [f"fabricated record at lsn {lsn}"]
-
-
-def test_verify_restart_flags_an_epoch_above_the_recovered_one(clean_run):
-    journal, verify = clean_run
-    (error,) = verify(epoch=journal.epoch + 1000)
-    assert "not monotone" in error
-
-
-def test_verify_restart_excuses_records_below_a_truncation_floor(clean_run):
-    """A requested truncation may or may not have been applied: records
-    below the floor that survive are legal (and still payload-checked)."""
-    journal, verify = clean_run
-    assert verify(trunc_req=min(journal.attempts) + 3) == []
+    with LoopbackCluster(str(tmp_path), num_servers=3) as cluster:
+        asyncio.run(workload(cluster.addresses()))
+        assert asyncio.run(verify_restart(
+            cluster.addresses(), "v0", _CONFIG, history)) == []
+    observed = history.events[-1]
+    assert observed["op"] == "observe"
+    present = {lsn: got for lsn, got in observed["read"].items() if got}
+    assert len(present) == 8   # six writes and the restart's two
+    assert observed["scan"].items() >= present.items()
 
 
 # -- replay paths against real daemons ---------------------------------------
