@@ -21,7 +21,8 @@ import pytest
 
 # the modules the rows' runs import, loaded before any row's timer
 # starts so a row's wall time does not depend on which rows ran first
-import repro.analysis  # noqa: F401
+import repro.analysis.capacity  # noqa: F401
+import repro.analysis.commit  # noqa: F401
 import repro.harness.churn  # noqa: F401
 import repro.harness.experiments  # noqa: F401
 from repro.cli import build_parser

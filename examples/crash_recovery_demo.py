@@ -12,7 +12,8 @@ recovery rebuilds exactly the committed state.
 Run:  python examples/crash_recovery_demo.py
 """
 
-from repro.client import ClientNode, UndoCache
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
 from repro.harness.experiments import run_paper_figure_states
 from repro.tables import format_table
 

@@ -19,9 +19,10 @@ Run:  python examples/long_transactions.py
 
 import random
 
-from repro.client import ClientNode, UndoCache
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
 from repro.tables import format_table
-from repro.workload import LongTxnParams
+from repro.workload.generators import LongTxnParams
 
 
 def drain(gen):

@@ -9,8 +9,8 @@ guarantee of Section 3.1.2.
 Run:  python examples/quickstart.py
 """
 
-from repro import quickstart_log
-from repro.core import LSNNotWritten, RecordNotPresent
+from repro.core.replicated_log import quickstart_log
+from repro.core.errors import LSNNotWritten, RecordNotPresent
 
 
 def main() -> None:

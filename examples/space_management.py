@@ -13,22 +13,21 @@ Run:  python examples/space_management.py
 
 import random
 
-from repro.client import ClientNode, SimLogClient
+from repro.client.log_client import SimLogClient
+from repro.client.node import ClientNode
 from repro.client.dumps import DumpManager
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
-    MergedIntervalMap,
-    ReplicationConfig,
-    ServerIntervals,
-    make_generator,
-    repair_log_copy,
-    under_replicated_lsns,
-)
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.intervals import MergedIntervalMap, ServerIntervals
+from repro.core.ports import DirectServerPort
+from repro.core.repair import repair_log_copy, under_replicated_lsns
+from repro.core.store import LogServerStore
 from repro.tables import format_table
-from repro.net import Lan
-from repro.server import SimLogServer, SpaceManager
-from repro.sim import MetricSet, Simulator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.server.space import SpaceManager
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
 
 
 def main() -> None:

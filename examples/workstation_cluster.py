@@ -14,12 +14,16 @@ Run:  python examples/workstation_cluster.py
 
 import random
 
-from repro.client import ClientNode, SimLogClient
-from repro.core import ReplicationConfig, make_generator
-from repro.net import Lan
-from repro.server import SimLogServer, StickyAssignment
-from repro.sim import MetricSet, Simulator
-from repro.workload import Et1Params, et1_transaction
+from repro.client.log_client import SimLogClient
+from repro.client.node import ClientNode
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
+from repro.server.load import StickyAssignment
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
+from repro.workload.et1 import Et1Params, et1_transaction
 
 CLIENTS = 8
 SERVERS = 3

@@ -16,67 +16,20 @@ substrate its evaluation depends on:
 * :mod:`repro.client` — the transaction-processing client node,
   recovery manager, and log splitting/caching (Sections 2, 5.2);
 * :mod:`repro.workload` — ET1 and long-transaction workloads;
-* :mod:`repro.baselines` — local duplexed-disk logging, a mirrored
-  single server, and unbatched per-record RPC logging;
+* :mod:`repro.baselines` — local duplexed-disk logging and unbatched
+  per-record RPC logging;
 * :mod:`repro.analysis` — the Section 4.1 capacity model;
 * :mod:`repro.harness` — experiment runners for every figure/claim.
 
+Every package is a namespace: its ``__init__`` holds only this kind of
+docstring, and each name is imported from the module that defines it,
+so ``import repro.rt.server`` loads the daemon and nothing else.
+
 Quickstart::
 
-    from repro import quickstart_log
+    from repro.core.replicated_log import quickstart_log
 
     log, stores = quickstart_log(m=3, n=2)
     lsn = log.write(b"hello, 1987")
     assert log.read(lsn).data == b"hello, 1987"
 """
-
-from __future__ import annotations
-
-from .core import (
-    LogRecord,
-    LogServerStore,
-    ReplicatedIdGenerator,
-    ReplicatedLog,
-    ReplicationConfig,
-    make_generator,
-)
-from .core.ports import DirectServerPort
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "LogRecord",
-    "LogServerStore",
-    "ReplicatedIdGenerator",
-    "ReplicatedLog",
-    "ReplicationConfig",
-    "make_generator",
-    "quickstart_log",
-    "__version__",
-]
-
-
-def quickstart_log(
-    m: int = 3,
-    n: int = 2,
-    client_id: str = "client-0",
-    delta: int = 1,
-) -> tuple[ReplicatedLog, dict[str, LogServerStore]]:
-    """Build an initialized in-process replicated log for experiments.
-
-    Creates ``m`` in-memory log-server stores, a replicated epoch
-    generator with three representatives, and a client writing ``n``
-    copies per record; runs client initialization; and returns the
-    ready-to-use log plus the stores (so callers can crash/restart
-    servers to explore the algorithm).
-    """
-    stores = {f"server-{i}": LogServerStore(f"server-{i}") for i in range(m)}
-    ports = {sid: DirectServerPort(store) for sid, store in stores.items()}
-    log = ReplicatedLog(
-        client_id=client_id,
-        ports=ports,
-        config=ReplicationConfig(total_servers=m, copies=n, delta=delta),
-        epoch_source=make_generator(3),
-    )
-    log.initialize()
-    return log, stores

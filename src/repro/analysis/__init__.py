@@ -1,50 +1,1 @@
 """Analytic models: the Section 4.1 capacity analysis and its constants."""
-
-from .capacity import CapacityConfig, CapacityReport, analyze, grouping_sweep
-from .commit import (
-    CommitCost,
-    common_commit_cost,
-    crossover_table,
-    two_phase_commit_cost,
-)
-from .constants import (
-    DEFAULT_MIPS,
-    ET1_BYTES_PER_RECORD,
-    ET1_BYTES_PER_TXN,
-    ET1_FORCES_PER_TXN,
-    ET1_RECORDS_PER_TXN,
-    INSTRUCTIONS_PER_MESSAGE,
-    INSTRUCTIONS_PER_PACKET,
-    INSTRUCTIONS_PER_TRACK_WRITE,
-    TARGET_CLIENTS,
-    TARGET_COPIES,
-    TARGET_SERVERS,
-    TARGET_TPS,
-    TARGET_TPS_PER_CLIENT,
-    CpuModel,
-)
-
-__all__ = [
-    "CapacityConfig",
-    "CapacityReport",
-    "CommitCost",
-    "CpuModel",
-    "DEFAULT_MIPS",
-    "ET1_BYTES_PER_RECORD",
-    "ET1_BYTES_PER_TXN",
-    "ET1_FORCES_PER_TXN",
-    "ET1_RECORDS_PER_TXN",
-    "INSTRUCTIONS_PER_MESSAGE",
-    "INSTRUCTIONS_PER_PACKET",
-    "INSTRUCTIONS_PER_TRACK_WRITE",
-    "TARGET_CLIENTS",
-    "TARGET_COPIES",
-    "TARGET_SERVERS",
-    "TARGET_TPS",
-    "TARGET_TPS_PER_CLIENT",
-    "analyze",
-    "common_commit_cost",
-    "crossover_table",
-    "grouping_sweep",
-    "two_phase_commit_cost",
-]

@@ -3,17 +3,5 @@
 * :class:`~repro.baselines.local_log.LocalDiskLog` — logging to the
   processing node's own (single or duplexed) disks;
 * :class:`~repro.baselines.unbatched.UnbatchedBackend` — one RPC per
-  log record (the Section 4.1 strawman);
-* :func:`~repro.baselines.mirrored_server.build_mirrored_server_system`
-  — one remote server with mirrored disks.
+  log record (the Section 4.1 strawman).
 """
-
-from .local_log import LocalDiskLog
-from .mirrored_server import build_mirrored_server_system
-from .unbatched import UnbatchedBackend
-
-__all__ = [
-    "LocalDiskLog",
-    "UnbatchedBackend",
-    "build_mirrored_server_system",
-]

@@ -5,7 +5,7 @@ with individual remote procedure calls (RPCs) each log server would
 have to process about 2400 incoming or outgoing messages per second, a
 load that is too high to achieve easily on moderate power processors."
 
-:class:`UnbatchedBackend` wraps a :class:`~repro.client.SimLogClient`
+:class:`UnbatchedBackend` wraps a :class:`~repro.client.log_client.SimLogClient`
 and forces after *every* record, producing exactly that per-record
 request/ack pattern.  The capacity and ablation experiments compare its
 message rates and CPU consumption against the grouped interface.

@@ -10,58 +10,3 @@
 * :mod:`repro.client.node` — the assembled client node with a
   crash/restart lifecycle.
 """
-
-from .backends import DirectLogBackend, LogBackend, SimLogBackend
-from .dumps import Dump, DumpManager
-from .epoch_net import NetworkEpochSource
-from .log_client import DEFAULT_FORCE_TIMEOUT_S, SimLogClient
-from .node import ClientNode
-from .recovery_manager import (
-    Database,
-    RecoveryManager,
-    Transaction,
-    TransactionAborted,
-    TransactionError,
-    TxnStatus,
-    decode,
-    encode_abort,
-    encode_begin,
-    encode_checkpoint,
-    encode_commit,
-    encode_redo,
-    encode_rollback,
-    encode_savepoint,
-    encode_undo,
-    encode_update,
-)
-from .splitting import UndoCache, UndoComponent
-
-__all__ = [
-    "ClientNode",
-    "DEFAULT_FORCE_TIMEOUT_S",
-    "Database",
-    "Dump",
-    "DumpManager",
-    "DirectLogBackend",
-    "LogBackend",
-    "NetworkEpochSource",
-    "RecoveryManager",
-    "SimLogBackend",
-    "SimLogClient",
-    "Transaction",
-    "TransactionAborted",
-    "TransactionError",
-    "TxnStatus",
-    "UndoCache",
-    "UndoComponent",
-    "decode",
-    "encode_abort",
-    "encode_begin",
-    "encode_checkpoint",
-    "encode_commit",
-    "encode_redo",
-    "encode_rollback",
-    "encode_savepoint",
-    "encode_undo",
-    "encode_update",
-]

@@ -3,7 +3,7 @@
 The appendix's footnote places generator-state representatives on log
 server nodes, so NewID's quorum Read and Write travel over the same
 connections as the log traffic.  :class:`NetworkEpochSource` performs
-NewID with RPCs issued through a :class:`~repro.client.SimLogClient`'s
+NewID with RPCs issued through a :class:`~repro.client.log_client.SimLogClient`'s
 connections: read ``⌈(N+1)/2⌉`` representatives, write a value higher
 than any read to ``⌈N/2⌉`` of them.
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..core import (
-    DirectServerPort,
-    LogServerStore,
-    ReplicatedLog,
-    ReplicationConfig,
-    make_generator,
-)
+from ..core.config import ReplicationConfig
+from ..core.epoch import make_generator
+from ..core.ports import DirectServerPort
+from ..core.replicated_log import ReplicatedLog
+from ..core.store import LogServerStore
 from .backends import DirectLogBackend, SimLogBackend
 from .recovery_manager import Database, RecoveryManager, Transaction
 from .splitting import UndoCache

@@ -11,106 +11,3 @@ Public surface of the algorithm layer:
   replicated increasing unique-identifier generator.
 * :mod:`~repro.core.availability` — the Section 3.2 closed forms.
 """
-
-from .availability import (
-    AvailabilityPoint,
-    availability_point,
-    figure_3_4_series,
-    generator_availability,
-    init_availability,
-    max_m_for_init_availability,
-    read_availability,
-    single_server_availability,
-    write_availability,
-)
-from .config import ReplicationConfig
-from .epoch import (
-    GeneratorStateRepresentative,
-    LocalIdGenerator,
-    ReplicatedIdGenerator,
-    make_generator,
-)
-from .errors import (
-    ConfigurationError,
-    CrashedError,
-    LogError,
-    LSNNotWritten,
-    NotEnoughServers,
-    NotInitialized,
-    ProtocolError,
-    RecordNotPresent,
-    RecordNotStored,
-    ServerUnavailable,
-    StaleEpoch,
-)
-from .intervals import (
-    Interval,
-    MergedIntervalMap,
-    ServerIntervals,
-    intervals_from_lsns,
-)
-from .ports import DirectServerPort, ServerPort
-from .records import FIRST_EPOCH, FIRST_LSN, Epoch, LogRecord, LSN, RecordBatch, StoredRecord
-from .recovery import (
-    RecoveryResult,
-    gather_interval_lists,
-    gather_interval_lists_with_retry,
-    perform_recovery,
-)
-from .repair import RepairResult, repair_log_copy, under_replicated_lsns
-from .retry import RetryPolicy, retry_call
-from .replicated_log import ReplicatedLog
-from .store import ClientLogState, LogServerStore
-
-__all__ = [
-    "AvailabilityPoint",
-    "ClientLogState",
-    "ConfigurationError",
-    "CrashedError",
-    "DirectServerPort",
-    "Epoch",
-    "FIRST_EPOCH",
-    "FIRST_LSN",
-    "GeneratorStateRepresentative",
-    "Interval",
-    "LocalIdGenerator",
-    "LogError",
-    "LogRecord",
-    "LogServerStore",
-    "LSN",
-    "LSNNotWritten",
-    "MergedIntervalMap",
-    "NotEnoughServers",
-    "NotInitialized",
-    "ProtocolError",
-    "RecordBatch",
-    "RecordNotPresent",
-    "RecordNotStored",
-    "RecoveryResult",
-    "RepairResult",
-    "ReplicatedIdGenerator",
-    "ReplicatedLog",
-    "ReplicationConfig",
-    "RetryPolicy",
-    "ServerIntervals",
-    "ServerPort",
-    "ServerUnavailable",
-    "StaleEpoch",
-    "StoredRecord",
-    "availability_point",
-    "figure_3_4_series",
-    "gather_interval_lists",
-    "gather_interval_lists_with_retry",
-    "generator_availability",
-    "init_availability",
-    "intervals_from_lsns",
-    "make_generator",
-    "max_m_for_init_availability",
-    "perform_recovery",
-    "read_availability",
-    "repair_log_copy",
-    "retry_call",
-    "under_replicated_lsns",
-    "single_server_availability",
-    "write_availability",
-]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator, Protocol
 
 from .config import ReplicationConfig
-from .epoch import issued_by
+from .epoch import issued_by, make_generator
 from .errors import (
     LSNNotWritten,
     NotEnoughServers,
@@ -33,10 +33,11 @@ from .errors import (
     ServerUnavailable,
 )
 from .intervals import MergedIntervalMap
-from .ports import ServerPort, port_performer
+from .ports import DirectServerPort, ServerPort, port_performer
 from .procedure import Procedure, run
 from .records import Epoch, LogRecord, LSN
 from .recovery import fetch_record, install_preference, restart
+from .store import LogServerStore
 
 
 class EpochSource(Protocol):
@@ -253,3 +254,29 @@ class ReplicatedLog:
     def write_set(self) -> tuple[str, ...]:
         """The ``N`` servers currently receiving this client's records."""
         return tuple(self._write_set)
+
+
+def quickstart_log(
+    m: int = 3,
+    n: int = 2,
+    client_id: str = "client-0",
+    delta: int = 1,
+) -> tuple[ReplicatedLog, dict[str, LogServerStore]]:
+    """Build an initialized in-process replicated log for experiments.
+
+    Creates ``m`` in-memory log-server stores, a replicated epoch
+    generator with three representatives, and a client writing ``n``
+    copies per record; runs client initialization; and returns the
+    ready-to-use log plus the stores (so callers can crash/restart
+    servers to explore the algorithm).
+    """
+    stores = {f"server-{i}": LogServerStore(f"server-{i}") for i in range(m)}
+    ports = {sid: DirectServerPort(store) for sid, store in stores.items()}
+    log = ReplicatedLog(
+        client_id=client_id,
+        ports=ports,
+        config=ReplicationConfig(total_servers=m, copies=n, delta=delta),
+        epoch_source=make_generator(3),
+    )
+    log.initialize()
+    return log, stores

@@ -40,17 +40,17 @@ from ..client.log_client import SimLogClient
 from ..client.backends import SimLogBackend
 from ..client.node import ClientNode
 from ..client.splitting import UndoCache
-from ..core import (
-    DirectServerPort,
-    LogServerStore,
-    NotEnoughServers,
-    ReplicatedLog,
-    ReplicationConfig,
-    ServerUnavailable,
+from ..core.config import ReplicationConfig
+from ..core.epoch import (
+    LocalIdGenerator,
     make_generator,
+    make_generator as make_id_generator,
 )
+from ..core.errors import NotEnoughServers, ServerUnavailable
+from ..core.ports import DirectServerPort
+from ..core.replicated_log import ReplicatedLog
+from ..core.store import LogServerStore
 from ..core.availability import init_availability, write_availability
-from ..core.epoch import LocalIdGenerator, make_generator as make_id_generator
 from ..net.lan import DualLan, Lan
 from ..server.load import RandomAssignment, StickyAssignment
 from ..server.log_server import SimLogServer

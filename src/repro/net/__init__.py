@@ -16,85 +16,3 @@
   (:mod:`repro.rt`) uses, encoding each message to exactly its
   ``wire_size`` bytes.
 """
-
-from .codec import WireCodecError, decode, encode, frame, read_message
-from .lan import DualLan, Lan
-from .messages import (
-    AckReply,
-    CopyLogCall,
-    ErrorReply,
-    ForceLogMsg,
-    GeneratorReadCall,
-    GeneratorReadReply,
-    GeneratorWriteCall,
-    InstallCopiesCall,
-    IntervalListCall,
-    IntervalListReply,
-    Message,
-    MissingIntervalMsg,
-    NewHighLSNMsg,
-    NewIntervalMsg,
-    ReadLogBackwardCall,
-    ReadLogForwardCall,
-    ReadLogReply,
-    WriteLogMsg,
-)
-from .packet import (
-    PACKET_HEADER_BYTES,
-    PACKET_MTU_BYTES,
-    PACKET_PAYLOAD_BYTES,
-    Packet,
-    fits_in_packet,
-)
-from .rpc import RpcClient, RpcReply, RpcRequest, serve_rpc
-from .transport import (
-    DEFAULT_WINDOW,
-    HANDSHAKE_ATTEMPTS,
-    HANDSHAKE_TIMEOUT_S,
-    OVERRIDE_PAUSE_S,
-    Connection,
-    Endpoint,
-)
-
-__all__ = [
-    "AckReply",
-    "Connection",
-    "CopyLogCall",
-    "DEFAULT_WINDOW",
-    "DualLan",
-    "Endpoint",
-    "ErrorReply",
-    "ForceLogMsg",
-    "GeneratorReadCall",
-    "GeneratorReadReply",
-    "GeneratorWriteCall",
-    "HANDSHAKE_ATTEMPTS",
-    "HANDSHAKE_TIMEOUT_S",
-    "InstallCopiesCall",
-    "IntervalListCall",
-    "IntervalListReply",
-    "Lan",
-    "Message",
-    "MissingIntervalMsg",
-    "NewHighLSNMsg",
-    "NewIntervalMsg",
-    "OVERRIDE_PAUSE_S",
-    "PACKET_HEADER_BYTES",
-    "PACKET_MTU_BYTES",
-    "PACKET_PAYLOAD_BYTES",
-    "Packet",
-    "ReadLogBackwardCall",
-    "ReadLogForwardCall",
-    "ReadLogReply",
-    "RpcClient",
-    "RpcReply",
-    "RpcRequest",
-    "WireCodecError",
-    "WriteLogMsg",
-    "decode",
-    "encode",
-    "fits_in_packet",
-    "frame",
-    "read_message",
-    "serve_rpc",
-]

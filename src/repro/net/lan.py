@@ -79,9 +79,6 @@ class Lan:
     def nic(self, node_id: str) -> Channel:
         return self._nics[node_id]
 
-    def transmission_time(self, packet: Packet) -> float:
-        return packet.wire_size * 8 / self.bandwidth_bps
-
     def send(self, packet: Packet):
         """Transmit ``packet`` to its destination.  ``yield from`` me.
 

@@ -63,10 +63,11 @@ def _experiments():
     return experiments
 
 
-def _analysis():
-    from . import analysis
+def _capacity():
+    """:mod:`repro.analysis.capacity`, imported when a row runs."""
+    from .analysis import capacity
 
-    return analysis
+    return capacity
 
 
 def _render_e1(series, a: Args) -> list[str]:
@@ -533,6 +534,12 @@ def _check_a7(result, _a: Args) -> None:
             < 0.6 * result.unicast_medium_busy_s)
 
 
+def _run_a8(_a: Args):
+    from .analysis.commit import crossover_table
+
+    return crossover_table(6)
+
+
 def _render_a8(rows, _a: Args) -> list[str]:
     return [
         format_table(
@@ -552,7 +559,7 @@ def _render_a8(rows, _a: Args) -> list[str]:
 
 
 def _check_a8(_rows, _a: Args) -> None:
-    from .analysis import common_commit_cost, two_phase_commit_cost
+    from .analysis.commit import common_commit_cost, two_phase_commit_cost
 
     # local transactions: replicated logging strictly cheaper
     local_tpc = two_phase_commit_cost(1)
@@ -604,7 +611,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "E3", "capacity", "Section 4.1 capacity analysis",
         (Param("--clients", 50), Param("--servers", 6), Param("--copies", 2)),
-        lambda a: _analysis().analyze(_analysis().CapacityConfig(
+        lambda a: _capacity().analyze(_capacity().CapacityConfig(
             clients=a.clients, servers=a.servers, copies=a.copies)),
         _render_e3, _check_e3),
     Experiment(
@@ -654,7 +661,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         _run_e11, _render_e11, _check_e11, _metrics_e11),
     Experiment(
         "A1", "grouping", "grouping factor sweep", (),
-        lambda a: _analysis().grouping_sweep((1, 2, 3, 5, 7, 14)),
+        lambda a: _capacity().grouping_sweep((1, 2, 3, 5, 7, 14)),
         _render_a1, _check_a1),
     Experiment(
         "A2", "nvram", "NVRAM buffering on/off", (),
@@ -685,8 +692,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         _render_a7, _check_a7),
     Experiment(
         "A8", "commit", "2PC vs a common commit coordinator", (),
-        lambda a: _analysis().crossover_table(6),
-        _render_a8, _check_a8),
+        _run_a8, _render_a8, _check_a8),
     Experiment(
         "A9", "sweep", "offered-load saturation sweep",
         (Param("--duration", 2.0),),

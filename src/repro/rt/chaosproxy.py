@@ -391,10 +391,6 @@ class ProxiedCluster:
         return {sid: ("127.0.0.1", proxy.port)
                 for sid, proxy in self.proxies.items()}
 
-    def direct_addresses(self):
-        """The daemons' own addresses, bypassing every proxy."""
-        return {sid: (d.host, d.port) for sid, d in self.daemons.items()}
-
     async def __aexit__(self, *exc):
         for proxy in self.proxies.values():
             await proxy.close()

@@ -117,6 +117,9 @@ from .placement import PlacementDirectory
 #: refuses the frame (the slow-server strike) and the waiting sends
 #: park in ``drain()``.
 SEND_BUFFER_BYTES = 64 * 1024
+#: Consecutive send-buffer-full strikes that demote a write-set server
+#: (the Section 5.4 "switch servers when necessary").
+SLOW_STRIKE_LIMIT = 3
 
 
 def _reply_error(server_id: str, reply: ErrorReply) -> Exception:
@@ -546,7 +549,6 @@ class AsyncReplicatedLog:
         batch_bytes: int = PACKET_PAYLOAD_BYTES,
         keepalive_interval: float = 0.5,
         keepalive_misses: int = 2,
-        slow_strike_limit: int = 3,
     ):
         self._placement: PlacementDirectory | None = None
         if isinstance(servers, PlacementDirectory):
@@ -570,9 +572,6 @@ class AsyncReplicatedLog:
         self.rng = rng if rng is not None else random.Random(0)
         self.timeout = timeout
         self.batch_bytes = batch_bytes
-        #: consecutive send-buffer-full strikes that demote a write-set
-        #: server (the Section 5.4 "switch servers when necessary").
-        self.slow_strike_limit = slow_strike_limit
         self._conn_params = dict(keepalive_interval=keepalive_interval,
                                  keepalive_misses=keepalive_misses)
         self._conns: dict[str, ServerConnection] = {
@@ -815,7 +814,7 @@ class AsyncReplicatedLog:
         writes the frame or reports the send buffer full.  That is a
         *strike* against that server — the batch is simply skipped
         there (safe: the next force re-sends the whole window) — and
-        ``slow_strike_limit`` consecutive strikes demote the server
+        ``SLOW_STRIKE_LIMIT`` consecutive strikes demote the server
         from the write set exactly as a crash would (Section 5.4).
         """
         start, end = self._streamed, len(self._window)
@@ -836,7 +835,7 @@ class AsyncReplicatedLog:
             self.slow_strikes += 1
             strikes = self._strikes.get(sid, 0) + 1
             self._strikes[sid] = strikes
-            if strikes >= self.slow_strike_limit:
+            if strikes >= SLOW_STRIKE_LIMIT:
                 self._strikes[sid] = 0
                 await self._replace_server(sid)
         clientfault.hit("client.flush.sent")

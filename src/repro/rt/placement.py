@@ -331,10 +331,6 @@ class PlacementDirectory:
     def write_set(self, client_id: str) -> list[str]:
         return self.ring.successors(client_id, self.spec.copies)
 
-    def quota_for(self, client_id: str) -> TenantQuota | None:
-        quotas = self.spec.quotas
-        return quotas.get(tenant_of(client_id)) or quotas.get("*")
-
     # -- roster changes ------------------------------------------------
 
     def without_server(self, server_id: str) -> "PlacementDirectory":

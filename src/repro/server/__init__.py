@@ -5,29 +5,3 @@ Section 4; :mod:`repro.server.client_state` holds the per-client gap
 detection; :mod:`repro.server.load` the shedding and assignment
 strategies of Sections 4.2 and 5.4.
 """
-
-from .client_state import ClientProtocolState
-from .load import (
-    LeastLoadedAssignment,
-    NeverShed,
-    NvramBackpressure,
-    RandomAssignment,
-    SheddingPolicy,
-    StickyAssignment,
-)
-from .log_server import SimLogServer
-from .space import SpaceManager, SpaceReport, TruncationPoint
-
-__all__ = [
-    "ClientProtocolState",
-    "LeastLoadedAssignment",
-    "NeverShed",
-    "NvramBackpressure",
-    "RandomAssignment",
-    "SheddingPolicy",
-    "SimLogServer",
-    "SpaceManager",
-    "SpaceReport",
-    "StickyAssignment",
-    "TruncationPoint",
-]

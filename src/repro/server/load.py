@@ -15,41 +15,19 @@ strategies below are the ones the ablation benchmark compares.
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from ..storage.nvram import NvramBuffer
-
-
-class SheddingPolicy(Protocol):
-    """Decides whether a server should ignore an incoming write."""
-
-    def should_shed(self, incoming_bytes: int) -> bool: ...
 
 
 class NvramBackpressure:
     """Shed when the NVRAM buffer cannot absorb the message."""
 
-    def __init__(self, nvram: NvramBuffer, headroom_bytes: int = 0):
+    def __init__(self, nvram: NvramBuffer):
         self.nvram = nvram
-        self.headroom_bytes = headroom_bytes
 
     def should_shed(self, incoming_bytes: int) -> bool:
-        return self.nvram.free < incoming_bytes + self.headroom_bytes
-
-
-class NeverShed:
-    """Accept everything (used to isolate other bottlenecks)."""
-
-    def should_shed(self, incoming_bytes: int) -> bool:
-        return False
-
-
-class AssignmentStrategy(Protocol):
-    """Client-side choice of which N servers receive its records."""
-
-    def choose(
-        self, servers: Sequence[str], n: int, loads: dict[str, float]
-    ) -> list[str]: ...
+        return self.nvram.free < incoming_bytes
 
 
 class StickyAssignment:

@@ -56,7 +56,14 @@ from ..storage.log_stream import DiskLogStream, StreamEntry
 from ..storage.nvram import NvramBuffer, NvramFullError
 from .client_state import ClientProtocolState
 from .index import ServerLogIndex
-from .load import NvramBackpressure, SheddingPolicy
+from .load import NvramBackpressure
+
+#: how often the flusher looks at NVRAM for a full track
+FLUSH_CHECK_INTERVAL_S = 0.010
+#: how long appends must pause before a partial track is flushed
+IDLE_FLUSH_AFTER_S = 0.200
+#: tracks flushed between two interval-list checkpoints of the stream
+CHECKPOINT_EVERY_TRACKS = 64
 
 
 class SimLogServer:
@@ -70,12 +77,7 @@ class SimLogServer:
         disk_params: DiskParams = SLOW_1987_DISK,
         nvram_capacity: int = 256 * 1024,
         mips: float = DEFAULT_MIPS,
-        flush_check_interval_s: float = 0.010,
-        idle_flush_after_s: float = 0.200,
-        checkpoint_every_tracks: int = 64,
         metrics: MetricSet | None = None,
-        shed_policy: SheddingPolicy | None = None,
-        disk=None,
         cpu_model: CpuModel | None = None,
         nvram_enabled: bool = True,
     ):
@@ -83,10 +85,7 @@ class SimLogServer:
         self.server_id = server_id
         self.endpoint = Endpoint(sim, network, server_id)
         self.store = LogServerStore(server_id)
-        self.disk = (
-            disk if disk is not None
-            else SimDisk(sim, disk_params, name=f"{server_id}.disk")
-        )
+        self.disk = SimDisk(sim, disk_params, name=f"{server_id}.disk")
         self.stream = DiskLogStream(track_bytes=self.disk.params.track_bytes,
                                     name=f"{server_id}.stream")
         self.index = ServerLogIndex()
@@ -99,13 +98,7 @@ class SimLogServer:
         #: footnote rules out, kept for the ablation experiment.
         self.nvram_enabled = nvram_enabled
         self.metrics = metrics if metrics is not None else MetricSet()
-        self.shed_policy = (
-            shed_policy if shed_policy is not None
-            else NvramBackpressure(self.nvram)
-        )
-        self.flush_check_interval_s = flush_check_interval_s
-        self.idle_flush_after_s = idle_flush_after_s
-        self.checkpoint_every_tracks = checkpoint_every_tracks
+        self.shed_policy = NvramBackpressure(self.nvram)
         #: the node's generator-state representative (Appendix I):
         #: "representatives … will normally be implemented on log
         #: server nodes".  The integer lives in NVRAM, so it survives
@@ -292,13 +285,13 @@ class SimLogServer:
         """Drain NVRAM to disk a track at a time (Section 4.1)."""
         track = self.disk.params.track_bytes
         while True:
-            yield self.sim.timeout(self.flush_check_interval_s)
+            yield self.sim.timeout(FLUSH_CHECK_INTERVAL_S)
             if self.crashed:
                 continue
             while self.nvram.track_ready(track):
                 yield from self._flush(track)
             idle_for = self.sim.now - self._last_append_time
-            if self.nvram.level > 0 and idle_for >= self.idle_flush_after_s:
+            if self.nvram.level > 0 and idle_for >= IDLE_FLUSH_AFTER_S:
                 yield from self._flush(self.nvram.level)
 
     def _flush(self, nbytes: int):
@@ -308,7 +301,7 @@ class SimLogServer:
         self.stream.seal_track()
         self._count("tracks_flushed")
         self._tracks_since_checkpoint += 1
-        if self._tracks_since_checkpoint >= self.checkpoint_every_tracks:
+        if self._tracks_since_checkpoint >= CHECKPOINT_EVERY_TRACKS:
             self.stream.checkpoint(self.store)
             self._tracks_since_checkpoint = 0
 

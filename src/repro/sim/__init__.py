@@ -7,41 +7,3 @@ with utilization tracking and message channels;
 named seeded random streams; and :mod:`repro.sim.failures` crash/repair
 schedules for the availability experiments.
 """
-
-from .failures import (
-    ClusterChurn,
-    LinkDegrader,
-    UpDownProcess,
-    bernoulli_outage_sample,
-    mttr_for_unavailability,
-    node_is_up,
-    restore_all,
-    unavailability,
-)
-from .kernel import Event, Interrupt, Process, SimulationError, Simulator
-from .resources import Channel, Resource
-from .rng import RngRegistry
-from .stats import Counter, LatencySample, MetricSet, TimeWeighted
-
-__all__ = [
-    "Channel",
-    "ClusterChurn",
-    "Counter",
-    "LinkDegrader",
-    "Event",
-    "Interrupt",
-    "LatencySample",
-    "MetricSet",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "SimulationError",
-    "Simulator",
-    "TimeWeighted",
-    "UpDownProcess",
-    "bernoulli_outage_sample",
-    "mttr_for_unavailability",
-    "node_is_up",
-    "restore_all",
-    "unavailability",
-]

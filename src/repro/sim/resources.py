@@ -104,14 +104,6 @@ class Resource:
         self._busy_integral += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def utilization(self, t0: float = 0.0, t1: float | None = None) -> float:
         """Fraction of capacity-time busy over ``[t0, t1]``.
 

@@ -10,40 +10,3 @@
 * :mod:`repro.storage.pages` — append-only page stores (write-once and
   reusable variants).
 """
-
-from .append_forest import AppendForest, AppendForestError, ForestNode
-from .disk import (
-    FAST_1987_DISK,
-    SLOW_1987_DISK,
-    DiskParams,
-    MirroredDisks,
-    SimDisk,
-)
-from .log_stream import (
-    ENTRY_HEADER_BYTES,
-    Checkpoint,
-    DiskLogStream,
-    StreamEntry,
-)
-from .nvram import NvramBuffer, NvramFullError
-from .pages import AppendOnlyPageStore, PageStoreError, ReusablePageStore
-
-__all__ = [
-    "AppendForest",
-    "AppendForestError",
-    "AppendOnlyPageStore",
-    "Checkpoint",
-    "DiskLogStream",
-    "DiskParams",
-    "ENTRY_HEADER_BYTES",
-    "FAST_1987_DISK",
-    "ForestNode",
-    "MirroredDisks",
-    "NvramBuffer",
-    "NvramFullError",
-    "PageStoreError",
-    "ReusablePageStore",
-    "SimDisk",
-    "SLOW_1987_DISK",
-    "StreamEntry",
-]

@@ -218,15 +218,6 @@ class AppendForest:
         """Heights of the current trees, oldest first."""
         return [r.height for r in self._roots]
 
-    def forest_chain(self) -> list[PageAddress]:
-        """Addresses of tree roots reachable by forest pointers, newest first."""
-        chain: list[PageAddress] = []
-        address = self.root_address
-        while address is not None:
-            chain.append(address)
-            address = self.store.read(address).forest
-        return chain
-
     def check_invariants(self) -> None:
         """Verify the two BST properties and the height discipline.
 

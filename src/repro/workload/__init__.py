@@ -1,20 +1,1 @@
 """Workloads: ET1/DebitCredit and long design transactions (Section 2)."""
-
-from .et1 import Et1Driver, Et1Params, et1_log_pattern, et1_transaction
-from .generators import (
-    LongTransactionDriver,
-    LongTxnParams,
-    PoissonArrivals,
-    transactional_mix,
-)
-
-__all__ = [
-    "Et1Driver",
-    "Et1Params",
-    "LongTransactionDriver",
-    "LongTxnParams",
-    "PoissonArrivals",
-    "et1_log_pattern",
-    "et1_transaction",
-    "transactional_mix",
-]

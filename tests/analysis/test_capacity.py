@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.analysis import (
-    CapacityConfig,
-    CpuModel,
-    analyze,
-    grouping_sweep,
-)
+from repro.analysis.capacity import CapacityConfig, analyze, grouping_sweep
 from repro.analysis.constants import (
     ET1_BYTES_PER_TXN,
     ET1_RECORDS_PER_TXN,
     TARGET_TPS,
+    CpuModel,
 )
-from repro.storage import FAST_1987_DISK
+from repro.storage.disk import FAST_1987_DISK
 
 
 class TestTargetConfiguration:

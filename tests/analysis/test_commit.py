@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.commit import (
     common_commit_cost,
     crossover_table,
     two_phase_commit_cost,

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.baselines import LocalDiskLog
-from repro.core import LSNNotWritten
-from repro.sim import Simulator
-from repro.storage import SLOW_1987_DISK, MirroredDisks, SimDisk
+from repro.baselines.local_log import LocalDiskLog
+from repro.core.errors import LSNNotWritten
+from repro.sim.kernel import Simulator
+from repro.storage.disk import SLOW_1987_DISK, MirroredDisks, SimDisk
 
 
 def build(mirrored=False):

@@ -2,12 +2,15 @@
 
 import random
 
-from repro.baselines import UnbatchedBackend
-from repro.client import SimLogBackend, SimLogClient
-from repro.core import ReplicationConfig, make_generator
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import MetricSet, Simulator
+from repro.baselines.unbatched import UnbatchedBackend
+from repro.client.backends import SimLogBackend
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
 
 
 def build(metrics):

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.client import ClientNode, DirectLogBackend, SimLogBackend, SimLogClient
-from repro.core import (
-    LSNNotWritten,
-    RecordNotPresent,
-    ReplicationConfig,
-    make_generator,
-)
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.client.backends import DirectLogBackend, SimLogBackend
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 from ..conftest import build_direct_log, drain
 

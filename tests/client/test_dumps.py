@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.client import ClientNode, UndoCache
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
 from repro.client.dumps import DumpManager
 
 from ..conftest import drain

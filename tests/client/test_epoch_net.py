@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.client import NetworkEpochSource, SimLogClient
-from repro.core import NotEnoughServers, ReplicationConfig
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.client.epoch_net import NetworkEpochSource
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.errors import NotEnoughServers
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 
 def build(m=3):

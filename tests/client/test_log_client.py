@@ -4,18 +4,19 @@ import random
 
 import pytest
 
-from repro.client import SimLogClient
-from repro.core import (
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.errors import (
     LSNNotWritten,
     NotEnoughServers,
     NotInitialized,
     RecordNotPresent,
-    ReplicationConfig,
-    make_generator,
 )
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import MetricSet, Simulator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
 
 
 class Cluster:
@@ -404,7 +405,7 @@ class TestAckTimeoutRace:
 
 class TestWriteSetMigration:
     def test_server_held_down_past_threshold_is_migrated(self):
-        from repro.core import RetryPolicy
+        from repro.core.retry import RetryPolicy
 
         cluster = Cluster(
             force_timeout_s=0.1, write_retries=10,
@@ -454,7 +455,7 @@ class TestWriteSetMigration:
 
 class TestInitializeWithRetry:
     def test_rides_out_a_repair_window(self):
-        from repro.core import RetryPolicy
+        from repro.core.retry import RetryPolicy
 
         cluster = Cluster()
         result = {}
@@ -476,7 +477,8 @@ class TestInitializeWithRetry:
         assert result["initialized"] is True
 
     def test_deadline_bounds_the_retrying(self):
-        from repro.core import RetryPolicy, ServerUnavailable
+        from repro.core.errors import ServerUnavailable
+        from repro.core.retry import RetryPolicy
 
         cluster = Cluster()
         result = {}
@@ -502,7 +504,7 @@ class TestInitializeWithRetry:
         assert result["elapsed"] <= 6.0
 
     def test_restart_with_retry_recovers_forced_records(self):
-        from repro.core import RetryPolicy
+        from repro.core.retry import RetryPolicy
 
         cluster = Cluster()
         result = {}

@@ -1,10 +1,13 @@
 """Tests for the assembled client node over the simulated stack."""
 
-from repro.client import ClientNode, SimLogClient, UndoCache
-from repro.core import ReplicationConfig, make_generator
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.client.log_client import SimLogClient
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 from ..conftest import drain
 

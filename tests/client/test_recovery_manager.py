@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.client import (
-    ClientNode,
+from repro.client.node import ClientNode
+from repro.client.recovery_manager import (
     Database,
     TransactionError,
     TxnStatus,
-    UndoCache,
     decode,
     encode_abort,
     encode_begin,
@@ -17,6 +16,7 @@ from repro.client import (
     encode_undo,
     encode_update,
 )
+from repro.client.splitting import UndoCache
 
 from ..conftest import drain
 
@@ -217,7 +217,7 @@ class FlakyBackend:
         self.reinits = 0
 
     def log(self, data, kind="data"):
-        from repro.core import NotEnoughServers
+        from repro.core.errors import NotEnoughServers
 
         if self.fail_logs > 0:
             self.fail_logs -= 1
@@ -228,7 +228,7 @@ class FlakyBackend:
         yield  # pragma: no cover — generator protocol
 
     def force(self):
-        from repro.core import NotEnoughServers
+        from repro.core.errors import NotEnoughServers
 
         if self.fail_forces > 0:
             self.fail_forces -= 1
@@ -265,7 +265,7 @@ class TestLogRetryUnderQuorumLoss:
         assert backend.reinits == 1
 
     def test_mid_transaction_loss_not_silently_retried(self, drive):
-        from repro.core import NotEnoughServers
+        from repro.core.errors import NotEnoughServers
 
         backend = FlakyBackend()
         rm, _db = self._manager(backend)
@@ -278,7 +278,7 @@ class TestLogRetryUnderQuorumLoss:
         assert rm.backend_recoveries == 0
 
     def test_without_reinitialize_failures_propagate(self, drive):
-        from repro.core import NotEnoughServers
+        from repro.core.errors import NotEnoughServers
         from repro.client.recovery_manager import RecoveryManager
 
         backend = FlakyBackend()
@@ -288,7 +288,7 @@ class TestLogRetryUnderQuorumLoss:
             drive(rm.begin())
 
     def test_commit_loss_aborts_rolls_back_and_recovers(self, drive):
-        from repro.client import TransactionAborted
+        from repro.client.recovery_manager import TransactionAborted
 
         backend = FlakyBackend()
         rm, db = self._manager(backend)
@@ -312,8 +312,7 @@ class TestLogRetryUnderQuorumLoss:
         assert db.read("a") == "1"
 
     def test_commit_loss_discards_cached_undo(self, drive):
-        from repro.client import TransactionAborted
-        from repro.client.recovery_manager import RecoveryManager
+        from repro.client.recovery_manager import RecoveryManager, TransactionAborted
 
         backend = FlakyBackend()
         cache = UndoCache()

@@ -12,7 +12,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.client import ClientNode, UndoCache
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
 
 from ..conftest import drain
 

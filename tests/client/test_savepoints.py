@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.client import ClientNode, TransactionError, UndoCache
+from repro.client.node import ClientNode
+from repro.client.recovery_manager import TransactionError
+from repro.client.splitting import UndoCache
 
 from ..conftest import drain
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.client import ClientNode, UndoCache
-from repro.client.splitting import UndoComponent
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache, UndoComponent
 
 from ..conftest import drain
 

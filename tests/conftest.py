@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
-    ReplicatedLog,
-    ReplicationConfig,
-    make_generator,
-)
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.ports import DirectServerPort
+from repro.core.replicated_log import ReplicatedLog
+from repro.core.store import LogServerStore
 
 
 def drain(gen):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ConfigurationError, ReplicationConfig
+from repro.core.config import ReplicationConfig
+from repro.core.errors import ConfigurationError
 
 
 class TestReplicationConfig:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import NotEnoughServers
+from repro.core.errors import NotEnoughServers
 from repro.core.epoch import (
     GeneratorStateRepresentative,
     LocalIdGenerator,
@@ -107,7 +107,7 @@ class TestLocalIdGenerator:
 
 class TestNewIdWithRetry:
     def test_rides_out_a_repair_window(self):
-        from repro.core import RetryPolicy
+        from repro.core.retry import RetryPolicy
 
         generator = make_generator(3)
         generator.representatives[0].crash()
@@ -124,7 +124,7 @@ class TestNewIdWithRetry:
         assert generator.new_id() > first
 
     def test_exhaustion_raises(self):
-        from repro.core import RetryPolicy
+        from repro.core.retry import RetryPolicy
 
         generator = make_generator(3)
         generator.representatives[0].crash()

@@ -1,7 +1,7 @@
 """Tests for the transport-independent server port abstraction."""
 
-from repro.core import DirectServerPort, LogServerStore
-from repro.core.ports import ServerPort
+from repro.core.ports import DirectServerPort, ServerPort
+from repro.core.store import LogServerStore
 
 
 class TestDirectServerPort:

@@ -11,7 +11,8 @@ import re
 import pytest
 
 import repro.core
-from repro.core import NotEnoughServers, ServerUnavailable, StoredRecord
+from repro.core.errors import NotEnoughServers, ServerUnavailable
+from repro.core.records import StoredRecord
 from repro.core.epoch import new_id
 from repro.core.intervals import MergedEntry
 from repro.core.procedure import ACK, GEN_READ, GEN_WRITE, READ, Call, run

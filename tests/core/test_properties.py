@@ -17,16 +17,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
-    MergedIntervalMap,
-    ReplicatedLog,
-    ReplicationConfig,
-    ServerIntervals,
-    intervals_from_lsns,
-    make_generator,
-)
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.intervals import MergedIntervalMap, ServerIntervals, intervals_from_lsns
+from repro.core.ports import DirectServerPort
+from repro.core.replicated_log import ReplicatedLog
+from repro.core.store import LogServerStore
 
 
 def build(m, n, delta=1):

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
-    NotEnoughServers,
-    gather_interval_lists,
-    perform_recovery,
-)
+from repro.core.errors import NotEnoughServers
+from repro.core.ports import DirectServerPort
+from repro.core.recovery import gather_interval_lists, perform_recovery
+from repro.core.store import LogServerStore
 
 
 def build_stores(m=3):
@@ -217,7 +214,8 @@ class TestRecoveryRestartability:
 
 class TestGatherWithRetry:
     def test_rides_out_a_transient_outage(self):
-        from repro.core import RetryPolicy, gather_interval_lists_with_retry
+        from repro.core.recovery import gather_interval_lists_with_retry
+        from repro.core.retry import RetryPolicy
 
         stores, ports = build_stores(3)
         stores["s0"].crash()
@@ -235,7 +233,8 @@ class TestGatherWithRetry:
         assert {l.server_id for l in lists} == {"s1", "s2"}
 
     def test_exhaustion_still_raises(self):
-        from repro.core import RetryPolicy, gather_interval_lists_with_retry
+        from repro.core.recovery import gather_interval_lists_with_retry
+        from repro.core.retry import RetryPolicy
 
         stores, ports = build_stores(3)
         stores["s0"].crash()

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
-    MergedIntervalMap,
-    NotEnoughServers,
-    ServerIntervals,
-    repair_log_copy,
-    under_replicated_lsns,
-)
+from repro.core.errors import NotEnoughServers
+from repro.core.intervals import MergedIntervalMap, ServerIntervals
+from repro.core.ports import DirectServerPort
+from repro.core.repair import repair_log_copy, under_replicated_lsns
+from repro.core.store import LogServerStore
 
 from ..conftest import build_direct_log
 

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core import (
-    DirectServerPort,
-    LogServerStore,
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.errors import (
     LSNNotWritten,
     NotEnoughServers,
     NotInitialized,
     RecordNotPresent,
-    ReplicatedLog,
-    ReplicationConfig,
-    make_generator,
 )
+from repro.core.ports import DirectServerPort
+from repro.core.replicated_log import ReplicatedLog
+from repro.core.store import LogServerStore
 
 from ..conftest import build_direct_log
 

@@ -4,12 +4,8 @@ import random
 
 import pytest
 
-from repro.core import (
-    NotEnoughServers,
-    RetryPolicy,
-    ServerUnavailable,
-    retry_call,
-)
+from repro.core.errors import NotEnoughServers, ServerUnavailable
+from repro.core.retry import RetryPolicy, retry_call
 
 
 class TestRetryPolicy:

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    Interval,
-    LogServerStore,
-    ProtocolError,
-    RecordNotStored,
-    ServerUnavailable,
-)
+from repro.core.errors import ProtocolError, RecordNotStored, ServerUnavailable
+from repro.core.intervals import Interval
+from repro.core.store import LogServerStore
 
 
 @pytest.fixture

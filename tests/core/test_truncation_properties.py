@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MergedIntervalMap, ServerIntervals
+from repro.core.intervals import MergedIntervalMap, ServerIntervals
 from repro.core.records import StoredRecord
 from repro.core.store import ClientLogState
 

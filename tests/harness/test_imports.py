@@ -1,5 +1,7 @@
-"""The harness package loads only the submodule asked for."""
+"""Each import loads only the module asked for and what it uses."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -33,3 +35,24 @@ def test_simulated_target_load_loads_no_runtime():
         "from repro.harness.experiments import run_target_load")
     assert "repro.sim.kernel" in loaded
     assert not [name for name in loaded if name.startswith("repro.rt")]
+
+
+def test_runtime_client_loads_no_simulator_and_no_daemon():
+    loaded = _loaded_by("import repro.rt.client")
+    assert "repro.rt.client" in loaded
+    assert not [name for name in loaded
+                if name.startswith(("repro.sim", "repro.rt.server",
+                                    "repro.rt.chaosproxy",
+                                    "repro.rt.cluster"))]
+
+
+def test_every_package_init_is_only_a_docstring():
+    """Packages are namespaces: a name is imported from the module that
+    defines it, never re-exported by a package."""
+    inits = glob.glob(os.path.join(SRC, "repro", "**", "__init__.py"),
+                      recursive=True)
+    assert len(inits) > 10
+    for path in inits:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        assert len(tree.body) == 1 and ast.get_docstring(tree), path

@@ -14,12 +14,7 @@ import itertools
 
 import pytest
 
-from repro.core import (
-    LSNNotWritten,
-    NotEnoughServers,
-    RecordNotPresent,
-    ReplicationConfig,
-)
+from repro.core.errors import LSNNotWritten, NotEnoughServers, RecordNotPresent
 
 from ..conftest import build_direct_log
 

@@ -4,14 +4,21 @@ import random
 
 import pytest
 
-from repro.baselines import LocalDiskLog, UnbatchedBackend
-from repro.client import ClientNode, SimLogClient
+from repro.baselines.local_log import LocalDiskLog
+from repro.baselines.unbatched import UnbatchedBackend
+from repro.client.log_client import SimLogClient
+from repro.client.node import ClientNode
 from repro.client.dumps import DumpManager
-from repro.core import ReplicationConfig, make_generator
-from repro.net import DualLan, Lan, Packet
-from repro.server import SimLogServer, SpaceManager, TruncationPoint
-from repro.sim import Channel, Resource, Simulator
-from repro.storage import SLOW_1987_DISK, DiskLogStream, SimDisk, StreamEntry
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import DualLan, Lan
+from repro.net.packet import Packet
+from repro.server.log_server import SimLogServer
+from repro.server.space import SpaceManager, TruncationPoint
+from repro.sim.kernel import Simulator
+from repro.sim.resources import Channel, Resource
+from repro.storage.disk import SLOW_1987_DISK, SimDisk
+from repro.storage.log_stream import DiskLogStream, StreamEntry
 from repro.core.records import StoredRecord
 
 from ..conftest import drain

@@ -2,12 +2,16 @@
 
 import random
 
-from repro.client import ClientNode, SimLogClient, UndoCache
-from repro.core import ReplicationConfig, make_generator
-from repro.net import DualLan, Lan
-from repro.server import SimLogServer
-from repro.sim import MetricSet, Simulator
-from repro.workload import Et1Params, et1_transaction
+from repro.client.log_client import SimLogClient
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import DualLan, Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
+from repro.workload.et1 import Et1Params, et1_transaction
 
 
 class TestWorkstationCluster:

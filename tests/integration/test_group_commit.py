@@ -6,11 +6,13 @@ single ForceLog can carry (and a single NewHighLSN can acknowledge)
 all of them, because acknowledgments are cumulative.
 """
 
-from repro.client import SimLogClient
-from repro.core import ReplicationConfig, make_generator
-from repro.net import Lan
-from repro.server import SimLogServer
-from repro.sim import MetricSet, Simulator
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
 
 
 def build():

@@ -21,19 +21,13 @@ import dataclasses
 
 import pytest
 
-from repro.client import SimLogClient
-from repro.core import (
-    DirectServerPort,
-    GeneratorStateRepresentative,
-    LogServerStore,
-    NotEnoughServers,
-    ReplicationConfig,
-    ServerUnavailable,
-    StaleEpoch,
-    StoredRecord,
-)
-from repro.core.epoch import new_id
-from repro.core.ports import port_performer
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import GeneratorStateRepresentative, new_id
+from repro.core.errors import NotEnoughServers, ServerUnavailable, StaleEpoch
+from repro.core.ports import DirectServerPort, port_performer
+from repro.core.records import StoredRecord
+from repro.core.store import LogServerStore
 from repro.core.procedure import (
     ACK,
     COPY,
@@ -45,12 +39,12 @@ from repro.core.procedure import (
     run,
 )
 from repro.core.recovery import fetch_record, restart
-from repro.net import Lan
+from repro.net.lan import Lan
 from repro.rt.client import AsyncReplicatedLog
 from repro.rt.filestore import FileLogStore
 from repro.rt.server import LogServerDaemon
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 CLIENT = "c1"
 SERVERS = ("s1", "s2", "s3")

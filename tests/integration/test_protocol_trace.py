@@ -6,12 +6,13 @@ back, RPC request/reply pairs for the synchronous calls — so protocol
 regressions show up as a changed trace, not as a vague latency shift.
 """
 
-from repro.client import SimLogClient
-from repro.core import ReplicationConfig, make_generator
-from repro.net import Lan
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.net.lan import Lan
 from repro.net.rpc import RpcReply, RpcRequest
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 
 class TracingLan(Lan):

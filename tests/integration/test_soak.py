@@ -12,11 +12,16 @@ import random
 
 import pytest
 
-from repro.client import SimLogClient
-from repro.core import NotEnoughServers, ReplicationConfig, ServerUnavailable, make_generator
-from repro.net import Lan
-from repro.server import SimLogServer, StickyAssignment
-from repro.sim import MetricSet, Simulator, UpDownProcess
+from repro.client.log_client import SimLogClient
+from repro.core.config import ReplicationConfig
+from repro.core.epoch import make_generator
+from repro.core.errors import NotEnoughServers, ServerUnavailable
+from repro.net.lan import Lan
+from repro.server.load import StickyAssignment
+from repro.server.log_server import SimLogServer
+from repro.sim.failures import UpDownProcess
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
 
 
 class SoakHarness:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.net import DualLan, Lan, Packet
-from repro.sim import Simulator
+from repro.net.lan import DualLan, Lan
+from repro.net.packet import Packet
+from repro.sim.kernel import Simulator
 
 
 def packet(src="a", dst="b"):

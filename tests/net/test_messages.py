@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.intervals import Interval
 from repro.core.records import StoredRecord
-from repro.net import (
+from repro.net.messages import (
     AckReply,
     CopyLogCall,
     ErrorReply,

@@ -1,11 +1,11 @@
 """Tests for packet framing."""
 
 from repro.core.records import StoredRecord
-from repro.net import (
+from repro.net.messages import WriteLogMsg
+from repro.net.packet import (
     PACKET_HEADER_BYTES,
     PACKET_PAYLOAD_BYTES,
     Packet,
-    WriteLogMsg,
     fits_in_packet,
 )
 

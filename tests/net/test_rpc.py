@@ -5,9 +5,11 @@ import random
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.net import Endpoint, Lan, RpcClient, RpcReply, serve_rpc
+from repro.net.lan import Lan
+from repro.net.rpc import RpcClient, RpcReply, serve_rpc
+from repro.net.transport import Endpoint
 from repro.net.messages import IntervalListCall, IntervalListReply
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 
 def build(loss_prob=0.0, seed=0, handler_delay=0.001):

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.net import DEFAULT_WINDOW, Endpoint, Lan
-from repro.sim import Simulator
+from repro.net.lan import Lan
+from repro.net.transport import DEFAULT_WINDOW, Endpoint
+from repro.sim.kernel import Simulator
 
 
 def build_pair(loss_prob=0.0, seed=0):

@@ -11,8 +11,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Endpoint, Lan
-from repro.sim import Simulator
+from repro.net.lan import Lan
+from repro.net.transport import Endpoint
+from repro.sim.kernel import Simulator
 
 
 def run_exchange(n_messages: int, loss: float, dup: float, seed: int):

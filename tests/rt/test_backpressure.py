@@ -180,7 +180,6 @@ def test_queue_full_strikes_demote_slow_server_without_blocking(tmp_path):
             log = AsyncReplicatedLog(
                 "c1", cluster.addresses(), config,
                 timeout=2.0, batch_bytes=1,  # flush every record
-                slow_strike_limit=3,
                 keepalive_interval=0.0,  # isolate the strike policy
             )
             await log.initialize()

@@ -1,6 +1,6 @@
 """Tests for per-client gap detection on the server."""
 
-from repro.server import ClientProtocolState
+from repro.server.client_state import ClientProtocolState
 
 
 class TestClassifyBatch:

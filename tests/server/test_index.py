@@ -4,7 +4,7 @@ import random
 
 from repro.core.records import StoredRecord
 from repro.server.index import ClientLogIndex, ServerLogIndex
-from repro.storage import DiskLogStream, StreamEntry
+from repro.storage.log_stream import DiskLogStream, StreamEntry
 
 
 def entry(client, lsn, epoch=1, data=b"x" * 40):

@@ -2,15 +2,14 @@
 
 import random
 
-from repro.server import (
+from repro.server.load import (
     LeastLoadedAssignment,
-    NeverShed,
     NvramBackpressure,
     RandomAssignment,
     StickyAssignment,
 )
-from repro.sim import Simulator
-from repro.storage import NvramBuffer
+from repro.sim.kernel import Simulator
+from repro.storage.nvram import NvramBuffer
 
 
 class TestShedding:
@@ -22,16 +21,6 @@ class TestShedding:
         nvram.append(nvram.data_capacity - 500)
         assert policy.should_shed(1000)
         assert not policy.should_shed(400)
-
-    def test_headroom(self):
-        nvram = NvramBuffer(Simulator(), capacity_bytes=8 * 1024,
-                            reserved_for_intervals=1024)
-        policy = NvramBackpressure(nvram, headroom_bytes=2000)
-        nvram.append(nvram.data_capacity - 2500)
-        assert policy.should_shed(1000)
-
-    def test_never_shed(self):
-        assert not NeverShed().should_shed(10**9)
 
 
 class TestAssignment:

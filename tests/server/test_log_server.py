@@ -5,29 +5,26 @@ import random
 import pytest
 
 from repro.core.records import StoredRecord
-from repro.net import (
-    Endpoint,
-    ForceLogMsg,
-    Lan,
-    MissingIntervalMsg,
-    NewHighLSNMsg,
-    NewIntervalMsg,
-    RpcClient,
-    RpcReply,
-    WriteLogMsg,
-)
+from repro.net.lan import Lan
 from repro.net.messages import (
     AckReply,
     CopyLogCall,
+    ForceLogMsg,
     InstallCopiesCall,
     IntervalListCall,
     IntervalListReply,
+    MissingIntervalMsg,
+    NewHighLSNMsg,
+    NewIntervalMsg,
     ReadLogBackwardCall,
     ReadLogForwardCall,
     ReadLogReply,
+    WriteLogMsg,
 )
-from repro.server import SimLogServer
-from repro.sim import Simulator
+from repro.net.rpc import RpcClient, RpcReply
+from repro.net.transport import Endpoint
+from repro.server.log_server import SimLogServer
+from repro.sim.kernel import Simulator
 
 
 class Harness:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.records import StoredRecord
-from repro.server import SpaceManager, TruncationPoint
-from repro.storage import DiskLogStream, StreamEntry
+from repro.server.space import SpaceManager, TruncationPoint
+from repro.storage.log_stream import DiskLogStream, StreamEntry
 
 
 def write_entry(client, lsn, epoch=1, data=b"x" * 40):

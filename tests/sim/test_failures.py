@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from repro.core import LogServerStore
-from repro.sim import (
-    Simulator,
+from repro.core.store import LogServerStore
+from repro.sim.failures import (
     UpDownProcess,
     bernoulli_outage_sample,
     mttr_for_unavailability,
     restore_all,
     unavailability,
 )
+from repro.sim.kernel import Simulator
 
 
 class TestUnavailabilityMath:
@@ -112,7 +112,7 @@ class RecordingNode:
 
 class TestNodeIsUp:
     def test_probes_available_up_and_crashed(self):
-        from repro.sim import node_is_up
+        from repro.sim.failures import node_is_up
 
         store = LogServerStore("s")
         assert node_is_up(store) is True
@@ -207,8 +207,8 @@ class TestBernoulliStateChangeOnly:
 
 class TestLinkDegrader:
     def test_degrades_and_restores_loss(self):
-        from repro.net import Lan
-        from repro.sim import LinkDegrader
+        from repro.net.lan import Lan
+        from repro.sim.failures import LinkDegrader
 
         sim = Simulator()
         lan = Lan(sim, loss_prob=0.01, rng=random.Random(0))
@@ -223,8 +223,8 @@ class TestLinkDegrader:
         assert degrader.up
 
     def test_rejects_zero_loss(self):
-        from repro.net import Lan
-        from repro.sim import LinkDegrader
+        from repro.net.lan import Lan
+        from repro.sim.failures import LinkDegrader
 
         sim = Simulator()
         lan = Lan(sim, rng=random.Random(0))
@@ -234,7 +234,7 @@ class TestLinkDegrader:
 
 class TestClusterChurn:
     def _run_churn(self, seed=0, until=200.0):
-        from repro.sim import ClusterChurn
+        from repro.sim.failures import ClusterChurn
 
         sim = Simulator()
         stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(4)}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import Event, Interrupt, SimulationError, Simulator
 
 
 class TestEvents:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Channel, Resource, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.resources import Channel, Resource
 
 
 class TestResource:

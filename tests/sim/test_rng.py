@@ -1,6 +1,6 @@
 """Tests for named seeded random streams."""
 
-from repro.sim import RngRegistry
+from repro.sim.rng import RngRegistry
 
 
 class TestRngRegistry:

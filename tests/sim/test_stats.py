@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, LatencySample, MetricSet, TimeWeighted
+from repro.sim.stats import Counter, LatencySample, MetricSet, TimeWeighted
 
 
 class TestCounter:

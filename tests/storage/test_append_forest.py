@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import AppendForest, AppendForestError
+from repro.storage.append_forest import AppendForest, AppendForestError
 
 
 def build_forest(n_keys: int) -> AppendForest:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import AppendForest
+from repro.storage.append_forest import AppendForest
 
 
 @settings(max_examples=80, deadline=None)

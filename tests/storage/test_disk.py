@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
-from repro.storage import (
+from repro.sim.kernel import Simulator
+from repro.storage.disk import (
     FAST_1987_DISK,
     SLOW_1987_DISK,
     DiskParams,

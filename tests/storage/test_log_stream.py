@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import LogServerStore
+from repro.core.store import LogServerStore
 from repro.core.records import StoredRecord
-from repro.storage import DiskLogStream, StreamEntry
+from repro.storage.log_stream import DiskLogStream, StreamEntry
 
 
 def write_entry(client, lsn, epoch=1, present=True, data=b"x" * 50):

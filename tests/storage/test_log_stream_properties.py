@@ -9,9 +9,9 @@ would need.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LogServerStore, ProtocolError
+from repro.core.store import LogServerStore
 from repro.core.records import StoredRecord
-from repro.storage import DiskLogStream, StreamEntry
+from repro.storage.log_stream import DiskLogStream, StreamEntry
 
 # script ops: ("write", lsn_step, present) | ("copy+install",) | ("checkpoint",)
 op_strategy = st.one_of(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
-from repro.storage import NvramBuffer, NvramFullError
+from repro.sim.kernel import Simulator
+from repro.storage.nvram import NvramBuffer, NvramFullError
 
 
 @pytest.fixture

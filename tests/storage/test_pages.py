@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage import AppendOnlyPageStore, PageStoreError, ReusablePageStore
+from repro.storage.pages import AppendOnlyPageStore, PageStoreError, ReusablePageStore
 
 
 class TestAppendOnlyPageStore:

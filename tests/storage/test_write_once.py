@@ -4,11 +4,10 @@
 a write once disk along with the log data stream."
 """
 
-from repro.core import LogServerStore
+from repro.core.store import LogServerStore
 from repro.core.records import StoredRecord
 from repro.server.index import ServerLogIndex
-from repro.storage import DiskLogStream, StreamEntry
-from repro.storage.log_stream import Checkpoint
+from repro.storage.log_stream import Checkpoint, DiskLogStream, StreamEntry
 
 
 def write_entry(lsn, client="c", data=b"x" * 40):

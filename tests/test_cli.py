@@ -155,8 +155,8 @@ class TestCrashsweepPhases:
 def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
     """A daemon's start is inside every runtime benchmark's ``setup_s``
     three times over: ``repro serve`` must not import the experiment
-    harness, the analysis models or the simulated storage models on
-    its way to the banner."""
+    harness, the simulator, the client side of the protocol or the
+    runtime's test rigs on its way to the banner."""
     import os
     import subprocess
     import sys
@@ -181,5 +181,11 @@ def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
               for line in imports.read_text().splitlines() if "|" in line}
     assert "repro.rt.server" in loaded
     assert not [name for name in loaded
-                if name.startswith(("repro.harness", "repro.analysis",
-                                    "repro.storage"))]
+                if name.startswith((
+                    "repro.harness", "repro.analysis", "repro.storage",
+                    "repro.sim", "repro.client", "repro.server",
+                    "repro.baselines", "repro.workload", "repro.net.lan",
+                    "repro.net.rpc", "repro.net.transport",
+                    "repro.rt.client", "repro.rt.clientfault",
+                    "repro.rt.chaosproxy", "repro.rt.cluster",
+                    "repro.core.replicated_log", "repro.core.repair"))]

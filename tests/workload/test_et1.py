@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from repro.analysis import ET1_BYTES_PER_TXN, ET1_RECORDS_PER_TXN
-from repro.client import ClientNode, DirectLogBackend
-from repro.sim import MetricSet, Simulator
-from repro.workload import Et1Driver, Et1Params, et1_log_pattern, et1_transaction
+from repro.analysis.constants import ET1_BYTES_PER_TXN, ET1_RECORDS_PER_TXN
+from repro.client.backends import DirectLogBackend
+from repro.client.node import ClientNode
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
+from repro.workload.et1 import Et1Driver, Et1Params, et1_log_pattern, et1_transaction
 
 from ..conftest import build_direct_log, drain
 

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from repro.client import ClientNode, DirectLogBackend, UndoCache
-from repro.sim import MetricSet, Simulator
-from repro.workload import (
+from repro.client.backends import DirectLogBackend
+from repro.client.node import ClientNode
+from repro.client.splitting import UndoCache
+from repro.sim.kernel import Simulator
+from repro.sim.stats import MetricSet
+from repro.workload.generators import (
     LongTransactionDriver,
     LongTxnParams,
     PoissonArrivals,
