@@ -30,7 +30,7 @@ class LogBackend(Protocol):
     def force(self): ...
     def read(self, lsn: LSN): ...
     def end_of_log(self) -> LSN: ...
-    def iter_backward(self, from_lsn: LSN | None = None): ...
+    def scan_backward(self, from_lsn: LSN | None = None): ...
 
 
 class DirectLogBackend:
@@ -54,9 +54,10 @@ class DirectLogBackend:
     def end_of_log(self) -> LSN:
         return self.replicated_log.end_of_log()
 
-    def iter_backward(self, from_lsn: LSN | None = None):
-        """Yield (as a plain iterator) present records newest-first."""
-        return self.replicated_log.iter_backward(from_lsn)
+    def scan_backward(self, from_lsn: LSN | None = None):
+        """The present records, newest-first."""
+        return list(self.replicated_log.iter_backward(from_lsn))
+        yield  # pragma: no cover
 
     def crash(self) -> None:
         self.replicated_log.crash()
@@ -89,17 +90,6 @@ class SimLogBackend:
     def end_of_log(self) -> LSN:
         return self.client.end_of_log()
 
-    def iter_backward(self, from_lsn: LSN | None = None):
-        """Generator yielding nothing directly; use scan() instead.
-
-        Backward iteration over the network needs the simulation clock,
-        so the recovery manager uses :meth:`scan_backward` for the sim
-        backend; provided here for interface completeness.
-        """
-        raise NotImplementedError(
-            "use scan_backward() for the simulated backend"
-        )
-
     def crash(self) -> None:
         self.client.crash()
 
@@ -107,7 +97,7 @@ class SimLogBackend:
         yield from self.client.restart()
 
     def scan_backward(self, from_lsn: LSN | None = None):
-        """Sim process collecting present records newest-first."""
+        """The present records, newest-first, read one by one."""
         from ..core.errors import LSNNotWritten, RecordNotPresent
 
         records: list[LogRecord] = []

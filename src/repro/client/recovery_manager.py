@@ -525,19 +525,11 @@ class RecoveryManager:
         }
 
     def _collect_log_forward(self, from_lsn: LSN = 1):
-        """Gather decoded records oldest-first from either backend."""
-        if hasattr(self.backend, "scan_backward"):
-            raw = yield from self.backend.scan_backward()
-            raw.reverse()
-            return [decode(r.data) for r in raw
-                    if r.lsn >= from_lsn and _is_txn_record(r.data)]
-        collected = [
-            decode(r.data)
-            for r in self.backend.iter_backward()
-            if r.lsn >= from_lsn and _is_txn_record(r.data)
-        ]
-        collected.reverse()
-        return collected
+        """Gather decoded records oldest-first."""
+        raw = yield from self.backend.scan_backward()
+        raw.reverse()
+        return [decode(r.data) for r in raw
+                if r.lsn >= from_lsn and _is_txn_record(r.data)]
 
 
 def _is_txn_record(data: bytes) -> bool:

@@ -1,22 +1,22 @@
 """The killable client process of the crash sweep's client phase.
 
-``python -m repro.harness.clientworker`` runs one
-:class:`~repro.rt.client.AsyncReplicatedLog` against real ``repro
+``python -m repro.harness.clientworker`` runs the sweeps' one client
+workload (:func:`~repro.harness.sweep.run_workload`, at
+:data:`~repro.harness.sweep.SWEEP_CONFIG`) against real ``repro
 serve`` daemons and journals every client-visible step to a
 :class:`~repro.harness.oracle.History` file, so the harness knows
 exactly what the client *believed* at the instant it was killed.
 Three modes:
 
 ``--mode run``
-    ET1-shaped workload (Section 4.1: several buffered WriteLogs, then
-    one forced commit per transaction), with optional Section 5.3
-    truncation rounds, ending with a fenced ownership handoff (a
-    second client instance seizes the stream via ``takeover()`` and
-    commits one more transaction — putting the ``client.handoff.*``
-    sites on the enumerable protocol trace).  An injected crash plan
-    (:mod:`repro.rt.clientfault`, environment variables
-    ``REPRO_CLIENT_FAULT_PLAN`` / ``REPRO_CLIENT_FAULT_TRACE``) kills
-    the process at an exact protocol point.
+    The workload: ``--txns`` ET1 transactions (§4.1), a bulk
+    transaction that streams WriteLogs, a §5.3 truncation, and a
+    fenced ownership handoff to a second client instance — which puts
+    the ``client.handoff.*`` sites on the enumerable protocol trace.
+    An injected crash plan (:mod:`repro.rt.clientfault`, environment
+    variables ``REPRO_CLIENT_FAULT_PLAN`` /
+    ``REPRO_CLIENT_FAULT_TRACE``) kills the process at an exact
+    protocol point.
 
 ``--mode recover``
     The *second* OS process: runs the full Section 5.4 restart
@@ -49,15 +49,17 @@ import argparse
 import asyncio
 import sys
 
-from ..core.config import ReplicationConfig
 from ..core.errors import LogError, LogFenced
 from ..rt import clientfault
-from ..rt.client import AsyncReplicatedLog
 from .oracle import History, observe
+from .sweep import SWEEP_CONFIG, SWEEP_TXNS, Run, run_workload, sweep_client
 
 #: exit status of a worker stopped by a fence (ownership handoff) —
 #: distinct from crash-plan exits and from genuine failures.
 EXIT_FENCED = 3
+
+#: the one stream every worker process writes.
+CLIENT_ID = "sweep"
 
 
 def parse_servers(spec: str) -> dict[str, tuple[str, int]]:
@@ -70,70 +72,25 @@ def parse_servers(spec: str) -> dict[str, tuple[str, int]]:
     return servers
 
 
-def _payload(client_id: str, txn: int, i: int) -> bytes:
-    """Unique, self-describing ~100-byte record (the ET1 record size)."""
-    tag = f"{client_id}.{txn}.{i}.".encode()
-    return tag + b"x" * max(0, 100 - len(tag))
-
-
-async def _run_workload(args, history: History) -> None:
-    servers = parse_servers(args.servers)
-    config = ReplicationConfig(total_servers=args.m, copies=args.n,
-                               delta=args.delta)
-    # A server deliberately killed mid-case leaves in-flight futures
-    # nobody retrieves; that is the scenario, not a worker bug.
+async def _run_recover(servers: dict, history: History, *,
+                       takeover: bool) -> None:
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-    # batch_bytes small enough that WriteLog streaming (site
-    # client.flush.sent) actually triggers between forces.
-    log = AsyncReplicatedLog(args.client_id, servers, config,
-                             timeout=args.timeout, batch_bytes=256)
-    await log.initialize()
-    history.epoch(log)
-    for txn in range(args.txns):
-        for i in range(args.records_per_txn):
-            await history.write(log, _payload(args.client_id, txn, i))
-        await history.force(log)
-        if args.truncate_every and (txn + 1) % args.truncate_every == 0:
-            low = log.end_of_log() - config.delta
-            if low > 1:
-                await history.truncate(log, low)
-    # Handoff tail: a second instance of the same stream seizes
-    # ownership through the fenced takeover, then commits one more
-    # transaction.  A kill inside any client.handoff.* seam leaves a
-    # partially-installed fence the recover-mode restart must ride
-    # over (its fresh epoch always exceeds any standing fence).
-    taker = AsyncReplicatedLog(args.client_id, servers, config,
-                               timeout=args.timeout, batch_bytes=256)
-    await taker.takeover()
-    history.epoch(taker)
-    for i in range(args.records_per_txn):
-        await history.write(taker, _payload(args.client_id, 9000, i))
-    await history.force(taker)
-    await taker.close()
-    await log.close()
-
-
-async def _run_recover(args, history: History, *,
-                       takeover: bool = False) -> None:
-    servers = parse_servers(args.servers)
-    config = ReplicationConfig(total_servers=args.m, copies=args.n,
-                               delta=args.delta)
-    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-    log = AsyncReplicatedLog(args.client_id, servers, config,
-                             timeout=args.timeout, batch_bytes=256)
-    if takeover:
-        await log.takeover()
-    else:
-        await log.initialize()
-    history.epoch(log)
-    await observe(log, history)
-    await log.close()
+    log = sweep_client(servers, CLIENT_ID, SWEEP_CONFIG)
+    try:
+        if takeover:
+            await log.takeover()
+        else:
+            await log.initialize()
+        history.epoch(log)
+        await observe(log, history)
+    finally:
+        await log.close()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.clientworker",
-        description="crash-sweep client worker (run or recover mode)",
+        description="crash-sweep client worker (run, recover or takeover)",
     )
     parser.add_argument("--servers", required=True,
                         help="s1=host:port,s2=host:port,...")
@@ -141,23 +98,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="History file, JSON lines (appended)")
     parser.add_argument("--mode", choices=("run", "recover", "takeover"),
                         default="run")
-    parser.add_argument("--client-id", default="sweep")
-    parser.add_argument("--m", type=int, default=3)
-    parser.add_argument("--n", type=int, default=2)
-    parser.add_argument("--delta", type=int, default=4)
-    parser.add_argument("--txns", type=int, default=4)
-    parser.add_argument("--records-per-txn", type=int, default=5)
-    parser.add_argument("--truncate-every", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=3.0)
+    parser.add_argument("--txns", type=int, default=SWEEP_TXNS,
+                        help="ET1 transactions of a run")
     args = parser.parse_args(argv)
 
+    servers = parse_servers(args.servers)
     injector = clientfault.install_from_env()
     history = History(args.journal)
     try:
         if args.mode == "run":
-            asyncio.run(_run_workload(args, history))
+            asyncio.run(run_workload(servers, CLIENT_ID, SWEEP_CONFIG,
+                                     Run(history), args.txns))
         else:
-            asyncio.run(_run_recover(args, history,
+            asyncio.run(_run_recover(servers, history,
                                      takeover=args.mode == "takeover"))
     except LogFenced as exc:
         # Ownership moved on mid-workload: exit with a status the

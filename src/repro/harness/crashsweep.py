@@ -31,7 +31,10 @@ the weaker contract that recovery never surfaces corrupt data (the
 CRC rejects the entry and ends the valid prefix).
 
 The **daemon phase** repeats a subset against a real ``repro serve``
-process: the armed daemon dies with exit status 86 mid-workload
+process: the sweeps' one client workload
+(:func:`~repro.harness.sweep.run_workload`) runs against it at
+``M=1, N=1``, so its own recovery is the only copy under test; the
+armed daemon dies with exit status 86 mid-workload
 (``--fault-plan``), is restarted without the plan, and a fresh client
 restarts the stream and observes it for
 :func:`~repro.harness.oracle.check`.  Its combined cases arm
@@ -39,8 +42,8 @@ multi-fault plans — e.g. a torn ``compact.write`` whose corruption
 must stay invisible because power is lost before the covering
 ``compact.rename`` installs it.
 
-The **client phase** turns the same idea on the *protocol*: a scripted
-ET1-style workload runs in a separate worker process
+The **client phase** turns the same idea on the *protocol*: the same
+workload runs at ``M=3, N=2`` in a separate worker process
 (:mod:`repro.harness.clientworker`) against three real ``repro serve``
 daemons and is killed — exit 86 or SIGKILL — at every enumerated
 protocol crash point of :mod:`repro.rt.clientfault`: after a WriteLog
@@ -79,7 +82,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.config import ReplicationConfig
 from ..core.errors import LogError, StorageError
 from ..core.records import StoredRecord
 from ..rt import clientfault
@@ -96,13 +98,16 @@ from ..rt.faultspec import (
 from ..rt.filestore import FileLogStore
 from .oracle import History, acked_durable, check, no_fabrication
 from .sweep import (
+    SINGLE_CONFIG,
     CrashCase,
     Phase,
     PhaseResult,
     Plan,
+    Run,
     by_site,
     first_and_last,
     run_phase,
+    run_workload,
     verify_restart,
 )
 
@@ -504,42 +509,13 @@ def storage_phase(root: Path, payloads: dict) -> Phase:
 
 # -- the daemon phase --------------------------------------------------------
 
-_DAEMON_CONFIG = ReplicationConfig(total_servers=1, copies=1, delta=4)
-
-
 async def _daemon_workload(addresses: dict, history: History) -> None:
-    """Two client generations against one daemon, journaling wire acks.
-
-    Generation one appends with periodic forces; generation two
-    re-initializes the same client id (epoch bump → CopyLog/Install
-    over the wire), appends more, and truncates.
-    """
-    from ..rt.client import AsyncReplicatedLog
-
-    # The daemon dies mid-call by design; in-flight futures that never
-    # get retrieved are expected noise, not a harness bug.
-    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-
-    async def generation(n_writes: int, start_index: int) -> None:
-        log = AsyncReplicatedLog("cd", addresses, _DAEMON_CONFIG,
-                                 timeout=3.0)
-        await log.initialize()
-        history.epoch(log)
-        try:
-            for i in range(start_index, start_index + n_writes):
-                await history.write(log, f"d{i}".encode())
-                if (i + 1) % 3 == 0:
-                    await history.force(log)
-            if start_index:
-                await history.truncate(log, 6)
-        finally:
-            await log.close()
-
+    """The one workload against the lone daemon; it stops where the
+    daemon dies at the armed point, and the acks stop with it."""
     try:
-        await generation(9, 0)
-        await generation(9, 9)
+        await run_workload(addresses, "cd", SINGLE_CONFIG, Run(history))
     except (LogError, OSError, asyncio.TimeoutError):
-        pass  # the daemon died at the armed point; acks stop here
+        pass
 
 
 def _daemon_enumerate(root: Path):
@@ -612,7 +588,7 @@ def _daemon_case(root: Path, index, plan: Plan) -> CrashCase:
                                    f"{FAULT_EXIT_CODE} (injected crash)")
         cluster.restart("s1")  # no plan: clean recovery
         case.errors.extend(asyncio.run(verify_restart(
-            cluster.addresses(), "cd", _DAEMON_CONFIG, history)))
+            cluster.addresses(), "cd", SINGLE_CONFIG, history)))
     finally:
         cluster.stop()
         case.ok = not case.errors
@@ -641,13 +617,6 @@ def daemon_phase(root: Path) -> Phase:
 
 # -- the client phase --------------------------------------------------------
 
-#: clientworker arguments every phase run shares (3 servers, N=2,
-#: δ=4, four 5-record transactions, §5.3 truncation every second one).
-_CLIENT_WORKER_ARGS = ("--m", "3", "--n", "2", "--delta", "4",
-                       "--txns", "4", "--records-per-txn", "5",
-                       "--truncate-every", "2")
-
-
 #: combined client+server fault cases: a client kill plus a storage
 #: fault armed on one write-set daemon.  The storage fault kills the
 #: daemon mid-workload, which routes the client through its §5.4
@@ -657,7 +626,7 @@ _CLIENT_COMBINED = tuple(parse_plan(text) for text in (
     "client.switch.feed:0:exit,s1@log.group-fsync:2:power-loss",
     "client.switch.done:0:sigkill,s1@log.group-fsync:2:power-loss",
     "client.force.ack:0:exit,s1@log.group-fsync:1:power-loss",
-    "client.flush.sent:2:sigkill,s1@log.write.record:10:power-loss",
+    "client.flush.sent:2:sigkill,s1@log.write.record:4:power-loss",
 ))
 
 #: the bounded CI smoke subset: one early restart-step point, one
@@ -693,7 +662,7 @@ def _run_worker(addresses: dict, journal: Path, *, mode: str = "run",
                        for sid, (host, port) in sorted(addresses.items()))
     cmd = [sys.executable, "-m", "repro.harness.clientworker",
            "--servers", servers, "--journal", str(journal),
-           "--mode", mode, *_CLIENT_WORKER_ARGS]
+           "--mode", mode]
     proc = subprocess.run(cmd, env=_worker_env(plan, trace),
                           stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=timeout)

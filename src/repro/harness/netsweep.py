@@ -5,8 +5,9 @@ The storage and client phases prove durability across crashes of the
 between them — the paper's actual failure model for server switching
 (§5.4) and N-of-M write-set availability.  Three real ``repro serve``
 daemons run behind per-server :class:`~repro.rt.chaosproxy.ChaosProxy`
-instances (a :class:`~repro.rt.chaosproxy.ProxyFleet`), and a scripted
-client workload runs through them:
+instances (a :class:`~repro.rt.chaosproxy.ProxyFleet`), and the sweeps'
+one client workload (:func:`~repro.harness.sweep.run_workload`, at
+``M=3, N=2``) runs through them:
 
 1. **Enumerate** — one clean traced run; every frame crossing the
    target server's proxy is a point ``net.<kind>.<dir>:<index>``
@@ -47,15 +48,11 @@ from __future__ import annotations
 import asyncio
 import functools
 import random
-from dataclasses import dataclass, field
 
-from ..core.config import ReplicationConfig
 from ..core.errors import LogError, LogFenced
-from ..core.retry import RetryPolicy
 from ..net.codec import RECORD_BEARING_KINDS
 from ..rt import clientfault
 from ..rt.chaosproxy import ProxyFleet
-from ..rt.client import AsyncReplicatedLog
 from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster
 from ..rt.faultspec import (
@@ -66,30 +63,29 @@ from ..rt.faultspec import (
     trace_points,
 )
 from ..rt.filestore import FileLogStore
-from .oracle import History
 from .sweep import (
+    CLIENT_TIMEOUT_S,
+    KEEPALIVE_INTERVAL_S,
+    KEEPALIVE_MISSES,
+    SWEEP_CONFIG,
     CrashCase,
     Phase,
     Plan,
+    Run,
     by_site,
+    run_workload,
     site_counts,
+    sweep_client,
     verify_restart,
 )
-
-#: the case workload's replication shape (M=3, N=2, δ=8 — δ larger
-#: than a transaction so only explicit forces hit the wire, keeping
-#: frame enumeration deterministic).
-_NET_CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
-_TIMEOUT = 1.0
-_KA_INTERVAL = 0.25
-_KA_MISSES = 2
 
 #: §5.4 detection + switch budget for a *partitioned* (not killed)
 #: server: the slower detector — the force-ack timeout (a ``c2s``
 #: partition starves acks) vs the keep-alive miss budget (an ``s2c``
 #: partition starves all inbound bytes) — plus generous single-core CI
 #: slack for the switch's NewInterval + window re-feed round.
-SWITCH_BUDGET_S = max(_TIMEOUT, _KA_INTERVAL * (_KA_MISSES + 1)) + 4.0
+SWITCH_BUDGET_S = max(CLIENT_TIMEOUT_S,
+                      KEEPALIVE_INTERVAL_S * (KEEPALIVE_MISSES + 1)) + 4.0
 
 #: curated §5.4-under-partition cases: the old server stays alive and
 #: reachable in one direction; the switch must complete within budget
@@ -122,84 +118,14 @@ _FUZZ_CLIENT_SITES = ("client.flush.sent", "client.force.ack",
 _STALE_PREFIX = b"stale."
 
 
-# -- the scripted workload ---------------------------------------------------
+# -- the armed workload -----------------------------------------------------
 
 
-def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
-    return AsyncReplicatedLog(
-        client_id, addresses, _NET_CONFIG,
-        timeout=_TIMEOUT, batch_bytes=256,
-        keepalive_interval=_KA_INTERVAL, keepalive_misses=_KA_MISSES,
-        retry_policy=RetryPolicy(cap_delay_s=0.25, max_attempts=5),
-    )
-
-
-@dataclass
-class _Run:
-    """One armed workload run: its history, and how the run went."""
-
-    history: History = field(default_factory=History)
-    completed: bool = False
-    aborted: str = ""
-    switches: int = 0
-    max_force_s: float = 0.0
-
-    async def force(self, log) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        await self.history.force(log)
-        self.max_force_s = max(self.max_force_s, loop.time() - t0)
-
-
-async def _run_workload(addresses: dict, client_id: str, run: _Run, *,
-                        seed: int = 0) -> None:
-    """Three 4-record transactions with explicit forces and one §5.3
-    truncation, then a fenced ownership handoff (a second instance
-    seizes the stream and commits one more transaction — putting the
-    fencelog frames and the ``client.handoff.*`` sites on the traced
-    protocol surface the sweep and fuzzer enumerate)."""
-    # Injected faults abort in-flight futures by design; unretrieved
-    # exceptions are expected noise, not harness bugs.
-    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
-    history = run.history
-    log = _make_client(addresses, client_id)
-    taker: AsyncReplicatedLog | None = None
-    try:
-        await log.initialize()
-        history.epoch(log)
-        for txn in range(3):
-            for i in range(4):
-                await history.write(log, (
-                    f"{client_id}.{txn}.{i}.".encode()
-                    + bytes((seed + 16 * txn + 4 * i + j) % 256
-                            for j in range(64))))
-            await run.force(log)
-            if txn == 1:
-                low = log.end_of_log() - _NET_CONFIG.delta
-                if low > 1:
-                    await history.truncate(log, low)
-        taker = _make_client(addresses, client_id)
-        await taker.takeover()
-        history.epoch(taker)
-        for i in range(4):
-            await history.write(taker, (
-                f"{client_id}.t.{i}.".encode()
-                + bytes((seed + 128 + 4 * i + j) % 256 for j in range(64))))
-        await run.force(taker)
-        run.completed = True
-    finally:
-        run.switches = max(run.switches, log.server_switches)
-        if taker is not None:
-            run.switches = max(run.switches, taker.server_switches)
-            await taker.close()
-        await log.close()
-
-
-async def _run_armed(fleet: ProxyFleet, client_id: str, run: _Run) -> None:
+async def _run_armed(fleet: ProxyFleet, client_id: str, run: Run) -> None:
     """The workload through an armed fleet; a legal abort is noted."""
     try:
         await asyncio.wait_for(
-            _run_workload(fleet.addresses(), client_id, run),
+            run_workload(fleet.addresses(), client_id, SWEEP_CONFIG, run),
             timeout=60.0)
     except (LogError, OSError, asyncio.TimeoutError) as exc:
         run.aborted = repr(exc)
@@ -216,8 +142,9 @@ def enumerate_net_points(cluster: LoopbackCluster, *,
         fleet = ProxyFleet(cluster.addresses(), record_server=target)
         await fleet.start()
         try:
-            run = _Run()
-            await _run_workload(fleet.addresses(), "net-e", run)
+            run = Run()
+            await run_workload(fleet.addresses(), "net-e", SWEEP_CONFIG,
+                               run)
             if not run.completed:
                 raise RuntimeError(
                     "net enumeration workload did not complete")
@@ -276,7 +203,7 @@ def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     case = CrashCase.of(plan)
     target = spec.target or "s1"
     client_id = f"n{index}"
-    run = _Run()
+    run = Run()
 
     async def armed() -> int:
         fleet = ProxyFleet(cluster.addresses(), plans=plan,
@@ -313,7 +240,7 @@ def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
                 f"live: daemon {sid} died during a network-only case")
             cluster.restart(sid)
     case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, _NET_CONFIG, run.history)))
+        cluster.addresses(), client_id, SWEEP_CONFIG, run.history)))
     case.ok = not case.errors
     return case
 
@@ -344,26 +271,23 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     """
     case = CrashCase(point="handoff.partition", action="takeover")
     client_id = f"h{index}"
-    config = _NET_CONFIG
-    history = History()
+    config = SWEEP_CONFIG
+    run = Run()
+    history = run.history
     outcome = {"fenced": "", "epoch": 0}
 
-    async def run() -> None:
+    async def handoff() -> None:
         loop = asyncio.get_running_loop()
         loop.set_exception_handler(lambda lp, ctx: None)
         fleet = ProxyFleet(cluster.addresses())
         await fleet.start()
-        old = _make_client(fleet.addresses(), client_id)
-        new = AsyncReplicatedLog(client_id, cluster.addresses(), config,
-                                 timeout=2.0)
+        old = sweep_client(fleet.addresses(), client_id, config)
+        new = sweep_client(cluster.addresses(), client_id, config)
         try:
             await old.initialize()
             history.epoch(old)
             for txn in range(2):
-                for i in range(4):
-                    await history.write(
-                        old, f"{client_id}.pre.{txn}.{i}".encode())
-                await history.force(old)
+                await run.commit_et1(old, txn)
             # Half-partition the old writer: every proxy drops
             # server→client, so it hears nothing — but its own frames
             # still land on every daemon.
@@ -407,16 +331,14 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                     else:
                         await asyncio.sleep(0.25)
             # The new owner's log was live through all of it.
-            for i in range(4):
-                await history.write(new, f"{client_id}.post.{i}".encode())
-            await history.force(new)
+            await run.commit_et1(new, 2)
         finally:
             await old.close()
             await new.close()
             await fleet.close()
 
     try:
-        asyncio.run(run())
+        asyncio.run(handoff())
     except (LogError, OSError, asyncio.TimeoutError) as exc:
         case.errors.append(f"live: handoff case aborted: {exc!r}")
     if outcome["fenced"] != "fenced":
@@ -517,7 +439,7 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
         case.ok = False
         return case
     client_id = f"f{index}"
-    run = _Run()
+    run = Run()
     armed = by_target(
         (spec for spec in plan if spec.family == "storage"), "s1")
     for sid, faults in armed.items():
@@ -548,7 +470,7 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     case.hit = fired > 0 or any(not cluster.servers[sid].alive
                                 for sid in armed)
     case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, _NET_CONFIG, run.history)))
+        cluster.addresses(), client_id, SWEEP_CONFIG, run.history)))
     case.ok = not case.errors
     return case
 

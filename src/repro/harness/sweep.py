@@ -12,6 +12,11 @@ then **heal and verify**.  Here that shape is written once:
 * :func:`run_phase` is the one loop: site histogram, hit / not-reached
   bookkeeping, ``FAIL`` reporting, and single-plan replay
   (``--point`` / ``--plan``);
+* :func:`run_workload` is the one client workload every runtime phase
+  drives, with clients from the one factory :func:`sweep_client`:
+  ET1 transactions, a bulk transaction, a truncation and a fenced
+  handoff, each step journaled into the case's
+  :class:`~repro.harness.oracle.History`;
 * :func:`verify_restart` is the one restart-and-check the daemon,
   network, partition, handoff and fuzz phases share: a fresh client
   restarts the stream, :func:`~repro.harness.oracle.observe` reads it
@@ -32,6 +37,8 @@ from dataclasses import dataclass, field
 
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError
+from ..core.retry import RetryPolicy
+from ..rt.client import AsyncReplicatedLog
 from ..rt.faultspec import FaultSpec, plan_text
 from .oracle import History, check, observe
 
@@ -144,6 +151,115 @@ def run_phase(phase: Phase, *, quick: bool, say,
     return result
 
 
+# -- the one workload ----------------------------------------------------------
+
+#: the replication shape of the client worker and the network-side
+#: phases.  δ is one more than an ET1 transaction's records, so only
+#: the commit's force and the bulk transaction's batches reach the wire.
+SWEEP_CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
+#: the daemon phase's: one daemon holds the only copy, so its own
+#: recovery is the only copy under test.
+SINGLE_CONFIG = ReplicationConfig(total_servers=1, copies=1, delta=8)
+#: ET1 transactions the first generation commits.
+SWEEP_TXNS = 3
+
+#: force-ack timeout and keep-alive budget of every sweep client.
+CLIENT_TIMEOUT_S = 1.0
+KEEPALIVE_INTERVAL_S = 0.25
+KEEPALIVE_MISSES = 2
+
+#: bytes of each bulk-transaction record.
+_BULK_RECORD_BYTES = 1024
+
+
+def sweep_client(addresses: dict, client_id: str,
+                 config: ReplicationConfig) -> AsyncReplicatedLog:
+    """A client with the sweeps' timeout, keep-alive and retry settings."""
+    return AsyncReplicatedLog(
+        client_id, addresses, config, timeout=CLIENT_TIMEOUT_S,
+        keepalive_interval=KEEPALIVE_INTERVAL_S,
+        keepalive_misses=KEEPALIVE_MISSES,
+        retry_policy=RetryPolicy(cap_delay_s=0.25, max_attempts=5))
+
+
+@dataclass
+class Run:
+    """One workload run: its history, and how the run went."""
+
+    history: History = field(default_factory=History)
+    completed: bool = False
+    aborted: str = ""
+    #: the most §5.4 write-set switches any of its clients made.
+    switches: int = 0
+    max_force_s: float = 0.0
+
+    async def force(self, log) -> None:
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        await self.history.force(log)
+        self.max_force_s = max(self.max_force_s, loop.time() - t0)
+
+    async def commit_et1(self, log, txn: int) -> None:
+        """ET1 transaction ``txn``: its records, the commit forced."""
+        # Imported on use: the shape is the simulated workload's own,
+        # and importing the sweep loads no part of the analytic model.
+        from ..workload.et1 import et1_log_pattern
+
+        for data, _kind, _forced in et1_log_pattern(txn_seq=txn):
+            await self.history.write(log, data)
+        await self.force(log)
+
+
+async def run_workload(addresses: dict, client_id: str,
+                       config: ReplicationConfig, run: Run,
+                       txns: int = SWEEP_TXNS) -> None:
+    """The one client workload of the runtime sweeps, into ``run``.
+
+    A generation initializes and commits ``txns`` ET1 transactions
+    (§4.1: seven 100 B records, the last one forced), then one bulk
+    transaction of 1 KiB records whose batches stream as WriteLogs at
+    the client's one batch size, a packet.  It truncates (§5.3) twice
+    at one mark: the first compacts every server's log, the second
+    finds nothing left below the mark and writes the mark itself.
+    Then a second instance seizes the stream with ``takeover()`` and
+    commits one more ET1 transaction.  Raises whatever stopped it.
+    """
+    # Injected faults abort in-flight futures by design; unretrieved
+    # exceptions are expected noise, not harness bugs.
+    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
+    history = run.history
+    log = sweep_client(addresses, client_id, config)
+    taker: AsyncReplicatedLog | None = None
+    try:
+        await log.initialize()
+        history.epoch(log)
+        for txn in range(txns):
+            await run.commit_et1(log, txn)
+        # As many records as fit below δ: every second write fills a
+        # packet and streams the batch.
+        for i in range(config.delta - 1):
+            await history.write(
+                log, f"bulk:{i}:".encode().ljust(_BULK_RECORD_BYTES, b"b"))
+        await run.force(log)
+        low = log.end_of_log() - config.delta
+        for _ in range(2):
+            await history.truncate(log, low)
+        # A kill inside a client.handoff.* seam leaves a partly
+        # installed fence, which the next restart's fresh epoch rides
+        # over.
+        taker = sweep_client(addresses, client_id, config)
+        await taker.takeover()
+        history.epoch(taker)
+        await run.commit_et1(taker, txns)
+        run.completed = True
+    finally:
+        run.switches = max(run.switches, log.server_switches)
+        if taker is not None:
+            run.switches = max(run.switches, taker.server_switches)
+            await taker.close()
+        await log.close()
+
+
 # -- the one restart-and-check -------------------------------------------------
 
 
@@ -152,10 +268,8 @@ async def verify_restart(addresses: dict, client_id: str,
                          history: History) -> list[str]:
     """§5.4 restart directly against healed daemons, observed into
     ``history``; the broken promises of the whole history."""
-    from ..rt.client import AsyncReplicatedLog
-
     asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
-    log = AsyncReplicatedLog(client_id, addresses, config, timeout=5.0)
+    log = sweep_client(addresses, client_id, config)
     try:
         await log.initialize()
         history.epoch(log)

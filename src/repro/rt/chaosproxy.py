@@ -59,16 +59,14 @@ shifts another kind's indices and a traced clean run enumerates
 replayable points.  The bit a corruption flips is drawn from a seeded
 :class:`random.Random`, so a chaos run is replayable from its seed.
 
-:class:`ProxiedCluster` is the in-process daemon fixture from the
-back-pressure tests — now with *every* daemon behind its own proxy —
-and :class:`ProxyFleet` fronts an existing address map (real ``repro
-serve`` daemons) the same way for the network crash sweep.
+:class:`ProxyFleet` puts one proxy in front of every server of an
+address map (real ``repro serve`` daemons) for the network crash
+sweep.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 
 from ..net.codec import (
@@ -84,8 +82,6 @@ from .faultspec import (
     by_target,
     plan_text,
 )
-from .filestore import FileLogStore
-from .server import LogServerDaemon
 
 #: Valid ``direction`` arguments to :meth:`ChaosProxy.partition`
 #: (``both`` is a toggle convenience, not a frame direction).
@@ -350,55 +346,6 @@ class ChaosProxy:
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-
-
-class ProxiedCluster:
-    """In-process daemons, each behind its own :class:`ChaosProxy`.
-
-    ``proxy_kwargs`` are forwarded to the *faulty* server's proxy
-    constructor (``faulty``, default ``"s1"``), so a test can ask for
-    frame plans on one server without rebuilding the fixture; the
-    other servers get clean proxies.
-    ``proxy`` aliases the faulty server's proxy; ``proxies`` maps every
-    server id to its own.
-    """
-
-    def __init__(self, tmp_path, *, servers: int = 3, faulty: str = "s1",
-                 **proxy_kwargs):
-        self.tmp_path = tmp_path
-        self.servers = servers
-        self.faulty = faulty
-        self.proxy_kwargs = proxy_kwargs
-        self.daemons: dict[str, LogServerDaemon] = {}
-        self.proxies: dict[str, ChaosProxy] = {}
-        self.proxy: ChaosProxy | None = None
-
-    async def __aenter__(self):
-        for i in range(self.servers):
-            sid = f"s{i + 1}"
-            data_dir = os.path.join(self.tmp_path, sid)
-            daemon = LogServerDaemon(FileLogStore(data_dir, sid))
-            await daemon.start()
-            self.daemons[sid] = daemon
-            kwargs = self.proxy_kwargs if sid == self.faulty else {}
-            proxy = ChaosProxy(daemon.host, daemon.port, **kwargs)
-            await proxy.start()
-            self.proxies[sid] = proxy
-        self.proxy = self.proxies[self.faulty]
-        return self
-
-    def addresses(self):
-        return {sid: ("127.0.0.1", proxy.port)
-                for sid, proxy in self.proxies.items()}
-
-    async def __aexit__(self, *exc):
-        for proxy in self.proxies.values():
-            await proxy.close()
-        for daemon in self.daemons.values():
-            try:
-                await daemon.close()
-            except Exception:
-                pass
 
 
 class ProxyFleet:

@@ -546,7 +546,6 @@ class AsyncReplicatedLog:
         retry_policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
         timeout: float = 5.0,
-        batch_bytes: int = PACKET_PAYLOAD_BYTES,
         keepalive_interval: float = 0.5,
         keepalive_misses: int = 2,
     ):
@@ -571,7 +570,6 @@ class AsyncReplicatedLog:
             else RetryPolicy()
         self.rng = rng if rng is not None else random.Random(0)
         self.timeout = timeout
-        self.batch_bytes = batch_bytes
         self._conn_params = dict(keepalive_interval=keepalive_interval,
                                  keepalive_misses=keepalive_misses)
         self._conns: dict[str, ServerConnection] = {
@@ -803,7 +801,7 @@ class AsyncReplicatedLog:
         if len(self._window) >= self.config.delta:
             # δ unacknowledged records: must not run further ahead.
             await self.force()
-        elif self._buffer_bytes >= self.batch_bytes:
+        elif self._buffer_bytes >= PACKET_PAYLOAD_BYTES:
             await self._flush_writes()
         return lsn
 

@@ -695,6 +695,11 @@ class LogServerDaemon:
 
     def _on_install(self, msg: InstallCopiesCall) -> list[Message]:
         self.store.install_copies(msg.client_id, msg.epoch)
+        # The new generation writes on from the installed high LSN (its
+        # δ guards included), not from where the old one stopped.
+        high = self.store.client_high_lsn(msg.client_id)
+        if high is not None:
+            self._expected[msg.client_id] = high + 1
         return [AckReply(msg.client_id, ok=True)]
 
     # -- Section 5.3: log space management -----------------------------

@@ -1,7 +1,5 @@
 """Tests for the backend adapters (direct and simulated)."""
 
-import pytest
-
 from repro.client.backends import DirectLogBackend, SimLogBackend
 from repro.client.log_client import SimLogClient
 from repro.core.config import ReplicationConfig
@@ -27,12 +25,12 @@ class TestDirectLogBackend:
         backend = DirectLogBackend(log)
         assert backend.end_of_log() == log.end_of_log()
 
-    def test_iter_backward(self):
+    def test_scan_backward(self):
         log, _ = build_direct_log()
         backend = DirectLogBackend(log)
         drain(backend.log(b"1"))
         drain(backend.log(b"2"))
-        datas = [record.data for record in backend.iter_backward()]
+        datas = [record.data for record in drain(backend.scan_backward())]
         assert datas == [b"2", b"1"]
 
     def test_crash_restart_cycle(self):
@@ -86,8 +84,3 @@ class TestSimLogBackend:
         sim.spawn(main())
         sim.run(until=30)
         assert result["datas"] == [b"two", b"one"]
-
-    def test_iter_backward_not_supported(self):
-        _sim, backend = self.build()
-        with pytest.raises(NotImplementedError):
-            backend.iter_backward()

@@ -39,12 +39,13 @@ from repro.net.messages import (
     PingMsg,
     WriteLogMsg,
 )
-from repro.rt.chaosproxy import ProxiedCluster
 from repro.rt.client import (
     SEND_BUFFER_BYTES,
     AsyncReplicatedLog,
     ServerConnection,
 )
+
+from .inprocess import Cluster
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 
@@ -104,7 +105,7 @@ def test_call_timeout_tears_down_connection(tmp_path):
     """
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=0.3, client_id="c1")
             await conn.connect()
@@ -129,7 +130,7 @@ def test_silent_server_fails_every_pending_call_at_the_timeout(tmp_path):
     replies the server finally sends can answer nothing afterwards."""
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=0.3, client_id="c1")
             await conn.connect()
@@ -176,10 +177,10 @@ def test_queue_full_strikes_demote_slow_server_without_blocking(tmp_path):
     config = ReplicationConfig(total_servers=3, copies=2, delta=512)
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             log = AsyncReplicatedLog(
                 "c1", cluster.addresses(), config,
-                timeout=2.0, batch_bytes=1,  # flush every record
+                timeout=2.0,  # a 16 KiB record flushes on its own
                 keepalive_interval=0.0,  # isolate the strike policy
             )
             await log.initialize()
@@ -227,7 +228,7 @@ def test_keepalive_demotes_hung_server(tmp_path):
     """
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             log = AsyncReplicatedLog(
                 "c1", cluster.addresses(), CONFIG,
                 timeout=2.0,
@@ -276,7 +277,7 @@ def test_quarantine_blocks_immediate_readoption(tmp_path):
     """
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=2.0, client_id="c1",
                                     keepalive_interval=0.1,
@@ -394,7 +395,7 @@ def test_closed_log_leaves_no_connection_task(tmp_path):
     — and ``AsyncReplicatedLog.close()`` ends every one of them."""
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             log = AsyncReplicatedLog("c1", cluster.addresses(), CONFIG,
                                      keepalive_interval=0.05)
             await log.initialize()

@@ -17,9 +17,11 @@ import pytest
 from repro.core.config import ReplicationConfig
 from repro.core.errors import LogError, ServerUnavailable
 from repro.net.messages import IntervalListCall
-from repro.rt.chaosproxy import ChaosProxy, ProxiedCluster
+from repro.rt.chaosproxy import ChaosProxy
 from repro.rt.client import AsyncReplicatedLog, ServerConnection
 from repro.rt.faultspec import parse_plan
+
+from .inprocess import Cluster
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 
@@ -28,7 +30,7 @@ def test_delay_holds_both_legs_of_the_round_trip(tmp_path):
     async def main():
         plans = parse_plan("net.intervallistcall.c2s:0:delay,"
                            "net.intervallistreply.s2c:0:delay")
-        async with ProxiedCluster(tmp_path, plans=plans,
+        async with Cluster(tmp_path, proxied=True, plans=plans,
                                   net_delay_s=0.05) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=5.0, client_id="c1")
@@ -47,7 +49,7 @@ def test_delay_holds_both_legs_of_the_round_trip(tmp_path):
 
 def test_one_way_partition_starves_replies(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=0.4, client_id="c1")
             await conn.connect()
@@ -70,7 +72,7 @@ def test_one_way_partition_starves_replies(tmp_path):
 
 def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             cluster.proxy.partition("both")  # every chunk, both ways
             log = AsyncReplicatedLog("c1", cluster.addresses(), CONFIG,
                                      timeout=1.0)
@@ -89,7 +91,7 @@ def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
 def test_corruption_is_detected_not_accepted(tmp_path):
     async def main():
         plans = parse_plan("net.intervallistreply.s2c:0:corrupt-header")
-        async with ProxiedCluster(tmp_path, plans=plans,
+        async with Cluster(tmp_path, proxied=True, plans=plans,
                                   seed=7) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=1.0, client_id="c1")
@@ -215,7 +217,7 @@ def test_s2c_partition_trips_keepalive_within_miss_budget(tmp_path):
     within the miss budget."""
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             log = AsyncReplicatedLog(
                 "c1", cluster.addresses(), CONFIG, timeout=4.0,
                 keepalive_interval=0.1, keepalive_misses=2)
@@ -248,7 +250,7 @@ def test_c2s_partition_surfaces_as_force_timeout(tmp_path):
     so detection must come from the force-ack timeout instead."""
 
     async def main():
-        async with ProxiedCluster(tmp_path) as cluster:
+        async with Cluster(tmp_path, proxied=True) as cluster:
             log = AsyncReplicatedLog(
                 "c1", cluster.addresses(), CONFIG, timeout=0.5,
                 keepalive_interval=2.0, keepalive_misses=2)

@@ -19,6 +19,7 @@ from repro.harness.crashsweep import (
     _daemon_case,
     _payloads,
     _run_case,
+    daemon_phase,
     run_crashsweep,
     storage_phase,
 )
@@ -94,10 +95,20 @@ def test_report_as_dict_is_json_shaped(tmp_path):
 
 
 def test_daemon_case_waits_for_an_exit_on_the_last_call(tmp_path):
-    """``compact.rename:0`` fires inside the workload's final
-    TruncateLog, so the workload returns while the dying daemon still
+    """The last point the workload reaches fires inside its final
+    ForceLog, so the workload returns while the dying daemon still
     polls alive; read as "point not reached", the case was skipped and
-    the torn-then-power-loss compaction never verified."""
+    the crash in the last group fsync never verified."""
+    last = daemon_phase(tmp_path / "enumerate").enumerate()[-1]
+    assert last.site == "log.group-fsync"
+    case = _daemon_case(tmp_path, 0, (last.arm(),))
+    assert case.hit
+    assert case.ok, case.errors
+
+
+def test_daemon_case_torn_compaction_then_power_loss(tmp_path):
+    """A torn ``compact.write`` stays invisible when power is lost
+    before ``compact.rename`` installs the rewritten log."""
     case = _daemon_case(tmp_path, 0, _DAEMON_COMBINED[0])
     assert case.hit
     assert case.ok, case.errors

@@ -21,7 +21,6 @@ checks the two monotonicity invariants everything above rests on:
 from __future__ import annotations
 
 import asyncio
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -30,52 +29,10 @@ from hypothesis import strategies as st
 from repro.core.config import ReplicationConfig
 from repro.core.errors import LogFenced
 from repro.rt.client import AsyncReplicatedLog
-from repro.rt.filestore import FileLogStore
-from repro.rt.server import LogServerDaemon
+
+from .inprocess import Cluster
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
-
-
-class Cluster:
-    """M in-process daemons over file stores in a directory."""
-
-    def __init__(self, root, m=3):
-        self.root = root
-        self.m = m
-        self.daemons: dict[str, LogServerDaemon] = {}
-
-    async def __aenter__(self):
-        for i in range(self.m):
-            await self.start(f"s{i + 1}")
-        return self
-
-    async def start(self, sid, port=0):
-        data_dir = os.path.join(self.root, sid)
-        daemon = LogServerDaemon(FileLogStore(data_dir, sid), port=port)
-        await daemon.start()
-        self.daemons[sid] = daemon
-        return daemon
-
-    async def bounce(self, sid):
-        """Crash/restart one daemon on the same port; its durable
-        files survive, its memory does not."""
-        port = self.daemons[sid].port
-        await self.daemons[sid].close()
-        await self.start(sid, port=port)
-
-    def addresses(self):
-        return {sid: (d.host, d.port) for sid, d in self.daemons.items()}
-
-    def fences(self, client_id) -> dict[str, int]:
-        return {sid: d.store.fence_epoch(client_id)
-                for sid, d in self.daemons.items()}
-
-    async def __aexit__(self, *exc):
-        for daemon in self.daemons.values():
-            try:
-                await daemon.close()
-            except Exception:
-                pass
 
 
 def test_takeover_fences_live_writer(tmp_path):

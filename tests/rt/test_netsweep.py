@@ -13,14 +13,15 @@ import random
 
 import pytest
 
-from repro.core.config import ReplicationConfig
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
-from repro.harness.netsweep import draw_fuzz_plan
+from repro.harness.netsweep import draw_fuzz_plan, enumerate_net_points
 from repro.harness.oracle import History
-from repro.harness.sweep import verify_restart
+from repro.harness.sweep import SWEEP_CONFIG, Run, run_workload, \
+    verify_restart
+from repro.rt.chaosproxy import ProxyFleet
 from repro.rt.cluster import LoopbackCluster
 from repro.rt.faultspec import FaultSpecError, by_target, parse_plan, \
-    plan_text
+    plan_text, trace_points
 
 SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
          "net.newhighlsn.s2c": 3, "net.ack.s2c": 3,
@@ -98,9 +99,7 @@ def test_fuzz_plan_strings_are_pinned():
     }
 
 
-# -- the one live observe smoke ----------------------------------------------
-
-_CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
+# -- live runs over real daemons --------------------------------------------
 
 
 def test_verify_restart_accepts_the_honest_journal(tmp_path):
@@ -113,7 +112,7 @@ def test_verify_restart_accepts_the_honest_journal(tmp_path):
     history = History()
 
     async def workload(addresses):
-        log = AsyncReplicatedLog("v0", addresses, _CONFIG, timeout=3.0)
+        log = AsyncReplicatedLog("v0", addresses, SWEEP_CONFIG, timeout=3.0)
         await log.initialize()
         history.epoch(log)
         try:
@@ -126,12 +125,45 @@ def test_verify_restart_accepts_the_honest_journal(tmp_path):
     with LoopbackCluster(str(tmp_path), num_servers=3) as cluster:
         asyncio.run(workload(cluster.addresses()))
         assert asyncio.run(verify_restart(
-            cluster.addresses(), "v0", _CONFIG, history)) == []
+            cluster.addresses(), "v0", SWEEP_CONFIG, history)) == []
     observed = history.events[-1]
     assert observed["op"] == "observe"
     present = {lsn: got for lsn, got in observed["read"].items() if got}
     assert len(present) == 8   # six writes and the restart's two
     assert observed["scan"].items() >= present.items()
+
+
+def test_only_a_lost_writelog_draws_missing_interval(tmp_path):
+    """A clean run of the workload crosses s1's proxy without one
+    MissingInterval; dropping the bulk transaction's first WriteLog to
+    s1 makes the next batch skip ahead, s1 NAKs the gap, the client
+    answers with NewInterval, and every promise still holds."""
+
+    async def dropped(cluster, run):
+        fleet = ProxyFleet(cluster.addresses(),
+                           plans=parse_plan("net.writelog.c2s:0:drop"),
+                           record_server="s1")
+        await fleet.start()
+        try:
+            await run_workload(fleet.addresses(), "w1", SWEEP_CONFIG, run)
+            return ([point.site for point in
+                     trace_points(fleet.proxies["s1"].trace)],
+                    fleet.faults_injected)
+        finally:
+            await fleet.close()
+
+    with LoopbackCluster(str(tmp_path), num_servers=3) as cluster:
+        clean = {point.site for point in enumerate_net_points(cluster)}
+        assert "net.writelog.c2s" in clean
+        assert not {"net.missinginterval.s2c",
+                    "net.newinterval.c2s"} & clean
+        run = Run()
+        sites, fired = asyncio.run(dropped(cluster, run))
+        assert fired == 1 and run.completed
+        assert sites.index("net.missinginterval.s2c") \
+            < sites.index("net.newinterval.c2s")
+        assert asyncio.run(verify_restart(
+            cluster.addresses(), "w1", SWEEP_CONFIG, run.history)) == []
 
 
 # -- replay paths against real daemons ---------------------------------------

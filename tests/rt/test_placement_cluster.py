@@ -40,8 +40,9 @@ from repro.rt.placement import (
     PlacementDirectory,
     TenantQuota,
 )
-from repro.rt.server import LogServerDaemon
 from repro.workload.et1 import Et1Params, et1_log_pattern
+
+from .inprocess import Cluster
 
 K = 16  # placed client streams
 
@@ -187,33 +188,6 @@ def test_live_rebalance_when_server_joins(tmp_path):
 # -- tenant quotas (in-process daemons) -------------------------------------
 
 
-class QuotaCluster:
-    """Three in-process daemons sharing one tenant quota table."""
-
-    def __init__(self, tmp_path, quotas):
-        self.tmp_path = tmp_path
-        self.quotas = quotas
-        self.daemons: dict[str, LogServerDaemon] = {}
-
-    async def __aenter__(self):
-        for i in range(3):
-            sid = f"s{i + 1}"
-            daemon = LogServerDaemon(
-                FileLogStore(os.path.join(self.tmp_path, sid), sid),
-                quotas=self.quotas,
-            )
-            await daemon.start()
-            self.daemons[sid] = daemon
-        return self
-
-    def addresses(self):
-        return {sid: (d.host, d.port) for sid, d in self.daemons.items()}
-
-    async def __aexit__(self, *exc):
-        for daemon in self.daemons.values():
-            await daemon.close()
-
-
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 FAST_RETRY = RetryPolicy(base_delay_s=0.05, cap_delay_s=0.2,
                          max_attempts=8)
@@ -222,7 +196,7 @@ FAST_RETRY = RetryPolicy(base_delay_s=0.05, cap_delay_s=0.2,
 def test_stream_quota_refuses_surplus_stream(tmp_path):
     async def main():
         quotas = {"acme": TenantQuota(max_streams=1)}
-        async with QuotaCluster(tmp_path, quotas) as cluster:
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
             first = AsyncReplicatedLog("acme/a", cluster.addresses(),
                                        CONFIG, retry_policy=FAST_RETRY)
             await first.initialize()
@@ -264,7 +238,7 @@ def test_rate_quota_throttles_then_recovers(tmp_path):
         # schedule, so the second force succeeds after backing off.
         quotas = {"acme": TenantQuota(max_records_per_s=30.0,
                                       burst_s=0.1)}
-        async with QuotaCluster(tmp_path, quotas) as cluster:
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
             log = AsyncReplicatedLog("acme/hot", cluster.addresses(),
                                      CONFIG, retry_policy=FAST_RETRY)
             await log.initialize()
@@ -287,7 +261,7 @@ def test_idle_stream_slot_is_reclaimed_after_ttl(tmp_path):
     idled past ``idle_ttl_s`` — without a daemon restart."""
     async def main():
         quotas = {"acme": TenantQuota(max_streams=1, idle_ttl_s=0.5)}
-        async with QuotaCluster(tmp_path, quotas) as cluster:
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
             first = AsyncReplicatedLog("acme/a", cluster.addresses(),
                                        CONFIG, retry_policy=FAST_RETRY)
             await first.initialize()
@@ -328,7 +302,7 @@ def test_loadgen_tolerates_permanent_throttle(tmp_path):
     its throttles, without failing the whole multi-client run."""
     async def main():
         quotas = {"t1": TenantQuota(max_streams=1)}
-        async with QuotaCluster(tmp_path, quotas) as cluster:
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
             # Claim the tenant's one stream slot for lg-1 up front, so
             # the concurrent run below refuses lg-2 deterministically
             # (admission is first-come-first-served per server).

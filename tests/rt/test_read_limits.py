@@ -30,6 +30,8 @@ from repro.rt.server import (
     LogServerDaemon,
 )
 
+from .inprocess import Cluster
+
 RECORD_BYTES = 256
 IMAGE_BYTES = 16 + RECORD_BYTES
 CONFIG = ReplicationConfig(total_servers=2, copies=2, delta=8)
@@ -48,21 +50,12 @@ class OldDaemon(LogServerDaemon):
                                 images=images)
 
 
-async def _cluster(tmp_path, daemon_cls=LogServerDaemon):
-    daemons = {}
-    for sid in ("s1", "s2"):
-        daemons[sid] = daemon_cls(FileLogStore(tmp_path / sid, sid))
-        await daemons[sid].start()
-    return daemons
+def _log(cluster) -> AsyncReplicatedLog:
+    return AsyncReplicatedLog("c", cluster.addresses(), CONFIG)
 
 
-def _log(daemons) -> AsyncReplicatedLog:
-    return AsyncReplicatedLog(
-        "c", {sid: (d.host, d.port) for sid, d in daemons.items()}, CONFIG)
-
-
-async def _preload(daemons, records: int) -> tuple[int, int]:
-    log = _log(daemons)
+async def _preload(cluster, records: int) -> tuple[int, int]:
+    log = _log(cluster)
     await log.initialize()
     lsns = []
     for i in range(records):
@@ -107,11 +100,11 @@ def _spy_on_read_replies(monkeypatch) -> list[ReadLogReply]:
 
 def test_scan_fills_replies_and_point_reads_fetch_one(tmp_path, monkeypatch):
     async def main():
-        daemons = await _cluster(tmp_path)
-        try:
-            first, last = await _preload(daemons, 2000)
+        async with Cluster(tmp_path, m=2) as cluster:
+            daemons = cluster.daemons
+            first, last = await _preload(cluster, 2000)
             replies = _spy_on_read_replies(monkeypatch)
-            log = _log(daemons)
+            log = _log(cluster)
             await log.initialize()
             # recovery fetched the last δ records to re-stamp them: one
             # record per call, not a packet's five
@@ -133,9 +126,6 @@ def test_scan_fills_replies_and_point_reads_fetch_one(tmp_path, monkeypatch):
                 assert (await log.read(lsn)).data == _data(lsn - first)
             assert [len(r.records) for r in replies] == [1, 1, 1]
             await log.close()
-        finally:
-            for daemon in daemons.values():
-                await daemon.close()
 
     asyncio.run(main())
 
@@ -143,11 +133,10 @@ def test_scan_fills_replies_and_point_reads_fetch_one(tmp_path, monkeypatch):
 def test_new_client_against_a_daemon_that_ignores_the_limit(tmp_path,
                                                              monkeypatch):
     async def main():
-        daemons = await _cluster(tmp_path, OldDaemon)
-        try:
-            first, last = await _preload(daemons, 300)
+        async with Cluster(tmp_path, m=2, daemon_cls=OldDaemon) as cluster:
+            first, last = await _preload(cluster, 300)
             replies = _spy_on_read_replies(monkeypatch)
-            log = _log(daemons)
+            log = _log(cluster)
             await log.initialize()
             per_packet = PACKET_REPLY_BYTES // IMAGE_BYTES  # 5
             del replies[:]
@@ -161,9 +150,6 @@ def test_new_client_against_a_daemon_that_ignores_the_limit(tmp_path,
             assert [len(r.records) for r in replies] == \
                 [per_packet] * (calls + 1)
             await log.close()
-        finally:
-            for daemon in daemons.values():
-                await daemon.close()
 
     asyncio.run(main())
 

@@ -16,42 +16,8 @@ from repro.core.config import ReplicationConfig
 from repro.core.errors import NotEnoughServers, NotInitialized, RecordNotPresent
 from repro.rt.client import AsyncReplicatedLog
 from repro.rt.filestore import FileLogStore
-from repro.rt.server import LogServerDaemon
 
-
-class Cluster:
-    """M in-process daemons over file stores in tmp_path."""
-
-    def __init__(self, tmp_path, m=3):
-        self.tmp_path = tmp_path
-        self.m = m
-        self.daemons: dict[str, LogServerDaemon] = {}
-
-    async def __aenter__(self):
-        for i in range(self.m):
-            sid = f"s{i + 1}"
-            await self.start(sid)
-        return self
-
-    async def start(self, sid):
-        data_dir = os.path.join(self.tmp_path, sid)
-        daemon = LogServerDaemon(FileLogStore(data_dir, sid))
-        await daemon.start()
-        self.daemons[sid] = daemon
-        return daemon
-
-    async def stop(self, sid):
-        await self.daemons[sid].close()
-
-    def addresses(self):
-        return {sid: (d.host, d.port) for sid, d in self.daemons.items()}
-
-    async def __aexit__(self, *exc):
-        for daemon in self.daemons.values():
-            try:
-                await daemon.close()
-            except Exception:
-                pass
+from .inprocess import Cluster
 
 
 def run(coro):
@@ -306,5 +272,28 @@ def test_use_before_initialize_raises(tmp_path):
             with pytest.raises(NotInitialized):
                 await log.write(b"x")
             await log.close()
+
+    run(main())
+
+
+def test_a_restarted_client_draws_no_missing_interval(tmp_path):
+    """Each generation's first batch starts past the δ guards its
+    restart installed; the daemons must take that as contiguous, not
+    NAK the guards as a gap the client then has to re-announce."""
+    async def main():
+        async with Cluster(tmp_path) as cluster:
+            seen = []
+            for generation in range(3):
+                log = AsyncReplicatedLog("c1", cluster.addresses(), CONFIG)
+                await log.initialize()
+                for i in range(5):
+                    await log.write(f"g{generation}.{i}".encode())
+                await log.force()
+                seen.append(log.missing_intervals_seen)
+                await log.close()
+            assert seen == [0, 0, 0]
+            assert {sid: d.missing_intervals_sent
+                    for sid, d in cluster.daemons.items()} \
+                == {"s1": 0, "s2": 0, "s3": 0}
 
     run(main())

@@ -40,7 +40,8 @@ from repro.net.messages import (
 )
 from repro.rt.client import AsyncReplicatedLog
 from repro.rt.filestore import FileLogStore
-from repro.rt.server import LogServerDaemon
+
+from .inprocess import Cluster
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 
@@ -142,32 +143,6 @@ def test_io_error_wedges_store_but_keeps_reads(tmp_path):
 
 
 # -- daemon + client level ------------------------------------------------
-
-
-class Cluster:
-    def __init__(self, tmp_path, m=3):
-        self.tmp_path = tmp_path
-        self.m = m
-        self.daemons: dict[str, LogServerDaemon] = {}
-
-    async def __aenter__(self):
-        for i in range(self.m):
-            sid = f"s{i + 1}"
-            data_dir = os.path.join(self.tmp_path, sid)
-            daemon = LogServerDaemon(FileLogStore(data_dir, sid))
-            await daemon.start()
-            self.daemons[sid] = daemon
-        return self
-
-    def addresses(self):
-        return {sid: (d.host, d.port) for sid, d in self.daemons.items()}
-
-    async def __aexit__(self, *exc):
-        for daemon in self.daemons.values():
-            try:
-                await daemon.close()
-            except Exception:
-                pass
 
 
 def test_client_truncate_shrinks_servers_and_prunes_map(tmp_path):
