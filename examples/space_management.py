@@ -19,9 +19,9 @@ from repro.client.dumps import DumpManager
 from repro.core.config import ReplicationConfig
 from repro.core.epoch import make_generator
 from repro.core.intervals import MergedIntervalMap, ServerIntervals
-from repro.core.ports import DirectServerPort
-from repro.core.repair import repair_log_copy, under_replicated_lsns
-from repro.core.store import LogServerStore
+from repro.core.procedure import run
+from repro.core.repair import repair, under_replicated_lsns
+from repro.core.store import LogServerStore, store_performer
 from repro.tables import format_table
 from repro.net.lan import Lan
 from repro.server.log_server import SimLogServer
@@ -91,12 +91,10 @@ def main() -> None:
         # --- disaster two: log-a's disk dies ----------------------------
         print("\n*** log server 'log-a' loses its disk ***")
         replacement = LogServerStore("log-a-replacement")
-        survivor_ports = {
-            "log-b": DirectServerPort(servers["log-b"].store),
-        }
-        result = repair_log_copy(
-            "erp-node", survivor_ports,
-            DirectServerPort(replacement), copies=2)
+        stores = {"log-b": servers["log-b"].store,
+                  replacement.server_id: replacement}
+        result = run(repair(["log-b"], replacement.server_id, copies=2),
+                     store_performer(stores, "erp-node"))
         print(f"repair: {result.records_copied} records "
               f"({result.bytes_copied:,} bytes) re-replicated onto "
               f"{result.target_server}")

@@ -241,7 +241,9 @@ def _cmd_crashsweep(args: argparse.Namespace) -> int:
          f"points, {len(summary['net_cases'])} fault cases "
          f"({summary['net_partition_cases']} partition-switch, "
          f"{summary['net_handoff_cases']} handoff), "
-         f"{len(summary['fuzz_cases'])} fuzz"),
+         f"{len(summary['fuzz_cases'])} fuzz, "
+         f"{sum(case['hit'] for case in summary['fuzz_cases'])} of them "
+         f"hit every armed fault"),
     )
     print()
     for heading, sites, title in tables:
@@ -265,26 +267,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .net.codec import frame, read_message
-    from .net.messages import StatsCall, StatsReply
+    from .core.errors import ProtocolError
+    from .rt.cluster import fetch_stats
 
     async def fetch(host: str, port: int) -> dict:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), args.timeout)
         try:
-            writer.write(frame(StatsCall(args.client_id)))
-            await writer.drain()
-            reply = await asyncio.wait_for(read_message(reader),
-                                           args.timeout)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if not isinstance(reply, StatsReply):
-            raise SystemExit(f"unexpected reply: {reply!r}")
-        return reply.as_dict()
+            return await fetch_stats(host, port, args.timeout,
+                                     args.client_id)
+        except ProtocolError as exc:
+            raise SystemExit(str(exc))
 
     if args.all or args.cluster_spec:
         # Fleet fan-out: one concurrent StatsCall per roster entry,

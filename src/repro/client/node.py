@@ -14,7 +14,6 @@ from typing import Iterable
 
 from ..core.config import ReplicationConfig
 from ..core.epoch import make_generator
-from ..core.ports import DirectServerPort
 from ..core.replicated_log import ReplicatedLog
 from ..core.store import LogServerStore
 from .backends import DirectLogBackend, SimLogBackend
@@ -54,10 +53,9 @@ class ClientNode:
     ) -> tuple["ClientNode", dict[str, LogServerStore]]:
         """An in-process node over ``m`` fresh server stores."""
         stores = {f"server-{i}": LogServerStore(f"server-{i}") for i in range(m)}
-        ports = {sid: DirectServerPort(store) for sid, store in stores.items()}
         log = ReplicatedLog(
             client_id=client_id,
-            ports=ports,
+            stores=stores,
             config=ReplicationConfig(total_servers=m, copies=n, delta=delta),
             epoch_source=make_generator(3),
         )

@@ -16,13 +16,11 @@ write can only *skip* values, never repeat one.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotEnoughServers, ServerUnavailable
 from .procedure import ACK, GEN_READ, GEN_WRITE, Call, Procedure, Step, run
-from .retry import RetryPolicy, retry_call
 
 
 @dataclass(slots=True)
@@ -169,25 +167,6 @@ class ReplicatedIdGenerator:
             return ACK
 
         return run(new_id(list(reps)), perform)
-
-    def new_id_with_retry(
-        self,
-        policy: "RetryPolicy | None" = None,
-        rng: random.Random | None = None,
-        sleep=None,
-        on_retry=None,
-    ) -> int:
-        """:meth:`new_id`, retried through transient quorum loss.
-
-        A representative down for repair fails one NewID attempt, not
-        the client restart that needs it; the retry schedule and jitter
-        are deterministic given ``rng``.
-        """
-        policy = policy if policy is not None else RetryPolicy()
-        rng = rng if rng is not None else random.Random(0)
-        return retry_call(self.new_id, policy, rng,
-                          retry_on=(NotEnoughServers,),
-                          sleep=sleep, on_retry=on_retry)
 
 
 def make_generator(n_reps: int, prefix: str = "rep") -> ReplicatedIdGenerator:

@@ -1,10 +1,11 @@
 """Sans-IO procedures: the client's call sequences, stated once.
 
-Client restart (Section 3.1.2), NewID (Appendix I), the takeover fence
-and "fetch the winning copy of LSN x" are each *a sequence of
-synchronous calls to named servers with a quorum test at the end*.
-They are written as generator functions (in :mod:`repro.core.recovery`
-and :mod:`repro.core.epoch`) that perform no I/O themselves:
+Client restart (Section 3.1.2), NewID (Appendix I), the takeover fence,
+"fetch the winning copy of LSN x" and the repair of a lost log copy
+(Section 5.3) are each *a sequence of synchronous calls to named
+servers with a quorum test at the end*.  They are written as generator
+functions (in :mod:`repro.core.recovery`, :mod:`repro.core.epoch` and
+:mod:`repro.core.repair`) that perform no I/O themselves:
 
 * a procedure ``yield``s a :class:`Call` — one request to one named
   server — and receives that server's answer as a plain value (see the
@@ -41,8 +42,9 @@ operation               ``args``                     value sent back
 may send back that record's neighbours too, and the procedure picks
 its own out of the tuple.
 
-Three drivers exist: :func:`run` below (direct function calls — see
-:func:`repro.core.ports.port_performer`), ``SimLogClient._drive``
+Three drivers exist, and nothing beside them: :func:`run` below
+(direct function calls — on in-process stores through
+:func:`repro.core.store.store_performer`), ``SimLogClient._drive``
 (simulated RPCs) and ``AsyncReplicatedLog._drive`` (TCP).
 """
 

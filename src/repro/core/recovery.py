@@ -23,21 +23,20 @@ Every step is stated here once, as a sans-IO procedure (see
 :func:`recover` and their composition :func:`restart`; plus
 :func:`install_fence` and :func:`takeover`, the linearizable handoff
 that fences a possibly-live previous owner before recovering.  The
-simulated and asyncio clients drive the same generators;
-:func:`gather_interval_lists` and :func:`perform_recovery` drive them
-with direct calls on :class:`~repro.core.ports.ServerPort` objects.
+three drivers of :mod:`repro.core.procedure` run the same generators:
+:func:`~repro.core.procedure.run` over in-process stores (through
+:func:`~repro.core.store.store_performer`), ``SimLogClient._drive``
+and ``AsyncReplicatedLog._drive``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .config import ReplicationConfig
 from .errors import NotEnoughServers, ServerUnavailable, StaleEpoch
 from .intervals import MergedEntry, MergedIntervalMap, ServerIntervals
-from .ports import ServerPort, port_performer
 from .procedure import (
     ACK,
     COPY,
@@ -48,10 +47,8 @@ from .procedure import (
     Call,
     Procedure,
     Step,
-    run,
 )
 from .records import Epoch, LSN, StoredRecord
-from .retry import RetryPolicy, retry_call
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,71 +305,9 @@ def takeover(
     return replace(result, fenced_on=fenced_on)
 
 
-# -- the direct driver: plain calls on ServerPort objects ----------------
-
-
-def gather_interval_lists(
-    ports: dict[str, ServerPort], client_id: str, quorum: int,
-) -> list[ServerIntervals]:
-    """:func:`gather` over every port, in the dict's order."""
-    return run(gather(tuple(ports), quorum), port_performer(ports, client_id))
-
-
-def gather_interval_lists_with_retry(
-    ports: dict[str, ServerPort],
-    client_id: str,
-    quorum: int,
-    policy: "RetryPolicy | None" = None,
-    rng: random.Random | None = None,
-    sleep=None,
-    on_retry=None,
-) -> list[ServerIntervals]:
-    """:func:`gather_interval_lists`, retried through transient outages.
-
-    A client restarting *during* churn may find fewer than ``M − N + 1``
-    servers up at the instant it asks; retrying with capped backoff
-    rides out repair windows instead of failing the whole restart.
-    ``on_retry(attempt)`` fires between attempts (tests use it to bring
-    servers back; simulations advance their clock in ``sleep``).
-    """
-    policy = policy if policy is not None else RetryPolicy()
-    rng = rng if rng is not None else random.Random(0)
-    return retry_call(
-        lambda: gather_interval_lists(ports, client_id, quorum),
-        policy, rng, retry_on=(NotEnoughServers,),
-        sleep=sleep, on_retry=on_retry,
-    )
-
-
 def install_preference(
     servers: Iterable[str], preferred: Iterable[str],
 ) -> list[str]:
     """``preferred`` first, then the rest of ``servers`` in their order."""
     preferred = list(preferred)
     return preferred + [s for s in servers if s not in preferred]
-
-
-def perform_recovery(
-    client_id: str,
-    ports: dict[str, ServerPort],
-    interval_lists: list[ServerIntervals],
-    new_epoch: Epoch,
-    copies: int,
-    delta: int,
-    preferred_servers: tuple[str, ...] = (),
-) -> RecoveryResult:
-    """:func:`recover` over ``ports`` and return the new state.
-
-    ``interval_lists`` must already satisfy the init quorum (see
-    :func:`gather_interval_lists`).  ``preferred_servers`` biases the
-    choice of the ``N`` copy targets.
-    """
-    return run(
-        recover(
-            MergedIntervalMap.merge(interval_lists),
-            tuple(r.server_id for r in interval_lists),
-            new_epoch, copies, delta,
-            install_preference(sorted(ports), preferred_servers),
-        ),
-        port_performer(ports, client_id),
-    )

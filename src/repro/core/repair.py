@@ -6,12 +6,14 @@ server's disk dies, a replacement (empty) server joins, and the
 client's records that lived on the dead server must be re-replicated
 so every record is again on ``N`` servers.
 
-:func:`repair_log_copy` performs the repair for one client: it merges
-interval lists from the surviving servers, finds every LSN with fewer
-than ``N`` surviving copies, reads each from a holder, and replays
-them onto the target in ``(epoch, LSN)`` order — which satisfies the
-server's non-decreasing write discipline, so the target's store ends
-up exactly as if it had received the records originally.
+:func:`repair` is that repair for one client, as a sans-IO procedure
+(see :mod:`repro.core.procedure`): it merges interval lists from the
+surviving servers, finds every LSN with fewer than ``N`` surviving
+copies, fetches each from a holder, and hands them to the target with
+one CopyLog + InstallCopies pair per epoch, lowest epoch first.
+Install appends in LSN order and each epoch is above the last, so an
+empty target ends up holding the records in ``(epoch, LSN)`` order —
+exactly as if it had received them originally.
 
 The repair is read-only on the survivors and append-only on the
 target, so it can run concurrently with normal logging to *other*
@@ -22,19 +24,19 @@ by an operator acting for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .errors import NotEnoughServers, ServerUnavailable
+from .errors import ServerUnavailable
 from .intervals import MergedIntervalMap
-from .ports import ServerPort
-from .records import StoredRecord
-from .recovery import gather_interval_lists
+from .procedure import ACK, COPY, INSTALL, Call, Procedure, Step
+from .records import Epoch, StoredRecord
+from .recovery import fetch_record, gather
 
 
 @dataclass(frozen=True, slots=True)
 class RepairResult:
     """Outcome of one log-copy repair."""
 
-    client_id: str
     target_server: str
     records_copied: int
     bytes_copied: int
@@ -51,64 +53,39 @@ def under_replicated_lsns(
     ]
 
 
-def repair_log_copy(
-    client_id: str,
-    survivor_ports: dict[str, ServerPort],
-    target_port: ServerPort,
-    copies: int,
-) -> RepairResult:
-    """Re-replicate a client's under-replicated records onto ``target``.
+def repair(survivors: Iterable[str], target: str, copies: int) -> Procedure:
+    """Re-replicate the under-replicated records onto ``target``.
 
-    ``survivor_ports`` are the remaining servers (the lost one is
-    simply absent).  Records already on ``copies`` survivors are left
-    alone.  Raises :class:`NotEnoughServers` if some record has no
+    ``survivors`` are the remaining servers (the lost one is simply
+    absent); any of them that answers contributes its interval list.
+    Records already on ``copies`` survivors are left alone.  Raises
+    :class:`~repro.core.errors.NotEnoughServers` if some record has no
     reachable holder at all — that is data loss, which N-fold
-    replication exists to make improbable.
+    replication exists to make improbable — and
+    :class:`~repro.core.errors.ServerUnavailable` if the target fails
+    or refuses a call.
     """
-    reports = gather_interval_lists(survivor_ports, client_id, quorum=1)
-    merged = MergedIntervalMap.merge(reports)
-    needy = under_replicated_lsns(merged, copies)
+    merged = MergedIntervalMap.merge((yield from gather(survivors, 1)))
+    by_epoch: dict[Epoch, list[StoredRecord]] = {}
+    for lsn in under_replicated_lsns(merged, copies):
+        record = yield from fetch_record(merged.entry(lsn))
+        by_epoch.setdefault(record.epoch, []).append(record)
+    yield Step("repair.staged")
 
-    to_copy: list[StoredRecord] = []
-    for lsn in needy:
-        record = _read_from_any(survivor_ports, merged, client_id, lsn)
-        to_copy.append(record)
-
-    # Replay in (epoch, LSN) order: epochs non-decreasing, and within
-    # an epoch LSNs increase — the append discipline of Section 3.1.1.
-    to_copy.sort(key=lambda r: (r.epoch, r.lsn))
-    copied_bytes = 0
-    for record in to_copy:
-        target_port.server_write_log(
-            client_id, record.lsn, record.epoch,
-            record.present, record.data, record.kind,
-        )
-        copied_bytes += len(record.data)
-
+    copied: list[StoredRecord] = []
+    for epoch in sorted(by_epoch):
+        yield from _acked(Call(target, COPY, (epoch, tuple(by_epoch[epoch]))))
+        yield Step("repair.copylog")
+        yield from _acked(Call(target, INSTALL, (epoch,)))
+        copied += by_epoch[epoch]
     return RepairResult(
-        client_id=client_id,
-        target_server=target_port.server_id,
-        records_copied=len(to_copy),
-        bytes_copied=copied_bytes,
-        lsns_repaired=tuple(r.lsn for r in to_copy),
+        target_server=target,
+        records_copied=len(copied),
+        bytes_copied=sum(len(r.data) for r in copied),
+        lsns_repaired=tuple(r.lsn for r in copied),
     )
 
 
-def _read_from_any(
-    ports: dict[str, ServerPort],
-    merged: MergedIntervalMap,
-    client_id: str,
-    lsn: int,
-) -> StoredRecord:
-    last: ServerUnavailable | None = None
-    for server_id in merged.servers_for(lsn):
-        port = ports.get(server_id)
-        if port is None:
-            continue
-        try:
-            return port.server_read_log(client_id, lsn)
-        except ServerUnavailable as exc:
-            last = exc
-    raise NotEnoughServers(
-        f"no surviving server stores LSN {lsn}; the log has lost data"
-    ) from last
+def _acked(call: Call) -> Procedure:
+    if (yield call) is not ACK:
+        raise ServerUnavailable(call.server_id, f"{call.op} not acknowledged")

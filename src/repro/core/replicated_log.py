@@ -33,11 +33,10 @@ from .errors import (
     ServerUnavailable,
 )
 from .intervals import MergedIntervalMap
-from .ports import DirectServerPort, ServerPort, port_performer
 from .procedure import Procedure, run
 from .records import Epoch, LogRecord, LSN
 from .recovery import fetch_record, install_preference, restart
-from .store import LogServerStore
+from .store import LogServerStore, store_performer
 
 
 class EpochSource(Protocol):
@@ -56,18 +55,18 @@ class ReplicatedLog:
     def __init__(
         self,
         client_id: str,
-        ports: dict[str, ServerPort],
+        stores: dict[str, LogServerStore],
         config: ReplicationConfig,
         epoch_source: EpochSource,
     ):
-        if len(ports) != config.total_servers:
+        if len(stores) != config.total_servers:
             raise NotEnoughServers(
                 f"configuration names M={config.total_servers} servers "
-                f"but {len(ports)} ports were supplied"
+                f"but {len(stores)} stores were supplied"
             )
         self.client_id = client_id
         self.config = config
-        self._ports = dict(ports)
+        self._stores = dict(stores)
         self._epoch_source = epoch_source
         # Volatile, rebuilt by initialize():
         self._merged: MergedIntervalMap | None = None
@@ -99,8 +98,8 @@ class ReplicatedLog:
         result = self._run(restart(
             self.config,
             issued_by(self._epoch_source),
-            gather_order=tuple(self._ports),
-            install_order=install_preference(sorted(self._ports), self._write_set),
+            gather_order=tuple(self._stores),
+            install_order=install_preference(sorted(self._stores), self._write_set),
         ))
         self._merged = result.merged
         self._epoch = result.epoch
@@ -122,8 +121,8 @@ class ReplicatedLog:
         # consecutive writes to the same servers".
 
     def _run(self, procedure: Procedure):
-        """Drive a core procedure with direct calls on the ports."""
-        return run(procedure, port_performer(self._ports, self.client_id))
+        """Drive a core procedure with direct calls on the stores."""
+        return run(procedure, store_performer(self._stores, self.client_id))
 
     def _require_init(self) -> MergedIntervalMap:
         if self._merged is None:
@@ -148,12 +147,12 @@ class ReplicatedLog:
         merged = self._require_init()
         lsn = self._next_lsn
         succeeded: list[str] = []
-        candidates = install_preference(sorted(self._ports), self._write_set)
+        candidates = install_preference(sorted(self._stores), self._write_set)
         for server_id in candidates:
             if len(succeeded) >= self.config.copies:
                 break
             try:
-                self._ports[server_id].server_write_log(
+                self._stores[server_id].server_write_log(
                     self.client_id, lsn, self._epoch, True, data, kind
                 )
             except ServerUnavailable:
@@ -271,10 +270,9 @@ def quickstart_log(
     servers to explore the algorithm).
     """
     stores = {f"server-{i}": LogServerStore(f"server-{i}") for i in range(m)}
-    ports = {sid: DirectServerPort(store) for sid, store in stores.items()}
     log = ReplicatedLog(
         client_id=client_id,
-        ports=ports,
+        stores=stores,
         config=ReplicationConfig(total_servers=m, copies=n, delta=delta),
         epoch_source=make_generator(3),
     )

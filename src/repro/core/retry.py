@@ -10,21 +10,15 @@ the instant it happened to ask.
 :class:`RetryPolicy` computes the delay schedule; all randomness comes
 from the caller's ``random.Random`` so retried runs stay bit-for-bit
 reproducible, and the jitter stream is only consulted on failure paths
-(a failure-free run draws nothing).  :func:`retry_call` applies a
-policy to a plain (direct-layer) callable; simulation processes embed
-the policy themselves and sleep on the virtual clock.
+(a failure-free run draws nothing).  The drivers apply it themselves:
+simulation processes sleep on the virtual clock, and the runtime client
+(``repro.rt.client.async_retry``) on the event loop.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
-
-from .errors import NotEnoughServers
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,31 +49,3 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return raw
 
-
-def retry_call(
-    fn: Callable[[], T],
-    policy: RetryPolicy,
-    rng: random.Random,
-    retry_on: tuple[type[BaseException], ...] = (NotEnoughServers,),
-    sleep: Callable[[float], None] | None = None,
-    on_retry: Callable[[int], None] | None = None,
-) -> T:
-    """Call ``fn`` until it succeeds or the policy is exhausted.
-
-    ``sleep`` defaults to ``time.sleep``; tests and Monte-Carlo drivers
-    pass a no-op (the direct layer has no clock) and use ``on_retry``
-    to mutate the world between attempts — e.g. repair a server, which
-    is exactly what makes a *transient* quorum failure transient.
-    """
-    do_sleep = time.sleep if sleep is None else sleep
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except retry_on:
-            if attempt >= policy.max_attempts - 1:
-                raise
-            if on_retry is not None:
-                on_retry(attempt)
-            do_sleep(policy.delay(attempt, rng))
-            attempt += 1

@@ -17,19 +17,21 @@ written records, accepted below the high-water mark) and
 staged under one epoch).
 
 The store is deliberately transport-agnostic: the direct in-process
-replicated log drives it straight from function calls, and the
-simulated log-server node (:mod:`repro.server`) drives the same store
-from network messages, so the Section 3 semantics are implemented
-exactly once.
+replicated log drives it straight from function calls (a procedure's
+calls through :func:`store_performer`), and the simulated log-server
+node (:mod:`repro.server`) drives the same store from network
+messages, so the Section 3 semantics are implemented exactly once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .errors import ProtocolError, RecordNotStored, ServerUnavailable
 from .intervals import Interval, ServerIntervals
+from .procedure import ACK, COPY, INSTALL, INTERVAL_LIST, READ, Call
 from .records import Epoch, LSN, StoredRecord
 
 
@@ -253,27 +255,14 @@ class LogServerStore:
     ) -> None:
         """ServerWriteLog: append one record for ``client_id``.
 
-        Duplicate delivery of the exact record already at the tail is
-        tolerated silently (the asynchronous protocol of Section 4.2
-        may retransmit); any other regression is a protocol error.
+        Builds the record and stores it through
+        :meth:`server_write_record`, which holds the write rules.  A
+        not-present record carrying data is refused by the record's
+        own invariant.
         """
-        self._check_up()
-        state = self.client_state(client_id)
-        if lsn < state.truncated_below:
-            return  # late retransmission of a reclaimed record
-        existing = state.lookup(lsn)
-        if existing is not None and existing.epoch == epoch:
-            if existing.present == present and existing.data == data:
-                return  # duplicate retransmission
-            raise ProtocolError(
-                f"conflicting rewrite of ⟨{lsn},{epoch}⟩ on {self.server_id}"
-            )
-        record = StoredRecord(
-            lsn=lsn, epoch=epoch, present=present,
-            data=data if present else b"", kind=kind,
-        )
-        state.append(record)
-        self.write_ops += 1
+        self.server_write_record(client_id, StoredRecord(
+            lsn=lsn, epoch=epoch, present=present, data=data, kind=kind,
+        ))
 
     def server_write_record(self, client_id: str,
                             record: StoredRecord) -> bool:
@@ -432,3 +421,36 @@ class LogServerStore:
             (r.lsn, r.epoch, "yes" if r.present else "no")
             for r in state.records
         ]
+
+
+def store_performer(
+    stores: Mapping[str, LogServerStore], client_id: str,
+) -> Callable[[Call], object]:
+    """The direct driver's half of :func:`repro.core.procedure.run`.
+
+    Answers a procedure's log-server calls with plain method calls on
+    ``stores``; a server id with no store is an unavailable server, and
+    a crashed store raises :class:`ServerUnavailable` itself.  A store
+    has no generator representative and no fence, so a procedure that
+    asks for one was handed the wrong driver.
+    """
+
+    def perform(call: Call):
+        store = stores.get(call.server_id)
+        if store is None:
+            raise ServerUnavailable(call.server_id, "no such server")
+        op, args = call.op, call.args
+        if op == INTERVAL_LIST:
+            return store.interval_list(client_id).intervals
+        if op == READ:
+            return (store.server_read_log(client_id, *args),)
+        if op == COPY:
+            for record in args[1]:
+                store.copy_record(client_id, record)
+            return ACK
+        if op == INSTALL:
+            store.install_copies(client_id, *args)
+            return ACK
+        raise NotImplementedError(f"a log-server store cannot serve {op!r}")
+
+    return perform

@@ -98,6 +98,7 @@ from ..rt.faultspec import (
 from ..rt.filestore import FileLogStore
 from .oracle import History, acked_durable, check, no_fabrication
 from .sweep import (
+    EXIT_GRACE_S,
     SINGLE_CONFIG,
     CrashCase,
     Phase,
@@ -105,6 +106,7 @@ from .sweep import (
     Plan,
     Run,
     by_site,
+    daemon_faults_fired,
     first_and_last,
     run_phase,
     run_workload,
@@ -545,12 +547,6 @@ _DAEMON_COMBINED = (
 )
 
 
-#: how long a daemon whose armed point fired may take to be reapable
-#: after the workload returned (it is exiting; observed well under
-#: 100 ms).  What a case whose point was *not* reached costs.
-_EXIT_GRACE_S = 3.0
-
-
 def _daemon_case(root: Path, index, plan: Plan) -> CrashCase:
     case = CrashCase.of(plan)
     cluster = LoopbackCluster(str(root / f"case-{index}"), num_servers=1)
@@ -576,7 +572,7 @@ def _daemon_case(root: Path, index, plan: Plan) -> CrashCase:
                 # before the process can be reaped, so a workload whose
                 # last call hit the point returns while the daemon
                 # still polls alive: give the exit time to show.
-                code = cluster.wait("s1", timeout=_EXIT_GRACE_S)
+                code = cluster.wait("s1", timeout=EXIT_GRACE_S)
             except subprocess.TimeoutExpired:
                 # Still serving: the workload finished without reaching
                 # the armed point (can happen for late indices) —
@@ -706,7 +702,8 @@ def _client_case(root: Path, index, plan: Plan) -> CrashCase:
 
     Any further specs are storage faults armed on their target
     daemons — the combined-fault shape where the cluster is crashing
-    while the client is being killed and recovered.
+    while the client is being killed and recovered.  The case is hit
+    only if the kill fired and so did every daemon's faults.
     """
     kill, *server_faults = plan
     case = CrashCase(kill.point + "".join(
@@ -715,8 +712,9 @@ def _client_case(root: Path, index, plan: Plan) -> CrashCase:
     case_root = root / f"case-{index}"
     case_root.mkdir(parents=True, exist_ok=True)
     cluster = LoopbackCluster(str(case_root / "cluster"), num_servers=3)
+    armed = by_target(server_faults, "s1")
     try:
-        for sid, faults in by_target(server_faults, "s1").items():
+        for sid, faults in armed.items():
             cluster.start_server(
                 sid, extra_args=["--fault-plan", plan_text(faults)])
         cluster.start()
@@ -737,6 +735,8 @@ def _client_case(root: Path, index, plan: Plan) -> CrashCase:
             if rc != 0:
                 case.errors.append(f"live: recovery worker {n} exited {rc}")
         case.errors.extend(check(History.load(*journals)))
+        case.hit = all(daemon_faults_fired(cluster, sid, len(faults))
+                       for sid, faults in armed.items())
     except subprocess.TimeoutExpired as exc:
         case.errors.append(f"live: client worker hung: {exc}")
     finally:

@@ -47,9 +47,11 @@ from ..core.epoch import (
     make_generator as make_id_generator,
 )
 from ..core.errors import NotEnoughServers, ServerUnavailable
-from ..core.ports import DirectServerPort
+from ..core.intervals import MergedIntervalMap
+from ..core.procedure import run
+from ..core.recovery import install_preference, recover
 from ..core.replicated_log import ReplicatedLog
-from ..core.store import LogServerStore
+from ..core.store import LogServerStore, store_performer
 from ..core.availability import init_availability, write_availability
 from ..net.lan import DualLan, Lan
 from ..server.load import RandomAssignment, StickyAssignment
@@ -104,9 +106,8 @@ def run_availability_monte_carlo(
 
     def fresh_system():
         stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
-        ports = {sid: DirectServerPort(st) for sid, st in stores.items()}
         generator = make_generator(2 * n + 1)
-        log = ReplicatedLog("mc-client", ports,
+        log = ReplicatedLog("mc-client", stores,
                             ReplicationConfig(m, n, delta=1), generator)
         log.initialize()
         return stores, log
@@ -588,45 +589,46 @@ def run_paper_figure_states() -> PaperFigureStates:
         "Server 2": LogServerStore("Server 2"),
         "Server 3": LogServerStore("Server 3"),
     }
-    ports = {sid: DirectServerPort(st) for sid, st in stores.items()}
     config = ReplicationConfig(total_servers=3, copies=2, delta=1)
     client = "C"
+    perform = store_performer(stores, client)
+
+    def restart_with(used: tuple[str, str], epoch: int) -> None:
+        """Steps 3–5 of a restart over the lists of ``used``, copying
+        to ``used`` first."""
+        lists = [stores[s].interval_list(client) for s in used]
+        run(recover(
+            MergedIntervalMap.merge(lists), used, epoch, config.copies,
+            config.delta, install_preference(sorted(stores), used),
+        ), perform)
 
     # epoch 1: records 1..3 on servers 1 and 2
     for lsn in range(1, 4):
         for sid in ("Server 1", "Server 2"):
-            ports[sid].server_write_log(client, lsn, 1, True, b"r%d" % lsn)
+            stores[sid].server_write_log(client, lsn, 1, True, b"r%d" % lsn)
 
     # first restart, using servers 1 and 3, with epoch 3
-    from ..core.recovery import perform_recovery
-
-    lists = [ports[s].interval_list(client) for s in ("Server 1", "Server 3")]
-    perform_recovery(client, ports, lists, new_epoch=3,
-                     copies=2, delta=1,
-                     preferred_servers=("Server 1", "Server 3"))
+    restart_with(("Server 1", "Server 3"), 3)
 
     # epoch 3: records 5..9; server 1 takes all, servers 2/3 split per figure
     placement = {5: "Server 3", 6: "Server 2", 7: "Server 2",
                  8: "Server 3", 9: "Server 3"}
     for lsn in range(5, 10):
-        ports["Server 1"].server_write_log(client, lsn, 3, True, b"r%d" % lsn)
-        ports[placement[lsn]].server_write_log(client, lsn, 3, True, b"r%d" % lsn)
+        stores["Server 1"].server_write_log(client, lsn, 3, True, b"r%d" % lsn)
+        stores[placement[lsn]].server_write_log(client, lsn, 3, True, b"r%d" % lsn)
 
     # record 10 partially written: reaches Server 3 only (Figure 3-2)
-    ports["Server 3"].server_write_log(client, 10, 3, True, b"r10")
+    stores["Server 3"].server_write_log(client, 10, 3, True, b"r10")
     fig_3_2 = {sid: st.dump_table(client) for sid, st in stores.items()}
 
     # second restart with Servers 1 and 2 (Server 3 unavailable), epoch 4
     stores["Server 3"].crash()
-    lists = [ports[s].interval_list(client) for s in ("Server 1", "Server 2")]
-    result = perform_recovery(client, ports, lists, new_epoch=4,
-                              copies=2, delta=1,
-                              preferred_servers=("Server 1", "Server 2"))
+    restart_with(("Server 1", "Server 2"), 4)
     stores["Server 3"].restart()
     fig_3_3 = {sid: st.dump_table(client) for sid, st in stores.items()}
 
     # the replicated log's visible contents after recovery
-    log = ReplicatedLog(client, ports, config, LocalIdGenerator(start=4))
+    log = ReplicatedLog(client, stores, config, LocalIdGenerator(start=4))
     log.initialize()
     visible = [record.lsn for record in log.iter_forward()]
 

@@ -73,6 +73,7 @@ from .sweep import (
     Plan,
     Run,
     by_site,
+    daemon_faults_fired,
     run_workload,
     site_counts,
     sweep_client,
@@ -428,7 +429,11 @@ def draw_fuzz_plan(rng: random.Random, sites: dict[str, int]) -> Plan:
 
 
 def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
-    """One composed multi-fault case; revive the fleet, then verify."""
+    """One composed multi-fault case; revive the fleet, then verify.
+
+    The case is hit only if every armed spec fired: each frame fault on
+    its proxy, the client crashes, and each armed daemon's faults.
+    """
     case = CrashCase(plan_text(plan), "fuzz")
     kills = tuple(spec for spec in plan if spec.family == "client")
     bad = [spec.spec for spec in kills if spec.action != "raise"]
@@ -445,11 +450,11 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
     for sid, faults in armed.items():
         cluster.restart(sid, extra_args=["--fault-plan", plan_text(faults)])
 
-    async def fuzzed() -> int:
-        fleet = ProxyFleet(
-            cluster.addresses(),
-            plans=tuple(spec for spec in plan if spec.family == "net"),
-            seed=index if isinstance(index, int) else 0)
+    frames = tuple(spec for spec in plan if spec.family == "net")
+
+    async def fuzzed() -> bool:
+        fleet = ProxyFleet(cluster.addresses(), plans=frames,
+                           seed=index if isinstance(index, int) else 0)
         await fleet.start()
         injector = ClientFaultInjector(kills)
         clientfault.install(injector)
@@ -458,17 +463,18 @@ def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
                 await _run_armed(fleet, client_id, run)
             except ClientCrash:
                 pass  # the armed client crash: nothing after it is acked
-            return fleet.faults_injected + injector.crashes
+            return set(frames) <= set(fleet.fired) \
+                and injector.crashes == len(kills)
         finally:
             clientfault.install(None)
             await fleet.close()
 
     try:
-        fired = asyncio.run(fuzzed())
+        case.hit = asyncio.run(fuzzed()) and all(
+            daemon_faults_fired(cluster, sid, len(faults))
+            for sid, faults in armed.items())
     finally:
         cluster.revive(list(armed))
-    case.hit = fired > 0 or any(not cluster.servers[sid].alive
-                                for sid in armed)
     case.errors.extend(asyncio.run(verify_restart(
         cluster.addresses(), client_id, SWEEP_CONFIG, run.history)))
     case.ok = not case.errors

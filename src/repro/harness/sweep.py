@@ -32,6 +32,7 @@ checks a store directly, with the oracle's ``acked-durable`` and
 from __future__ import annotations
 
 import asyncio
+import subprocess
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -39,6 +40,8 @@ from ..core.config import ReplicationConfig
 from ..core.errors import LogError
 from ..core.retry import RetryPolicy
 from ..rt.client import AsyncReplicatedLog
+from ..rt.cluster import LoopbackCluster, fetch_stats
+from ..rt.faultfs import FAULT_EXIT_CODE
 from ..rt.faultspec import FaultSpec, plan_text
 from .oracle import History, check, observe
 
@@ -121,6 +124,38 @@ def first_and_last(trace) -> list[FaultSpec]:
         if len(points) > 1:
             picked.append(points[-1])
     return picked
+
+
+#: how long a daemon whose armed point fired may take to be reapable
+#: after the workload returned (it is exiting; observed well under
+#: 100 ms).  What a case whose point was *not* reached costs.
+EXIT_GRACE_S = 3.0
+
+
+def daemon_faults_fired(cluster: LoopbackCluster, server_id: str,
+                        armed: int) -> bool:
+    """Whether the ``armed`` storage faults of one daemon all fired.
+
+    A daemon a crash action fired in exits with ``FAULT_EXIT_CODE``;
+    one still serving counts its injected faults in its Stats
+    ``injected_faults``.  A daemon whose Stats cannot be read is given
+    :data:`EXIT_GRACE_S` to show the exit.
+    """
+    entry = cluster.servers[server_id]
+    if entry.alive:
+        try:
+            stats = asyncio.run(fetch_stats(*entry.address))
+        except (OSError, asyncio.TimeoutError):
+            pass
+        else:
+            return stats["injected_faults"] >= armed
+        try:
+            return cluster.wait(server_id,
+                                timeout=EXIT_GRACE_S) == FAULT_EXIT_CODE
+        except subprocess.TimeoutExpired:
+            return False
+    return entry.process is not None \
+        and entry.process.returncode == FAULT_EXIT_CODE
 
 
 def run_phase(phase: Phase, *, quick: bool, say,

@@ -117,8 +117,8 @@ class ChaosProxy:
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self.port = 0
-        #: the first armed spec that fired, as its spec text.
-        self.tripped: str | None = None
+        #: every armed spec that fired, in firing order.
+        self.fired: list[FaultSpec] = []
         self.faults_injected = 0
         self.bytes_forwarded = 0
         self.chunks_dropped = 0
@@ -134,6 +134,11 @@ class ChaosProxy:
         #: pump directions that hit a scan error and fell back to raw
         #: passthrough (corruption desynchronized the framing).
         self.scan_errors = 0
+
+    @property
+    def tripped(self) -> str | None:
+        """The first armed spec that fired, as its spec text."""
+        return self.fired[0].spec if self.fired else None
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -270,8 +275,7 @@ class ChaosProxy:
         partition_after = False
         if plan is not None:
             self.faults_injected += 1
-            if self.tripped is None:
-                self.tripped = plan.spec
+            self.fired.append(plan)
             action = plan.action
             if action == "drop":
                 self.frames_dropped += 1
@@ -395,6 +399,11 @@ class ProxyFleet:
     @property
     def faults_injected(self) -> int:
         return sum(p.faults_injected for p in self.proxies.values())
+
+    @property
+    def fired(self) -> list[FaultSpec]:
+        """Every armed spec that fired, proxy by proxy."""
+        return [spec for p in self.proxies.values() for spec in p.fired]
 
     async def close(self) -> None:
         for proxy in self.proxies.values():

@@ -483,10 +483,11 @@ async def async_retry(
     retry_on: tuple[type[BaseException], ...] = (NotEnoughServers,),
     on_retry: Callable[[int], Awaitable] | None = None,
 ):
-    """:func:`repro.core.retry.retry_call` for coroutines.
+    """Await ``fn()`` until it succeeds or ``policy`` is exhausted.
 
-    Same schedule and jitter stream; the delay is spent on
-    ``asyncio.sleep`` instead of ``time.sleep``.
+    A ``retry_on`` error before the last attempt runs ``on_retry`` and
+    sleeps the policy's next delay on the event loop; any other error,
+    or the last attempt's, propagates.
     """
     attempt = 0
     while True:

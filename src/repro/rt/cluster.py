@@ -13,6 +13,7 @@ goes to ``root_dir/<server_id>/server.log`` for post-mortems.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import subprocess
@@ -20,6 +21,35 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..core.errors import ProtocolError
+from ..net.codec import frame, read_message
+from ..net.messages import StatsCall, StatsReply
+
+
+async def fetch_stats(host: str, port: int, timeout: float = 2.0,
+                      client_id: str = "") -> dict[str, int]:
+    """One daemon's Stats counters, over a connection of their own.
+
+    Raises :class:`OSError` or :class:`asyncio.TimeoutError` when the
+    daemon cannot be reached, and :class:`ProtocolError` when it
+    answers with anything but a StatsReply.
+    """
+    reader, writer = await asyncio.wait_for(
+        asyncio.open_connection(host, port), timeout)
+    try:
+        writer.write(frame(StatsCall(client_id)))
+        await writer.drain()
+        reply = await asyncio.wait_for(read_message(reader), timeout)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+    if not isinstance(reply, StatsReply):
+        raise ProtocolError(f"unexpected reply: {reply!r}")
+    return reply.as_dict()
 
 
 def _repo_src_dir() -> str:

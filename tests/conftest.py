@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import ReplicationConfig
 from repro.core.epoch import make_generator
-from repro.core.ports import DirectServerPort
 from repro.core.replicated_log import ReplicatedLog
 from repro.core.store import LogServerStore
 
@@ -35,10 +34,9 @@ def build_direct_log(
 ) -> tuple[ReplicatedLog, dict[str, LogServerStore]]:
     """An initialized direct-mode replicated log plus its stores."""
     stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
-    ports = {sid: DirectServerPort(store) for sid, store in stores.items()}
     log = ReplicatedLog(
         client_id=client_id,
-        ports=ports,
+        stores=stores,
         config=ReplicationConfig(total_servers=m, copies=n, delta=delta),
         epoch_source=make_generator(3),
     )

@@ -1,5 +1,8 @@
 """Tests for the replicated increasing unique-identifier generator."""
 
+import asyncio
+import random
+
 import pytest
 
 from repro.core.errors import NotEnoughServers
@@ -11,6 +14,8 @@ from repro.core.epoch import (
     read_quorum_size,
     write_quorum_size,
 )
+from repro.core.retry import RetryPolicy
+from repro.rt.client import async_retry
 
 
 class TestQuorumSizes:
@@ -106,31 +111,37 @@ class TestLocalIdGenerator:
 
 
 class TestNewIdWithRetry:
-    def test_rides_out_a_repair_window(self):
-        from repro.core.retry import RetryPolicy
+    """NewID retried through transient quorum loss, the way the runtime
+    client retries its restart (:func:`repro.rt.client.async_retry`)."""
 
+    @staticmethod
+    def retried_new_id(generator, policy, on_retry=None):
+        async def attempt():
+            return generator.new_id()
+
+        return asyncio.run(async_retry(attempt, policy, random.Random(0),
+                                       on_retry=on_retry))
+
+    def test_rides_out_a_repair_window(self):
         generator = make_generator(3)
         generator.representatives[0].crash()
         generator.representatives[1].crash()
 
-        def repair(attempt):
+        async def repair(attempt):
             if attempt == 0:
                 generator.representatives[0].restart()
 
-        first = generator.new_id_with_retry(
-            policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            sleep=lambda _s: None, on_retry=repair,
-        )
+        first = self.retried_new_id(
+            generator, RetryPolicy(base_delay_s=0.0, cap_delay_s=0.0,
+                                   max_attempts=3, jitter=0.0),
+            on_retry=repair)
         assert generator.new_id() > first
 
     def test_exhaustion_raises(self):
-        from repro.core.retry import RetryPolicy
-
         generator = make_generator(3)
         generator.representatives[0].crash()
         generator.representatives[1].crash()
         with pytest.raises(NotEnoughServers):
-            generator.new_id_with_retry(
-                policy=RetryPolicy(max_attempts=2, jitter=0.0),
-                sleep=lambda _s: None,
-            )
+            self.retried_new_id(
+                generator, RetryPolicy(base_delay_s=0.0, cap_delay_s=0.0,
+                                       max_attempts=2, jitter=0.0))

@@ -20,16 +20,14 @@ from hypothesis import strategies as st
 from repro.core.config import ReplicationConfig
 from repro.core.epoch import make_generator
 from repro.core.intervals import MergedIntervalMap, ServerIntervals, intervals_from_lsns
-from repro.core.ports import DirectServerPort
 from repro.core.replicated_log import ReplicatedLog
 from repro.core.store import LogServerStore
 
 
 def build(m, n, delta=1):
     stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
-    ports = {sid: DirectServerPort(st) for sid, st in stores.items()}
     log = ReplicatedLog(
-        "c1", ports,
+        "c1", stores,
         ReplicationConfig(m, n, delta=delta),
         make_generator(3),
     )

@@ -4,11 +4,18 @@ import pytest
 
 from repro.core.errors import NotEnoughServers
 from repro.core.intervals import MergedIntervalMap, ServerIntervals
-from repro.core.ports import DirectServerPort
-from repro.core.repair import repair_log_copy, under_replicated_lsns
-from repro.core.store import LogServerStore
+from repro.core.procedure import READ, run
+from repro.core.repair import repair, under_replicated_lsns
+from repro.core.store import LogServerStore, store_performer
 
 from ..conftest import build_direct_log
+
+
+def repair_onto(survivors, target, copies, perform=None):
+    """Run :func:`repair` over the ``survivors`` stores onto ``target``."""
+    stores = {**survivors, target.server_id: target}
+    return run(repair(list(survivors), target.server_id, copies),
+               perform or store_performer(stores, "c1"))
 
 
 class TestUnderReplicatedLsns:
@@ -36,16 +43,14 @@ class TestRepairLogCopy:
         # the dead server's disk is gone: replace with an empty store
         replacement = LogServerStore(f"{dead}-replacement")
         survivors = {
-            sid: DirectServerPort(store)
-            for sid, store in stores.items() if sid != dead
+            sid: store for sid, store in stores.items() if sid != dead
         }
         return log, stores, lsns, dead, survivor, survivors, replacement
 
     def test_repair_restores_n_copies(self):
         (log, stores, lsns, dead, survivor,
          survivors, replacement) = self.build_damaged_system()
-        result = repair_log_copy(
-            "c1", survivors, DirectServerPort(replacement), copies=2)
+        result = repair_onto(survivors, replacement, copies=2)
         assert result.records_copied > 0
         merged = MergedIntervalMap.merge([
             ServerIntervals(sid, stores[sid].client_state("c1").intervals())
@@ -57,7 +62,7 @@ class TestRepairLogCopy:
     def test_repaired_records_readable_with_exact_data(self):
         (log, stores, lsns, dead, survivor,
          survivors, replacement) = self.build_damaged_system()
-        repair_log_copy("c1", survivors, DirectServerPort(replacement), 2)
+        repair_onto(survivors, replacement, 2)
         for i, lsn in enumerate(lsns):
             record = replacement.client_state("c1").lookup(lsn)
             if record is not None:
@@ -71,11 +76,10 @@ class TestRepairLogCopy:
         log.write(b"two")
         dead = log.write_set[0]
         survivors = {
-            sid: DirectServerPort(store)
-            for sid, store in stores.items() if sid != dead
+            sid: store for sid, store in stores.items() if sid != dead
         }
         replacement = LogServerStore("fresh")
-        repair_log_copy("c1", survivors, DirectServerPort(replacement), 2)
+        repair_onto(survivors, replacement, 2)
         # whatever landed on the replacement preserved epoch + flags
         dead_records = stores[dead].client_state("c1").records
         for record in dead_records:
@@ -94,12 +98,8 @@ class TestRepairLogCopy:
         log.crash()
         log.initialize()
         log.write(b"c")
-        survivors = {
-            sid: DirectServerPort(store) for sid, store in stores.items()
-        }
         replacement = LogServerStore("fresh")
-        result = repair_log_copy(
-            "c1", survivors, DirectServerPort(replacement), copies=3)
+        result = repair_onto(stores, replacement, copies=3)
         replacement_state = replacement.client_state("c1")
         assert replacement_state.high_lsn is not None
         assert result.records_copied == len(replacement_state.records)
@@ -108,13 +108,11 @@ class TestRepairLogCopy:
         merged_stores = {"s0": LogServerStore("s0")}
         # s0 has nothing; pretend LSN 1 existed only on the dead server
         # by merging a fabricated interval list
-        ports = {sid: DirectServerPort(st) for sid, st in merged_stores.items()}
         # write a record only to a store we then exclude
         ghost = LogServerStore("ghost")
         ghost.server_write_log("c1", 1, 1, True, b"lost")
         # survivors know nothing about LSN 1 -> nothing under-replicated
-        result = repair_log_copy(
-            "c1", ports, DirectServerPort(LogServerStore("new")), copies=1)
+        result = repair_onto(merged_stores, LogServerStore("new"), copies=1)
         assert result.records_copied == 0
 
     def test_crashed_holder_invisible_to_repair(self):
@@ -124,12 +122,10 @@ class TestRepairLogCopy:
         dead = log.write_set[0]
         holder = log.write_set[1]
         survivors = {
-            sid: DirectServerPort(store)
-            for sid, store in stores.items() if sid != dead
+            sid: store for sid, store in stores.items() if sid != dead
         }
         stores[holder].crash()
-        result = repair_log_copy(
-            "c1", survivors, DirectServerPort(LogServerStore("new")), 2)
+        result = repair_onto(survivors, LogServerStore("new"), 2)
         # the crashed holder contributed no interval list, so nothing
         # could be repaired — and nothing blew up
         assert result.records_copied == 0
@@ -141,16 +137,16 @@ class TestRepairLogCopy:
         dead = log.write_set[0]
         holder = log.write_set[1]
 
-        class FlakyPort(DirectServerPort):
-            def server_read_log(self, client_id, lsn):
-                from repro.core.errors import ServerUnavailable
-                raise ServerUnavailable(self.server_id, "died mid-repair")
-
         survivors = {
-            sid: (FlakyPort(store) if sid == holder
-                  else DirectServerPort(store))
-            for sid, store in stores.items() if sid != dead
+            sid: store for sid, store in stores.items() if sid != dead
         }
+        target = LogServerStore("new")
+        perform = store_performer({**survivors, "new": target}, "c1")
+
+        def dies_before_read(call):
+            if call.op == READ and call.server_id == holder:
+                stores[holder].crash()
+            return perform(call)
+
         with pytest.raises(NotEnoughServers):
-            repair_log_copy(
-                "c1", survivors, DirectServerPort(LogServerStore("new")), 2)
+            repair_onto(survivors, target, 2, perform=dies_before_read)

@@ -10,7 +10,6 @@ from repro.core.errors import (
     NotInitialized,
     RecordNotPresent,
 )
-from repro.core.ports import DirectServerPort
 from repro.core.replicated_log import ReplicatedLog
 from repro.core.store import LogServerStore
 
@@ -51,8 +50,7 @@ class TestBasicOperations:
 
     def test_operations_require_initialization(self):
         stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(3)}
-        ports = {sid: DirectServerPort(st) for sid, st in stores.items()}
-        log = ReplicatedLog("c1", ports, ReplicationConfig(3, 2),
+        log = ReplicatedLog("c1", stores, ReplicationConfig(3, 2),
                             make_generator(3))
         with pytest.raises(NotInitialized):
             log.write(b"x")
@@ -63,9 +61,8 @@ class TestBasicOperations:
 
     def test_port_count_must_match_config(self):
         stores = {"s0": LogServerStore("s0")}
-        ports = {sid: DirectServerPort(st) for sid, st in stores.items()}
         with pytest.raises(NotEnoughServers):
-            ReplicatedLog("c1", ports, ReplicationConfig(3, 2),
+            ReplicatedLog("c1", stores, ReplicationConfig(3, 2),
                           make_generator(3))
 
 

@@ -1,11 +1,40 @@
-"""Tests for the capped-exponential-backoff retry policy."""
+"""Tests for the capped-exponential-backoff retry policy, and for the
+loop that applies it (:func:`repro.rt.client.async_retry`)."""
 
+import asyncio
 import random
 
 import pytest
 
 from repro.core.errors import NotEnoughServers, ServerUnavailable
-from repro.core.retry import RetryPolicy, retry_call
+from repro.core.retry import RetryPolicy
+from repro.rt import client
+
+
+def retried(fn, policy, rng, retry_on=(NotEnoughServers,), on_retry=None):
+    """Drive :func:`~repro.rt.client.async_retry` over a plain ``fn``."""
+
+    async def attempt():
+        return fn()
+
+    async def notify(n):
+        on_retry(n)
+
+    return asyncio.run(client.async_retry(
+        attempt, policy, rng, retry_on=retry_on,
+        on_retry=notify if on_retry is not None else None))
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The delays the retry loop slept, instead of sleeping them."""
+    delays = []
+
+    async def sleep(delay):
+        delays.append(delay)
+
+    monkeypatch.setattr(client.asyncio, "sleep", sleep)
+    return delays
 
 
 class TestRetryPolicy:
@@ -37,7 +66,7 @@ class TestRetryPolicy:
 
 
 class TestRetryCall:
-    def test_succeeds_after_transient_failures(self):
+    def test_succeeds_after_transient_failures(self, slept):
         calls = {"n": 0}
 
         def flaky():
@@ -46,22 +75,21 @@ class TestRetryCall:
                 raise NotEnoughServers("not yet")
             return "ok"
 
-        slept = []
-        result = retry_call(flaky, RetryPolicy(jitter=0.0),
-                            random.Random(0), sleep=slept.append)
+        result = retried(flaky, RetryPolicy(jitter=0.0), random.Random(0))
         assert result == "ok"
         assert calls["n"] == 3
-        assert len(slept) == 2  # one sleep per failed attempt
+        assert slept == [0.02, 0.04]  # one sleep per failed attempt
 
-    def test_exhaustion_raises_last_error(self):
+    def test_exhaustion_raises_last_error(self, slept):
         def always_down():
             raise NotEnoughServers("still down")
 
         with pytest.raises(NotEnoughServers):
-            retry_call(always_down, RetryPolicy(max_attempts=3, jitter=0.0),
-                       random.Random(0), sleep=lambda _s: None)
+            retried(always_down, RetryPolicy(max_attempts=3, jitter=0.0),
+                    random.Random(0))
+        assert len(slept) == 2
 
-    def test_non_retryable_error_propagates_immediately(self):
+    def test_non_retryable_error_propagates_immediately(self, slept):
         calls = {"n": 0}
 
         def wrong_kind():
@@ -69,12 +97,12 @@ class TestRetryCall:
             raise ServerUnavailable("s0", "down")
 
         with pytest.raises(ServerUnavailable):
-            retry_call(wrong_kind, RetryPolicy(), random.Random(0),
-                       retry_on=(NotEnoughServers,),
-                       sleep=lambda _s: None)
+            retried(wrong_kind, RetryPolicy(), random.Random(0),
+                    retry_on=(NotEnoughServers,))
         assert calls["n"] == 1
+        assert slept == []
 
-    def test_on_retry_sees_attempt_numbers(self):
+    def test_on_retry_sees_attempt_numbers(self, slept):
         calls = {"n": 0}
         seen = []
 
@@ -84,6 +112,6 @@ class TestRetryCall:
                 raise NotEnoughServers("not yet")
             return calls["n"]
 
-        retry_call(flaky, RetryPolicy(jitter=0.0), random.Random(0),
-                   sleep=lambda _s: None, on_retry=seen.append)
+        retried(flaky, RetryPolicy(jitter=0.0), random.Random(0),
+                on_retry=seen.append)
         assert seen == [0, 1, 2]

@@ -4,7 +4,17 @@ import pytest
 
 from repro.core.errors import ProtocolError, RecordNotStored, ServerUnavailable
 from repro.core.intervals import Interval
-from repro.core.store import LogServerStore
+from repro.core.procedure import (
+    ACK,
+    COPY,
+    GEN_READ,
+    INSTALL,
+    INTERVAL_LIST,
+    READ,
+    Call,
+)
+from repro.core.records import StoredRecord
+from repro.core.store import LogServerStore, store_performer
 
 
 @pytest.fixture
@@ -65,6 +75,12 @@ class TestServerWriteLog:
         assert store.server_read_log("c1", 1).data == b"a"
         assert store.server_read_log("c2", 10).data == b"b"
         assert store.known_clients() == ["c1", "c2"]
+
+
+    def test_not_present_record_carries_no_data(self, store):
+        with pytest.raises(ValueError):
+            store.server_write_log("c1", 1, 1, False, b"data")
+        assert store.dump_table("c1") == []
 
 
 class TestServerReadLog:
@@ -202,3 +218,28 @@ class TestDumpTable:
         store.server_write_log("c1", 1, 1, True)
         store.server_write_log("c1", 2, 1, False)
         assert store.dump_table("c1") == [(1, 1, "yes"), (2, 1, "no")]
+
+
+class TestStorePerformer:
+    def test_answers_each_log_server_operation(self, store):
+        perform = store_performer({"s1": store}, "c1")
+        store.server_write_log("c1", 1, 1, True, b"v")
+        assert perform(Call("s1", INTERVAL_LIST)) == (Interval(1, 1, 1),)
+        (record,) = perform(Call("s1", READ, (1,)))
+        assert record.data == b"v"
+        copy = StoredRecord(lsn=1, epoch=2, data=b"v2")
+        assert perform(Call("s1", COPY, (2, (copy,)))) is ACK
+        assert perform(Call("s1", INSTALL, (2,))) is ACK
+        assert store.dump_table("c1") == [(1, 1, "yes"), (1, 2, "yes")]
+
+    def test_missing_or_crashed_server_is_unavailable(self, store):
+        perform = store_performer({"s1": store}, "c1")
+        with pytest.raises(ServerUnavailable):
+            perform(Call("s2", INTERVAL_LIST))
+        store.crash()
+        with pytest.raises(ServerUnavailable):
+            perform(Call("s1", INTERVAL_LIST))
+
+    def test_generator_calls_are_not_a_stores(self, store):
+        with pytest.raises(NotImplementedError):
+            store_performer({"s1": store}, "c1")(Call("s1", GEN_READ))

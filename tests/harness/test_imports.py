@@ -56,3 +56,30 @@ def test_every_package_init_is_only_a_docstring():
         with open(path) as f:
             tree = ast.parse(f.read())
         assert len(tree.body) == 1 and ast.get_docstring(tree), path
+
+
+def test_core_imports_only_core_and_the_standard_library():
+    """``repro.core`` is sans-IO: its procedures, stores and rules load
+    no simulator, runtime or network module, so every driver can run
+    them.  Nested (function-level) imports count too."""
+    paths = glob.glob(os.path.join(SRC, "repro", "core", "*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    # ``from .x`` stays in the package; ``from ..x``
+                    # leaves it.
+                    assert node.level == 1, (path, node.module)
+                    continue
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert (module.split(".")[0] in sys.stdlib_module_names
+                        or module == "repro.core"
+                        or module.startswith("repro.core.")), (path, module)

@@ -1,12 +1,13 @@
-"""One conformance suite for the restart procedures, three drivers.
+"""One conformance suite for the client's procedures, three drivers.
 
-The client's restart, NewID and record-fetch procedures are stated once
-in ``repro.core`` and driven three ways: by direct calls on server
-ports, by RPCs inside the simulator, and by TCP calls to asyncio
-daemons.  Every scenario below scripts the same server states under
-all three and demands the same outcome — the same ``RecoveryResult``
-(or the same error) and the same sequence of requests and steps — so a
-driver can differ from the others only in how a call travels.
+The client's restart, NewID, record-fetch and log-copy repair
+procedures are stated once in ``repro.core`` and driven three ways: by
+direct calls on server stores, by RPCs inside the simulator, and by
+TCP calls to asyncio daemons.  Every scenario below scripts the same
+server states under all three and demands the same outcome — the same
+``RecoveryResult`` or ``RepairResult`` (or the same error) and the same
+sequence of requests and steps — so a driver can differ from the
+others only in how a call travels.
 
 A scenario's servers may be *down* (really down, each stack its own
 way), and single calls may be *denied* — answered with
@@ -25,9 +26,8 @@ from repro.client.log_client import SimLogClient
 from repro.core.config import ReplicationConfig
 from repro.core.epoch import GeneratorStateRepresentative, new_id
 from repro.core.errors import NotEnoughServers, ServerUnavailable, StaleEpoch
-from repro.core.ports import DirectServerPort, port_performer
 from repro.core.records import StoredRecord
-from repro.core.store import LogServerStore
+from repro.core.store import LogServerStore, store_performer
 from repro.core.procedure import (
     ACK,
     COPY,
@@ -35,10 +35,12 @@ from repro.core.procedure import (
     GEN_WRITE,
     INSTALL,
     INTERVAL_LIST,
+    READ,
     Call,
     run,
 )
 from repro.core.recovery import fetch_record, restart
+from repro.core.repair import RepairResult, repair
 from repro.net.lan import Lan
 from repro.rt.client import AsyncReplicatedLog
 from repro.rt.filestore import FileLogStore
@@ -54,18 +56,26 @@ CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=2)
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     name: str
-    #: (server, lsn, epoch, data) records already stored, in write order.
-    stored: tuple[tuple[str, int, int, bytes], ...] = ()
+    #: (server, lsn, epoch, data) records already stored, in write
+    #: order; ``data`` None stores a not-present guard.
+    stored: tuple[tuple[str, int, int, bytes | None], ...] = ()
     #: generator-representative values, by server.
     generator: tuple[tuple[str, int], ...] = ()
     down: tuple[str, ...] = ()
     #: (server, op) calls answered with ServerUnavailable.
     denied: tuple[tuple[str, str], ...] = ()
+    #: ``(survivors, target, copies)``: run the Section 5.3 repair
+    #: instead of a restart.
+    repair: tuple[tuple[str, ...], str, int] | None = None
 
 
 def _log(servers, lsns, epoch=1):
     return tuple((sid, lsn, epoch, b"r%d" % lsn)
                  for lsn in lsns for sid in servers)
+
+
+def _guards(servers, lsns, epoch):
+    return tuple((sid, lsn, epoch, None) for lsn in lsns for sid in servers)
 
 
 SCENARIOS = [
@@ -94,6 +104,22 @@ SCENARIOS = [
              denied=(("s1", COPY), ("s3", INSTALL))),
     Scenario("generator behind the log",
              stored=_log(("s1", "s2"), range(1, 3), epoch=3)),
+    # Section 5.3: s2, in the write set, lost its disk; s3 is the empty
+    # replacement.  s2 is asked for its list too, and does not answer.
+    Scenario("repair onto an empty replacement",
+             stored=_log(("s1", "s2"), range(1, 5)), down=("s2",),
+             repair=(("s1", "s2"), "s3", 2)),
+    # A restart at epoch 2 copied LSNs 2–3 (δ = 2) and wrote guards at
+    # 4 and 5: one CopyLog + InstallCopies per epoch, the lower first.
+    Scenario("repair across two epochs with guards",
+             stored=_log(("s1", "s2"), range(1, 4))
+             + _log(("s1", "s2"), [2, 3], epoch=2)
+             + _guards(("s1", "s2"), [4, 5], epoch=2)
+             + _log(("s1", "s2"), [6], epoch=2),
+             down=("s2",), repair=(("s1", "s2"), "s3", 2)),
+    Scenario("repair with its only holder denied a read",
+             stored=_log(("s1", "s2"), range(1, 4)), down=("s2",),
+             denied=(("s1", READ),), repair=(("s1", "s2"), "s3", 2)),
 ]
 
 
@@ -122,7 +148,8 @@ def observed(procedure, trace, denied):
 
 
 def the_procedure(scenario, trace):
-    """Restart, then fetch every record the recovered map routes to."""
+    """Restart, then fetch every record the recovered map routes to —
+    or, for a repair scenario, the repair."""
 
     def body():
         result = yield from restart(
@@ -134,10 +161,14 @@ def the_procedure(scenario, trace):
             fetched.append((yield from fetch_record(result.merged.entry(lsn))))
         return result, fetched
 
-    return observed(body(), trace, set(scenario.denied))
+    procedure = body() if scenario.repair is None \
+        else repair(*scenario.repair)
+    return observed(procedure, trace, set(scenario.denied))
 
 
 def summarize(outcome):
+    if isinstance(outcome, RepairResult):
+        return outcome
     result, fetched = outcome
     as_tuple = lambda r: (r.lsn, r.epoch, r.present, r.kind, r.data)
     return {
@@ -153,6 +184,8 @@ def summarize(outcome):
 
 def _records(scenario, server_id):
     return [StoredRecord(lsn=lsn, epoch=epoch, data=data)
+            if data is not None else
+            StoredRecord(lsn=lsn, epoch=epoch, present=False, kind="guard")
             for sid, lsn, epoch, data in scenario.stored if sid == server_id]
 
 
@@ -170,9 +203,7 @@ def run_direct(scenario, trace, tmp_path):
     for sid in scenario.down:
         stores[sid].crash()
         reps[sid].crash()
-    log_call = port_performer(
-        {sid: DirectServerPort(store) for sid, store in stores.items()},
-        CLIENT)
+    log_call = store_performer(stores, CLIENT)
 
     def perform(call):
         if call.op == GEN_READ:
@@ -275,6 +306,13 @@ EXPECTED = {
         dict(epoch=2, write_set=("s2", "s3")),
     "install quorum shortfall": NotEnoughServers,
     "generator behind the log": StaleEpoch,
+    "repair onto an empty replacement": RepairResult(
+        target_server="s3", records_copied=4, bytes_copied=8,
+        lsns_repaired=(1, 2, 3, 4)),
+    "repair across two epochs with guards": RepairResult(
+        target_server="s3", records_copied=6, bytes_copied=8,
+        lsns_repaired=(1, 2, 3, 4, 5, 6)),
+    "repair with its only holder denied a read": NotEnoughServers,
 }
 
 
@@ -282,7 +320,9 @@ def test_direct_outcome_is_the_papers(outcomes):
     scenario, by_driver = outcomes
     outcome, _trace = by_driver["direct"]
     expected = EXPECTED[scenario.name]
-    if isinstance(expected, dict):
+    if isinstance(expected, RepairResult):
+        assert outcome == expected
+    elif isinstance(expected, dict):
         assert {k: outcome[k] for k in expected} == expected
     else:
         assert outcome is expected
@@ -294,3 +334,15 @@ def test_partial_tail_is_completed_or_masked(tmp_path):
     assert (4, 2, True, "data", b"r4") in completed["fetched"]
     masked, _ = outcome_under("direct", SCENARIOS[3], tmp_path)
     assert (4, 2, False, "guard", b"") in masked["staged"]
+
+
+def test_repair_copies_and_installs_once_per_epoch_lowest_first(tmp_path):
+    (scenario,) = [s for s in SCENARIOS
+                   if s.name == "repair across two epochs with guards"]
+    _, trace = outcome_under("direct", scenario, tmp_path)
+    to_target = [(call.op, call.args[0], [r.lsn for r in call.args[1]]
+                  if call.op == COPY else None)
+                 for call, _ in trace
+                 if isinstance(call, Call) and call.server_id == "s3"]
+    assert to_target == [(COPY, 1, [1]), (INSTALL, 1, None),
+                         (COPY, 2, [2, 3, 4, 5, 6]), (INSTALL, 2, None)]

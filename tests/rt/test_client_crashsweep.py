@@ -24,10 +24,12 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.harness.crashsweep import SweepConfig, run_crashsweep
+from repro.harness.crashsweep import SweepConfig, _client_case, \
+    run_crashsweep
 from repro.harness.oracle import History, check
 from repro.net.messages import IntervalListCall, ForceLogMsg
 from repro.rt.client import ServerConnection
+from repro.rt.faultspec import parse_plan
 
 
 # -- the waiter-leak regression (crash point client.force.ack:0) ------
@@ -225,4 +227,13 @@ def test_client_case_partial_ack_kill_and_recovery(tmp_path):
     (case,) = report.cases("client")
     assert case.spec == "client.force.ack:0:exit"
     assert case.hit, "the workload never reached the armed point"
+    assert case.ok, case.errors
+
+
+def test_combined_client_case_needs_its_daemon_fault_to_fire(tmp_path):
+    """The client kill fires; the storage fault on s1 sits at an index
+    the workload never reaches, so the case did not test it."""
+    case = _client_case(tmp_path, 0, parse_plan(
+        "client.force.ack:0:exit,s1@log.write.record:9999:power-loss"))
+    assert not case.hit
     assert case.ok, case.errors

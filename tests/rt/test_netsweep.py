@@ -204,3 +204,15 @@ def test_fuzz_smoke_is_green_and_counted(tmp_path):
     # enumeration the fuzzer drew from is still reported.
     assert report.cases("net") == []
     assert report.as_dict()["net_points_enumerated"] > 0
+
+
+def test_a_fuzz_case_is_hit_only_when_every_armed_spec_fires(tmp_path):
+    """The frame fault fires on the first ForceLog; the storage fault
+    is armed at an index the workload never reaches.  One fired fault
+    is not the case: it tested nothing of the other."""
+    report = run_crashsweep(SweepConfig(
+        root_dir=str(tmp_path),
+        plan="s1@net.forcelog.c2s:0:delay,s2@log.write.record:9999:eio"))
+    (case,) = report.cases("fuzz")
+    assert not case.hit
+    assert case.ok, case.errors
