@@ -118,7 +118,8 @@ def test_bench_netsweep(tmp_path):
     net = report.phase("net")
     net_cases = report.cases("net", "partition", "handoff")
 
-    assert len(report.cases("fuzz")) == 20
+    fuzz = report.cases("fuzz")
+    assert len(fuzz) == 20
     assert report.failures == [], [c.as_dict() for c in report.failures]
     params = {"quick": SMOKE, "seed": report.seed, "fuzz": 20}
     metrics = {
@@ -126,11 +127,16 @@ def test_bench_netsweep(tmp_path):
         "net_sites": len(net.sites),
         "net_cases_run": len(net_cases),
         "partition_cases_run": len(report.cases("partition")),
-        "fuzz_cases_run": len(report.cases("fuzz")),
+        "fuzz_cases_run": len(fuzz),
+        "fuzz_cases_hit": sum(case.hit for case in fuzz),
         "failures": len(report.failures),
         "sweep_seconds": round(report.duration_s, 3),
     }
     _gate("netsweep", params, metrics)
+    # A drawn plan arms only points its recording runs fired: a miss
+    # is a harness bug, not bad luck.
+    assert metrics["fuzz_cases_hit"] == 20, [
+        case.point for case in fuzz if not case.hit]
 
     emit_table(
         ["network site", "frames"],
@@ -139,6 +145,71 @@ def test_bench_netsweep(tmp_path):
     )
     emit(f"[bench] {net.points} frame points, {len(net_cases)} net cases "
          f"({metrics['partition_cases_run']} partition-switch), "
-         f"{metrics['fuzz_cases_run']} fuzz cases, {wall:.1f}s")
+         f"{metrics['fuzz_cases_run']} fuzz cases "
+         f"({metrics['fuzz_cases_hit']} hit), {wall:.1f}s")
     emit_json("netsweep", {"params": params, "metrics": metrics,
                            "wall_seconds": wall})
+
+
+#: the 20 seed-0 plans of the blind fuzz planner (storage and client
+#: indices drawn without a recording, frame indices from s1's clean
+#: run), which fired every armed spec in only 3 cases.  A regression
+#: list: each must stay green; its hit is reported, not asserted.
+BLIND_FUZZ_PLANS = (
+    "s2@net.intervallistcall.c2s:1:truncate-mid-frame,"
+    "s2@log.write.record:2:eio,client.force.ack:0:raise",
+    "s1@net.fencelog.c2s:0:corrupt-header,s2@log.write.fence:1:power-loss",
+    "s2@net.newhighlsn.s2c:0:duplicate,s1@log.fsync:3:eio",
+    "s3@net.forcelog.c2s:1:delay,s2@log.group-fsync:4:power-loss",
+    "s1@net.readlogforward.c2s:1:drop,"
+    "s2@net.readlogforward.c2s:2:kill-connection-after",
+    "s1@net.newhighlsn.s2c:2:kill-connection-after,"
+    "s1@net.genwritecall.c2s:0:drop,"
+    "s1@net.genwritecall.c2s:1:truncate-mid-frame,"
+    "s2@net.genreadreply.s2c:1:delay",
+    "s3@net.forcelog.c2s:2:partition-after,"
+    "s3@net.ack.s2c:1:kill-connection-after,"
+    "s1@net.readlogreply.s2c:2:corrupt-header,"
+    "client.recovery.copylog:1:raise",
+    "s1@net.fencereply.s2c:0:truncate-mid-frame,"
+    "s3@net.fencelog.c2s:0:drop,client.recovery.copylog:0:raise",
+    "s1@net.readlogforward.c2s:0:partition-after,"
+    "s1@net.forcelog.c2s:0:kill-connection-after",
+    "s2@net.truncatelog.c2s:0:truncate-mid-frame,s2@log.fsync:1:power-loss,"
+    "client.handoff.epoch:0:raise",
+    "s1@net.truncatereply.s2c:0:corrupt-header,"
+    "s1@net.genwritecall.c2s:1:corrupt-header,s1@log.write.record:4:eio,"
+    "client.handoff.fence.ack:1:raise",
+    "s3@net.genreadreply.s2c:0:partition-after,s1@log.write.record:3:eio,"
+    "client.handoff.fence.ack:1:raise",
+    "s2@net.writelog.c2s:2:duplicate,s2@net.newhighlsn.s2c:1:partition-after,"
+    "client.handoff.epoch:0:raise",
+    "s1@net.genreadcall.c2s:0:kill-connection-after,"
+    "s1@net.genreadreply.s2c:1:corrupt-header,s1@net.ack.s2c:1:drop",
+    "s2@net.fencelog.c2s:0:corrupt-header,s1@log.group-fsync:5:eio",
+    "s1@net.copylog.c2s:0:drop,s2@net.forcelog.c2s:2:corrupt-header",
+    "s1@net.intervallistcall.c2s:1:corrupt-header,"
+    "s1@net.installcopies.c2s:0:drop,"
+    "s1@net.intervallistreply.s2c:2:partition-after",
+    "s2@net.intervallistcall.c2s:1:delay,"
+    "s2@net.readlogreply.s2c:1:kill-connection-after,"
+    "s1@net.copylog.c2s:0:duplicate,s2@log.write.record:0:power-loss",
+    "s1@net.truncatelog.c2s:1:delay,client.handoff.epoch:1:raise",
+    "s1@net.writelog.c2s:0:kill-connection-after,"
+    "s1@net.writelog.c2s:1:truncate-mid-frame,"
+    "s2@net.readlogreply.s2c:1:delay,s2@log.write.record:4:power-loss",
+)
+
+
+def test_blind_fuzz_plans_stay_green(tmp_path):
+    """Every blind-planner plan, replayed through ``--plan``."""
+    rows = []
+    for n, plan in enumerate(BLIND_FUZZ_PLANS):
+        report = run_crashsweep(SweepConfig(root_dir=str(tmp_path / str(n)),
+                                            plan=plan))
+        (case,) = report.cases("fuzz")
+        assert case.ok, (plan, case.errors)
+        rows.append((plan, "hit" if case.hit else "miss"))
+    emit_table(["blind seed-0 plan", "armed specs"], rows,
+               title=f"{sum(row[1] == 'hit' for row in rows)} of "
+                     f"{len(rows)} blind fuzz plans hit")

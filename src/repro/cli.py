@@ -188,20 +188,16 @@ def _cmd_ring(args: argparse.Namespace) -> int:
 
 
 def _sweep_phases(args: argparse.Namespace) -> tuple[str, ...]:
-    """The phase set the ``repro crashsweep`` flags ask for.
-
-    ``--net`` / ``--fuzz`` / ``--plan`` narrow the run to the network
-    side and ``--client`` to the client phase; a default run is every
-    phase not switched off by a ``--no-*`` flag.
+    """The phase set ``repro crashsweep --phase`` asks for, in running
+    order: every phase by default.  ``--fuzz`` / ``--plan`` narrow the
+    run to the network side, where only ``--phase net`` adds a phase.
     """
-    if args.net or args.fuzz or args.plan:
-        return ("net",) if args.net else ()
-    if args.client:
-        return ("client",)
-    skipped = {"daemon": args.no_daemon, "client": args.no_client,
-               "net": args.no_net}
-    return tuple(name for name in ("storage", "daemon", "client", "net")
-                 if not skipped.get(name))
+    from .harness.crashsweep import PHASES
+
+    wanted = args.phase or PHASES
+    if args.fuzz or args.plan:
+        wanted = ("net",) if "net" in (args.phase or ()) else ()
+    return tuple(name for name in PHASES if name in wanted)
 
 
 def _cmd_crashsweep(args: argparse.Namespace) -> int:
@@ -467,25 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "to power-loss; client.* replays a client-kill "
                         "case, net.* a frame-fault case with default "
                         "action drop)")
-    p.add_argument("--no-daemon", action="store_true",
-                   help="skip the subprocess phase (real 'repro serve' "
-                        "daemons crashed over the wire)")
-    p.add_argument("--client", action="store_true",
-                   help="run only the client phase: kill a real client "
-                        "worker process at each protocol crash point "
-                        "and restart per Section 5.4 from a second "
-                        "process")
-    p.add_argument("--no-client", action="store_true",
-                   help="skip the client phase")
-    p.add_argument("--net", action="store_true",
-                   help="run only the network phase: frame-level "
-                        "faults (drop, corrupt, truncate, duplicate, "
-                        "delay, partition, kill) injected by a "
-                        "protocol-aware proxy fleet fronting real "
-                        "daemons, plus Section 5.4 switch-under-"
-                        "partition cases")
-    p.add_argument("--no-net", action="store_true",
-                   help="skip the network phase in a full run")
+    p.add_argument("--phase", action="append", default=None,
+                   choices=("storage", "daemon", "client", "net"),
+                   help="run only this phase (repeatable; default: all): "
+                        "storage = the in-process store; daemon = a real "
+                        "'repro serve' crashed over the wire; client = a "
+                        "client worker process killed at each protocol "
+                        "point and restarted per Section 5.4; net = "
+                        "frame-level faults from a proxy fleet fronting "
+                        "real daemons, with Section 5.4 switch-under-"
+                        "partition and handoff cases")
     p.add_argument("--fuzz", type=int, default=0, metavar="N",
                    help="run N seeded multi-fault fuzz cases composing "
                         "network, storage, and client faults (2-4 per "

@@ -1,4 +1,4 @@
-"""The killable client process of the crash sweep's client phase.
+"""The killable client process of the crash sweep.
 
 ``python -m repro.harness.clientworker`` runs the sweeps' one client
 workload (:func:`~repro.harness.sweep.run_workload`, at
@@ -6,41 +6,35 @@ workload (:func:`~repro.harness.sweep.run_workload`, at
 serve`` daemons and journals every client-visible step to a
 :class:`~repro.harness.oracle.History` file, so the harness knows
 exactly what the client *believed* at the instant it was killed.
-Three modes:
+Two modes:
 
 ``--mode run``
     The workload: ``--txns`` ET1 transactions (§4.1), a bulk
     transaction that streams WriteLogs, a §5.3 truncation, and a
-    fenced ownership handoff to a second client instance — which puts
-    the ``client.handoff.*`` sites on the enumerable protocol trace.
-    An injected crash plan (:mod:`repro.rt.clientfault`, environment
-    variables ``REPRO_CLIENT_FAULT_PLAN`` /
-    ``REPRO_CLIENT_FAULT_TRACE``) kills the process at an exact
-    protocol point.
-
-``--mode recover``
-    The *second* OS process: runs the full Section 5.4 restart
-    (interval-list merge, epoch bump, copy, guard, install), then
-    observes the log (:func:`~repro.harness.oracle.observe`): a
-    post-recovery transaction, then every LSN's final state by point
-    reads and by a forward scan.
+    fenced ownership handoff to a second client instance.  An injected
+    crash plan (:mod:`repro.rt.clientfault`, environment variables
+    ``REPRO_CLIENT_FAULT_PLAN`` / ``REPRO_CLIENT_FAULT_TRACE``) kills
+    the process at an exact protocol point; this is how
+    :func:`~repro.harness.sweep.run_case` arms a client ``exit`` or
+    ``sigkill`` spec, whose fault is the process death itself.  The
+    restarts that follow run in the harness, each by a fresh client.
 
 ``--mode takeover``
-    Like ``recover``, but via
+    The *second* OS process of a live handoff: runs
     :meth:`~repro.rt.client.AsyncReplicatedLog.takeover` — the
-    linearizable handoff that installs a durable fence before
-    recovering, so it works even while the *first* process is still
-    alive (merely partitioned) and writing.  The first process, once
-    fenced, exits with status 3.
+    linearizable handoff that installs a durable fence before the
+    Section 5.4 restart, so it works even while the *first* process
+    is still alive (merely partitioned) and writing — then observes
+    the log (:func:`~repro.harness.oracle.observe`).  The first
+    process, once fenced, exits with status 3.
 
 The journal is the History's JSON-lines form, one event per line
 (``epoch``, ``intent``, ``lsn``, ``ack``, ``trunc-req``,
 ``trunc-ack``, ``observe`` — see :mod:`repro.harness.oracle`),
 appended line-buffered.  Every promise line is emitted only *after*
 the awaited call returned, so a SIGKILL can never leave a journaled
-ack that the server side did not issue; the run, recover and takeover
-journals of one stream concatenate into one history for
-:func:`~repro.harness.oracle.check`.
+ack that the server side did not issue; the journals of one stream
+concatenate into one history for :func:`~repro.harness.oracle.check`.
 """
 
 from __future__ import annotations
@@ -52,14 +46,18 @@ import sys
 from ..core.errors import LogError, LogFenced
 from ..rt import clientfault
 from .oracle import History, observe
-from .sweep import SWEEP_CONFIG, SWEEP_TXNS, Run, run_workload, sweep_client
+from .sweep import (
+    CLIENT_ID,
+    SWEEP_CONFIG,
+    SWEEP_TXNS,
+    Run,
+    run_workload,
+    sweep_client,
+)
 
 #: exit status of a worker stopped by a fence (ownership handoff) —
 #: distinct from crash-plan exits and from genuine failures.
 EXIT_FENCED = 3
-
-#: the one stream every worker process writes.
-CLIENT_ID = "sweep"
 
 
 def parse_servers(spec: str) -> dict[str, tuple[str, int]]:
@@ -72,15 +70,11 @@ def parse_servers(spec: str) -> dict[str, tuple[str, int]]:
     return servers
 
 
-async def _run_recover(servers: dict, history: History, *,
-                       takeover: bool) -> None:
+async def _run_takeover(servers: dict, history: History) -> None:
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
     log = sweep_client(servers, CLIENT_ID, SWEEP_CONFIG)
     try:
-        if takeover:
-            await log.takeover()
-        else:
-            await log.initialize()
+        await log.takeover()
         history.epoch(log)
         await observe(log, history)
     finally:
@@ -90,13 +84,13 @@ async def _run_recover(servers: dict, history: History, *,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.clientworker",
-        description="crash-sweep client worker (run, recover or takeover)",
+        description="crash-sweep client worker (run or takeover)",
     )
     parser.add_argument("--servers", required=True,
                         help="s1=host:port,s2=host:port,...")
     parser.add_argument("--journal", required=True,
                         help="History file, JSON lines (appended)")
-    parser.add_argument("--mode", choices=("run", "recover", "takeover"),
+    parser.add_argument("--mode", choices=("run", "takeover"),
                         default="run")
     parser.add_argument("--txns", type=int, default=SWEEP_TXNS,
                         help="ET1 transactions of a run")
@@ -110,8 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             asyncio.run(run_workload(servers, CLIENT_ID, SWEEP_CONFIG,
                                      Run(history), args.txns))
         else:
-            asyncio.run(_run_recover(servers, history,
-                                     takeover=args.mode == "takeover"))
+            asyncio.run(_run_takeover(servers, history))
     except LogFenced as exc:
         # Ownership moved on mid-workload: exit with a status the
         # harness can tell apart from ordinary failures.

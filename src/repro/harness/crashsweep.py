@@ -45,21 +45,23 @@ must stay invisible because power is lost before the covering
 The **client phase** turns the same idea on the *protocol*: the same
 workload runs at ``M=3, N=2`` in a separate worker process
 (:mod:`repro.harness.clientworker`) against three real ``repro serve``
-daemons and is killed — exit 86 or SIGKILL — at every enumerated
+daemons and is killed — exit 86 or SIGKILL — at every recorded
 protocol crash point of :mod:`repro.rt.clientfault`: after a WriteLog
 batch is streamed, around ForceLog acknowledgments (including after a
 *partial* ack), mid write-set switch, and between each step of the
-§5.4 restart.  A **second OS process** then runs the full §5.4 restart
-and observes the log, a third does it again, and
-:func:`~repro.harness.oracle.check` reads the three processes'
-:class:`~repro.harness.oracle.History` files as one history: epoch
-monotone, acked durable, nothing fabricated, scan complete, live, and
-the second restart reproducing the first's state (window-replay
-idempotence).  Combined client cases arm a server storage fault and a
-client kill in the same run, so recovery itself executes against a
-crashing cluster.
+§5.4 restart.  Two fresh clients then each run the full §5.4 restart
+and observe the log, and :func:`~repro.harness.oracle.check` reads
+the killed worker's journal and both observations as one history:
+epoch monotone, acked durable, nothing fabricated, scan complete,
+live, and the second restart reproducing the first's state
+(window-replay idempotence).  Combined client cases arm a server
+storage fault and a client kill in the same run, so recovery itself
+executes against a crashing cluster.
 
-The network, partition-switch, handoff and fuzz phases live in
+Both run each case through the one runner,
+:func:`~repro.harness.sweep.run_case`, on a fresh cluster, and select
+from the one recording run, :func:`~repro.harness.sweep.record`.  The
+network, partition-switch, handoff and fuzz phases live in
 :mod:`repro.harness.netsweep`.  Every phase is a
 :class:`~repro.harness.sweep.Phase` run by the one loop in
 :mod:`repro.harness.sweep`; every armed fault is a
@@ -72,45 +74,31 @@ replays one failing case.
 
 from __future__ import annotations
 
-import asyncio
-import os
 import random
-import signal
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.errors import LogError, StorageError
 from ..core.records import StoredRecord
-from ..rt import clientfault
 from ..rt.cluster import LoopbackCluster
-from ..rt.faultfs import FAULT_EXIT_CODE, FaultInjector, PowerLoss
-from ..rt.faultspec import (
-    FaultSpecError,
-    by_target,
-    parse_plan,
-    plan_text,
-    read_trace,
-    trace_points,
-)
+from ..rt.faultfs import FaultInjector, PowerLoss
+from ..rt.faultspec import FaultSpecError, parse_plan, trace_points
 from ..rt.filestore import FileLogStore
-from .oracle import History, acked_durable, check, no_fabrication
+from .oracle import acked_durable, no_fabrication
 from .sweep import (
-    EXIT_GRACE_S,
     SINGLE_CONFIG,
+    SWEEP_CONFIG,
     CrashCase,
     Phase,
     PhaseResult,
     Plan,
-    Run,
     by_site,
-    daemon_faults_fired,
     first_and_last,
+    reached,
+    record,
+    run_fresh,
     run_phase,
-    run_workload,
-    verify_restart,
 )
 
 #: sites whose payload can be torn or bit-flipped (the others degrade
@@ -151,11 +139,9 @@ class SweepReport:
         return len(self.cases())
 
     def as_dict(self) -> dict:
-        storage, daemon, client = (self.phase(name) for name in
-                                   ("storage", "daemon", "client"))
-        # The fuzzer draws from the frame enumeration too; report it
-        # even when the net sweep itself was not requested.
-        net = self.phase("net" if "net" in self.phases else "fuzz")
+        storage, daemon, client, net = (self.phase(name) for name in
+                                        ("storage", "daemon", "client",
+                                         "net"))
 
         def dicts(*names: str) -> list[dict]:
             return [case.as_dict() for case in self.cases(*names)]
@@ -511,26 +497,6 @@ def storage_phase(root: Path, payloads: dict) -> Phase:
 
 # -- the daemon phase --------------------------------------------------------
 
-async def _daemon_workload(addresses: dict, history: History) -> None:
-    """The one workload against the lone daemon; it stops where the
-    daemon dies at the armed point, and the acks stop with it."""
-    try:
-        await run_workload(addresses, "cd", SINGLE_CONFIG, Run(history))
-    except (LogError, OSError, asyncio.TimeoutError):
-        pass
-
-
-def _daemon_enumerate(root: Path):
-    trace_path = root / "daemon-trace.txt"
-    cluster = LoopbackCluster(
-        str(root / "enum"), num_servers=1,
-        server_args=["--fault-trace", str(trace_path)],
-    )
-    with cluster:
-        asyncio.run(_daemon_workload(cluster.addresses(), History()))
-    return read_trace(trace_path)
-
-
 #: the sites whose first hit the daemon phase crashes at.
 _DAEMON_SITES = ("dir.create-sync", "log.write.record", "log.fsync",
                  "log.group-fsync", "log.write.generator",
@@ -547,67 +513,27 @@ _DAEMON_COMBINED = (
 )
 
 
-def _daemon_case(root: Path, index, plan: Plan) -> CrashCase:
-    case = CrashCase.of(plan)
-    cluster = LoopbackCluster(str(root / f"case-{index}"), num_servers=1)
-    try:
-        history = History()
-        started = True
-        try:
-            cluster.start_server(
-                "s1", extra_args=["--fault-plan", plan_text(plan)])
-        except RuntimeError:
-            entry = cluster.servers["s1"]
-            if entry.process is None \
-                    or entry.process.returncode != FAULT_EXIT_CODE:
-                raise
-            # The armed point fired during startup recovery (e.g.
-            # dir.create-sync:0), before the banner.  Nothing was
-            # acked; the plain restart below must still come up clean.
-            started = False
-        if started:
-            asyncio.run(_daemon_workload(cluster.addresses(), history))
-            try:
-                # An injected exit closes the client's sockets a moment
-                # before the process can be reaped, so a workload whose
-                # last call hit the point returns while the daemon
-                # still polls alive: give the exit time to show.
-                code = cluster.wait("s1", timeout=EXIT_GRACE_S)
-            except subprocess.TimeoutExpired:
-                # Still serving: the workload finished without reaching
-                # the armed point (can happen for late indices) —
-                # nothing to verify.
-                case.hit = False
-                return case
-            if code != FAULT_EXIT_CODE:
-                case.errors.append(f"live: daemon exited {code}, expected "
-                                   f"{FAULT_EXIT_CODE} (injected crash)")
-        cluster.restart("s1")  # no plan: clean recovery
-        case.errors.extend(asyncio.run(verify_restart(
-            cluster.addresses(), "cd", SINGLE_CONFIG, history)))
-    finally:
-        cluster.stop()
-        case.ok = not case.errors
-    return case
-
-
 def _select_daemon(trace, quick: bool) -> list[Plan]:
     """First hit of each interesting site, then the combined plans —
     both bounded for the CI smoke."""
-    reached = by_site(trace)
-    points = [(reached[site][0].arm(),)
-              for site in _DAEMON_SITES if site in reached]
+    reached_sites = by_site(trace)
+    points = [(reached_sites[site][0].arm(),)
+              for site in _DAEMON_SITES if site in reached_sites]
     if quick:
         return points[:3] + list(_DAEMON_COMBINED[:1])
     return points + list(_DAEMON_COMBINED)
 
 
 def daemon_phase(root: Path) -> Phase:
+    """The one workload at M=1, N=1 against one fresh ``repro serve``
+    per case, crashed at its storage points."""
     return Phase(
         "daemon",
-        enumerate=lambda: _daemon_enumerate(root),
+        enumerate=lambda: reached(record(root / "record", SINGLE_CONFIG)[1],
+                                  "storage", "s1"),
         select=_select_daemon,
-        run_case=lambda n, plan: _daemon_case(root, n, plan),
+        run_case=lambda n, plan: run_fresh(root / f"case-{n}",
+                                           SINGLE_CONFIG, plan),
     )
 
 
@@ -634,49 +560,6 @@ _CLIENT_QUICK_POINTS = parse_plan(
     "client.recovery.copylog:0,client.handoff.fence.ack:0")
 
 
-def _worker_env(plan: str | None = None,
-                trace: str | None = None) -> dict:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    env.pop(clientfault.PLAN_ENV, None)
-    env.pop(clientfault.TRACE_ENV, None)
-    if plan is not None:
-        env[clientfault.PLAN_ENV] = plan
-    if trace is not None:
-        env[clientfault.TRACE_ENV] = trace
-    return env
-
-
-def _run_worker(addresses: dict, journal: Path, *, mode: str = "run",
-                plan: str | None = None, trace: str | None = None,
-                timeout: float = 120.0) -> int:
-    """Run one clientworker OS process to completion (or injected death)."""
-    servers = ",".join(f"{sid}={host}:{port}"
-                       for sid, (host, port) in sorted(addresses.items()))
-    cmd = [sys.executable, "-m", "repro.harness.clientworker",
-           "--servers", servers, "--journal", str(journal),
-           "--mode", mode]
-    proc = subprocess.run(cmd, env=_worker_env(plan, trace),
-                          stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=timeout)
-    return proc.returncode
-
-
-def _client_enumerate(root: Path):
-    """One fault-free worker run under a recording injector."""
-    trace_path = root / "client-trace.txt"
-    cluster = LoopbackCluster(str(root / "enum"), num_servers=3)
-    with cluster:
-        rc = _run_worker(cluster.addresses(), root / "enum.journal",
-                         trace=str(trace_path))
-    if rc != 0:
-        raise RuntimeError(f"client enumeration worker exited {rc}")
-    return read_trace(trace_path)
-
-
 def _select_client(trace, quick: bool) -> list[Plan]:
     if quick:
         return [(point.arm(),) for point in _CLIENT_QUICK_POINTS
@@ -696,61 +579,16 @@ def _select_client(trace, quick: bool) -> list[Plan]:
     return plans + list(_CLIENT_COMBINED)
 
 
-def _client_case(root: Path, index, plan: Plan) -> CrashCase:
-    """Kill a real client worker at the plan's first spec; restart
-    twice from fresh processes and check the three histories.
-
-    Any further specs are storage faults armed on their target
-    daemons — the combined-fault shape where the cluster is crashing
-    while the client is being killed and recovered.  The case is hit
-    only if the kill fired and so did every daemon's faults.
-    """
-    kill, *server_faults = plan
-    case = CrashCase(kill.point + "".join(
-        f"+{fault.target}:{fault.point}:{fault.action}"
-        for fault in server_faults), kill.action)
-    case_root = root / f"case-{index}"
-    case_root.mkdir(parents=True, exist_ok=True)
-    cluster = LoopbackCluster(str(case_root / "cluster"), num_servers=3)
-    armed = by_target(server_faults, "s1")
-    try:
-        for sid, faults in armed.items():
-            cluster.start_server(
-                sid, extra_args=["--fault-plan", plan_text(faults)])
-        cluster.start()
-        journals = [case_root / name for name in
-                    ("run.journal", "recover1.journal", "recover2.journal")]
-        rc = _run_worker(cluster.addresses(), journals[0], plan=kill.spec)
-        if rc == 0:
-            # The workload finished without reaching the armed point.
-            case.hit = False
-            return case
-        expected = -signal.SIGKILL if kill.action == "sigkill" \
-            else FAULT_EXIT_CODE
-        if rc != expected:
-            case.errors.append(f"live: run worker exited {rc}, expected "
-                               f"{expected} (injected kill)")
-        for n, journal in enumerate(journals[1:], 1):
-            rc = _run_worker(cluster.addresses(), journal, mode="recover")
-            if rc != 0:
-                case.errors.append(f"live: recovery worker {n} exited {rc}")
-        case.errors.extend(check(History.load(*journals)))
-        case.hit = all(daemon_faults_fired(cluster, sid, len(faults))
-                       for sid, faults in armed.items())
-    except subprocess.TimeoutExpired as exc:
-        case.errors.append(f"live: client worker hung: {exc}")
-    finally:
-        cluster.stop()
-        case.ok = not case.errors
-    return case
-
-
 def client_phase(root: Path) -> Phase:
+    """The one workload at M=3, N=2, a fresh cluster per case, killed
+    at each protocol point; then two restarts."""
     return Phase(
         "client",
-        enumerate=lambda: _client_enumerate(root),
+        enumerate=lambda: reached(record(root / "record", SWEEP_CONFIG)[1],
+                                  "client"),
         select=_select_client,
-        run_case=lambda n, plan: _client_case(root, n, plan),
+        run_case=lambda n, plan: run_fresh(root / f"case-{n}",
+                                           SWEEP_CONFIG, plan, restarts=2),
         replay="repro crashsweep --point",
     )
 
@@ -791,13 +629,11 @@ def run_crashsweep(config: SweepConfig, progress=None) -> SweepReport:
     run(daemon_phase(root / "daemon"))
     run(client_phase(root / "client"))
     if wanted & {"net", "fuzz"}:
-        # Network faults never corrupt durable state, so one 3-daemon
-        # cluster serves every case of the four network-side phases.
         from .netsweep import net_phases
         with LoopbackCluster(str(root / "net" / "cluster"),
                              num_servers=3) as cluster:
-            for phase in net_phases(cluster, seed=config.seed,
-                                    fuzz=config.fuzz):
+            for phase in net_phases(cluster, root / "net",
+                                    seed=config.seed, fuzz=config.fuzz):
                 run(phase)
 
     report.duration_s = time.monotonic() - start

@@ -172,10 +172,10 @@ def run_replication_tradeoff() -> tuple[
     and M up to 8, and the frontier spot-checked on the real algorithm
     (800 trials) at M=8 and M=3.
 
-    (M=3 rather than M=2 as the small configuration: the
-    implementation's restart also installs copies on N servers, which
-    for M=N dominates the pure interval-list quorum the closed form
-    counts.)
+    (M=3 rather than M=2 as the small configuration: the restart also
+    installs copies on N servers, so it is available only while at
+    most min(N − 1, M − N) servers are down — the closed form's N − 1
+    only when M ≥ 2N − 1.)
     """
     closed_form = [(m, n, write_availability(m, n, 0.05),
                     init_availability(m, n, 0.05))

@@ -9,9 +9,10 @@ instances (a :class:`~repro.rt.chaosproxy.ProxyFleet`), and the sweeps'
 one client workload (:func:`~repro.harness.sweep.run_workload`, at
 ``M=3, N=2``) runs through them:
 
-1. **Enumerate** — one clean traced run; every frame crossing the
-   target server's proxy is a point ``net.<kind>.<dir>:<index>``
-   (keep-alive ping/pong excluded: their timing is not deterministic).
+1. **Record** — one clean recording run
+   (:func:`~repro.harness.sweep.record`); every frame crossing s1's
+   proxy is a point ``net.<kind>.<dir>:<index>`` (keep-alive
+   ping/pong excluded: their timing is not deterministic).
 2. **Sweep** — re-run the workload once per (point, action) with that
    single network :class:`~repro.rt.faultspec.FaultSpec` armed, plus
    curated ``partition-after`` cases where the §5.4 switch must
@@ -21,17 +22,24 @@ one client workload (:func:`~repro.harness.sweep.run_workload`, at
    re-run the §5.4 restart with the same client id *directly* against
    the daemons, observe the log into the case's
    :class:`~repro.harness.oracle.History`, and
-   :func:`~repro.harness.oracle.check` it: epoch monotone, every acked
-   record readable with its exact payload (above the truncation floor),
-   nothing fabricated, the forward scan complete, and post-heal
-   liveness (a fresh transaction acks and reads back).
+   :func:`~repro.harness.oracle.check` it.
+
+The net and partition cases share one 3-daemon cluster: a frame fault
+never corrupts durable state.  Both run through the one runner,
+:func:`~repro.harness.sweep.run_case`; the partition phase passes in
+its liveness checks (:func:`switched_within_budget`).
 
 The **fuzz phase** (``repro crashsweep --fuzz N --seed S``) composes
-2–4 faults per case drawn across all three injector families — network
-frame plans, storage fault plans armed on a daemon via ``--fault-plan``
+2–4 faults per case across all three injector families — network
+frame faults, storage faults armed on a daemon via ``--fault-plan``
 (power-loss/EIO only: silent storage corruption voids acked-durability
 by design and belongs to the storage phase), and in-process client
-protocol crashes (:mod:`repro.rt.clientfault`, action ``raise``).  A
+protocol crashes (action ``raise``).  :func:`draw_fuzz_plan` draws
+each spec only from the points a recording run reached on that
+spec's target, and spec k+1 from a recording run with specs 1..k
+armed: a spec is kept only if that run fired it and every spec before
+it.  Each fuzz case, and each of its recording runs, gets a fresh
+cluster, so the armed run starts from the state its recording did.  A
 case's plan text round-trips through
 :func:`~repro.rt.faultspec.parse_plan`, so any failure is replayable
 with ``repro crashsweep --plan SPEC``.  The workload may legally abort
@@ -39,29 +47,23 @@ mid-case (e.g. two faulted servers leave no write quorum); the
 invariants are checked regardless, after the fleet is revived.
 
 Each of the four is a :class:`~repro.harness.sweep.Phase`
-(:func:`net_phases`) run by the one loop in :mod:`repro.harness.sweep`,
-and all of them end in its :func:`~repro.harness.sweep.verify_restart`.
+(:func:`net_phases`) run by the one loop in :mod:`repro.harness.sweep`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import random
+from collections.abc import Callable
+from pathlib import Path
 
 from ..core.errors import LogError, LogFenced
 from ..net.codec import RECORD_BEARING_KINDS
-from ..rt import clientfault
 from ..rt.chaosproxy import ProxyFleet
-from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster
-from ..rt.faultspec import (
-    FaultSpec,
-    by_target,
-    parse_plan,
-    plan_text,
-    trace_points,
-)
+from ..rt.faultspec import FaultSpec, parse_plan
 from ..rt.filestore import FileLogStore
 from .sweep import (
     CLIENT_TIMEOUT_S,
@@ -73,9 +75,10 @@ from .sweep import (
     Plan,
     Run,
     by_site,
-    daemon_faults_fired,
-    run_workload,
-    site_counts,
+    reached,
+    record,
+    run_case,
+    run_fresh,
     sweep_client,
     verify_restart,
 )
@@ -105,7 +108,7 @@ _FUZZ_STORAGE_SITES = ("log.write.record", "log.fsync", "log.group-fsync",
 _FUZZ_STORAGE_ACTIONS = ("power-loss", "eio")
 
 #: client protocol sites the fuzzer crashes in-process (action
-#: ``raise``; exit/sigkill would kill the harness itself).  The
+#: ``raise``; process deaths are the client phase's subject).  The
 #: ``client.handoff.*`` sites are the takeover seams: after the epoch
 #: bump but before the fence, and after a partial fence install.
 _FUZZ_CLIENT_SITES = ("client.flush.sent", "client.force.ack",
@@ -119,43 +122,7 @@ _FUZZ_CLIENT_SITES = ("client.flush.sent", "client.force.ack",
 _STALE_PREFIX = b"stale."
 
 
-# -- the armed workload -----------------------------------------------------
-
-
-async def _run_armed(fleet: ProxyFleet, client_id: str, run: Run) -> None:
-    """The workload through an armed fleet; a legal abort is noted."""
-    try:
-        await asyncio.wait_for(
-            run_workload(fleet.addresses(), client_id, SWEEP_CONFIG, run),
-            timeout=60.0)
-    except (LogError, OSError, asyncio.TimeoutError) as exc:
-        run.aborted = repr(exc)
-
-
-# -- enumeration and case selection ------------------------------------------
-
-
-def enumerate_net_points(cluster: LoopbackCluster, *,
-                         target: str = "s1") -> tuple[FaultSpec, ...]:
-    """Frame points seen by ``target``'s proxy during one clean run."""
-
-    async def run() -> list[str]:
-        fleet = ProxyFleet(cluster.addresses(), record_server=target)
-        await fleet.start()
-        try:
-            run = Run()
-            await run_workload(fleet.addresses(), "net-e", SWEEP_CONFIG,
-                               run)
-            if not run.completed:
-                raise RuntimeError(
-                    "net enumeration workload did not complete")
-            return fleet.proxies[target].trace
-        finally:
-            await fleet.close()
-
-    # Keep-alive traffic is timing-dependent: not a replayable point.
-    return tuple(point for point in trace_points(asyncio.run(run()))
-                 if point.kind not in ("ping", "pong"))
+# -- case selection ----------------------------------------------------------
 
 
 def select_net_cases(trace, quick: bool) -> list[Plan]:
@@ -191,59 +158,21 @@ def select_net_cases(trace, quick: bool) -> list[Plan]:
     return cases
 
 
-# -- single-fault net cases --------------------------------------------------
-
-
-def run_net_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
-    """One armed frame fault against the shared daemon cluster.
-
-    A ``partition-after`` fault additionally must drive a §5.4 switch
-    that completes, within budget, off a server that stays alive.
-    """
-    (spec,) = plan
-    case = CrashCase.of(plan)
-    target = spec.target or "s1"
-    client_id = f"n{index}"
-    run = Run()
-
-    async def armed() -> int:
-        fleet = ProxyFleet(cluster.addresses(), plans=plan,
-                           default_target=target)
-        await fleet.start()
-        try:
-            await _run_armed(fleet, client_id, run)
-            return fleet.faults_injected
-        finally:
-            await fleet.close()
-
-    case.hit = asyncio.run(armed()) > 0
-    if spec.action == "partition-after":
-        if not cluster.servers[target].alive:
-            case.errors.append(
-                f"live: partitioned daemon {target} died during the case")
-        if not run.switches:
-            case.errors.append(
-                "live: partition did not drive a §5.4 write-set switch")
-        if not run.completed:
-            case.errors.append(
-                f"live: workload did not complete off the partitioned "
-                f"server ({run.aborted or 'incomplete'})")
-        if run.max_force_s > SWITCH_BUDGET_S:
-            case.errors.append(
-                f"live: switch took {run.max_force_s:.2f}s, over the "
-                f"{SWITCH_BUDGET_S:.2f}s detection budget")
-    # Heal == the proxies are gone.  A network-only fault must never
-    # kill a daemon; restart any casualty so one bad case cannot
-    # cascade, but record it as the failure it is.
-    for sid, entry in cluster.servers.items():
-        if not entry.alive:
-            case.errors.append(
-                f"live: daemon {sid} died during a network-only case")
-            cluster.restart(sid)
-    case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, SWEEP_CONFIG, run.history)))
-    case.ok = not case.errors
-    return case
+def switched_within_budget(run: Run) -> list[str]:
+    """The partition phase's liveness: the partition drove a §5.4
+    write-set switch, the workload completed off the partitioned
+    server, and no force waited longer than :data:`SWITCH_BUDGET_S`."""
+    errors = []
+    if not run.switches:
+        errors.append("live: partition did not drive a §5.4 write-set "
+                      "switch")
+    if not run.completed:
+        errors.append(f"live: workload did not complete off the "
+                      f"partitioned server ({run.aborted or 'incomplete'})")
+    if run.max_force_s > SWITCH_BUDGET_S:
+        errors.append(f"live: switch took {run.max_force_s:.2f}s, over the "
+                      f"{SWITCH_BUDGET_S:.2f}s detection budget")
+    return errors
 
 
 # -- the curated linearizable-handoff case -----------------------------------
@@ -384,136 +313,128 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
 
 # -- composite (fuzz) plans --------------------------------------------------
 
+#: how often the fuzzer draws each family's next spec, relatively.
+_FUZZ_WEIGHTS = {"net": 3, "storage": 1, "client": 1}
 
-def draw_fuzz_plan(rng: random.Random, sites: dict[str, int]) -> Plan:
-    """One seeded plan of 2–4 faults across the three families, drawn
-    over the enumerated net site menu (site → points reached)."""
-    n_faults = rng.randint(2, 4)
-    plan: list[FaultSpec] = []
-    seen: set[tuple[str, str]] = set()
-    tries = 0
-    while len(plan) < n_faults and tries < 64:
-        tries += 1
-        family = rng.choices(("net", "storage", "client"),
-                             weights=(3, 1, 1))[0]
-        if family == "net":
-            site = rng.choice(sorted(sites))
-            index = rng.randrange(min(sites[site], 3))
-            point = FaultSpec(site, index,
-                              target=rng.choice(("s1", "s1", "s2", "s3")))
-            actions = ["drop", "delay", "duplicate", "corrupt-header",
-                       "truncate-mid-frame", "partition-after",
-                       "kill-connection-after"]
-            if point.kind in RECORD_BEARING_KINDS:
-                actions.append("corrupt-payload")
-        elif family == "storage":
-            sid = rng.choice(("s1", "s2"))
-            point = FaultSpec(rng.choice(_FUZZ_STORAGE_SITES),
-                              rng.randrange(6), target=sid)
-            actions = _FUZZ_STORAGE_ACTIONS
-        else:
-            point = FaultSpec(rng.choice(_FUZZ_CLIENT_SITES),
-                              rng.randrange(2))
-            actions = ("raise",)
-        if (point.target, point.point) in seen:
+#: how many candidates :func:`draw_fuzz_plan` tries for one spec.
+_FUZZ_TRIES = 8
+
+#: a recording run with a plan armed → (whether every armed spec
+#: fired, the targeted points it reached).
+Reach = Callable[[Plan], tuple[bool, tuple[FaultSpec, ...]]]
+
+
+def _fuzz_actions(point: FaultSpec) -> tuple[str, ...]:
+    if point.family == "storage":
+        return _FUZZ_STORAGE_ACTIONS
+    if point.family == "client":
+        return ("raise",)
+    actions = ("drop", "delay", "duplicate", "corrupt-header",
+               "truncate-mid-frame", "partition-after",
+               "kill-connection-after")
+    if point.kind in RECORD_BEARING_KINDS:
+        actions += ("corrupt-payload",)
+    return actions
+
+
+def _draw_spec(rng: random.Random, trace, plan: Plan) -> FaultSpec | None:
+    """One spec at a point ``trace`` reached and ``plan`` does not arm:
+    a family by :data:`_FUZZ_WEIGHTS`, one of its reached sites, one
+    reached point of that site on any target, one of its actions."""
+    armed = {(spec.target, spec.point) for spec in plan}
+    menu: dict[str, dict[str, list[FaultSpec]]] = {}
+    for point in trace:
+        if (point.target, point.point) in armed \
+                or point.family == "storage" \
+                and point.site not in _FUZZ_STORAGE_SITES \
+                or point.family == "client" \
+                and point.site not in _FUZZ_CLIENT_SITES:
             continue
-        seen.add((point.target, point.point))
-        # A lone action draws nothing: the seed fixes the RNG sequence,
-        # and with it every plan the committed baselines name.
-        plan.append(point.arm(rng.choice(actions) if len(actions) > 1
-                              else actions[0]))
+        menu.setdefault(point.family, {}).setdefault(
+            point.site, []).append(point)
+    families = [family for family in _FUZZ_WEIGHTS if family in menu]
+    if not families:
+        return None
+    family = rng.choices(families, weights=[_FUZZ_WEIGHTS[family]
+                                            for family in families])[0]
+    sites = menu[family]
+    point = rng.choice(sites[rng.choice(sorted(sites))])
+    return point.arm(rng.choice(_fuzz_actions(point)))
+
+
+def draw_fuzz_plan(rng: random.Random, reach: Reach) -> Plan:
+    """One seeded plan of 2–4 faults across the three families.
+
+    Spec k+1 is drawn from the points reached by ``reach(specs 1..k)``
+    (the clean recording for the first) and kept only if the recording
+    run with it armed too fired every spec: a later fault that lands
+    early can divert the run past an earlier one's point.  Up to
+    :data:`_FUZZ_TRIES` candidates are drawn per spec.
+    """
+    plan: Plan = ()
+    _, trace = reach(plan)
+    for _ in range(rng.randint(2, 4)):
+        for _ in range(_FUZZ_TRIES):
+            spec = _draw_spec(rng, trace, plan)
+            if spec is None:
+                break
+            hit, armed = reach(plan + (spec,))
+            if hit:
+                plan, trace = plan + (spec,), armed
+                break
     # Net, storage, client: the order the plan text has always had (it
     # is a case's replay key) and the order the case arms them in.
     return tuple(sorted(plan, key=lambda spec: (
         "net", "storage", "client").index(spec.family)))
 
 
-def run_fuzz_case(cluster: LoopbackCluster, index, plan: Plan) -> CrashCase:
-    """One composed multi-fault case; revive the fleet, then verify.
-
-    The case is hit only if every armed spec fired: each frame fault on
-    its proxy, the client crashes, and each armed daemon's faults.
-    """
-    case = CrashCase(plan_text(plan), "fuzz")
-    kills = tuple(spec for spec in plan if spec.family == "client")
-    bad = [spec.spec for spec in kills if spec.action != "raise"]
-    if bad:
-        case.errors.append(
-            f"fuzz cases only support in-process client faults "
-            f"(action 'raise'); got {', '.join(bad)}")
-        case.ok = False
-        return case
-    client_id = f"f{index}"
-    run = Run()
-    armed = by_target(
-        (spec for spec in plan if spec.family == "storage"), "s1")
-    for sid, faults in armed.items():
-        cluster.restart(sid, extra_args=["--fault-plan", plan_text(faults)])
-
-    frames = tuple(spec for spec in plan if spec.family == "net")
-
-    async def fuzzed() -> bool:
-        fleet = ProxyFleet(cluster.addresses(), plans=frames,
-                           seed=index if isinstance(index, int) else 0)
-        await fleet.start()
-        injector = ClientFaultInjector(kills)
-        clientfault.install(injector)
-        try:
-            try:
-                await _run_armed(fleet, client_id, run)
-            except ClientCrash:
-                pass  # the armed client crash: nothing after it is acked
-            return set(frames) <= set(fleet.fired) \
-                and injector.crashes == len(kills)
-        finally:
-            clientfault.install(None)
-            await fleet.close()
-
-    try:
-        case.hit = asyncio.run(fuzzed()) and all(
-            daemon_faults_fired(cluster, sid, len(faults))
-            for sid, faults in armed.items())
-    finally:
-        cluster.revive(list(armed))
-    case.errors.extend(asyncio.run(verify_restart(
-        cluster.addresses(), client_id, SWEEP_CONFIG, run.history)))
-    case.ok = not case.errors
-    return case
-
-
 # -- the phases --------------------------------------------------------------
 
 
-def net_phases(cluster: LoopbackCluster, *, seed: int,
+def net_phases(cluster: LoopbackCluster, root: Path, *, seed: int,
                fuzz: int) -> list[Phase]:
-    """The four network-side phases over one shared 3-daemon cluster.
+    """The four network-side phases.
 
-    Each case gets a fresh client id and a fresh proxy fleet (fuzz
-    cases additionally restart the daemons they arm storage faults
-    on).  The net sweep and the fuzzer share one frame enumeration.
+    The net, partition and handoff cases share ``cluster``, each with a
+    fresh client id and a fresh proxy fleet; the fuzz cases and their
+    recording runs each get a fresh cluster under ``root``.  The net
+    sweep and the fuzzer share one clean recording.
     """
-    enumerate_once = functools.cache(lambda: enumerate_net_points(cluster))
+    recorded = functools.cache(
+        lambda: record(root / "record", SWEEP_CONFIG)[1])
+    draws = itertools.count()
+
+    def reach(plan: Plan) -> tuple[bool, tuple[FaultSpec, ...]]:
+        if not plan:
+            return True, recorded()
+        case, trace = record(root / f"draw-{next(draws)}", SWEEP_CONFIG,
+                             plan)
+        return case.hit, trace
 
     def draw(trace, quick: bool) -> list[Plan]:
-        menu = site_counts(trace)
-        return [draw_fuzz_plan(random.Random(seed * 1_000_003 + i), menu)
+        return [draw_fuzz_plan(random.Random(seed * 1_000_003 + i), reach)
                 for i in range(fuzz)]
 
     return [
-        Phase("net", enumerate=enumerate_once, select=select_net_cases,
-              run_case=functools.partial(run_net_case, cluster),
+        Phase("net", enumerate=lambda: reached(recorded(), "net", "s1"),
+              select=select_net_cases,
+              run_case=lambda n, plan: run_case(
+                  cluster, SWEEP_CONFIG, plan, client_id=f"n{n}"),
               replay="repro crashsweep --point"),
         # §5.4 under partition: the old server stays alive.
         Phase("partition",
               select=lambda trace, quick: (PARTITION_CASES[:1] if quick
                                            else PARTITION_CASES),
-              run_case=lambda n, plan: run_net_case(cluster, f"p{n}", plan),
+              run_case=lambda n, plan: run_case(
+                  cluster, SWEEP_CONFIG, plan, client_id=f"p{n}",
+                  live=switched_within_budget),
               replay="repro crashsweep --point"),
         # Fenced takeover with the old writer alive and half-partitioned:
         # one scripted scenario, nothing armed.
         Phase("handoff", select=lambda trace, quick: [()],
               run_case=lambda n, plan: run_handoff_case(cluster, f"x{n}")),
-        Phase("fuzz", enumerate=enumerate_once, select=draw,
-              run_case=functools.partial(run_fuzz_case, cluster),
+        Phase("fuzz", enumerate=recorded, select=draw,
+              run_case=lambda n, plan: run_fresh(root / f"fuzz-{n}",
+                                                 SWEEP_CONFIG, plan),
               replay="repro crashsweep --plan"),
     ]

@@ -1,48 +1,62 @@
 """The sweep engine behind ``repro crashsweep``.
 
-The paper's durability promise (§3.1, §5.4) is *per crash point*, so
-every phase of the sweep has the same shape: **enumerate** the points
-a scripted workload reaches under a recording injector, **select** the
-plans worth arming, **run** the workload once per plan with it armed,
-then **heal and verify**.  Here that shape is written once:
+The paper's durability promise (§3.1, §5.4) is *per failure point*, so
+every phase of the sweep has the same shape: **record** the points a
+scripted workload reaches, **select** the plans worth arming, **run**
+the workload once per plan with it armed, then **heal and verify**.
+Here that shape is written once:
 
 * a :class:`Phase` is data — ``enumerate()``, ``select(trace, quick)``
   and ``run_case(index, plan)`` — where a *plan* is the tuple of
-  :class:`~repro.rt.faultspec.FaultSpec` armed together in one case;
-* :func:`run_phase` is the one loop: site histogram, hit / not-reached
-  bookkeeping, ``FAIL`` reporting, and single-plan replay
-  (``--point`` / ``--plan``);
-* :func:`run_workload` is the one client workload every runtime phase
-  drives, with clients from the one factory :func:`sweep_client`:
-  ET1 transactions, a bulk transaction, a truncation and a fenced
-  handoff, each step journaled into the case's
+  :class:`~repro.rt.faultspec.FaultSpec` armed together in one case,
+  and :func:`run_phase` is the one loop over it;
+* :func:`run_workload` is the one client workload (clients from
+  :func:`sweep_client`), journaled into the case's
   :class:`~repro.harness.oracle.History`;
-* :func:`verify_restart` is the one restart-and-check the daemon,
-  network, partition, handoff and fuzz phases share: a fresh client
-  restarts the stream, :func:`~repro.harness.oracle.observe` reads it
-  back into the case's :class:`~repro.harness.oracle.History`, and
-  :func:`~repro.harness.oracle.check` names every broken promise.
+* :func:`run_case` is the one runtime case runner: it arms storage
+  specs as a daemon's ``--fault-plan``, net specs on a
+  :class:`~repro.rt.chaosproxy.ProxyFleet`, client ``raise`` specs
+  in-process and client ``exit``/``sigkill`` specs in a
+  :mod:`~repro.harness.clientworker` process (the death is the
+  fault), runs the workload, revives the cluster and ends in
+  :func:`verify_restart` → :func:`~repro.harness.oracle.check`;
+* :func:`record` is the one recording run: :func:`run_case` on a fresh
+  cluster with every family recorded on every target, whose trace of
+  *targeted* points (``s2@log.fsync:3``, ``s1@net.ack.s2c:0``,
+  ``client.force.ack:1``) every runtime phase selects from.
 
-The client phase runs the same ``observe`` in recovery processes of
-its own and checks the histories they journaled; the storage phase
-checks a store directly, with the oracle's ``acked-durable`` and
-``no-fabrication`` rules plus the store-only ones.
+The runtime phases differ only in what they pass in: the cluster, the
+config, the number of restarts and any liveness checks.  The storage
+phase checks a store directly, in-process.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import subprocess
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from ..core.config import ReplicationConfig
 from ..core.errors import LogError
 from ..core.retry import RetryPolicy
+from ..rt import clientfault
+from ..rt.chaosproxy import ProxyFleet
 from ..rt.client import AsyncReplicatedLog
+from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster, fetch_stats
 from ..rt.faultfs import FAULT_EXIT_CODE
-from ..rt.faultspec import FaultSpec, plan_text
+from ..rt.faultspec import (
+    FaultSpec,
+    by_target,
+    plan_text,
+    read_trace,
+    trace_points,
+)
 from .oracle import History, check, observe
 
 #: the faults armed together in one case.
@@ -133,29 +147,28 @@ EXIT_GRACE_S = 3.0
 
 
 def daemon_faults_fired(cluster: LoopbackCluster, server_id: str,
-                        armed: int) -> bool:
-    """Whether the ``armed`` storage faults of one daemon all fired.
+                        specs: Plan) -> bool:
+    """Whether the storage faults ``specs`` armed on one daemon all
+    fired: each one's point is in the daemon's ``--fault-trace``, which
+    the injector writes before it acts.
 
-    A daemon a crash action fired in exits with ``FAULT_EXIT_CODE``;
-    one still serving counts its injected faults in its Stats
-    ``injected_faults``.  A daemon whose Stats cannot be read is given
-    :data:`EXIT_GRACE_S` to show the exit.
+    A daemon that polls alive but cannot answer Stats is exiting (a
+    crash on the workload's last call closes the client's sockets a
+    moment before the process can be reaped): it is given
+    :data:`EXIT_GRACE_S` to show the exit status.
     """
     entry = cluster.servers[server_id]
     if entry.alive:
         try:
-            stats = asyncio.run(fetch_stats(*entry.address))
+            asyncio.run(fetch_stats(*entry.address))
         except (OSError, asyncio.TimeoutError):
-            pass
-        else:
-            return stats["injected_faults"] >= armed
-        try:
-            return cluster.wait(server_id,
-                                timeout=EXIT_GRACE_S) == FAULT_EXIT_CODE
-        except subprocess.TimeoutExpired:
-            return False
-    return entry.process is not None \
-        and entry.process.returncode == FAULT_EXIT_CODE
+            try:
+                cluster.wait(server_id, timeout=EXIT_GRACE_S)
+            except subprocess.TimeoutExpired:
+                pass
+    reached = {point.point for point in
+               read_trace(Path(cluster.root_dir) / f"{server_id}.trace")}
+    return all(spec.point in reached for spec in specs)
 
 
 def run_phase(phase: Phase, *, quick: bool, say,
@@ -299,18 +312,245 @@ async def run_workload(addresses: dict, client_id: str,
 
 
 async def verify_restart(addresses: dict, client_id: str,
-                         config: ReplicationConfig,
-                         history: History) -> list[str]:
-    """§5.4 restart directly against healed daemons, observed into
-    ``history``; the broken promises of the whole history."""
+                         config: ReplicationConfig, history: History,
+                         restarts: int = 1) -> list[str]:
+    """``restarts`` §5.4 restarts directly against healed daemons, each
+    by a fresh client and observed into ``history``; the broken
+    promises of the whole history (a second restart must reproduce
+    the first: ``idempotent``)."""
     asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
-    log = sweep_client(addresses, client_id, config)
-    try:
-        await log.initialize()
-        history.epoch(log)
-        await observe(log, history)
-    except LogError as exc:
-        return [f"live: post-heal recovery failed: {exc!r}"]
-    finally:
-        await log.close()
+    for _ in range(restarts):
+        log = sweep_client(addresses, client_id, config)
+        try:
+            await log.initialize()
+            history.epoch(log)
+            await observe(log, history)
+        except LogError as exc:
+            return [f"live: post-heal recovery failed: {exc!r}"]
+        finally:
+            await log.close()
     return check(history)
+
+
+# -- the one case runner -------------------------------------------------------
+
+#: the one stream of every case on a fresh cluster, and of every
+#: :mod:`~repro.harness.clientworker` process.
+CLIENT_ID = "sweep"
+
+#: how long an in-process workload, or a worker process running it,
+#: may take before its case fails as hung.
+WORKLOAD_TIMEOUT_S = 60.0
+WORKER_TIMEOUT_S = 120.0
+
+
+async def _run_worker(addresses: dict, journal: Path, plan: str,
+                      trace: Path | None) -> int:
+    """Run the workload in one clientworker OS process with ``plan``
+    armed; its exit status.  Raises :class:`subprocess.TimeoutExpired`
+    (after killing it) for a worker past :data:`WORKER_TIMEOUT_S`."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env[clientfault.PLAN_ENV] = plan
+    env.pop(clientfault.TRACE_ENV, None)
+    if trace is not None:
+        env[clientfault.TRACE_ENV] = str(trace)
+    servers = ",".join(f"{sid}={host}:{port}"
+                       for sid, (host, port) in sorted(addresses.items()))
+    proc = await asyncio.create_subprocess_exec(
+        sys.executable, "-m", "repro.harness.clientworker",
+        "--servers", servers, "--journal", str(journal), env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        return await asyncio.wait_for(proc.wait(), WORKER_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        proc.kill()
+        await proc.wait()
+        raise subprocess.TimeoutExpired("clientworker",
+                                        WORKER_TIMEOUT_S) from None
+
+
+def _start_armed(cluster: LoopbackCluster,
+                 storage: dict[str, Plan], *, traced: bool) -> None:
+    """Start every daemon not running; restart each one that gets
+    ``storage`` faults armed (``--fault-plan``) or, when ``traced``,
+    every daemon, each armed or traced one under a fresh
+    ``--fault-trace`` in the cluster's root."""
+    root = Path(cluster.root_dir)
+    args: dict[str, list[str]] = {}
+    for sid in cluster.servers:
+        if sid in storage or traced:
+            (root / f"{sid}.trace").unlink(missing_ok=True)
+            args[sid] = ["--fault-trace", str(root / f"{sid}.trace")]
+        if sid in storage:
+            args[sid] += ["--fault-plan", plan_text(storage[sid])]
+    for sid in args:
+        cluster.kill(sid)
+    try:
+        cluster.start(args)
+    except RuntimeError:
+        # An armed point fired during startup recovery (e.g.
+        # dir.create-sync:0), before the banner: legal, and nothing
+        # can have been acked.  Any other death is the harness's.
+        if any(sid not in storage
+               or entry.process.returncode != FAULT_EXIT_CODE
+               for sid, entry in cluster.servers.items()
+               if not entry.alive):
+            raise
+
+
+def _casualties(cluster: LoopbackCluster,
+                storage: dict[str, Plan]) -> list[str]:
+    """A failure for each dead daemon that had no storage fault armed,
+    or that exited with another status than the injected crash's."""
+    errors = []
+    for sid, entry in cluster.servers.items():
+        if entry.alive:
+            continue
+        code = entry.process.returncode
+        if sid not in storage:
+            errors.append(f"live: daemon {sid} died with no storage "
+                          f"fault armed on it (exit {code})")
+        elif code != FAULT_EXIT_CODE:
+            errors.append(f"live: daemon {sid} exited {code}, expected "
+                          f"{FAULT_EXIT_CODE} (injected crash)")
+    return errors
+
+
+def run_case(cluster: LoopbackCluster, config: ReplicationConfig,
+             plan: Plan, *, client_id: str, restarts: int = 1,
+             live: Callable[[Run], list[str]] | None = None,
+             trace: list[FaultSpec] | None = None) -> CrashCase:
+    """Arm ``plan`` on ``cluster``, run the workload, revive, verify.
+
+    The case is hit only if every spec fired, as read before anything
+    is revived: each frame fault on its proxy, the client faults by the
+    injector's crash count or the worker's exit status, each daemon's
+    storage faults by :func:`daemon_faults_fired`.  ``live(run)`` adds
+    the caller's liveness checks; with nothing armed the workload must
+    complete.  With ``trace`` given, every family is recorded on every
+    target and the targeted points reached are appended to it.
+    """
+    case = CrashCase.of(plan)
+    storage = by_target((spec for spec in plan
+                         if spec.family == "storage"), "s1")
+    frames = tuple(spec for spec in plan if spec.family == "net")
+    kills = tuple(spec for spec in plan if spec.family == "client")
+    # The exit status of a worker each death spec kills.
+    deaths = {-signal.SIGKILL if spec.action == "sigkill"
+              else FAULT_EXIT_CODE for spec in kills if spec.action != "raise"}
+    if deaths and client_id != CLIENT_ID:
+        raise ValueError(f"a client death runs in the worker process, "
+                         f"whose stream is {CLIENT_ID!r}, not {client_id!r}")
+    root = Path(cluster.root_dir)
+    _start_armed(cluster, storage, traced=trace is not None)
+    run = Run()
+
+    async def drive() -> bool:
+        """The workload through the armed fleet; whether every frame
+        and client fault fired."""
+        fleet = ProxyFleet(cluster.addresses(), plans=frames,
+                           record=trace is not None)
+        await fleet.start()
+        injector = None if deaths else ClientFaultInjector(kills)
+        clientfault.install(injector)
+        try:
+            if injector is None:
+                journal = root / f"{client_id}.journal"
+                client_trace = root / "client.trace"
+                try:
+                    code = await _run_worker(
+                        fleet.addresses(), journal, plan_text(kills),
+                        client_trace if trace is not None else None)
+                finally:
+                    run.history = History.load(journal)
+                run.completed = code == 0
+                if code not in deaths | {0}:
+                    case.errors.append(
+                        f"live: run worker exited {code}, expected "
+                        f"{' or '.join(map(str, sorted(deaths)))} "
+                        f"(injected kill)")
+                client_fired = len(kills) == 1 and code in deaths
+                client_points = read_trace(client_trace)
+            else:
+                try:
+                    await asyncio.wait_for(
+                        run_workload(fleet.addresses(), client_id, config,
+                                     run), WORKLOAD_TIMEOUT_S)
+                except (LogError, OSError, asyncio.TimeoutError,
+                        ClientCrash) as exc:
+                    run.aborted = repr(exc)
+                client_fired = injector.crashes == len(kills)
+                client_points = trace_points(injector.trace)
+            if trace is not None:
+                trace.extend(client_points)
+                for sid, proxy in fleet.proxies.items():
+                    # Keep-alive traffic is timing-dependent: not a
+                    # replayable point.
+                    trace.extend(replace(point, target=sid)
+                                 for point in trace_points(proxy.trace)
+                                 if point.kind not in ("ping", "pong"))
+            return set(frames) <= set(fleet.fired) and client_fired
+        finally:
+            clientfault.install(None)
+            await fleet.close()
+
+    fired = not frames and not kills
+    if all(entry.alive for entry in cluster.servers.values()):
+        try:
+            fired = asyncio.run(drive())
+        except subprocess.TimeoutExpired as exc:
+            case.errors.append(f"live: client worker hung: {exc}")
+    case.hit = fired and all(daemon_faults_fired(cluster, sid, specs)
+                             for sid, specs in storage.items())
+    if trace is not None:
+        for sid in cluster.servers:
+            trace.extend(replace(point, target=sid)
+                         for point in read_trace(root / f"{sid}.trace"))
+    case.errors.extend(_casualties(cluster, storage))
+    if live is not None:
+        case.errors.extend(live(run))
+    if not plan and not run.completed:
+        case.errors.append(f"live: the workload did not complete with "
+                           f"nothing armed ({run.aborted or 'incomplete'})")
+    cluster.revive(list(storage))
+    case.errors.extend(asyncio.run(verify_restart(
+        cluster.addresses(), client_id, config, run.history, restarts)))
+    case.ok = not case.errors
+    return case
+
+
+def run_fresh(root: Path, config: ReplicationConfig, plan: Plan,
+              **options) -> CrashCase:
+    """:func:`run_case` on a fresh cluster of ``config``'s size in
+    ``root``, on the stream :data:`CLIENT_ID`; the cluster is stopped
+    after."""
+    cluster = LoopbackCluster(str(root), num_servers=config.total_servers)
+    try:
+        return run_case(cluster, config, plan, client_id=CLIENT_ID,
+                        **options)
+    finally:
+        cluster.stop()
+
+
+def record(root: Path, config: ReplicationConfig,
+           plan: Plan = ()) -> tuple[CrashCase, tuple[FaultSpec, ...]]:
+    """The one recording run: ``plan`` (nothing, by default) armed on a
+    fresh cluster with every family recorded on every target; its
+    verdict and the targeted points it reached.  A recording with
+    nothing armed that fails is the harness's failure, and raises."""
+    trace: list[FaultSpec] = []
+    case = run_fresh(root, config, plan, trace=trace)
+    if not plan and not case.ok:
+        raise RuntimeError(f"the recording run in {root} failed: "
+                           f"{'; '.join(case.errors)}")
+    return case, tuple(trace)
+
+
+def reached(trace, family: str, target: str = "") -> tuple[FaultSpec, ...]:
+    """The bare points of ``family`` a recording reached on ``target``
+    (``""`` for the client), untargeted, in order."""
+    return tuple(replace(point, target="") for point in trace
+                 if point.family == family and point.target == target)

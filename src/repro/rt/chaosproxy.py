@@ -355,21 +355,19 @@ class ChaosProxy:
 class ProxyFleet:
     """One :class:`ChaosProxy` in front of every server of an address map.
 
-    The network crash sweep fronts a real
+    The crash sweep fronts a real
     :class:`~repro.rt.cluster.LoopbackCluster` with one of these per
     case: each network-family spec is routed to the proxy of its
-    ``target`` (``default_target`` when unset), ``record_server``
-    names the proxy that traces frame points for enumeration, and the
-    client under test is pointed at :meth:`addresses`.
+    ``target`` (``s1`` when unset), ``record`` makes every proxy trace
+    its frame points, and the client under test is pointed at
+    :meth:`addresses`.
     """
 
     def __init__(self, addresses, *, plans: tuple[FaultSpec, ...] = (),
-                 record_server: str | None = None,
-                 default_target: str = "s1", seed: int = 0):
+                 record: bool = False):
         self._upstream = dict(addresses)
-        self._seed = seed
-        self.record_server = record_server
-        self._plans = by_target(plans, default_target)
+        self.record = record
+        self._plans = by_target(plans, "s1")
         for sid in self._plans:
             if sid not in self._upstream:
                 raise FaultSpecError(
@@ -382,8 +380,7 @@ class ProxyFleet:
         for sid, (host, port) in sorted(self._upstream.items()):
             proxy = ChaosProxy(
                 host, port,
-                plans=self._plans.get(sid, ()),
-                record=(sid == self.record_server), seed=self._seed,
+                plans=self._plans.get(sid, ()), record=self.record,
             )
             await proxy.start()
             self.proxies[sid] = proxy
@@ -395,10 +392,6 @@ class ProxyFleet:
     def heal(self) -> None:
         for proxy in self.proxies.values():
             proxy.heal()
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(p.faults_injected for p in self.proxies.values())
 
     @property
     def fired(self) -> list[FaultSpec]:

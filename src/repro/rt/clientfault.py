@@ -9,9 +9,9 @@ ack), mid write-set switch, and between each step of the Section 5.4
 restart procedure (interval-list merge, epoch bump, CopyLog, guard
 staging, InstallCopies).  The ``(site, index)`` pair of the
 ``index``-th invocation of a site is a deterministic crash point, so
-``repro crashsweep --client`` can kill a real client OS process at
-every point a scripted workload reaches and check that a second
-process restarting per Section 5.4 sees exactly the acked records.
+``repro crashsweep --phase client`` can kill a real client OS process at
+every point a scripted workload reaches and check that fresh clients
+restarting per Section 5.4 see exactly the acked records.
 
 With no injector installed (the default), :func:`hit` is a dictionary
 miss and a ``None`` check — the production write path stays clean.

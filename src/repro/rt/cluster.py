@@ -112,18 +112,28 @@ class LoopbackCluster:
 
     # -- lifecycle ----------------------------------------------------
 
-    def start(self) -> None:
-        """Start every daemon, overlapping their startups.
+    def start(self, extra_args: dict[str, list[str]] | None = None) -> None:
+        """Start every daemon not running, overlapping their startups.
 
         All processes are spawned before any banner is awaited, so a
         cold M-daemon start costs max(daemon init), not the sum — the
-        client crash sweep starts a fresh 3-daemon cluster per case
-        and feels the difference directly.
+        crash sweep starts a fresh 3-daemon cluster per case and feels
+        the difference directly.  ``extra_args`` maps a server id to
+        one-shot ``repro serve`` arguments for this spawn, as in
+        :meth:`start_server`.  Every banner is awaited before the first
+        daemon that died before announcing is raised.
         """
-        started = [self._spawn(sid) for sid in self.servers
-                   if not self.servers[sid].alive]
+        extra_args = extra_args or {}
+        started = [self._spawn(sid, extra_args.get(sid))
+                   for sid in self.servers if not self.servers[sid].alive]
+        failed = []
         for entry in started:
-            self._await_banner(entry)
+            try:
+                self._await_banner(entry)
+            except RuntimeError as exc:
+                failed.append(exc)
+        if failed:
+            raise failed[0]
 
     def start_server(self, server_id: str,
                      extra_args: list[str] | None = None) -> ServerProcess:

@@ -136,3 +136,63 @@ class TestPaperComparisons:
         assert pt.init == init_availability(5, 2, 0.05)
         assert pt.read == read_availability(2, 0.05)
         assert pt.label == "M=5 N=2"
+
+
+class TestRestartAvailabilityByEnumeration:
+    """The shipped restart, over every one of the 2^M down-sets.
+
+    ``recover`` must install copies on ``N`` servers after the gather
+    of ``M − N + 1`` interval lists, so a restart is available iff at
+    most ``min(N − 1, M − N)`` servers are down.  ``init_availability``
+    counts only the gather (``N − 1``): the two agree when
+    ``M − N ≥ N − 1`` and the code is less available otherwise.
+    """
+
+    P = 0.05
+
+    @staticmethod
+    def _restarts(m: int, n: int, down) -> bool:
+        from repro.core.config import ReplicationConfig
+        from repro.core.epoch import make_generator
+        from repro.core.errors import NotEnoughServers
+        from repro.core.replicated_log import ReplicatedLog
+        from repro.core.store import LogServerStore
+
+        stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
+        log = ReplicatedLog("c", stores, ReplicationConfig(m, n, delta=1),
+                            make_generator(2 * n + 1))
+        log.initialize()
+        log.write(b"probe")
+        for store, is_down in zip(stores.values(), down):
+            if is_down:
+                store.crash()
+        log.crash()
+        try:
+            log.initialize()
+        except NotEnoughServers:
+            return False
+        return True
+
+    @pytest.mark.parametrize("m,n,shipped", [
+        (2, 2, 0.9025), (3, 3, 0.857375), (4, 3, 0.985981),
+        (3, 2, None), (5, 3, None)])
+    def test_restart_is_available_iff_few_enough_are_down(self, m, n,
+                                                          shipped):
+        import itertools
+
+        p, tolerated = self.P, min(n - 1, m - n)
+        available = 0.0
+        for down in itertools.product((False, True), repeat=m):
+            k = sum(down)
+            restarted = self._restarts(m, n, down)
+            assert restarted == (k <= tolerated), down
+            available += restarted * p**k * (1 - p) ** (m - k)
+        closed = sum(math.comb(m, k) * p**k * (1 - p) ** (m - k)
+                     for k in range(tolerated + 1))
+        assert available == pytest.approx(closed, rel=0, abs=1e-12)
+        if shipped is None:
+            assert available == pytest.approx(
+                init_availability(m, n, p), rel=0, abs=1e-12)
+        else:
+            assert available == pytest.approx(shipped, rel=0, abs=1e-6)
+            assert available < init_availability(m, n, p)

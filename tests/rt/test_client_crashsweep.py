@@ -13,8 +13,9 @@ routing state before the fresh stream starts.
 
 The end-to-end smoke (one real kill/restart case through
 :func:`run_crashsweep`) runs the whole machinery: a worker process
-killed at the partial-ack point, §5.4 recovery from a second OS
-process, and :func:`~repro.harness.oracle.check` over the journals.
+killed at the partial-ack point, two §5.4 restarts by fresh clients,
+and :func:`~repro.harness.oracle.check` over the killed worker's
+journal and both observations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.harness.crashsweep import SweepConfig, _client_case, \
+from repro.harness.crashsweep import SweepConfig, client_phase, \
     run_crashsweep
 from repro.harness.oracle import History, check
 from repro.net.messages import IntervalListCall, ForceLogMsg
@@ -103,7 +104,7 @@ def test_connect_fails_stale_routing_state():
     asyncio.run(main())
 
 
-# -- the three journals of a client case, as one history ---------------
+# -- a killed run and two restarts, journaled, as one history --------
 
 
 def _journal(tmp_path, name, events):
@@ -219,8 +220,8 @@ def test_client_verify_requested_truncation_may_or_may_not_apply(tmp_path):
 def test_client_case_partial_ack_kill_and_recovery(tmp_path):
     """One real case at the pinned point: the worker process is killed
     right after the first partial force ack (``client.force.ack:0``),
-    and two successive §5.4 restarts from fresh OS processes must see
-    a consistent, fabrication-free log."""
+    and two successive §5.4 restarts by fresh clients must see a
+    consistent, fabrication-free log."""
     report = run_crashsweep(SweepConfig(
         root_dir=str(tmp_path), point="client.force.ack:0:exit",
     ))
@@ -233,7 +234,7 @@ def test_client_case_partial_ack_kill_and_recovery(tmp_path):
 def test_combined_client_case_needs_its_daemon_fault_to_fire(tmp_path):
     """The client kill fires; the storage fault on s1 sits at an index
     the workload never reaches, so the case did not test it."""
-    case = _client_case(tmp_path, 0, parse_plan(
+    case = client_phase(tmp_path).run_case(0, parse_plan(
         "client.force.ack:0:exit,s1@log.write.record:9999:power-loss"))
     assert not case.hit
     assert case.ok, case.errors

@@ -11,14 +11,13 @@ import json
 import subprocess
 from pathlib import Path
 
-from repro.harness import crashsweep
+from repro.harness import crashsweep, sweep
 from repro.harness.crashsweep import (
     _DAEMON_COMBINED,
     SweepConfig,
-    _client_case,
-    _daemon_case,
     _payloads,
     _run_case,
+    client_phase,
     daemon_phase,
     run_crashsweep,
     storage_phase,
@@ -101,7 +100,7 @@ def test_daemon_case_waits_for_an_exit_on_the_last_call(tmp_path):
     the crash in the last group fsync never verified."""
     last = daemon_phase(tmp_path / "enumerate").enumerate()[-1]
     assert last.site == "log.group-fsync"
-    case = _daemon_case(tmp_path, 0, (last.arm(),))
+    case = daemon_phase(tmp_path).run_case(0, (last.arm(),))
     assert case.hit
     assert case.ok, case.errors
 
@@ -109,7 +108,7 @@ def test_daemon_case_waits_for_an_exit_on_the_last_call(tmp_path):
 def test_daemon_case_torn_compaction_then_power_loss(tmp_path):
     """A torn ``compact.write`` stays invisible when power is lost
     before ``compact.rename`` installs the rewritten log."""
-    case = _daemon_case(tmp_path, 0, _DAEMON_COMBINED[0])
+    case = daemon_phase(tmp_path).run_case(0, _DAEMON_COMBINED[0])
     assert case.hit
     assert case.ok, case.errors
 
@@ -119,7 +118,7 @@ def test_daemon_case_fails_on_a_scan_that_skips_a_record(tmp_path,
     """``scan-complete`` is live: the same case passes, then fails by
     name once ``read_forward`` drops the second record of each reply."""
     plan = parse_plan("log.fsync:0:power-loss")
-    case = _daemon_case(tmp_path / "honest", 0, plan)
+    case = daemon_phase(tmp_path / "honest").run_case(0, plan)
     assert case.hit and case.ok, case.errors
 
     read_forward = AsyncReplicatedLog.read_forward
@@ -129,7 +128,7 @@ def test_daemon_case_fails_on_a_scan_that_skips_a_record(tmp_path,
         return records[:1] + records[2:] if len(records) > 2 else records
 
     monkeypatch.setattr(AsyncReplicatedLog, "read_forward", drops_one)
-    case = _daemon_case(tmp_path / "lossy", 0, plan)
+    case = daemon_phase(tmp_path / "lossy").run_case(0, plan)
     assert case.hit and not case.ok
     assert case.errors and all(error.startswith("scan-complete: ")
                                for error in case.errors), case.errors
@@ -141,8 +140,9 @@ def test_a_hung_client_worker_fails_its_case(tmp_path, monkeypatch):
     def hang(*args, **kwargs):
         raise subprocess.TimeoutExpired("clientworker", 120.0)
 
-    monkeypatch.setattr(crashsweep, "_run_worker", hang)
-    case = _client_case(tmp_path, 0, parse_plan("client.force.ack:0:exit"))
+    monkeypatch.setattr(sweep, "_run_worker", hang)
+    case = client_phase(tmp_path).run_case(
+        0, parse_plan("client.force.ack:0:exit"))
     assert not case.ok
     assert case.errors[0].startswith("live: client worker hung")
 

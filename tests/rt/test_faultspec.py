@@ -128,7 +128,14 @@ _net_sites = st.builds(
 @given(st.integers(0, 2**32), st.dictionaries(_net_sites,
                                               st.integers(1, 9), min_size=1))
 def test_every_fuzz_plan_spec_round_trips(seed, menu):
-    for spec in draw_fuzz_plan(random.Random(seed), menu):
+    """Over any recording of frame sites on every proxy, plus the
+    fuzzer's storage and client sites."""
+    trace = tuple(
+        FaultSpec(site, index, target=sid) for sid in ("s1", "s2", "s3")
+        for site, count in (*menu.items(), ("log.fsync", 2))
+        for index in range(count)) + (FaultSpec("client.force.ack", 0),)
+    for spec in draw_fuzz_plan(random.Random(seed),
+                               lambda plan: (True, trace)):
         assert parse_plan(spec.spec)[0].spec == spec.spec
         assert parse_plan(spec.spec) == (spec,)
 

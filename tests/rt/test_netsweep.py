@@ -14,18 +14,36 @@ import random
 import pytest
 
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
-from repro.harness.netsweep import draw_fuzz_plan, enumerate_net_points
+from repro.harness.netsweep import draw_fuzz_plan
 from repro.harness.oracle import History
-from repro.harness.sweep import SWEEP_CONFIG, Run, run_workload, \
-    verify_restart
+from repro.harness.sweep import SWEEP_CONFIG, Run, reached, record, \
+    run_workload, verify_restart
 from repro.rt.chaosproxy import ProxyFleet
 from repro.rt.cluster import LoopbackCluster
-from repro.rt.faultspec import FaultSpecError, by_target, parse_plan, \
-    plan_text, trace_points
+from repro.rt.faultspec import FaultSpec, FaultSpecError, by_target, \
+    parse_plan, plan_text, trace_points
 
 SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
          "net.newhighlsn.s2c": 3, "net.ack.s2c": 3,
          "net.copylog.c2s": 1}
+
+#: a recording's targeted points: the frame sites above on every
+#: proxy, two storage sites on every daemon, two client sites.
+TRACE = tuple(
+    FaultSpec(site, index, target=sid)
+    for sid in ("s1", "s2", "s3")
+    for site, count in (*SITES.items(), ("log.fsync", 4),
+                        ("log.write.fence", 1))
+    for index in range(count)) + tuple(
+    FaultSpec(site, index) for site, count in
+    (("client.force.ack", 3), ("client.handoff.epoch", 1))
+    for index in range(count))
+
+
+def _reach_all(plan):
+    """A recording in which every armed spec fires and the trace does
+    not move."""
+    return True, TRACE
 
 
 # -- composite plan grammar --------------------------------------------------
@@ -69,34 +87,54 @@ def test_composite_plan_rejects_malformed(bad, bad_token):
 
 def test_fuzz_plans_are_seed_deterministic():
     for seed in range(5):
-        a = draw_fuzz_plan(random.Random(seed), SITES)
-        b = draw_fuzz_plan(random.Random(seed), SITES)
+        a = draw_fuzz_plan(random.Random(seed), _reach_all)
+        b = draw_fuzz_plan(random.Random(seed), _reach_all)
         assert a == b
         assert 2 <= len(a) <= 4
         # Every drawn plan replays through the parser unchanged.
         assert parse_plan(plan_text(a)) == a
+        # ... and arms only points the recording reached there.
+        for spec in a:
+            assert FaultSpec(spec.site, spec.index,
+                             target=spec.target) in TRACE
 
 
 def test_fuzz_plan_strings_are_pinned():
     """The seed fixes the RNG draw order, so a plan string is a stable
-    replay key: these were recorded at the parent of the one-grammar
-    refactor and must not move (seeds 6 and 7 draw client faults, which
-    consume no action draw)."""
-    assert {seed: plan_text(draw_fuzz_plan(random.Random(seed), SITES))
+    replay key over one recording.  Re-pinned when the planner began
+    drawing from recorded points on every target: the plans of the
+    blind planner are kept as a regression list in
+    ``benchmarks/bench_crashsweep.py``."""
+    assert {seed: plan_text(draw_fuzz_plan(random.Random(seed),
+                                           _reach_all))
             for seed in (0, 5, 6, 7)} == {
-        0: "s2@net.forcelog.c2s:1:corrupt-header,"
-           "s1@net.forcelog.c2s:0:truncate-mid-frame,"
-           "s2@log.write.record:2:eio",
-        5: "s1@net.forcelog.c2s:2:corrupt-payload,"
-           "s1@net.copylog.c2s:0:corrupt-header,"
-           "s2@net.copylog.c2s:0:duplicate,"
-           "s1@log.write.record:1:power-loss",
-        6: "s2@net.copylog.c2s:0:partition-after,"
-           "s2@log.write.fence:1:eio,"
-           "client.recovery.copylog:1:raise,client.init.lists:0:raise",
-        7: "s2@net.writelog.c2s:0:drop,"
-           "client.recovery.copylog:0:raise,client.force.ack:0:raise",
+        0: "s1@log.write.fence:0:eio,"
+           "client.handoff.epoch:0:raise,client.force.ack:2:raise",
+        5: "s3@net.forcelog.c2s:2:drop,client.force.ack:2:raise,"
+           "client.force.ack:1:raise,client.handoff.epoch:0:raise",
+        6: "s3@net.writelog.c2s:1:partition-after,"
+           "s2@net.ack.s2c:1:corrupt-header,"
+           "client.handoff.epoch:0:raise,client.force.ack:2:raise",
+        7: "client.handoff.epoch:0:raise,client.force.ack:1:raise,"
+           "client.force.ack:0:raise",
     }
+
+
+def test_a_spec_is_drawn_only_if_every_earlier_spec_still_fires():
+    """Spec k+1 comes from the recording with specs 1..k armed, and a
+    candidate whose recording misses an armed spec is redrawn."""
+    asked = []
+
+    def reach(plan):
+        asked.append(plan)
+        # Arming anything on s2 diverts the run: nothing fires.
+        return not any(spec.target == "s2" for spec in plan), TRACE
+
+    for seed in range(20):
+        plan = draw_fuzz_plan(random.Random(seed), reach)
+        assert plan and all(spec.target != "s2" for spec in plan)
+    assert asked[0] == ()
+    assert any(spec.target == "s2" for plan in asked for spec in plan)
 
 
 # -- live runs over real daemons --------------------------------------------
@@ -142,19 +180,21 @@ def test_only_a_lost_writelog_draws_missing_interval(tmp_path):
     async def dropped(cluster, run):
         fleet = ProxyFleet(cluster.addresses(),
                            plans=parse_plan("net.writelog.c2s:0:drop"),
-                           record_server="s1")
+                           record=True)
         await fleet.start()
         try:
             await run_workload(fleet.addresses(), "w1", SWEEP_CONFIG, run)
             return ([point.site for point in
                      trace_points(fleet.proxies["s1"].trace)],
-                    fleet.faults_injected)
+                    len(fleet.fired))
         finally:
             await fleet.close()
 
-    with LoopbackCluster(str(tmp_path), num_servers=3) as cluster:
-        clean = {point.site for point in enumerate_net_points(cluster)}
-        assert "net.writelog.c2s" in clean
+    clean = {point.site for point in reached(
+        record(tmp_path / "record", SWEEP_CONFIG)[1], "net", "s1")}
+    assert "net.writelog.c2s" in clean
+    with LoopbackCluster(str(tmp_path / "cluster"),
+                         num_servers=3) as cluster:
         assert not {"net.missinginterval.s2c",
                     "net.newinterval.c2s"} & clean
         run = Run()
@@ -200,10 +240,10 @@ def test_fuzz_smoke_is_green_and_counted(tmp_path):
     assert len(report.cases("fuzz")) == 2
     assert report.failures == []
     assert report.cases_run == 2
-    # The net sweep itself was not requested, only fuzz — but the frame
-    # enumeration the fuzzer drew from is still reported.
+    # The net sweep itself was not requested, only fuzz — but the
+    # recording the fuzzer drew from is still reported, as its own.
     assert report.cases("net") == []
-    assert report.as_dict()["net_points_enumerated"] > 0
+    assert report.phase("fuzz").points > report.phase("net").points == 0
 
 
 def test_a_fuzz_case_is_hit_only_when_every_armed_spec_fires(tmp_path):

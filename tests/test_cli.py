@@ -111,38 +111,30 @@ class TestExtendedCommands:
 
 
 class TestCrashsweepPhases:
-    """``repro crashsweep`` flags → the one ``SweepConfig.phases`` value."""
-
-    @staticmethod
-    def _five_booleans(args) -> tuple[str, ...]:
-        """The phase set the five pre-``phases`` SweepConfig booleans
-        (daemon, client, client_only, net, net_only) used to encode."""
-        net_only = bool(args.net or args.fuzz or args.plan)
-        run_net = args.net or (not net_only and not args.no_net
-                               and not args.client)
-        phases = []
-        if not args.client and not net_only:
-            phases.append("storage")
-            if not args.no_daemon:
-                phases.append("daemon")
-        if (not args.no_client or args.client) and not net_only:
-            phases.append("client")
-        if run_net:
-            phases.append("net")
-        return tuple(phases)
+    """``repro crashsweep --phase`` → the one ``SweepConfig.phases`` value."""
 
     def test_every_flag_combination_keeps_its_phase_set(self):
+        """Each set of ``--phase`` values runs those phases in running
+        order; ``--fuzz`` / ``--plan`` keep only ``net``."""
         import itertools
 
         from repro.cli import _sweep_phases
+        from repro.harness.crashsweep import PHASES
 
-        flags = ("--no-daemon", "--client", "--no-client", "--net",
-                 "--no-net", "--fuzz=3", "--plan=log.fsync:0:eio")
-        for n in range(len(flags) + 1):
-            for chosen in itertools.combinations(flags, n):
-                args = build_parser().parse_args(["crashsweep", *chosen])
-                assert _sweep_phases(args) == self._five_booleans(args), \
-                    chosen
+        for n in range(1, len(PHASES) + 1):
+            for chosen in itertools.permutations(PHASES, n):
+                flags = [f"--phase={name}" for name in chosen]
+                args = build_parser().parse_args(["crashsweep", *flags])
+                assert _sweep_phases(args) == tuple(
+                    name for name in PHASES if name in chosen), chosen
+                for narrow in ("--fuzz=3", "--plan=log.fsync:0:eio"):
+                    args = build_parser().parse_args(
+                        ["crashsweep", *flags, narrow])
+                    assert _sweep_phases(args) == (
+                        ("net",) if "net" in chosen else ()), chosen
+        for narrow in ("--fuzz=3", "--plan=log.fsync:0:eio"):
+            args = build_parser().parse_args(["crashsweep", narrow])
+            assert _sweep_phases(args) == ()
 
     def test_defaults(self):
         from repro.cli import _sweep_phases
@@ -150,6 +142,10 @@ class TestCrashsweepPhases:
 
         args = build_parser().parse_args(["crashsweep"])
         assert _sweep_phases(args) == PHASES == SweepConfig().phases
+
+    def test_an_unknown_phase_is_refused(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["crashsweep", "--phase", "fuzz"])
 
 
 def test_serve_loads_the_runtime_and_nothing_of_the_harness(tmp_path):
