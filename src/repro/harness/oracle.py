@@ -45,6 +45,15 @@ or an unacked truncation may or may not have landed.
 * ``idempotent`` — restarting again, with no truncation in between,
   reads every LSN the previous observation read the same way.
 
+:func:`acked_on_n` checks one more promise, against what each server
+holds rather than against an observation:
+
+* ``acked-on-N`` — every LSN a force acked, unless a truncation was
+  requested above it, is held with its acked payload by at least ``N``
+  servers, each server's holdings read from that server alone (§3.1:
+  an acknowledged record is on ``N`` servers).  One surviving copy
+  satisfies ``acked-durable``; this rule counts them.
+
 :func:`acked_durable` and :func:`no_fabrication` are the two rules as
 functions of plain mappings, so the storage phase of the crash sweep
 states them over ``(client, lsn)`` keys with the same code.
@@ -182,6 +191,38 @@ def no_fabrication(observed: Mapping,
     return [f"no-fabrication: {_name(key)} holds a value never written "
             f"there" for key, got in sorted(observed.items())
             if got not in allowed(key)]
+
+
+def acked_on_n(history: History, holdings: Mapping[str, Mapping],
+               copies: int) -> list[str]:
+    """``acked-on-N``: the acked LSNs of ``history`` at or above its
+    truncation floor that fewer than ``copies`` servers hold with their
+    acked payload.  ``holdings`` maps each server id to what that
+    server alone holds of the stream: LSN → hex payload, or ``False``
+    for a not-present record."""
+    mine: dict[int, str] = {}
+    acked: dict[int, str] = {}
+    floor = 0
+    for event in history.events:
+        op = event["op"]
+        if op == "epoch":
+            mine = {}
+        elif op == "lsn":
+            mine[event["lsn"]] = event["data"]
+        elif op == "ack":
+            acked.update((lsn, data) for lsn, data in mine.items()
+                         if lsn <= event["high"])
+        elif op in ("trunc-req", "trunc-ack"):
+            floor = max(floor, event["low"])
+    errors = []
+    for lsn, want in sorted(acked.items()):
+        holders = sorted(sid for sid, held in holdings.items()
+                         if held.get(lsn) == want)
+        if lsn >= floor and len(holders) < copies:
+            errors.append(f"acked-on-N: acked lsn {lsn} is held by "
+                          f"{len(holders)} of {copies} servers "
+                          f"({', '.join(holders) or 'none'})")
+    return errors
 
 
 def _state(value) -> str:

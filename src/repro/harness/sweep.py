@@ -19,7 +19,8 @@ Here that shape is written once:
   in-process and client ``exit``/``sigkill`` specs in a
   :mod:`~repro.harness.clientworker` process (the death is the
   fault), runs the workload, revives the cluster and ends in
-  :func:`verify_restart` → :func:`~repro.harness.oracle.check`;
+  :func:`verify_restart` → :func:`~repro.harness.oracle.acked_on_n`
+  and :func:`~repro.harness.oracle.check`;
 * :func:`record` is the one recording run: :func:`run_case` on a fresh
   cluster with every family recorded on every target, whose trace of
   *targeted* points (``s2@log.fsync:3``, ``s1@net.ack.s2c:0``,
@@ -46,7 +47,12 @@ from ..core.errors import LogError
 from ..core.retry import RetryPolicy
 from ..rt import clientfault
 from ..rt.chaosproxy import ProxyFleet
-from ..rt.client import AsyncReplicatedLog
+from ..net.messages import (
+    MAX_RECORDS_ANY,
+    IntervalListCall,
+    ReadLogForwardCall,
+)
+from ..rt.client import AsyncReplicatedLog, ServerConnection
 from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster, fetch_stats
 from ..rt.faultfs import FAULT_EXIT_CODE
@@ -57,7 +63,7 @@ from ..rt.faultspec import (
     read_trace,
     trace_points,
 )
-from .oracle import History, check, observe
+from .oracle import History, acked_on_n, check, observe
 
 #: the faults armed together in one case.
 Plan = tuple[FaultSpec, ...]
@@ -311,14 +317,53 @@ async def run_workload(addresses: dict, client_id: str,
 # -- the one restart-and-check -------------------------------------------------
 
 
+async def holdings(addresses: dict, client_id: str
+                   ) -> dict[str, dict[int, str | bool]]:
+    """What each daemon alone holds of ``client_id``'s stream, asked
+    over the wire (a live daemon's directory is never opened): its
+    interval list, and ReadLog calls from its lowest stored LSN to its
+    highest.  LSN → hex payload of the highest-epoch copy, or ``False``
+    for a not-present record; a daemon that cannot answer holds
+    nothing."""
+    held: dict[str, dict[int, str | bool]] = {}
+    for sid, (host, port) in sorted(addresses.items()):
+        records = held[sid] = {}
+        conn = ServerConnection(sid, host, port, timeout=CLIENT_TIMEOUT_S)
+        try:
+            await conn.connect()
+            intervals = (await conn.call(
+                IntervalListCall(client_id))).intervals
+            lsn = min((iv.lo for iv in intervals), default=1)
+            high = max((iv.hi for iv in intervals), default=0)
+            while lsn <= high:
+                reply = await conn.call(
+                    ReadLogForwardCall(client_id, lsn, MAX_RECORDS_ANY))
+                if not reply.records:
+                    break
+                for record in reply.records:
+                    records[record.lsn] = (record.present
+                                           and record.data.hex())
+                lsn = reply.records[-1].lsn + 1
+        except LogError:
+            pass
+        finally:
+            await conn.close()
+    return held
+
+
 async def verify_restart(addresses: dict, client_id: str,
                          config: ReplicationConfig, history: History,
                          restarts: int = 1) -> list[str]:
-    """``restarts`` §5.4 restarts directly against healed daemons, each
-    by a fresh client and observed into ``history``; the broken
-    promises of the whole history (a second restart must reproduce
-    the first: ``idempotent``)."""
+    """The broken promises of ``history`` against healed daemons.
+
+    First ``acked-on-N`` over what each daemon holds — before any
+    restart, whose copies of the last δ records would hide a missing
+    one — then ``restarts`` §5.4 restarts, each by a fresh client and
+    observed into ``history``, and :func:`check` of the whole history
+    (a second restart must reproduce the first: ``idempotent``)."""
     asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
+    errors = acked_on_n(history, await holdings(addresses, client_id),
+                        config.copies)
     for _ in range(restarts):
         log = sweep_client(addresses, client_id, config)
         try:
@@ -326,10 +371,10 @@ async def verify_restart(addresses: dict, client_id: str,
             history.epoch(log)
             await observe(log, history)
         except LogError as exc:
-            return [f"live: post-heal recovery failed: {exc!r}"]
+            return errors + [f"live: post-heal recovery failed: {exc!r}"]
         finally:
             await log.close()
-    return check(history)
+    return errors + check(history)
 
 
 # -- the one case runner -------------------------------------------------------

@@ -13,17 +13,21 @@ Write path (grouped/streamed):
 * :meth:`AsyncReplicatedLog.write` buffers records and streams a
   WriteLog batch to the ``N`` write-set servers when a network
   packet's worth has accumulated — no acknowledgment;
-* :meth:`AsyncReplicatedLog.force` sends the entire unacknowledged
-  window as one ForceLog and awaits a NewHighLSN ack from every
-  write-set server; a window is bounded by ``δ`` ("the client must
-  limit the number of records contained in unacknowledged WriteLog and
-  ForceLog messages"), so a force is triggered implicitly when the
-  window fills;
+* :meth:`AsyncReplicatedLog.force` sends each write-set server, as
+  one ForceLog, the window records it has not been sent yet (or the
+  window's last record when it has them all) and awaits a NewHighLSN
+  ack from every write-set server; a window is bounded by ``δ`` ("the
+  client must limit the number of records contained in unacknowledged
+  WriteLog and ForceLog messages"), so a force is triggered implicitly
+  when the window fills;
+* a server that finds a gap NAKs it with MissingInterval and stores
+  nothing past it; the client re-sends the missing records, or
+  announces NewInterval when they are not in the window, and re-sends
+  the window above them as a ForceLog (§4.2);
 * a write-set server that dies is replaced mid-stream: the client
   picks a spare, announces the fresh interval with NewInterval, and
   re-sends the unacknowledged window there ("a client can switch
-  servers when necessary") — duplicate retransmissions to surviving
-  servers are tolerated by the store.
+  servers when necessary").
 
 Restart (:meth:`AsyncReplicatedLog.initialize`) gathers interval lists
 from at least ``M − N + 1`` servers, merges them, draws a fresh epoch
@@ -154,6 +158,11 @@ class ServerConnection:
 
     Outbound frames go straight to the transport, in call order; its
     write buffer (on top of the kernel's) is the only send queue.
+    ``sent_high`` is the highest LSN of the current stream handed to
+    it: a force sends this server only the records above it.  Anything
+    that may have lost a handed-over frame — a new connection, an
+    abort, an ErrorReply — sets it back to 0, so the next force carries
+    the whole window again.
     :meth:`try_send` refuses a frame while more than
     :data:`SEND_BUFFER_BYTES` are unsent instead of waiting — the
     signal the client's slow-server policy counts — and :meth:`send`,
@@ -194,6 +203,9 @@ class ServerConnection:
         self._force_waiters: list[tuple[LSN, asyncio.Future]] = []
         self._last_rx: float = 0.0
         self.alive = False
+        #: the highest LSN of the current stream handed to the
+        #: transport (0: nothing is known to have been sent).
+        self.sent_high: LSN = 0
         #: monotonic deadline before which reconnects are refused; set
         #: when keep-alive declares the peer hung.
         self.quarantined_until: float = 0.0
@@ -229,6 +241,7 @@ class ServerConnection:
                 fut.set_exception(stale)
         self._pending = []
         self._force_waiters = []
+        self.sent_high = 0
         self.alive = True
         self._last_rx = loop.time()
         self._reader_task = asyncio.create_task(self._read_loop())
@@ -246,6 +259,9 @@ class ServerConnection:
                 if msg is None:
                     break
                 self._last_rx = loop.time()
+                if isinstance(msg, ErrorReply):
+                    # A refused WriteLog or ForceLog stored nothing.
+                    self.sent_high = 0
                 if isinstance(msg, NewHighLSNMsg):
                     self._ack_forces(msg.new_high_lsn)
                 elif isinstance(msg, MissingIntervalMsg):
@@ -334,6 +350,7 @@ class ServerConnection:
         """
         was_alive = self.alive
         self.alive = False
+        self.sent_high = 0
         if quarantine > 0:
             self.quarantined_until = (
                 asyncio.get_running_loop().time() + quarantine
@@ -403,7 +420,7 @@ class ServerConnection:
         unsent — the slow-server signal; raises
         :class:`ServerUnavailable` when the connection is dead.  Used
         for WriteLog streaming, where skipping a batch is safe because
-        the next force re-sends the whole window.
+        ``sent_high`` stays below it and the next send carries it.
         """
         self._require_alive()
         if (self._writer.transport.get_write_buffer_size()
@@ -447,6 +464,7 @@ class ServerConnection:
         """Send a ForceLog and await its NewHighLSN acknowledgment."""
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         self._write(msg, bufs)
+        self.sent_high = msg.high_lsn
         # After the write for the same reason as in call(): a dead
         # connection must not leak a waiter that a later connection's
         # ack would resolve as if this force had been acknowledged.
@@ -589,9 +607,7 @@ class AsyncReplicatedLog:
         #: their wire images, encoded exactly once at write() time and
         #: shared by every frame that carries the record.
         self._window_enc: list[bytes] = []
-        #: how many of them a WriteLog batch has already streamed, and
-        #: the image bytes of the rest.
-        self._streamed = 0
+        #: image bytes written since the last WriteLog batch.
         self._buffer_bytes = 0
         self._last_record: StoredRecord | None = None
         self._last_record_enc: bytes | None = None
@@ -646,22 +662,89 @@ class AsyncReplicatedLog:
         return [sid for sid, conn in self._conns.items() if conn.alive]
 
     def _on_missing(self, server_id: str, msg: MissingIntervalMsg) -> None:
-        """Answer a MissingInterval NAK with NewInterval.
+        """Answer a MissingInterval NAK: re-send, or NewInterval (§4.2).
 
-        The gap means those records were written to other servers while
-        this one was out of the write set; telling it to start a new
-        interval is the Figure 4-1 response.  A full send buffer drops
-        the answer — the server will simply NAK again.
+        "When a client receives a MissingInterval message it will
+        either resend the missing log records in a ForceLog message, or
+        use the NewInterval message to inform the server that it should
+        ignore the missing log records and start a new interval."  The
+        server stored nothing from the gapped batch on, so the answer
+        always ends in a ForceLog of the unacknowledged records from the
+        gap on — its ack is the one a parked force waits for:
+
+        * the missing range lies in the window: the window from ``lo``;
+        * it does not (those records are acknowledged elsewhere, or this
+          server was out of the write set when they were written):
+          NewInterval at the window's first LSN, then the whole window.
+
+        With nothing unacknowledged, the window is the last forced
+        record — what a force sends as its probe.  A full send buffer
+        drops the answer — the force it leaves waiting times out like a
+        lost ack.
         """
         self.missing_intervals_seen += 1
         conn = self._conns.get(server_id)
-        if conn is not None and conn.alive and self._epoch:
-            try:
-                conn.try_send(NewIntervalMsg(
-                    self.client_id, self._epoch, starting_lsn=msg.hi + 1
-                ))
-            except ServerUnavailable:
-                pass
+        if conn is None or not conn.alive or not self._epoch:
+            return
+        records, encs = self._unacked()
+        if not records:
+            return
+        start = records[0].lsn
+        try:
+            if msg.lo >= start:
+                i = msg.lo - start
+            else:
+                i = 0
+                if not conn.try_send(NewIntervalMsg(
+                        self.client_id, self._epoch, starting_lsn=start)):
+                    return
+            refill = ForceLogMsg.trusted(self.client_id, self._epoch,
+                                         tuple(records[i:]))
+            if conn.try_send(refill, frame_iov(refill, encs[i:])):
+                conn.sent_high = refill.high_lsn
+        except ServerUnavailable:
+            pass
+
+    def _unacked(self) -> tuple[list[StoredRecord], list[bytes]]:
+        """The records a force must get acknowledged, and their images:
+        the window, or — when it is empty — this epoch's last forced
+        record, re-forced as a probe so the ack still carries a
+        durability promise for this epoch; nothing before the first
+        force of an epoch."""
+        if self._window:
+            return self._window, self._window_enc
+        if self._last_record is None or self._last_record.epoch != self._epoch:
+            return [], []
+        return [self._last_record], [self._last_record_enc]
+
+    def _frames(self, kind: type[WriteLogMsg],
+                records: list[StoredRecord] | tuple[StoredRecord, ...],
+                encs: list[bytes], *, whole: bool = False,
+                probe: bool = False,
+                ) -> dict[str, tuple[WriteLogMsg, list[bytes]]]:
+        """Each write-set server's frame of ``kind``: the ``records``
+        above its ``sent_high`` (all of them if ``whole``).  A server
+        that has them all gets the last one when ``probe`` is set and
+        no frame otherwise; servers with one mark share one frame."""
+        base = records[0].lsn
+        last = len(records) - 1
+        shared: dict[int, tuple[WriteLogMsg, list[bytes]]] = {}
+        frames = {}
+        for sid in self._write_set:
+            i = 0 if whole else self._conns[sid].sent_high + 1 - base
+            if i < 0:
+                i = 0
+            elif i > last:
+                if not probe:
+                    continue
+                i = last
+            out = shared.get(i)
+            if out is None:
+                msg = kind.trusted(self.client_id, self._epoch,
+                                   tuple(records[i:]))
+                out = shared[i] = (msg, frame_iov(msg, encs[i:]))
+            frames[sid] = out
+        return frames
 
     # -- lifecycle ----------------------------------------------------
 
@@ -726,8 +809,9 @@ class AsyncReplicatedLog:
         self._write_set = list(result.write_set)
         self._window = []
         self._window_enc = []
-        self._streamed = 0
         self._buffer_bytes = 0
+        for conn in self._conns.values():
+            conn.sent_high = 0   # a new epoch is a new stream
         self._last_record = result.staged[-1]
         self._last_record_enc = encode_stored_record(result.staged[-1])
         self.fences_installed += len(result.fenced_on)
@@ -807,28 +891,31 @@ class AsyncReplicatedLog:
         return lsn
 
     async def _flush_writes(self) -> None:
-        """Stream the window's unstreamed suffix as a WriteLog batch.
+        """Stream each write-set server the window records it has not
+        been sent, as one WriteLog batch.
 
         Sends never wait: :meth:`ServerConnection.try_send` either
         writes the frame or reports the send buffer full.  That is a
         *strike* against that server — the batch is simply skipped
-        there (safe: the next force re-sends the whole window) — and
-        ``SLOW_STRIKE_LIMIT`` consecutive strikes demote the server
-        from the write set exactly as a crash would (Section 5.4).
+        there (safe: its ``sent_high`` stays put, so its next batch or
+        force carries these records too) — and ``SLOW_STRIKE_LIMIT``
+        consecutive strikes demote the server from the write set
+        exactly as a crash would (Section 5.4).
         """
-        start, end = self._streamed, len(self._window)
-        if start == end:
+        window = self._window
+        if not window:
             return
-        msg = WriteLogMsg.trusted(self.client_id, self._epoch,
-                                  tuple(self._window[start:end]))
-        bufs = frame_iov(msg, self._window_enc[start:end])
-        for sid in list(self._write_set):
+        high = window[-1].lsn
+        frames = self._frames(WriteLogMsg, window, self._window_enc)
+        for sid, (msg, bufs) in frames.items():
+            conn = self._conns[sid]
             try:
-                sent = self._conns[sid].try_send(msg, bufs)
+                sent = conn.try_send(msg, bufs)
             except ServerUnavailable:
                 await self._replace_server(sid)
                 continue
             if sent:
+                conn.sent_high = high
                 self._strikes[sid] = 0
                 continue
             self.slow_strikes += 1
@@ -838,7 +925,6 @@ class AsyncReplicatedLog:
                 self._strikes[sid] = 0
                 await self._replace_server(sid)
         clientfault.hit("client.flush.sent")
-        self._streamed = end
         self._buffer_bytes = 0
         # One scheduling point per flush: a transport buffer the socket
         # did not take at once is only emptied when this task yields, so
@@ -848,23 +934,20 @@ class AsyncReplicatedLog:
     async def force(self) -> LSN:
         """ForceLog: make every buffered record durable on N servers.
 
-        Sends the whole unacknowledged window (re-sending records
-        already streamed by WriteLog — duplicates are tolerated) and
-        waits for a NewHighLSN from each write-set server, replacing
-        dead servers as needed.
+        Each write-set server is sent, as one ForceLog, the window
+        records above its ``sent_high`` — what no WriteLog batch handed
+        it yet — or, when it has them all, the window's last record as
+        the probe its ack answers (§4.2).  A server that lost a batch
+        NAKs the gap and :meth:`_on_missing` refills it; a retry sends
+        the whole window.  Waits for a NewHighLSN from each write-set
+        server, replacing dead servers as needed.
         """
         self._require_init()
-        records = tuple(self._window)
-        record_bufs = self._window_enc
-        if not records:
-            if self._last_record is None or self._last_record.epoch != self._epoch:
-                return self._next_lsn - 1
-            # Nothing unacknowledged: re-force the tail record so the
-            # ack still carries a durability promise for this epoch.
-            records = (self._last_record,)
-            record_bufs = [self._last_record_enc]
-        msg = ForceLogMsg.trusted(self.client_id, self._epoch, records)
-        bufs = frame_iov(msg, record_bufs)
+        window, record_bufs = self._unacked()
+        if not window:
+            return self._next_lsn - 1
+        records = tuple(window)
+        retry = False
 
         # Forces go to every write-set server concurrently, so the ack
         # wait is max(server latency), not the sum — a hung member
@@ -874,7 +957,8 @@ class AsyncReplicatedLog:
         # every record on N servers.  When no spare exists it raises
         # NotEnoughServers, which the retry policy paces while outages
         # heal.
-        async def forced(sid: str) -> LSN:
+        async def forced(sid: str, msg: ForceLogMsg,
+                         bufs: list[bytes]) -> LSN:
             acked = await self._conns[sid].force(msg, bufs)
             # One hit per acknowledgment as it lands, so index 0 is
             # "after a partial ack" — some write-set servers hold the
@@ -883,10 +967,14 @@ class AsyncReplicatedLog:
             return acked
 
         async def guarded() -> LSN:
+            nonlocal retry
             clientfault.hit("client.force.begin")
-            targets = list(self._write_set)
+            frames = self._frames(ForceLogMsg, records, record_bufs,
+                                  whole=retry, probe=True)
+            retry = True
+            targets = list(frames)
             results = await asyncio.gather(
-                *(forced(sid) for sid in targets),
+                *(forced(sid, *frames[sid]) for sid in targets),
                 return_exceptions=True,
             )
             for result in results:
@@ -909,7 +997,7 @@ class AsyncReplicatedLog:
                         await self._replace_server(sid, records)
                 elif isinstance(result, BaseException):
                     raise result
-            return msg.high_lsn
+            return records[-1].lsn
 
         high = await async_retry(
             guarded, self.retry_policy, self.rng,
@@ -924,7 +1012,6 @@ class AsyncReplicatedLog:
                               self._epoch, sid)
         self._window = []
         self._window_enc = []
-        self._streamed = 0
         self._buffer_bytes = 0
         self._last_record = records[-1]
         self._last_record_enc = record_bufs[-1]

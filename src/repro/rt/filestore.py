@@ -70,7 +70,7 @@ from pathlib import Path
 from ..core.errors import ProtocolError, StorageError
 from ..core.intervals import ServerIntervals
 from ..core.records import Epoch, LSN, StoredRecord, trusted_stored_record
-from ..core.store import LogServerStore
+from ..core.store import ClientLogState, LogServerStore
 from ..net.codec import (
     RECORD_HEADER_BYTES,
     WireCodecError,
@@ -637,11 +637,17 @@ class FileLogStore:
         The compacted stream carries every standing fence epoch, then,
         per client: the truncation mark, every retained record in write
         order (a subsequence of a legally ordered stream is legally
-        ordered), and any staged-but-uninstalled CopyLog records; plus
-        the generator value.  Install
+        ordered), and the staged-but-uninstalled CopyLog records of
+        each epoch above the last retained record's; plus the generator
+        value.  Install
         markers are not rewritten — installed copies are already
-        materialized as records.  Replaying the compacted stream
-        reconstructs the exact same index.
+        materialized as records.  A staged set at or below that epoch
+        (a restart that crashed before its install, overtaken by a
+        later one that installed) can never be installed, and replay
+        would refuse it after the records and end the valid prefix
+        there: it is dropped, from the stream and from the index.
+        Replaying the compacted stream reconstructs the exact same
+        index.
 
         Record images are copied from the old file by offset, each
         CRC-verified on the way: a corrupt one aborts the compaction
@@ -656,6 +662,7 @@ class FileLogStore:
         self._check_writable()
         tmp_path = Path(str(self._log_path) + ".tmp")
         moved: list[tuple[RecordHandle, int]] = []
+        stale: list[tuple[ClientLogState, Epoch]] = []
         size = 0
         generation = self.log_generation + 1
         try:
@@ -682,6 +689,9 @@ class FileLogStore:
                         moved.append((handle, emit(
                             E_RECORD, client_id, self._load(handle)[1])))
                     for epoch in sorted(state.staged):
+                        if epoch <= state.high_epoch:
+                            stale.append((state, epoch))
+                            continue
                         for handle in state.staged[epoch]:
                             moved.append((handle, emit(
                                 E_STAGED, client_id, self._load(handle)[1])))
@@ -714,6 +724,8 @@ class FileLogStore:
         self._block = b""
         for handle, offset in moved:
             handle.offset = offset
+        for state, epoch in stale:
+            del state.staged[epoch]
         self.log_generation = generation
         self._size = size
         self._covered()

@@ -174,8 +174,8 @@ class TenantQuota:
 
     ``max_streams`` bounds concurrent client streams per tenant on one
     server (0 = unlimited); ``max_records_per_s`` bounds the rate of
-    *forced* (durably acknowledged) records per tenant per server via
-    a token bucket (0 = unlimited).  Over-quota requests get a typed
+    appended records (streamed or forced, each charged once) per
+    tenant per server via a token bucket (0 = unlimited).  Over-quota requests get a typed
     ``ErrorReply`` (``ERR_QUOTA``) — the same back-pressure path a
     wedged disk uses — which the client backs off on instead of
     switching servers (every server would refuse equally).

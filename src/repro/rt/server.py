@@ -7,9 +7,12 @@ protocol of Section 4.2 (Figure 4-1) over TCP:
   watches for LSN gaps and sends the MissingInterval negative
   acknowledgment ("a server detects lost messages when it receives a
   ForceLog or WriteLog message with log sequence numbers that are not
-  contiguous with those it has previously received");
+  contiguous with those it has previously received").  A batch past a
+  gap is not stored: the client re-sends from the gap, or moves the
+  interval on with NewInterval and re-sends;
 * **synchronous** ForceLog — the batch is appended, and acknowledged
-  with NewHighLSN only once a group fsync has made it durable;
+  with NewHighLSN only once a group fsync has made it durable (a
+  duplicate one too); a ForceLog past a gap is NAK'd and never acked;
 * **synchronous calls** IntervalList, ReadLogForward, ReadLogBackward
   (the call says how many records it wants and the reply carries up
   to that many within :data:`READ_REPLY_CAP_BYTES`; a call that names
@@ -377,15 +380,17 @@ class LogServerDaemon:
                     images: list[bytes] | None = None) -> list[Message]:
         """Append a ForceLog's records and park it on the shared sync.
 
-        Anything that must be said *before* durability — the
-        MissingInterval NAK for a gap, a typed error for a failed
-        append — is returned for an inline reply, as for a WriteLog.
-        The NewHighLSN ack is not: it fans out from
+        Anything said instead of an ack — the MissingInterval NAK for
+        a gap, a typed error for a failed append — is returned for an
+        inline reply, as for a WriteLog, and the force is not parked:
+        nothing was appended, and the ack the client waits for comes
+        with its re-send.  A duplicate or overlapping force is parked
+        like any other.  The NewHighLSN ack fans out from
         :meth:`_sync_loop` after the one fsync that covers every
         parked force, and never before.
         """
         out = self._on_write(msg, images)
-        if any(isinstance(reply, ErrorReply) for reply in out):
+        if out:
             return out  # nothing was appended; nothing to acknowledge
         self._parked_forces.append((writer, msg.client_id, msg.high_lsn))
         if self._sync_task is None or self._sync_task.done():
@@ -493,18 +498,23 @@ class LogServerDaemon:
 
     # -- multi-tenant admission ----------------------------------------
 
+    def _quota(self, client_id: str) -> tuple[str, TenantQuota | None]:
+        """The stream's tenant and its quota ("*" is the default)."""
+        tenant = tenant_of(client_id)
+        quota = self.quotas.get(tenant)
+        if quota is None:
+            quota = self.quotas.get("*")
+        return tenant, quota
+
     def _admit(self, msg: WriteLogMsg) -> ErrorReply | None:
-        """Enforce the tenant's quota on a WriteLog/ForceLog.
+        """Enforce the tenant's stream quota on a WriteLog/ForceLog.
 
         Stream admission counts distinct client ids per tenant; the
-        records/s limit is a token bucket charged per *forced* record
-        (a force re-sends its whole unacknowledged window, so charging
-        forces meters exactly what gets durably acknowledged — streamed
-        WriteLogs ride free until their covering force).  A denial is a
-        typed ``ErrorReply`` (``ERR_QUOTA``) and nothing is appended,
-        the same reply shape a wedged disk produces — clients already
-        know how to react to a refused call, they just back off instead
-        of switching servers.
+        records/s limit is charged where records are appended
+        (:meth:`_charge`).  A denial is a typed ``ErrorReply``
+        (``ERR_QUOTA``) and nothing is appended, the same reply shape a
+        wedged disk produces — clients already know how to react to a
+        refused call, they just back off instead of switching servers.
 
         When the quota sets ``idle_ttl_s``, a full stream table is
         swept before refusing a new stream: slots whose last activity
@@ -512,10 +522,7 @@ class LogServerDaemon:
         short-lived stream ids is re-admitted instead of being wedged
         behind dead slots until the daemon restarts.
         """
-        tenant = tenant_of(msg.client_id)
-        quota = self.quotas.get(tenant)
-        if quota is None:
-            quota = self.quotas.get("*")
+        tenant, quota = self._quota(msg.client_id)
         if quota is None:
             return None
         streams = self._tenant_streams.setdefault(tenant, {})
@@ -536,27 +543,39 @@ class LogServerDaemon:
                     code=ERR_QUOTA,
                 )
         streams[msg.client_id] = now
-        if quota.max_records_per_s and isinstance(msg, ForceLogMsg):
-            now = time.monotonic()
-            bucket = self._tenant_buckets.get(tenant)
-            capacity = quota.max_records_per_s * max(quota.burst_s, 0.001)
-            if bucket is None:
-                bucket = [capacity, now]
-                self._tenant_buckets[tenant] = bucket
-            tokens = min(capacity,
-                         bucket[0] + (now - bucket[1])
-                         * quota.max_records_per_s)
-            bucket[1] = now
-            if tokens < len(msg.records):
-                bucket[0] = tokens
-                self.quota_rejections += 1
-                return ErrorReply(
-                    msg.client_id,
-                    f"tenant {tenant!r} over {quota.max_records_per_s:g} "
-                    f"records/s",
-                    code=ERR_QUOTA,
-                )
-            bucket[0] = tokens - len(msg.records)
+        return None
+
+    def _charge(self, client_id: str, records: int) -> ErrorReply | None:
+        """Take ``records`` from the tenant's records/s token bucket.
+
+        Charged for every record a WriteLog or ForceLog appends — a
+        force carries only what its batches did not, so a streamed
+        commit is charged each record once, and a stream that never
+        forces is metered as it streams.  A re-sent record is not
+        charged again.  A denial (``ERR_QUOTA``) appends nothing.
+        """
+        tenant, quota = self._quota(client_id)
+        if quota is None or not quota.max_records_per_s:
+            return None
+        now = time.monotonic()
+        bucket = self._tenant_buckets.get(tenant)
+        capacity = quota.max_records_per_s * max(quota.burst_s, 0.001)
+        if bucket is None:
+            bucket = [capacity, now]
+            self._tenant_buckets[tenant] = bucket
+        tokens = min(capacity,
+                     bucket[0] + (now - bucket[1]) * quota.max_records_per_s)
+        bucket[1] = now
+        if tokens < records:
+            bucket[0] = tokens
+            self.quota_rejections += 1
+            return ErrorReply(
+                client_id,
+                f"tenant {tenant!r} over {quota.max_records_per_s:g} "
+                f"records/s",
+                code=ERR_QUOTA,
+            )
+        bucket[0] = tokens - records
         return None
 
     # -- dispatch -----------------------------------------------------
@@ -613,29 +632,41 @@ class LogServerDaemon:
 
     def _on_write(self, msg: WriteLogMsg,
                   images: list[bytes] | None = None) -> list[Message]:
-        """Append a WriteLog's or a parked ForceLog's records, unsynced;
-        returns the MissingInterval NAK and/or typed error to send."""
+        """Append a WriteLog's or a ForceLog's records, unsynced;
+        returns the MissingInterval NAK or typed error to send instead.
+
+        A batch that starts beyond the next expected LSN is the
+        simulator's "gap" verdict: it draws a MissingInterval for the
+        records between and is not stored, so what this server holds
+        of a stream never skips an LSN the client did not tell it to
+        skip (NewInterval).  A duplicate or overlapping batch is
+        appended (the store keeps one copy) and never moves the
+        expectation back.
+        """
         client_id = msg.client_id
-        out: list[Message] = []
         expected = self._expected.get(client_id)
         if expected is None:
             high = self.store.client_high_lsn(client_id)
             expected = high + 1 if high is not None else None
         if expected is not None and msg.low_lsn > expected:
-            out.append(MissingIntervalMsg(client_id, lo=expected,
-                                          hi=msg.low_lsn - 1))
             self.missing_intervals_sent += 1
+            return [MissingIntervalMsg(client_id, lo=expected,
+                                       hi=msg.low_lsn - 1)]
+        if self.quotas:
+            fresh = msg.high_lsn + 1 - max(msg.low_lsn, expected or 0)
+            denial = self._charge(client_id, max(fresh, 0))
+            if denial is not None:
+                return [denial]
         if images is not None and len(images) != len(msg.records):
             images = None  # defensive: only trust an aligned capture
         try:
             self.store.append_records(client_id, msg.records, fsync=False,
                                       images=images)
         except LogError as exc:
-            out.append(ErrorReply(client_id, str(exc),
-                                  code=_error_code(exc)))
-            return out
-        self._expected[client_id] = msg.high_lsn + 1
-        return out
+            return [ErrorReply(client_id, str(exc), code=_error_code(exc))]
+        if expected is None or msg.high_lsn >= expected:
+            self._expected[client_id] = msg.high_lsn + 1
+        return []
 
     def _on_read(self, client_id: str, lsn: LSN, *, forward: bool,
                  max_records: int = 0,

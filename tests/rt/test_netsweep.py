@@ -16,12 +16,17 @@ import pytest
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
 from repro.harness.netsweep import draw_fuzz_plan
 from repro.harness.oracle import History
-from repro.harness.sweep import SWEEP_CONFIG, Run, reached, record, \
-    run_workload, verify_restart
+from repro.harness.sweep import SWEEP_CONFIG, Run, holdings, reached, \
+    record, run_workload, sweep_client, verify_restart
+from repro.net.messages import MissingIntervalMsg, NewIntervalMsg
 from repro.rt.chaosproxy import ProxyFleet
+from repro.rt.client import AsyncReplicatedLog
 from repro.rt.cluster import LoopbackCluster
 from repro.rt.faultspec import FaultSpec, FaultSpecError, by_target, \
     parse_plan, plan_text, trace_points
+from repro.rt.server import LogServerDaemon
+
+from .inprocess import Cluster
 
 SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
          "net.newhighlsn.s2c": 3, "net.ack.s2c": 3,
@@ -174,8 +179,10 @@ def test_verify_restart_accepts_the_honest_journal(tmp_path):
 def test_only_a_lost_writelog_draws_missing_interval(tmp_path):
     """A clean run of the workload crosses s1's proxy without one
     MissingInterval; dropping the bulk transaction's first WriteLog to
-    s1 makes the next batch skip ahead, s1 NAKs the gap, the client
-    answers with NewInterval, and every promise still holds."""
+    s1 makes the next batch skip ahead, s1 NAKs the gap and stores
+    nothing past it, the client re-sends the lost records in place — a
+    ForceLog from the gap on, no NewInterval, no server switch — and
+    every promise, ``acked-on-N`` included, still holds."""
 
     async def dropped(cluster, run):
         fleet = ProxyFleet(cluster.addresses(),
@@ -200,10 +207,81 @@ def test_only_a_lost_writelog_draws_missing_interval(tmp_path):
         run = Run()
         sites, fired = asyncio.run(dropped(cluster, run))
         assert fired == 1 and run.completed
-        assert sites.index("net.missinginterval.s2c") \
-            < sites.index("net.newinterval.c2s")
+        assert run.switches == 0
+        nak = sites.index("net.missinginterval.s2c")
+        assert "net.forcelog.c2s" in sites[nak:]
+        assert "net.newinterval.c2s" not in sites
+        # Every bulk record reached s1 after all: the re-send filled
+        # the gap where the lost batch would have put it.
+        bulk = {event["lsn"]: event["data"] for event in run.history.events
+                if event["op"] == "lsn"
+                and bytes.fromhex(event["data"]).startswith(b"bulk:")}
+        held = asyncio.run(holdings(cluster.addresses(), "w1"))["s1"]
+        assert {lsn: held.get(lsn) for lsn in bulk} == bulk
         assert asyncio.run(verify_restart(
             cluster.addresses(), "w1", SWEEP_CONFIG, run.history)) == []
+
+
+class AcksOverGap(LogServerDaemon):
+    """A daemon that NAKs a gap and then stores and acks the batch past
+    it all the same."""
+
+    def _on_write(self, msg, images=None):
+        out = super()._on_write(msg, images)
+        if out and isinstance(out[0], MissingIntervalMsg):
+            self._expected[msg.client_id] = msg.low_lsn
+            out += super()._on_write(msg, images)
+        return out
+
+    def _park_force(self, msg, writer, images=None):
+        naks = [reply for reply in self._on_write(msg, images)
+                if isinstance(reply, MissingIntervalMsg)]
+        # Stored now, so the force parks like a duplicate.
+        return naks + super()._park_force(msg, writer, images)
+
+
+def _answer_with_new_interval(self, server_id, msg):
+    """A NAK answer that only moves the server's interval on."""
+    self._conns[server_id].try_send(NewIntervalMsg(
+        self.client_id, self._epoch, starting_lsn=msg.hi + 1))
+
+
+def test_acked_on_n_catches_a_daemon_that_acks_over_a_gap(
+        tmp_path, monkeypatch):
+    """Forces carry only what each server has not been sent, so a
+    daemon that acks past a lost WriteLog — with the NAK answered by
+    NewInterval alone — acks records it never stored.  Two more
+    transactions push them below the δ records a restart copies, so
+    one copy stays and still reads back: only ``acked-on-N`` fails, on
+    the lost batch's LSNs."""
+    monkeypatch.setattr(AsyncReplicatedLog, "_on_missing",
+                        _answer_with_new_interval)
+
+    async def main():
+        async with Cluster(tmp_path, daemon_cls=AcksOverGap) as cluster:
+            fleet = ProxyFleet(cluster.addresses(),
+                               plans=parse_plan("net.writelog.c2s:0:drop"))
+            await fleet.start()
+            run = Run()
+            log = sweep_client(fleet.addresses(), "g1", SWEEP_CONFIG)
+            try:
+                await log.initialize()
+                run.history.epoch(log)
+                for i in range(SWEEP_CONFIG.delta - 1):
+                    await run.history.write(log, b"bulk:%d:" % i + b"b" * 1000)
+                await run.force(log)
+                for txn in range(2):
+                    await run.commit_et1(log, txn)
+            finally:
+                await log.close()
+                await fleet.close()
+            assert len(fleet.fired) == 1
+            return await verify_restart(cluster.addresses(), "g1",
+                                        SWEEP_CONFIG, run.history)
+
+    errors = asyncio.run(main())
+    assert errors == [f"acked-on-N: acked lsn {lsn} is held by 1 of 2 "
+                      f"servers (s2)" for lsn in (9, 10)]
 
 
 # -- replay paths against real daemons ---------------------------------------

@@ -256,6 +256,62 @@ def test_rate_quota_throttles_then_recovers(tmp_path):
     asyncio.run(main())
 
 
+def _bucket_of(n: int) -> TenantQuota:
+    """A records/s quota whose bucket holds ``n`` records and refills
+    no measurable amount within a test."""
+    return TenantQuota(max_records_per_s=0.001, burst_s=n / 0.001)
+
+
+def test_streamed_commit_is_charged_each_record_once(tmp_path):
+    """A 32 × 1 KiB commit streams as WriteLogs and forces the rest:
+    each write-set daemon's bucket is charged its 32 records, no more
+    and no fewer — what the whole-window force used to be charged."""
+    async def main():
+        quotas = {"acme": _bucket_of(100)}
+        config = ReplicationConfig(total_servers=3, copies=2, delta=64)
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
+            log = AsyncReplicatedLog("acme/bulk", cluster.addresses(),
+                                     config, retry_policy=FAST_RETRY)
+            await log.initialize()
+            for i in range(32):
+                await log.write(b"%d" % i * 1024)
+            await log.force()
+            for sid in log.write_set:
+                daemon = cluster.daemons[sid]
+                tokens, _ = daemon._tenant_buckets["acme"]
+                assert 100 - tokens == pytest.approx(32, abs=0.01)
+                assert daemon.messages_handled > 2   # batches streamed
+            await log.close()
+
+    asyncio.run(main())
+
+
+def test_a_stream_that_never_forces_is_throttled(tmp_path):
+    """WriteLogs are charged as they arrive: past the bucket a batch is
+    refused and nothing of it is stored, though no force was made."""
+    async def main():
+        quotas = {"acme": _bucket_of(3)}
+        config = ReplicationConfig(total_servers=3, copies=2, delta=64)
+        async with Cluster(tmp_path, quotas=quotas) as cluster:
+            log = AsyncReplicatedLog("acme/stream", cluster.addresses(),
+                                     config, retry_policy=FAST_RETRY)
+            await log.initialize()
+            first = None
+            for i in range(20):
+                lsn = await log.write(b"w" * 1024)
+                first = first or lsn
+            await asyncio.sleep(0.2)   # let the daemons take the batches
+            for sid in log.write_set:
+                daemon = cluster.daemons[sid]
+                assert daemon.quota_rejections >= 1
+                stored = [lsn for lsn in daemon.store.stored_lsns(
+                    "acme/stream") if lsn >= first]
+                assert stored == [first, first + 1]   # one 2-record batch
+            await log.close()
+
+    asyncio.run(main())
+
+
 def test_idle_stream_slot_is_reclaimed_after_ttl(tmp_path):
     """A tenant at max_streams gets re-admitted once an old stream has
     idled past ``idle_ttl_s`` — without a daemon restart."""

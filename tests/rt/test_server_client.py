@@ -146,6 +146,9 @@ def test_write_set_loss_below_n_raises(tmp_path):
 
 
 def test_gap_triggers_missing_interval_then_new_interval(tmp_path):
+    """A force past a gap is NAK'd and neither stored nor acked; after
+    NewInterval the re-sent force is stored and acked."""
+
     async def main():
         async with Cluster(tmp_path, m=1) as cluster:
             from repro.core.records import StoredRecord
@@ -164,32 +167,39 @@ def test_gap_triggers_missing_interval_then_new_interval(tmp_path):
                 return ForceLogMsg("c1", 1, (StoredRecord(
                     lsn=lsn, epoch=1, data=b"z"),))
 
+            async def reply():
+                # Bounded: a reply that never comes fails the test
+                # instead of hanging the suite.
+                return await asyncio.wait_for(read_message(reader), 5.0)
+
             writer.write(frame(force(1)))
             await writer.drain()
-            ack = await read_message(reader)
+            ack = await reply()
             assert isinstance(ack, NewHighLSNMsg) and ack.new_high_lsn == 1
 
-            # Jump to LSN 5: the server must NAK the gap [2, 4] ...
+            # Jump to LSN 5: the server NAKs the gap [2, 4], and stores
+            # and acks nothing of the batch past it ...
             writer.write(frame(force(5)))
             await writer.drain()
-            nak = await read_message(reader)
+            nak = await reply()
             assert isinstance(nak, MissingIntervalMsg)
             assert (nak.lo, nak.hi) == (2, 4)
-            ack = await read_message(reader)
-            assert isinstance(ack, NewHighLSNMsg) and ack.new_high_lsn == 5
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(read_message(reader), 0.3)
 
-            # ... and a NewInterval makes the next jump legitimate.
-            writer.write(frame(NewIntervalMsg("c1", 1, starting_lsn=9)))
-            writer.write(frame(force(9)))
+            # ... until a NewInterval makes the jump legitimate and the
+            # force is sent again.
+            writer.write(frame(NewIntervalMsg("c1", 1, starting_lsn=5)))
+            writer.write(frame(force(5)))
             await writer.drain()
-            ack = await read_message(reader)
-            assert isinstance(ack, NewHighLSNMsg) and ack.new_high_lsn == 9
+            ack = await reply()
+            assert isinstance(ack, NewHighLSNMsg) and ack.new_high_lsn == 5
 
             daemon = cluster.daemons["s1"]
             assert daemon.missing_intervals_sent == 1
+            assert daemon.forces_acked == 2
             intervals = daemon.store.interval_list("c1").intervals
-            assert [(iv.lo, iv.hi) for iv in intervals] == [(1, 1), (5, 5),
-                                                            (9, 9)]
+            assert [(iv.lo, iv.hi) for iv in intervals] == [(1, 1), (5, 5)]
             writer.close()
             await writer.wait_closed()
 

@@ -86,6 +86,44 @@ def test_truncate_compacts_disk_and_restart_replays_suffix(tmp_path):
     reopened.close()
 
 
+def test_compaction_drops_a_copy_set_a_later_install_overtook(tmp_path):
+    """A restart stages copies at epoch 2 and crashes before installing;
+    the next one stages and installs at epoch 3.  The epoch-2 set can
+    never be installed, and written after the epoch-3 records it would
+    end replay's valid prefix: compaction leaves it out, and the
+    generator, the fence and every later record survive a reopen."""
+    store = FileLogStore(tmp_path, "s1")
+    store.append_records("c1", _records(1, 10), fsync=True)
+    for record in _records(9, 10, epoch=2):
+        store.stage_copy("c1", record)
+    store.close()                       # crash before InstallCopies(2)
+
+    store = FileLogStore(tmp_path, "s1")
+    for record in _records(9, 10, epoch=3) + _records(
+            11, 12, epoch=3, present=False):
+        store.stage_copy("c1", record)
+    store.install_copies("c1", 3)
+    store.generator_write(3)
+    store.fence_write("c1", 3)
+    store.append_records("c1", _records(13, 15, epoch=3), fsync=True)
+    assert store.truncate_below("c1", 5) == 4     # compacts
+    assert store.compactions == 1
+    store.close()
+
+    reopened = FileLogStore(tmp_path, "s1")
+    try:
+        assert reopened.truncated_bytes == 0
+        assert reopened.crc_rejections == 0
+        assert reopened.generator_value == 3
+        assert reopened.fence_epoch("c1") == 3
+        assert reopened.stored_lsns("c1") == list(range(5, 16))
+        assert [reopened.read_record("c1", lsn).epoch
+                for lsn in (8, 9, 12, 15)] == [1, 3, 3, 3]
+        assert reopened.read_record("c1", 15).data.startswith(b"r15")
+    finally:
+        reopened.close()
+
+
 def test_late_retransmission_below_mark_is_ignored(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     store.append_records("c1", _records(1, 20), fsync=True)
