@@ -4,7 +4,7 @@ A thin front-end so the paper's results can be regenerated without
 writing code.  Each row of :data:`repro.paper.EXPERIMENTS` is one
 command, printing what ``benchmarks/bench_paper.py`` checks:
 
-* ``availability`` (E1), ``monte-carlo`` (E2) — Figure 3-4;
+* ``availability`` (E1), ``down-sets`` (E2) — Figure 3-4;
 * ``capacity`` (E3), ``target-load`` (E4) — Section 4.1;
 * ``prototype`` (E5) — the Section 5.6 comparison;
 * ``figures`` (E6) — the Figures 3-2/3-3 server states;

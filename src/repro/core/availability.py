@@ -12,6 +12,11 @@ probability ``p``:
 
       A_init = Σ_{i=0}^{N−1} C(M, i) p^i (1−p)^{M−i}
 
+  The shipped restart also installs its copies of the last δ records
+  on ``N`` servers, so it needs ``N`` up as well: it is available when
+  at most ``min(N − 1, M − N)`` are down, the same as ``A_init`` only
+  when ``M ≥ 2N − 1`` (:func:`restart_availability`).
+
 * **ReadLog** of a particular record, stored on ``N`` servers, is
   available unless all ``N`` are down::
 
@@ -59,6 +64,19 @@ def init_availability(m: int, n: int, p: float) -> float:
     """
     _validate(m, n, p)
     return _binomial_at_most(n - 1, m, p)
+
+
+def restart_availability(m: int, n: int, p: float) -> float:
+    """Probability the shipped client restart succeeds.
+
+    :func:`repro.core.recovery.restart` gathers ``M − N + 1`` interval
+    lists and then installs copies on ``N`` servers, so it is available
+    iff at most ``min(N − 1, M − N)`` servers are down.  Below
+    ``M = 2N − 1`` that is less than :func:`init_availability`, which
+    counts the gather alone.
+    """
+    _validate(m, n, p)
+    return _binomial_at_most(min(n - 1, m - n), m, p)
 
 
 def read_availability(n: int, p: float) -> float:

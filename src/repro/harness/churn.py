@@ -1,14 +1,13 @@
 """E11 — measured availability under crash/repair *churn* (§3.2).
 
-The Monte-Carlo validation (E2) checks the Figure 3-4 closed forms
-against instantaneous Bernoulli outage snapshots of the direct
-algorithm layer.  This experiment is the missing dynamic half: the
-full networked stack — clients, servers, LAN, RPC, NVRAM — runs the
-ET1 workload while :class:`~repro.sim.failures.ClusterChurn` drives
-every log server (and, optionally, generator-state representatives
-and the LAN itself) through independent exponential crash/repair
-cycles tuned so each server's long-run unavailability equals the
-paper's ``p``.
+E2 computes the Figure 3-4 availabilities of the direct algorithm
+layer exactly, over every down-set of one instant.  This experiment is
+the dynamic half: the full networked stack — clients, servers, LAN,
+RPC, NVRAM — runs the ET1 workload while
+:class:`~repro.sim.failures.ClusterChurn` drives every log server
+(and, optionally, generator-state representatives and the LAN itself)
+through independent exponential crash/repair cycles tuned so each
+server's long-run unavailability equals the paper's ``p``.
 
 Two kinds of availability come out:
 

@@ -547,7 +547,7 @@ _CLIENT_COMBINED = tuple(parse_plan(text) for text in (
     "client.switch.begin:0:exit,s1@log.group-fsync:2:power-loss",
     "client.switch.feed:0:exit,s1@log.group-fsync:2:power-loss",
     "client.switch.done:0:sigkill,s1@log.group-fsync:2:power-loss",
-    "client.force.ack:0:exit,s1@log.group-fsync:1:power-loss",
+    "client.force.ack:0:exit,s1@log.group-fsync:0:power-loss",
     "client.flush.sent:2:sigkill,s1@log.write.record:4:power-loss",
 ))
 

@@ -9,10 +9,11 @@ seed.
 
 Index (see DESIGN.md §4):
 
-* :func:`run_availability_grid` — E2, validates the Figure 3-4
-  closed forms against the real algorithm under random outages
-  (:func:`run_availability_monte_carlo`, one (M, N) point);
-* :func:`run_generator_grid` — E8, same for Appendix I;
+* :func:`run_availability_grid` — E2 and A5, the Figure 3-4
+  availabilities of the real algorithm, exact over every down-set
+  (:func:`run_availability_point`, one (M, N) point, over
+  :func:`run_down_sets`);
+* :func:`run_generator_grid` — E8, the same for Appendix I's NewID;
 * :func:`run_target_load` — E4, the 50-client / 6-server / 500-TPS
   configuration of Section 4.1, measured rather than derived;
 * :func:`run_prototype_pair` — E5, the Section 5.6 measurement
@@ -21,7 +22,6 @@ Index (see DESIGN.md §4):
   example;
 * :func:`run_append_forest` — E7, the Figure 4-3 example and the
   Section 4.3 complexity claims;
-* :func:`run_replication_tradeoff` — A5;
 * :func:`run_nvram_ablation` — A2;
 * :func:`run_assignment_ablation` — A4;
 * :func:`run_splitting_ablation` — A3.
@@ -29,10 +29,12 @@ Index (see DESIGN.md §4):
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..analysis.constants import DEFAULT_MIPS, CpuModel
 from ..baselines.local_log import LocalDiskLog
@@ -41,22 +43,17 @@ from ..client.backends import SimLogBackend
 from ..client.node import ClientNode
 from ..client.splitting import UndoCache
 from ..core.config import ReplicationConfig
-from ..core.epoch import (
-    LocalIdGenerator,
-    make_generator,
-    make_generator as make_id_generator,
-)
+from ..core.epoch import LocalIdGenerator, make_generator
 from ..core.errors import NotEnoughServers, ServerUnavailable
 from ..core.intervals import MergedIntervalMap
 from ..core.procedure import run
 from ..core.recovery import install_preference, recover
 from ..core.replicated_log import ReplicatedLog
 from ..core.store import LogServerStore, store_performer
-from ..core.availability import init_availability, write_availability
+from ..core.availability import AvailabilityPoint
 from ..net.lan import DualLan, Lan
 from ..server.load import RandomAssignment, StickyAssignment
 from ..server.log_server import SimLogServer
-from ..sim.failures import bernoulli_outage_sample, restore_all
 from ..sim.kernel import Simulator
 from ..sim.stats import MetricSet
 from ..storage.append_forest import AppendForest
@@ -75,157 +72,101 @@ def _drain(gen):
 
 
 # ---------------------------------------------------------------------------
-# E2 / A5: Monte-Carlo availability of the real algorithm
+# E2 / A5 / E8: availability of the shipped code over every down-set
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AvailabilityMeasurement:
-    m: int
-    n: int
-    p: float
-    trials: int
-    write_available: float
-    init_available: float
-    read_available: float
+def run_down_sets(
+    m: int, p: float, trial: Callable[[tuple[bool, ...]], tuple[bool, ...]],
+) -> list[float]:
+    """Exact availability of ``trial``'s operations over ``m`` nodes.
 
-
-def run_availability_monte_carlo(
-    m: int, n: int, p: float, trials: int = 2000, seed: int = 0,
-) -> AvailabilityMeasurement:
-    """Measure operation availability by injecting random outages.
-
-    Uses the direct algorithm layer: ``m`` stores, one client.  For
-    each trial, every server is independently down with probability
-    ``p``; the trial then attempts a WriteLog, a ReadLog of a known
-    record, and a full client initialization, counting successes.
-    This validates the Section 3.2 closed forms against the actual
-    implementation rather than against algebra.
+    ``trial(down)`` runs its operations with node ``i`` down iff
+    ``down[i]`` and reports whether each succeeded.  It is run once for
+    each of the 2^m down-sets, and each outcome is weighted by
+    p^k (1−p)^(m−k), the probability of that down-set when the nodes
+    fail independently with probability ``p`` (§3.2).
     """
-    rng = random.Random(seed)
+    weights, outcomes = [], []
+    for down in itertools.product((False, True), repeat=m):
+        k = sum(down)
+        weights.append(p**k * (1 - p) ** (m - k))
+        outcomes.append(trial(down))
+    return [math.fsum(weight for weight, ok in zip(weights, column) if ok)
+            for column in zip(*outcomes)]
 
-    def fresh_system():
+
+def _succeeds(operation: Callable[[], object]) -> bool:
+    try:
+        operation()
+    except (ServerUnavailable, NotEnoughServers):
+        return False
+    return True
+
+
+def run_availability_point(m: int, n: int, p: float) -> AvailabilityPoint:
+    """WriteLog, client restart and ReadLog availability of
+    :class:`ReplicatedLog` over ``m`` stores, by :func:`run_down_sets`.
+
+    For each down-set: a fresh log writes a probe record, the servers
+    in the down-set crash, and the log reads the probe, writes a record,
+    crashes and runs ``initialize()``.  The generator's representatives
+    stay up: the paper's footnote says they do not limit availability.
+    """
+    def operations(down: tuple[bool, ...]) -> tuple[bool, bool, bool]:
         stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
-        generator = make_generator(2 * n + 1)
-        log = ReplicatedLog("mc-client", stores,
-                            ReplicationConfig(m, n, delta=1), generator)
+        log = ReplicatedLog("client", stores,
+                            ReplicationConfig(m, n, delta=1),
+                            make_generator(2 * n + 1))
         log.initialize()
-        return stores, log
+        probe = log.write(b"probe")
+        for store, is_down in zip(stores.values(), down):
+            if is_down:
+                store.crash()
+        read = _succeeds(lambda: log.read(probe))
+        write = _succeeds(lambda: log.write(b"w"))
+        log.crash()
+        return write, _succeeds(log.initialize), read
 
-    stores, log = fresh_system()
-    probe_lsn = log.write(b"probe")
-
-    write_ok = read_ok = init_ok = 0
-    for _trial in range(trials):
-        # Every recovery appends copies and guards, so long runs make
-        # the stores (and merge costs) grow; restart from a fresh
-        # system periodically — the statistics are per-trial and
-        # unaffected.
-        if _trial % 50 == 0 and _trial > 0:
-            stores, log = fresh_system()
-            probe_lsn = log.write(b"probe")
-        bernoulli_outage_sample(list(stores.values()), p, rng)
-        # ReadLog of the probe record
-        try:
-            log.read(probe_lsn)
-            read_ok += 1
-        except (ServerUnavailable, NotEnoughServers):
-            pass
-        # WriteLog
-        try:
-            log.write(b"w")
-            write_ok += 1
-        except NotEnoughServers:
-            pass
-        # Client initialization (generator representatives stay up —
-        # the paper's footnote: they do not limit availability).
-        try:
-            log.crash()
-            log.initialize()
-            init_ok += 1
-        except NotEnoughServers:
-            pass
-        restore_all(list(stores.values()))
-        if not log.initialized:
-            log.initialize()
-        probe_lsn = log.write(b"probe")
-    return AvailabilityMeasurement(
-        m=m, n=n, p=p, trials=trials,
-        write_available=write_ok / trials,
-        init_available=init_ok / trials,
-        read_available=read_ok / trials,
-    )
+    write, init, read = run_down_sets(m, p, operations)
+    return AvailabilityPoint(m, n, p, write, init, read)
 
 
-def run_availability_grid() -> list[AvailabilityMeasurement]:
-    """E2: :func:`run_availability_monte_carlo` at p = 0.05, 1200
-    trials, for four (M, N), seeded ``10 * M + N``."""
-    return [run_availability_monte_carlo(m, n, 0.05, trials=1200,
-                                         seed=m * 10 + n)
-            for m, n in ((3, 2), (5, 2), (7, 2), (5, 3))]
-
-
-def run_replication_tradeoff() -> tuple[
-        list[tuple[int, int, float, float]],
-        tuple[AvailabilityMeasurement, AvailabilityMeasurement]]:
-    """A5 at p = 0.05: (M, N, write, init) closed forms for N = 2, 3
-    and M up to 8, and the frontier spot-checked on the real algorithm
-    (800 trials) at M=8 and M=3.
-
-    (M=3 rather than M=2 as the small configuration: the restart also
-    installs copies on N servers, so it is available only while at
-    most min(N − 1, M − N) servers are down — the closed form's N − 1
-    only when M ≥ 2N − 1.)
-    """
-    closed_form = [(m, n, write_availability(m, n, 0.05),
-                    init_availability(m, n, 0.05))
-                   for n in (2, 3) for m in range(n, 9)]
-    return closed_form, (
-        run_availability_monte_carlo(8, 2, 0.05, trials=800, seed=11),
-        run_availability_monte_carlo(3, 2, 0.05, trials=800, seed=12))
+def run_availability_grid() -> dict[int, list[AvailabilityPoint]]:
+    """E2 and A5: :func:`run_availability_point` at every Figure 3-4
+    point (N = 2, 3; M = N..8), p = 0.05; keyed like
+    :func:`repro.core.availability.figure_3_4_series`."""
+    return {n: [run_availability_point(m, n, 0.05) for m in range(n, 9)]
+            for n in (2, 3)}
 
 
 @dataclass(frozen=True, slots=True)
 class GeneratorMeasurement:
     n_reps: int
     p: float
-    trials: int
     available: float
     monotone: bool
 
 
-def run_generator_monte_carlo(
-    n_reps: int, p: float, trials: int = 2000, seed: int = 0,
-) -> GeneratorMeasurement:
-    """Appendix I: measured NewID availability plus monotonicity check."""
-    rng = random.Random(seed)
-    generator = make_id_generator(n_reps)
-    ok = 0
-    last = 0
-    monotone = True
-    for _trial in range(trials):
-        bernoulli_outage_sample(generator.representatives, p, rng)
-        try:
-            value = generator.new_id()
-        except NotEnoughServers:
-            pass
-        else:
-            ok += 1
-            if value <= last:
-                monotone = False
-            last = value
-        restore_all(generator.representatives)
-    return GeneratorMeasurement(
-        n_reps=n_reps, p=p, trials=trials,
-        available=ok / trials, monotone=monotone,
-    )
-
-
 def run_generator_grid() -> list[GeneratorMeasurement]:
-    """E8: :func:`run_generator_monte_carlo` at p = 0.05, 1500 trials,
-    over representative counts."""
-    return [run_generator_monte_carlo(n_reps, 0.05, trials=1500, seed=n_reps)
-            for n_reps in (1, 3, 5, 7)]
+    """E8 at p = 0.05: one generator's NewID over every down-set of its
+    1, 3, 5 and 7 representatives, and whether the ids it issued rose."""
+    p = 0.05
+    grid = []
+    for n_reps in (1, 3, 5, 7):
+        generator = make_generator(n_reps)
+        issued: list[int] = []
+
+        def new_id(down: tuple[bool, ...]) -> tuple[bool]:
+            for rep, is_down in zip(generator.representatives, down):
+                rep.available = not is_down
+            return (_succeeds(lambda: issued.append(generator.new_id())),)
+
+        (available,) = run_down_sets(n_reps, p, new_id)
+        grid.append(GeneratorMeasurement(
+            n_reps, p, available,
+            monotone=all(a < b for a, b in zip(issued, issued[1:]))))
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Failure injection: independent crash/repair schedules per node.
 
 Section 3.2's analysis assumes "log server nodes fail independently and
-are unavailable with probability p".  Two models realize that:
+are unavailable with probability p".  :class:`UpDownProcess` realizes
+that over time: an alternating-renewal process with exponential up and
+down times, whose long-run unavailability is ``mttr / (mtbf + mttr)``,
+so experiments can pick (mtbf, mttr) to hit the paper's ``p = 0.05``.
+(The instantaneous snapshot — each node down with probability ``p`` —
+needs no sampler: ``harness/experiments.py::run_down_sets`` weighs
+every down-set exactly.)
 
-* :class:`UpDownProcess` — an alternating-renewal process with
-  exponential up and down times; its long-run unavailability is
-  ``mttr / (mtbf + mttr)``, so experiments can pick (mtbf, mttr) to hit
-  the paper's ``p = 0.05``; and
-* :func:`bernoulli_outage_sample` — an instantaneous snapshot where
-  each node is down independently with probability ``p``, used by the
-  Monte-Carlo validation of the closed-form availability curves.
-
-On top of those, :class:`ClusterChurn` drives many targets — log
+On top of that, :class:`ClusterChurn` drives many targets — log
 servers, generator-state representatives, LAN links — through
 independent schedules inside one simulation, integrating exactly how
 much time the cluster spent with each number of targets down, and
@@ -22,7 +20,7 @@ much time the cluster spent with each number of targets down, and
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol
 
 from .kernel import Interrupt, Simulator
 from .rng import RngRegistry
@@ -279,35 +277,3 @@ class ClusterChurn:
 
     def crashes(self) -> int:
         return sum(inj.crashes for inj in self.injectors.values())
-
-
-def bernoulli_outage_sample(
-    nodes: Sequence[Crashable], p: float, rng: random.Random
-) -> list[bool]:
-    """Crash each node independently with probability ``p``.
-
-    Returns the up/down vector applied (True = up).  ``crash()`` /
-    ``restart()`` are only called when the node's state actually
-    changes — restarting an already-up log server would re-run its
-    crash scan and reset rebuilt state.  Callers restore with
-    :func:`restore_all`.
-    """
-    states: list[bool] = []
-    for node in nodes:
-        up = rng.random() >= p
-        currently_up = node_is_up(node)
-        if up:
-            if currently_up is not True:
-                node.restart()
-        else:
-            if currently_up is not False:
-                node.crash()
-        states.append(up)
-    return states
-
-
-def restore_all(nodes: Sequence[Crashable]) -> None:
-    """Bring every node that is down back up."""
-    for node in nodes:
-        if node_is_up(node) is not True:
-            node.restart()

@@ -11,6 +11,7 @@ from repro.core.availability import (
     init_availability,
     max_m_for_init_availability,
     read_availability,
+    restart_availability,
     single_server_availability,
     write_availability,
 )
@@ -150,49 +151,30 @@ class TestRestartAvailabilityByEnumeration:
 
     P = 0.05
 
-    @staticmethod
-    def _restarts(m: int, n: int, down) -> bool:
-        from repro.core.config import ReplicationConfig
-        from repro.core.epoch import make_generator
-        from repro.core.errors import NotEnoughServers
-        from repro.core.replicated_log import ReplicatedLog
-        from repro.core.store import LogServerStore
-
-        stores = {f"s{i}": LogServerStore(f"s{i}") for i in range(m)}
-        log = ReplicatedLog("c", stores, ReplicationConfig(m, n, delta=1),
-                            make_generator(2 * n + 1))
-        log.initialize()
-        log.write(b"probe")
-        for store, is_down in zip(stores.values(), down):
-            if is_down:
-                store.crash()
-        log.crash()
-        try:
-            log.initialize()
-        except NotEnoughServers:
-            return False
-        return True
-
     @pytest.mark.parametrize("m,n,shipped", [
         (2, 2, 0.9025), (3, 3, 0.857375), (4, 3, 0.985981),
         (3, 2, None), (5, 3, None)])
     def test_restart_is_available_iff_few_enough_are_down(self, m, n,
                                                           shipped):
-        import itertools
+        from repro.harness.experiments import run_availability_point
 
-        p, tolerated = self.P, min(n - 1, m - n)
-        available = 0.0
-        for down in itertools.product((False, True), repeat=m):
-            k = sum(down)
-            restarted = self._restarts(m, n, down)
-            assert restarted == (k <= tolerated), down
-            available += restarted * p**k * (1 - p) ** (m - k)
-        closed = sum(math.comb(m, k) * p**k * (1 - p) ** (m - k)
-                     for k in range(tolerated + 1))
-        assert available == pytest.approx(closed, rel=0, abs=1e-12)
+        p = self.P
+        available = run_availability_point(m, n, p).init
+        assert available == pytest.approx(
+            restart_availability(m, n, p), rel=0, abs=1e-12)
         if shipped is None:
             assert available == pytest.approx(
                 init_availability(m, n, p), rel=0, abs=1e-12)
         else:
             assert available == pytest.approx(shipped, rel=0, abs=1e-6)
             assert available < init_availability(m, n, p)
+
+    def test_code_form_is_the_paper_form_from_m_2n_minus_1(self):
+        for n in (1, 2, 3, 4):
+            for m in range(n, 12):
+                code = restart_availability(m, n, self.P)
+                paper = init_availability(m, n, self.P)
+                if m >= 2 * n - 1:
+                    assert code == paper
+                else:
+                    assert code < paper

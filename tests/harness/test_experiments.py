@@ -11,8 +11,9 @@ from repro.core.availability import (
 from repro.harness.experiments import (
     TargetLoadConfig,
     run_assignment_ablation,
-    run_availability_monte_carlo,
-    run_generator_monte_carlo,
+    run_availability_point,
+    run_down_sets,
+    run_generator_grid,
     run_nvram_ablation,
     run_prototype_comparison,
     run_splitting_ablation,
@@ -20,37 +21,40 @@ from repro.harness.experiments import (
 )
 
 
-class TestAvailabilityMonteCarlo:
+class TestAvailabilityDownSets:
     def test_matches_closed_forms(self):
-        mc = run_availability_monte_carlo(5, 2, 0.05, trials=1500, seed=1)
-        assert mc.write_available == pytest.approx(
-            write_availability(5, 2, 0.05), abs=0.02)
-        assert mc.init_available == pytest.approx(
-            init_availability(5, 2, 0.05), abs=0.02)
-        assert mc.read_available == pytest.approx(
-            read_availability(2, 0.05), abs=0.02)
+        pt = run_availability_point(5, 2, 0.05)
+        assert pt.write == pytest.approx(
+            write_availability(5, 2, 0.05), rel=0, abs=1e-12)
+        assert pt.init == pytest.approx(
+            init_availability(5, 2, 0.05), rel=0, abs=1e-12)
+        assert pt.read == pytest.approx(
+            read_availability(2, 0.05), rel=0, abs=1e-12)
 
     def test_triple_copy(self):
-        mc = run_availability_monte_carlo(5, 3, 0.05, trials=1000, seed=2)
-        assert mc.init_available == pytest.approx(
-            init_availability(5, 3, 0.05), abs=0.03)
+        pt = run_availability_point(5, 3, 0.05)
+        assert pt.init == pytest.approx(
+            init_availability(5, 3, 0.05), rel=0, abs=1e-12)
 
-    def test_deterministic_given_seed(self):
-        a = run_availability_monte_carlo(4, 2, 0.1, trials=300, seed=7)
-        b = run_availability_monte_carlo(4, 2, 0.1, trials=300, seed=7)
-        assert a == b
+    def test_weights_are_the_down_set_probabilities(self):
+        # an operation that fails iff node 0 is down is available 1 − p
+        assert run_down_sets(3, 0.2, lambda down: (not down[0],)) == \
+            pytest.approx([0.8], rel=0, abs=1e-15)
+        # and one that always succeeds has total weight 1
+        assert run_down_sets(4, 0.3, lambda down: (True, False)) == \
+            pytest.approx([1.0, 0.0], rel=0, abs=1e-15)
 
 
-class TestGeneratorMonteCarlo:
+class TestGeneratorDownSets:
     def test_matches_appendix_formula(self):
-        mc = run_generator_monte_carlo(3, 0.05, trials=1500, seed=0)
-        assert mc.available == pytest.approx(
-            generator_availability(3, 0.05), abs=0.02)
+        for g in run_generator_grid():
+            assert g.available == pytest.approx(
+                generator_availability(g.n_reps, g.p), rel=0, abs=1e-12)
 
     def test_monotonicity_always_holds(self):
-        for n in (1, 3, 5):
-            mc = run_generator_monte_carlo(n, 0.2, trials=400, seed=n)
-            assert mc.monotone
+        grid = run_generator_grid()
+        assert [g.n_reps for g in grid] == [1, 3, 5, 7]
+        assert all(g.monotone for g in grid)
 
 
 class TestTargetLoad:

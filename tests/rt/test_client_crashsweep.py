@@ -25,12 +25,12 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.harness.crashsweep import SweepConfig, client_phase, \
-    run_crashsweep
+from repro.harness.crashsweep import _CLIENT_COMBINED, SweepConfig, \
+    client_phase, run_crashsweep
 from repro.harness.oracle import History, check
 from repro.net.messages import IntervalListCall, ForceLogMsg
 from repro.rt.client import ServerConnection
-from repro.rt.faultspec import parse_plan
+from repro.rt.faultspec import parse_plan, plan_text
 
 
 # -- the waiter-leak regression (crash point client.force.ack:0) ------
@@ -228,6 +228,15 @@ def test_client_case_partial_ack_kill_and_recovery(tmp_path):
     (case,) = report.cases("client")
     assert case.spec == "client.force.ack:0:exit"
     assert case.hit, "the workload never reached the armed point"
+    assert case.ok, case.errors
+
+
+@pytest.mark.parametrize("plan", _CLIENT_COMBINED, ids=plan_text)
+def test_every_combined_client_case_fires_both_faults(tmp_path, plan):
+    """Each full-mode combined case fires its client kill and its
+    storage fault, and the restarts after it keep every promise."""
+    case = client_phase(tmp_path).run_case(0, plan)
+    assert case.hit, plan_text(plan)
     assert case.ok, case.errors
 
 

@@ -9,6 +9,7 @@ as ``repro crashsweep --point net...`` / ``--plan ...`` would.
 from __future__ import annotations
 
 import asyncio
+import os
 import random
 
 import pytest
@@ -18,12 +19,15 @@ from repro.harness.netsweep import draw_fuzz_plan
 from repro.harness.oracle import History
 from repro.harness.sweep import SWEEP_CONFIG, Run, holdings, reached, \
     record, run_workload, sweep_client, verify_restart
+from repro.net.codec import frame_new_high_lsn
 from repro.net.messages import MissingIntervalMsg, NewIntervalMsg
 from repro.rt.chaosproxy import ProxyFleet
 from repro.rt.client import AsyncReplicatedLog
 from repro.rt.cluster import LoopbackCluster
+from repro.rt.faultfs import FaultInjector, PowerLoss
 from repro.rt.faultspec import FaultSpec, FaultSpecError, by_target, \
     parse_plan, plan_text, trace_points
+from repro.rt.filestore import FileLogStore
 from repro.rt.server import LogServerDaemon
 
 from .inprocess import Cluster
@@ -282,6 +286,75 @@ def test_acked_on_n_catches_a_daemon_that_acks_over_a_gap(
     errors = asyncio.run(main())
     assert errors == [f"acked-on-N: acked lsn {lsn} is held by 1 of 2 "
                       f"servers (s2)" for lsn in (9, 10)]
+
+
+class AcksBeforeFsync(LogServerDaemon):
+    """A daemon that acks a force as soon as its records are appended,
+    before the group fsync that would cover them."""
+
+    def _park_force(self, msg, writer, images=None):
+        out = self._on_write(msg, images)
+        if not out:
+            self._write_frames_safely(writer, [
+                frame_new_high_lsn(msg.client_id, msg.high_lsn)])
+        return out
+
+
+class PowerCutCluster(Cluster):
+    """s1 is an :class:`AcksBeforeFsync` whose store loses power at its
+    first group fsync; s2 and s3 are honest."""
+
+    async def start(self, sid: str, port: int = 0) -> LogServerDaemon:
+        if sid != "s1":
+            return await super().start(sid, port)
+        io = FaultInjector(parse_plan("log.group-fsync:0:power-loss"))
+        daemon = AcksBeforeFsync(
+            FileLogStore(os.path.join(self.root, sid), sid, io=io),
+            port=port)
+        await daemon.start()
+        self.daemons[sid] = daemon
+        return daemon
+
+
+def test_acked_on_n_catches_a_daemon_that_acks_before_its_fsync(tmp_path):
+    """s1 acks every force before an fsync covers it, then loses power
+    at the group fsync that comes too late: its log reverts to the last
+    barrier (the :class:`FaultInjector` power-loss semantics) and every
+    record forced since is gone from it.  s2 still holds them, so they
+    read back after a restart: only ``acked-on-N`` fails, on exactly
+    the records s1 acked and lost."""
+
+    async def main():
+        async with PowerCutCluster(tmp_path) as cluster:
+            run = Run()
+            log = sweep_client(cluster.addresses(), "p1", SWEEP_CONFIG)
+            try:
+                await log.initialize()
+                run.history.epoch(log)
+                for i in range(SWEEP_CONFIG.delta - 1):
+                    await run.history.write(log, b"bulk:%d:" % i + b"b" * 1000)
+                await run.force(log)
+                for txn in range(2):
+                    await run.commit_et1(log, txn)
+                assert log.write_set == ("s1", "s2")
+            finally:
+                await log.close()
+            forced = await holdings(cluster.addresses(), "p1")
+            s1 = cluster.daemons.pop("s1")
+            with pytest.raises(PowerLoss):
+                s1.store.sync(site="log.group-fsync")
+            await s1.close()
+            await cluster.start("s1", port=s1.port)
+            lost = sorted(set(forced["s1"]) - set(
+                (await holdings(cluster.addresses(), "p1"))["s1"]))
+            return lost, await verify_restart(
+                cluster.addresses(), "p1", SWEEP_CONFIG, run.history)
+
+    lost, errors = asyncio.run(main())
+    # every record after the restart's δ guards, which it synced
+    assert lost == list(range(SWEEP_CONFIG.delta + 1, 30))
+    assert errors == [f"acked-on-N: acked lsn {lsn} is held by 1 of 2 "
+                      f"servers (s2)" for lsn in lost]
 
 
 # -- replay paths against real daemons ---------------------------------------

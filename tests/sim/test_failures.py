@@ -7,9 +7,7 @@ import pytest
 from repro.core.store import LogServerStore
 from repro.sim.failures import (
     UpDownProcess,
-    bernoulli_outage_sample,
     mttr_for_unavailability,
-    restore_all,
     unavailability,
 )
 from repro.sim.kernel import Simulator
@@ -67,31 +65,6 @@ class TestUpDownProcess:
         proc.stop()
         sim.run(until=100)
         assert proc.process.triggered
-
-
-class TestBernoulliOutage:
-    def test_p_zero_keeps_all_up(self):
-        stores = [LogServerStore(f"s{i}") for i in range(10)]
-        states = bernoulli_outage_sample(stores, 0.0, random.Random(0))
-        assert all(states)
-        assert all(s.available for s in stores)
-
-    def test_p_one_downs_all(self):
-        stores = [LogServerStore(f"s{i}") for i in range(10)]
-        bernoulli_outage_sample(stores, 1.0, random.Random(0))
-        assert not any(s.available for s in stores)
-
-    def test_fraction_approximates_p(self):
-        stores = [LogServerStore(f"s{i}") for i in range(2000)]
-        states = bernoulli_outage_sample(stores, 0.3, random.Random(7))
-        downs = states.count(False)
-        assert downs / 2000 == pytest.approx(0.3, abs=0.03)
-
-    def test_restore_all(self):
-        stores = [LogServerStore(f"s{i}") for i in range(5)]
-        bernoulli_outage_sample(stores, 1.0, random.Random(0))
-        restore_all(stores)
-        assert all(s.available for s in stores)
 
 
 class RecordingNode:
@@ -180,29 +153,6 @@ class TestUpDownProcessHardening:
         # no redundant restart — it would re-run a server's crash scan
         assert node.calls[calls_before:] == []
         assert node.available
-
-
-class TestBernoulliStateChangeOnly:
-    def test_no_spurious_restart_of_up_nodes(self):
-        nodes = [RecordingNode() for _ in range(5)]
-        bernoulli_outage_sample(nodes, 0.0, random.Random(0))
-        bernoulli_outage_sample(nodes, 0.0, random.Random(1))
-        assert all(n.calls == [] for n in nodes)
-
-    def test_no_double_crash_of_down_nodes(self):
-        nodes = [RecordingNode() for _ in range(5)]
-        bernoulli_outage_sample(nodes, 1.0, random.Random(0))
-        bernoulli_outage_sample(nodes, 1.0, random.Random(1))
-        assert all(n.calls == ["crash"] for n in nodes)
-
-    def test_restore_all_only_touches_down_nodes(self):
-        nodes = [RecordingNode() for _ in range(4)]
-        nodes[1].crash()
-        nodes[3].crash()
-        restore_all(nodes)
-        assert nodes[0].calls == []
-        assert nodes[1].calls == ["crash", "restart"]
-        assert all(n.available for n in nodes)
 
 
 class TestLinkDegrader:
